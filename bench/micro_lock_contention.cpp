@@ -1,36 +1,30 @@
 /**
  * @file
- * Host-thread contention microbenchmark for the memory-system engine:
- * global mutex (`mem/host_concurrency=global`, the pre-shard engine)
- * vs. two-level tile/shard locking (`sharded`, the default), on an
- * L1-hit-dominated workload — the case the paper's per-home-tile MME
- * servers make embarrassingly parallel.
+ * Host-thread contention microbenchmark for the memory-system engine's
+ * two-level tile/shard locking on an L1-hit-dominated workload — the
+ * case the paper's per-home-tile MME servers make embarrassingly
+ * parallel.
  *
- * Two metrics per (mode, threads) point:
+ * Two metrics per (lockdep, threads) point:
  *
  *  - wall throughput: ops / elapsed wall time. Only meaningful as a
  *    scaling signal when the host has >= threads CPUs.
- *  - serialized (critical-path) throughput: ops / lock critical path,
- *    measured from per-thread CPU time (CLOCK_THREAD_CPUTIME_ID).
- *    Under the global mutex every access runs inside one critical
- *    section, so the elapsed time on any host is bounded below by the
- *    SUM of per-thread engine CPU time; under sharding, an L1-hit
- *    workload takes no cross-thread lock at all, so the bound is the
- *    MAX. This is the multicore-scaling bound the lock structure
- *    imposes, and is host-CPU-count independent — essential here
- *    because CI containers may pin the build to a single CPU.
+ *  - serialized (critical-path) throughput: ops / the largest
+ *    per-thread CPU time (CLOCK_THREAD_CPUTIME_ID). An L1-hit workload
+ *    takes no cross-thread lock, so the slowest thread bounds the
+ *    elapsed time on a host with enough CPUs. This bound is
+ *    host-CPU-count independent.
  *
- * The matrix additionally runs each point with lockdep (the
- * lock-order checker, src/common/lockdep.h) runtime-off and enforcing:
- * the per-acquisition order check walks the thread's held-set on this
- * benchmark's hottest path, so the armed/off throughput ratio IS the
- * lockdep tax on the worst realistic case. A separate tight loop
- * measures the raw per-lock/unlock wrapper cost against a plain
- * std::mutex for reference.
+ * Each point runs with lockdep (the lock-order checker,
+ * src/common/lockdep.h) runtime-off and enforcing: the per-acquisition
+ * order check walks the thread's held-set on this benchmark's hottest
+ * path, so the armed/off throughput ratio IS the lockdep tax on the
+ * worst realistic case. A separate tight loop measures the raw
+ * per-lock/unlock wrapper cost against a plain std::mutex for
+ * reference.
  *
- * Emits BENCH_mem_contention.json (first entry of the perf
- * trajectory); the headline criteria are serialized_speedup_8t >= 2
- * and lockdep_overhead_8t <= 1.25.
+ * Emits BENCH_mem_contention.json; the criterion is
+ * lockdep_overhead_8t <= 1.25.
  */
 
 #include <pthread.h>
@@ -73,7 +67,6 @@ threadCpuSeconds()
 
 struct RunResult
 {
-    std::string mode;
     std::string lockdepMode; // "off" | "armed"
     int threads = 0;
     std::uint64_t totalOps = 0;
@@ -84,26 +77,20 @@ struct RunResult
     stat_t tileContended = 0;
 
     double wallThroughput() const { return totalOps / wallSeconds; }
-    /** Lower bound on elapsed time imposed by the lock structure. */
-    double criticalPathSeconds() const
-    {
-        return mode == "global" ? cpuSumSeconds : cpuMaxSeconds;
-    }
+    /** Throughput bound set by the slowest thread's CPU time. */
     double serializedThroughput() const
     {
-        return totalOps / criticalPathSeconds();
+        return totalOps / cpuMaxSeconds;
     }
 };
 
 RunResult
-runConfig(const std::string& mode, bool lockdep_armed, int threads,
-          std::uint64_t ops)
+runConfig(bool lockdep_armed, int threads, std::uint64_t ops)
 {
     lockdep::setMode(lockdep_armed ? lockdep::Mode::Enforce
                                    : lockdep::Mode::Off);
     Config cfg = defaultTargetConfig();
     cfg.setInt("general/total_tiles", TILES);
-    cfg.set("mem/host_concurrency", mode);
     ClusterTopology topo(TILES, 1);
     NetworkFabric fabric(topo, cfg);
     MemorySystem mem(topo, fabric, cfg);
@@ -150,7 +137,6 @@ runConfig(const std::string& mode, bool lockdep_armed, int threads,
     auto w1 = std::chrono::steady_clock::now();
 
     RunResult r;
-    r.mode = mode;
     r.lockdepMode = lockdep_armed ? "armed" : "off";
     r.threads = threads;
     r.totalOps = ops * static_cast<std::uint64_t>(threads);
@@ -199,20 +185,19 @@ main()
 
     std::printf("=== micro_lock_contention ===\n");
     std::printf(
-        "Engine-lock scaling: global mutex vs tile/shard locking on an "
-        "L1-hit workload.\nHost CPUs: %u (serialized throughput is the "
+        "Engine-lock scaling: tile/shard locking on an L1-hit "
+        "workload.\nHost CPUs: %u (serialized throughput is the "
         "host-independent lock-structure bound).\n\n",
         std::thread::hardware_concurrency());
 
     std::vector<RunResult> results;
     for (bool armed : {false, true})
-        for (const char* mode : {"global", "sharded"})
-            for (int t : thread_counts)
-                results.push_back(runConfig(mode, armed, t, ops));
+        for (int t : thread_counts)
+            results.push_back(runConfig(armed, t, ops));
     lockdep::setMode(lockdep::Mode::Enforce);
 
     TextTable table;
-    table.header({"mode", "lockdep", "threads", "ops", "wall Mops/s",
+    table.header({"lockdep", "threads", "ops", "wall Mops/s",
                   "serialized Mops/s", "shard cont", "tile cont"});
     for (const RunResult& r : results) {
         char wall[32], ser[32];
@@ -220,41 +205,22 @@ main()
                       r.wallThroughput() / 1e6);
         std::snprintf(ser, sizeof ser, "%.2f",
                       r.serializedThroughput() / 1e6);
-        table.row({r.mode, r.lockdepMode, std::to_string(r.threads),
+        table.row({r.lockdepMode, std::to_string(r.threads),
                    std::to_string(r.totalOps), wall, ser,
                    std::to_string(r.shardContended),
                    std::to_string(r.tileContended)});
     }
     std::printf("%s\n", table.render().c_str());
 
-    auto find = [&](const std::string& mode, const std::string& ld,
-                    int t) -> const RunResult& {
+    auto find = [&](const std::string& ld, int t) -> const RunResult& {
         for (const RunResult& r : results)
-            if (r.mode == mode && r.lockdepMode == ld && r.threads == t)
+            if (r.lockdepMode == ld && r.threads == t)
                 return r;
         std::abort();
     };
-    // Production-default comparison (lockdep armed on both sides).
-    const RunResult& g8 = find("global", "armed", 8);
-    const RunResult& s8 = find("sharded", "armed", 8);
-    double serialized_speedup =
-        s8.serializedThroughput() / g8.serializedThroughput();
-    double wall_speedup = s8.wallThroughput() / g8.wallThroughput();
-    std::printf("serialized speedup at 8 threads: %.2fx (criterion: "
-                ">= 2x)\nwall speedup at 8 threads: %.2fx (only "
-                "meaningful with >= 8 host CPUs)\n",
-                serialized_speedup, wall_speedup);
-
-    // Lockdep tax: off vs enforcing on the same engine config, worst
-    // case across both lock structures at 8 threads.
-    double ld_overhead = 0.0;
-    for (const char* mode : {"global", "sharded"}) {
-        const RunResult& off = find(mode, "off", 8);
-        const RunResult& armed = find(mode, "armed", 8);
-        ld_overhead = std::max(ld_overhead,
-                               off.serializedThroughput() /
-                                   armed.serializedThroughput());
-    }
+    // Lockdep tax: off vs enforcing at 8 threads.
+    double ld_overhead = find("off", 8).serializedThroughput() /
+                         find("armed", 8).serializedThroughput();
     std::printf("lockdep-armed overhead at 8 threads: %.3fx "
                 "(criterion: <= 1.25x)\n",
                 ld_overhead);
@@ -284,22 +250,21 @@ main()
                  std::thread::hardware_concurrency());
     std::fprintf(
         f,
-        "  \"metric_note\": \"serialized_mops = ops / lock critical "
-        "path from per-thread CPU time (global: sum across threads, "
-        "sharded: max); host-CPU-count independent. wall_mops depends "
-        "on available host CPUs.\",\n");
+        "  \"metric_note\": \"serialized_mops = ops / the largest "
+        "per-thread CPU time; host-CPU-count independent. wall_mops "
+        "depends on available host CPUs.\",\n");
     std::fprintf(f, "  \"runs\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
         const RunResult& r = results[i];
         std::fprintf(
             f,
-            "    {\"mode\": \"%s\", \"lockdep\": \"%s\", "
+            "    {\"lockdep\": \"%s\", "
             "\"threads\": %d, \"ops\": %llu, "
             "\"wall_s\": %.6f, \"cpu_sum_s\": %.6f, \"cpu_max_s\": "
             "%.6f, \"wall_mops\": %.3f, \"serialized_mops\": %.3f, "
             "\"shard_lock_contended\": %llu, "
             "\"tile_lock_contended\": %llu}%s\n",
-            r.mode.c_str(), r.lockdepMode.c_str(), r.threads,
+            r.lockdepMode.c_str(), r.threads,
             static_cast<unsigned long long>(r.totalOps), r.wallSeconds,
             r.cpuSumSeconds, r.cpuMaxSeconds,
             r.wallThroughput() / 1e6, r.serializedThroughput() / 1e6,
@@ -308,14 +273,11 @@ main()
             i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"serialized_speedup_8t\": %.3f,\n",
-                 serialized_speedup);
-    std::fprintf(f, "  \"wall_speedup_8t\": %.3f,\n", wall_speedup);
     std::fprintf(
         f,
-        "  \"lockdep_overhead_note\": \"worst-case off/armed "
-        "serialized-throughput ratio at 8 threads across both lock "
-        "structures; runtime-off still pays held-set bookkeeping, the "
+        "  \"lockdep_overhead_note\": \"off/armed "
+        "serialized-throughput ratio at 8 threads; runtime-off still "
+        "pays held-set bookkeeping, the "
         "compile-time GRAPHITE_LOCKDEP=OFF build removes even that "
         "(sizeof parity pinned by tests/lockdep_force_off_probe)\",\n");
     std::fprintf(f, "  \"lockdep_overhead_8t\": %.3f,\n", ld_overhead);
@@ -324,9 +286,9 @@ main()
                  "%.2f, \"ordered_mutex_off\": %.2f, "
                  "\"ordered_mutex_enforce\": %.2f},\n",
                  plain_ns, off_ns, armed_ns);
-    bool met = serialized_speedup >= 2.0 && ld_overhead <= 1.25;
-    std::fprintf(f, "  \"criterion\": \"serialized_speedup_8t >= 2 && "
-                    "lockdep_overhead_8t <= 1.25\",\n");
+    bool met = ld_overhead <= 1.25;
+    std::fprintf(f,
+                 "  \"criterion\": \"lockdep_overhead_8t <= 1.25\",\n");
     std::fprintf(f, "  \"criterion_met\": %s\n", met ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);

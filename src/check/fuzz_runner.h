@@ -102,7 +102,6 @@ struct ConfigPoint
     cycle_t slack = 100000; ///< LaxP2P only
     std::string directoryType = "full_map";
     int lineSize = 64;
-    std::string concurrency = "global";
     /** Arm the happens-before race detector (src/race). Fuzz programs
      *  are race-free by construction, so any report is a violation —
      *  either a detector false positive or a missing sync edge. */
@@ -126,18 +125,20 @@ ConfigPoint baselinePoint();
  * Baseline plus @p variants seed-sampled points over
  * {1,3,8 processes} x {lax, lax_barrier, lax_p2p} x
  * {full_map, limited_no_broadcast, limitless} x {32,64-byte lines} x
- * {sharded, global}. The first variant always enables sharded locking
- * on 3 processes so every seed exercises cross-process + concurrent
- * paths.
+ * {2000, 100000 cycles of p2p slack}. The first variant always runs on
+ * 3 processes with the race, span and accuracy oracles armed, so every
+ * seed exercises the cross-process paths and proves the oracles
+ * timing-neutral.
  */
 std::vector<ConfigPoint> sampleMatrix(std::uint64_t seed, int variants);
 
 /**
  * Materialize a Config for @p pt: 8 tiles, deliberately small caches
- * (so capacity evictions and writebacks happen), shutdown validation
- * off (the runner applies the richer invariant suite itself), and
- * fault injection per @p fault_mode with the address filter set to the
- * mmap base so sync words are never corrupted.
+ * (so capacity evictions and writebacks happen; a 2 KB L2, halved when
+ * a fault is injected so dirty data lines get evicted too), shutdown
+ * validation off (the runner applies the richer invariant suite
+ * itself), and fault injection per @p fault_mode with the address
+ * filter set to the mmap base so sync words are never corrupted.
  */
 Config makeFuzzConfig(const ConfigPoint& pt, std::uint64_t seed,
                       const std::string& fault_mode = "none");

@@ -25,7 +25,7 @@ struct Context
     tile_id_t tile = INVALID_TILE_ID;
     CoreModel* core = nullptr;
     Network* net = nullptr;
-    host::HostScheduler* sched = nullptr; ///< null = scheduler off
+    host::HostScheduler* sched = nullptr;
     std::uint64_t sinceCheck = 0;
 };
 
@@ -61,8 +61,7 @@ tick(std::uint64_t instructions)
     // Cooperative quantum boundary: hand the execution slot to the
     // next runnable thread (and enforce the skew gate) after at most
     // host/quantum_cycles of simulated progress.
-    if (c.sched != nullptr)
-        c.sched->quantumCheck(c.tile);
+    c.sched->quantumCheck(c.tile);
     if (SkewTracker* skew = c.sim->skewTracker())
         skew->maybeSnapshot();
     if (obs::MetricsSampler::globalEnabled())
@@ -91,39 +90,44 @@ sendSysRequest(std::vector<std::uint8_t> payload)
                             pkt.serialize());
     // Deterministic mode: hold the slot until the MCP dispatched the
     // request, so its side effects land at a fixed schedule point.
-    if (c.sched != nullptr)
-        c.sched->requestFence(c.tile);
+    c.sched->requestFence(c.tile);
 }
 
 /**
- * Block for the MCP's reply. The thread deregisters from the sync model
- * while blocked (a barrier must not wait on a sleeping thread), and the
- * local clock forwards to the reply's timestamp — the lax rule: "the
- * clock of the tile is forwarded to the time that the event occurred."
+ * Receive the next @p type packet. One that was already delivered is
+ * consumed without giving up the execution slot or perturbing the sync
+ * model. Otherwise the thread deregisters from the sync model while
+ * blocked (a barrier must not wait on a sleeping thread) and releases
+ * its slot for the wait.
+ */
+NetPacket
+recvBlocking(PacketType type, host::HostScheduler::BlockKind kind)
+{
+    Context& c = ctx();
+    NetPacket pkt;
+    if (c.net->tryRecv(type, pkt))
+        return pkt;
+    c.sim->syncModel().threadBlocked(*c.core);
+    c.sim->tile(c.tile).setRunning(false);
+    c.sched->beginBlock(c.tile, kind);
+    pkt = c.net->recv(type);
+    c.sched->endBlock(c.tile);
+    c.sim->tile(c.tile).setRunning(true);
+    c.sim->syncModel().threadUnblocked(*c.core);
+    return pkt;
+}
+
+/**
+ * Block for the MCP's reply; the local clock forwards to the reply's
+ * timestamp — the lax rule: "the clock of the tile is forwarded to the
+ * time that the event occurred."
  */
 NetPacket
 recvSysReply()
 {
     Context& c = ctx();
-    NetPacket pkt;
-    bool have = false;
-    // Under the scheduler, an already-delivered reply (spawn, wake,
-    // file op, failed wait) is consumed without ever giving up the
-    // execution slot or perturbing the sync model.
-    if (c.sched != nullptr)
-        have = c.net->tryRecv(PacketType::System, pkt);
-    if (!have) {
-        c.sim->syncModel().threadBlocked(*c.core);
-        c.sim->tile(c.tile).setRunning(false);
-        if (c.sched != nullptr)
-            c.sched->beginBlock(c.tile,
-                                host::HostScheduler::BlockKind::Sys);
-        pkt = c.net->recv(PacketType::System);
-        if (c.sched != nullptr)
-            c.sched->endBlock(c.tile);
-        c.sim->tile(c.tile).setRunning(true);
-        c.sim->syncModel().threadUnblocked(*c.core);
-    }
+    NetPacket pkt = recvBlocking(PacketType::System,
+                                 host::HostScheduler::BlockKind::Sys);
     GRAPHITE_ASSERT(pkt.sender == MCP_SENDER);
     cycle_t now = c.core->cycle();
     if (pkt.time > now) {
@@ -461,9 +465,7 @@ msgSend(tile_id_t dst, const void* data, size_t len)
                 c.core->cycle());
     // Deterministic wake of a receiver blocked in msgRecv (no-op in
     // free_running mode and when the receiver is not App-blocked).
-    if (c.sched != nullptr)
-        c.sched->notifyUnblocked(dst,
-                                 host::HostScheduler::BlockKind::App);
+    c.sched->notifyUnblocked(dst, host::HostScheduler::BlockKind::App);
     // The send itself occupies the core briefly.
     c.core->executeInstructions(InstrClass::IntAlu, 1);
     tick(1);
@@ -473,22 +475,8 @@ Message
 msgRecv()
 {
     Context& c = ctx();
-    NetPacket pkt;
-    bool have = false;
-    if (c.sched != nullptr)
-        have = c.net->tryRecv(PacketType::App, pkt);
-    if (!have) {
-        c.sim->syncModel().threadBlocked(*c.core);
-        c.sim->tile(c.tile).setRunning(false);
-        if (c.sched != nullptr)
-            c.sched->beginBlock(c.tile,
-                                host::HostScheduler::BlockKind::App);
-        pkt = c.net->recv(PacketType::App);
-        if (c.sched != nullptr)
-            c.sched->endBlock(c.tile);
-        c.sim->tile(c.tile).setRunning(true);
-        c.sim->syncModel().threadUnblocked(*c.core);
-    }
+    NetPacket pkt =
+        recvBlocking(PacketType::App, host::HostScheduler::BlockKind::App);
     if (race::Detector::armed())
         race::Detector::instance().msgRecvEdge(pkt.sender, c.tile);
     obs::telemetry::FlightRecorder::record(

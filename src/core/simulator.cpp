@@ -51,12 +51,9 @@ Simulator::Simulator(Config cfg)
     memory_ = std::make_unique<MemorySystem>(topo_, *fabric_, cfg_);
     sync_ = SyncModel::create(cfg_, topo_.totalTiles());
 
-    host::SchedulerConfig sched_cfg =
-        host::SchedulerConfig::fromConfig(cfg_);
-    if (sched_cfg.mode != host::SchedMode::Off)
-        sched_ = std::make_unique<host::HostScheduler>(
-            sched_cfg, topo_.totalTiles());
-    // Sync models that block integrate slot release; null is fine.
+    sched_ = std::make_unique<host::HostScheduler>(
+        host::SchedulerConfig::fromConfig(cfg_), topo_.totalTiles());
+    // Sync models that block release the execution slot while waiting.
     sync_->attachScheduler(sched_.get());
 
     tiles_.reserve(topo_.totalTiles());
@@ -207,32 +204,28 @@ Simulator::registerStats()
         return sync->syncWaitMicroseconds();
     });
 
-    if (sched_ != nullptr) {
-        host::HostScheduler* sched = sched_.get();
-        stats_.registerGauge("host.pool.slots", [sched] {
-            return static_cast<stat_t>(sched->slots());
-        });
-        stats_.registerGauge("host.pool.executing", [sched] {
-            return static_cast<stat_t>(sched->gauges().executing);
-        });
-        stats_.registerGauge("host.pool.runnable", [sched] {
-            return static_cast<stat_t>(sched->gauges().runnable);
-        });
-        stats_.registerGauge("host.pool.blocked", [sched] {
-            return static_cast<stat_t>(sched->gauges().blocked);
-        });
-        stats_.registerGauge("host.pool.skew_parked", [sched] {
-            return static_cast<stat_t>(sched->gauges().skewParked);
-        });
-        stats_.registerCounter("host.pool.quanta",
-                               sched->quantaCounter());
-        stats_.registerCounter("host.pool.yields",
-                               sched->yieldsCounter());
-        stats_.registerCounter("host.pool.skew_parks",
-                               sched->skewParksCounter());
-        stats_.registerCounter("host.pool.skew_park_ns",
-                               sched->skewParkNsCounter());
-    }
+    host::HostScheduler* sched = sched_.get();
+    stats_.registerGauge("host.pool.slots", [sched] {
+        return static_cast<stat_t>(sched->slots());
+    });
+    stats_.registerGauge("host.pool.executing", [sched] {
+        return static_cast<stat_t>(sched->gauges().executing);
+    });
+    stats_.registerGauge("host.pool.runnable", [sched] {
+        return static_cast<stat_t>(sched->gauges().runnable);
+    });
+    stats_.registerGauge("host.pool.blocked", [sched] {
+        return static_cast<stat_t>(sched->gauges().blocked);
+    });
+    stats_.registerGauge("host.pool.skew_parked", [sched] {
+        return static_cast<stat_t>(sched->gauges().skewParked);
+    });
+    stats_.registerCounter("host.pool.quanta", sched->quantaCounter());
+    stats_.registerCounter("host.pool.yields", sched->yieldsCounter());
+    stats_.registerCounter("host.pool.skew_parks",
+                           sched->skewParksCounter());
+    stats_.registerCounter("host.pool.skew_park_ns",
+                           sched->skewParkNsCounter());
 
     if (race::Detector::armed()) {
         race::Detector* det = &race::Detector::instance();
@@ -358,25 +351,23 @@ Simulator::makeStatusSource()
     };
     src.syncEvents = [this] { return sync_->syncEvents(); };
     src.syncWaitUs = [this] { return sync_->syncWaitMicroseconds(); };
-    if (sched_ != nullptr) {
-        host::HostScheduler* sched = sched_.get();
-        src.hostPool = [sched] {
-            obs::telemetry::HostPoolStatus hp;
-            hp.enabled = true;
-            hp.mode = sched->modeName();
-            host::PoolGauges g = sched->gauges();
-            hp.slots = g.slots;
-            hp.executing = g.executing;
-            hp.runnable = g.runnable;
-            hp.blocked = g.blocked;
-            hp.skewParked = g.skewParked;
-            hp.quanta = sched->quantaCounter()->load();
-            hp.yields = sched->yieldsCounter()->load();
-            hp.skewParks = sched->skewParksCounter()->load();
-            hp.skewParkNs = sched->skewParkNsCounter()->load();
-            return hp;
-        };
-    }
+    host::HostScheduler* sched = sched_.get();
+    src.hostPool = [sched] {
+        obs::telemetry::HostPoolStatus hp;
+        hp.enabled = true;
+        hp.mode = sched->modeName();
+        host::PoolGauges g = sched->gauges();
+        hp.slots = g.slots;
+        hp.executing = g.executing;
+        hp.runnable = g.runnable;
+        hp.blocked = g.blocked;
+        hp.skewParked = g.skewParked;
+        hp.quanta = sched->quantaCounter()->load();
+        hp.yields = sched->yieldsCounter()->load();
+        hp.skewParks = sched->skewParksCounter()->load();
+        hp.skewParkNs = sched->skewParkNsCounter()->load();
+        return hp;
+    };
     src.syncModelName = sync_->name();
     return src;
 }
@@ -418,8 +409,7 @@ Simulator::run(thread_func_t app_main, void* arg)
 
     // Re-runnable: a second run() (or one resumed from a checkpoint)
     // must grant host execution slots from the same cursor position.
-    if (sched_)
-        sched_->resetForRun();
+    sched_->resetForRun();
     beginFastForward();
 
     auto t0 = std::chrono::steady_clock::now();

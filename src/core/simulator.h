@@ -77,7 +77,7 @@ class Simulator
     MemorySystem& memory() { return *memory_; }
     SyncModel& syncModel() { return *sync_; }
     ThreadManager& threadManager() { return *threads_; }
-    /** Host execution scheduler; null when host/scheduler = off. */
+    /** Host execution scheduler; never null. */
     host::HostScheduler* hostScheduler() { return sched_.get(); }
     Tile& tile(tile_id_t id);
     tile_id_t totalTiles() const { return topo_.totalTiles(); }

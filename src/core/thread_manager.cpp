@@ -81,8 +81,7 @@ ThreadManager::launchMain(thread_func_t func, void* arg)
 {
     // The main thread enters the scheduling rotation before its host
     // thread exists, like any spawned thread (see handleSpawn).
-    if (host::HostScheduler* sched = sim_.hostScheduler())
-        sched->expectThread(0);
+    sim_.hostScheduler()->expectThread(0);
     lockdep::Guard lock(appThreadsMutex_);
     appThreads_.emplace_back([this, func, arg] {
         appTrampoline(0, func, arg, 0, /*is_main=*/true);
@@ -125,10 +124,8 @@ ThreadManager::appTrampoline(tile_id_t tile, thread_func_t func,
     // Join the host execution pool: announce our clock, then block
     // until the scheduler grants the first slot.
     host::HostScheduler* sched = sim_.hostScheduler();
-    if (sched != nullptr) {
-        sched->registerThread(tile, &sim_.tile(tile).core());
-        sched->start(tile);
-    }
+    sched->registerThread(tile, &sim_.tile(tile).core());
+    sched->start(tile);
     api::detail::bindContext(sim_, tile);
     // New occupant of the tile slot: bump the epoch. The slot's vector
     // clock is inherited — reuse of a freed tile is genuinely ordered
@@ -172,13 +169,11 @@ ThreadManager::appTrampoline(tile_id_t tile, thread_func_t func,
     sim_.transport().send(sim_.topology().tileEndpoint(tile),
                           sim_.topology().mcpEndpoint(),
                           pkt.serialize());
-    if (sched != nullptr) {
-        // Deterministic mode: hold the slot until the MCP has freed
-        // the tile, so exit effects land at a fixed point in the
-        // serialized schedule; then leave the rotation.
-        sched->requestFence(tile);
-        sched->finishThread(tile);
-    }
+    // Deterministic mode: hold the slot until the MCP has freed the
+    // tile, so exit effects land at a fixed point in the serialized
+    // schedule; then leave the rotation.
+    sched->requestFence(tile);
+    sched->finishThread(tile);
     api::detail::unbindContext();
 }
 
@@ -300,10 +295,8 @@ ThreadManager::mcpLoop()
         // execution slot until its message is fully dispatched, which
         // serializes MCP side effects into the schedule. Shutdown has
         // no requesting tile.
-        if (hdr.srcTile >= 0) {
-            if (host::HostScheduler* sched = sim_.hostScheduler())
-                sched->requestDispatched(hdr.srcTile);
-        }
+        if (hdr.srcTile >= 0)
+            sim_.hostScheduler()->requestDispatched(hdr.srcTile);
     }
 }
 
@@ -340,8 +333,7 @@ ThreadManager::handleSpawn(const SysMsgHeader& hdr, const SpawnBody& body)
         reply.tile = chosen;
         // Commit the tile to the rotation now: scheduling order must
         // not depend on how fast the LCP creates the host thread.
-        if (host::HostScheduler* sched = sim_.hostScheduler())
-            sched->expectThread(chosen);
+        sim_.hostScheduler()->expectThread(chosen);
         obs::telemetry::FlightRecorder::record(
             obs::telemetry::FrEvent::Spawn, hdr.srcTile, hdr.timestamp,
             static_cast<std::uint64_t>(chosen),
@@ -402,9 +394,8 @@ ThreadManager::handleThreadExit(const SysMsgHeader& hdr)
                 race::Detector::instance().edge(tile, waiter);
             // Deterministic wake: the joiner re-enters the rotation at
             // this dispatch, not when its host thread gets CPU time.
-            if (host::HostScheduler* sched = sim_.hostScheduler())
-                sched->notifyUnblocked(
-                    waiter, host::HostScheduler::BlockKind::Sys);
+            sim_.hostScheduler()->notifyUnblocked(
+                waiter, host::HostScheduler::BlockKind::Sys);
             JoinBody reply{tile, hdr.timestamp};
             SysMsgHeader rh{SysMsgType::JoinReply, waiter,
                             hdr.timestamp};
@@ -459,9 +450,8 @@ ThreadManager::handleFutexWake(const SysMsgHeader& hdr,
                 race::Detector::instance().edge(hdr.srcTile, w.tile);
                 ++race_edges;
             }
-            if (host::HostScheduler* sched = sim_.hostScheduler())
-                sched->notifyUnblocked(
-                    w.tile, host::HostScheduler::BlockKind::Sys);
+            sim_.hostScheduler()->notifyUnblocked(
+                w.tile, host::HostScheduler::BlockKind::Sys);
             // The wakeup "occurs" at the waker's simulated time; the
             // waiter forwards its clock to this timestamp (§3.6.1).
             FutexBody reply{};

@@ -19,15 +19,17 @@ SchedulerConfig::fromConfig(const Config& cfg)
 {
     SchedulerConfig out;
     std::string mode = cfg.getString("host/scheduler", "free_running");
-    if (mode == "off")
-        out.mode = SchedMode::Off;
-    else if (mode == "deterministic")
+    if (mode == "deterministic")
         out.mode = SchedMode::Deterministic;
     else if (mode == "free_running")
         out.mode = SchedMode::FreeRunning;
+    else if (mode == "off")
+        fatal("host/scheduler = off is not supported; to keep every "
+              "target thread runnable use host/scheduler = free_running "
+              "with host/threads >= general/total_tiles");
     else
-        fatal("host/scheduler must be off|deterministic|free_running, "
-              "got '{}'",
+        fatal("host/scheduler must be deterministic|free_running, got "
+              "'{}'",
               mode);
 
     out.hostThreads = static_cast<int>(cfg.getInt("host/threads", 0));
@@ -52,7 +54,6 @@ HostScheduler::HostScheduler(const SchedulerConfig& cfg,
       slots_(cfg.mode == SchedMode::Deterministic ? 1 : cfg.hostThreads),
       threads_(static_cast<size_t>(total_tiles))
 {
-    GRAPHITE_ASSERT(cfg_.mode != SchedMode::Off);
     GRAPHITE_ASSERT(slots_ >= 1);
 }
 
@@ -60,7 +61,6 @@ const char*
 HostScheduler::modeName() const
 {
     switch (cfg_.mode) {
-      case SchedMode::Off: return "off";
       case SchedMode::Deterministic: return "deterministic";
       case SchedMode::FreeRunning: return "free_running";
     }

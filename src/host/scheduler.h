@@ -13,9 +13,7 @@
  * sync-model barriers), or when the skew gate parks it. Scheduling
  * cost is thus amortized over a quantum instead of paid per access.
  *
- * Modes (`host/scheduler`):
- *  - off:           legacy behavior, every target thread is runnable
- *                   whenever the host OS says so; all hooks vanish.
+ * Modes (`host/scheduler`); every Simulator runs one of them:
  *  - free_running:  up to `host/threads` slots granted in tile-id
  *                   round-robin; maximum throughput, host-timing
  *                   dependent interleavings.
@@ -41,8 +39,7 @@
  * schedulable threads parks until the laggards catch up. The minimum
  * is computed including the parked threads themselves and the thread
  * at the minimum never parks, so the gate cannot deadlock. LaxP2PSync
- * reuses the same parking primitive (skewPark) in place of its
- * wall-clock sleep when the scheduler is active.
+ * reuses the same parking primitive (skewPark) as its skew mechanism.
  */
 
 #pragma once
@@ -69,7 +66,6 @@ namespace host
 
 enum class SchedMode : std::uint8_t
 {
-    Off,
     Deterministic,
     FreeRunning,
 };
@@ -85,6 +81,8 @@ struct SchedulerConfig
     /**
      * Parse host/scheduler, host/threads, host/quantum_cycles and
      * host/skew_slack; hostThreads is resolved (never 0 on return).
+     * `off` is rejected with a fatal error naming the equivalent
+     * free_running setting.
      */
     static SchedulerConfig fromConfig(const Config& cfg);
 };

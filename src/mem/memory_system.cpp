@@ -105,14 +105,6 @@ MemorySystem::MemorySystem(const ClusterTopology& topo,
         fatal("unknown caching protocol '{}'", protocol);
     mesi_ = protocol == "dir_mesi";
 
-    std::string concurrency =
-        cfg.getString("mem/host_concurrency", "sharded");
-    if (concurrency != "sharded" && concurrency != "global")
-        fatal("mem/host_concurrency must be 'sharded' or 'global', got "
-              "'{}'",
-              concurrency);
-    sharded_ = concurrency == "sharded";
-
     DirectoryType dtype = parseDirectoryType(
         cfg.getString("caching_protocol/directory_type", "full_map"));
     int max_sharers =
@@ -199,15 +191,6 @@ MemorySystem::msg(tile_id_t src, tile_id_t dst, size_t payload_bytes,
 }
 
 // ------------------------------------------------------------------ locking
-
-lockdep::UniqueLock
-MemorySystem::globalGuard()
-{
-    // Compatibility mode: one big lock, as before the shard split. The
-    // fine-grained locks below it are then uncontended by construction.
-    return sharded_ ? lockdep::UniqueLock()
-                    : lockdep::UniqueLock(globalMutex_);
-}
 
 lockdep::UniqueLock
 MemorySystem::lockShard(Shard& shard, const char* file, int line)
@@ -475,7 +458,7 @@ MemorySystem::fillL1(Cache* l1, const CacheLine& l2line)
     l1->insert(l2line.lineAddr, CacheState::Shared, l2line.data);
 }
 
-// ------------------------------------------------------ the MSI transaction
+// ---------------------------------------- the MSI/MESI coherence transaction
 
 cycle_t
 MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
@@ -752,108 +735,126 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
 // ------------------------------------------------------------- access paths
 
 void
-MemorySystem::finishAccess(TileMemory& tm, const AccessResult& res)
+MemorySystem::finishAccess(TileMemory& tm, const LineRequest& rq,
+                           const AccessResult& res)
 {
     ++tm.stats.totalAccesses;
     tm.stats.totalLatency += res.latency;
     aggAccesses_.fetch_add(1, std::memory_order_relaxed);
-    accessLatency_.record(res.latency);
+    // Atomics stay out of the application access-latency distribution.
+    if (rq.rmw == nullptr)
+        accessLatency_.record(res.latency);
 }
 
-bool
-MemorySystem::tryCompleteLocal(tile_id_t tile, TileMemory& tm, Cache* l1,
-                               bool is_write, addr_t addr, void* buf,
-                               size_t size, AccessResult& res)
+CacheLine*
+MemorySystem::lookupLocal(TileMemory& tm, const LineRequest& rq,
+                          AccessResult& res)
 {
-    (void)tile;
-    addr_t line_addr = lineAlign(addr);
+    // The L1 is write-through, so only the L2 can satisfy a write; the
+    // L1 lookup still counts in its stats.
+    if (rq.l1) {
+        res.latency += l1Latency_;
+        rq.l1->access(rq.addr, /*is_write=*/false);
+    }
+    res.latency += l2Latency_;
+    return tm.l2->access(rq.addr, rq.isWrite);
+}
+
+void
+MemorySystem::commitLine(TileMemory& tm, LineRequest& rq,
+                         CacheLine& l2line)
+{
+    const addr_t offset = rq.addr - l2line.lineAddr;
+    std::uint8_t* bytes = l2line.data.data() + offset;
+    if (!rq.isWrite) {
+        std::memcpy(rq.buf, bytes, rq.size);
+        fillL1(rq.l1, l2line);
+        return;
+    }
+    GRAPHITE_ASSERT(l2line.state == CacheState::Modified);
+    std::uint64_t new_val = 0;
+    const void* src = rq.buf;
+    if (rq.rmw != nullptr) {
+        std::memcpy(&rq.oldValue, bytes, rq.size);
+        new_val = (*rq.rmw)(rq.oldValue);
+        src = &new_val;
+    }
+    bumpVersions(rq.addr, rq.size);
+    std::memcpy(bytes, src, rq.size);
+    // Write through into the L1d copy, if present. A plain write
+    // allocates on an L1 miss; an atomic does not (rq.l1 is null), and
+    // its write-through is the release fence the fuzz fault can skip.
+    if (!tm.l1d)
+        return;
+    CacheLine* l1line = tm.l1d->find(rq.addr);
+    if (l1line == nullptr)
+        fillL1(rq.l1, l2line);
+    else if (!(rq.rmw != nullptr && check::FaultPlan::armed() &&
+               check::FaultPlan::instance().shouldFire(
+                   check::FaultMode::SkipReleaseFence, l2line.lineAddr)))
+        std::memcpy(l1line->data.data() + offset, src, rq.size);
+}
+
+CacheProbe
+MemorySystem::tryCompleteLocal(TileMemory& tm, LineRequest& rq,
+                               AccessResult& res)
+{
     res = AccessResult{};
 
     // L1 probe. The L1 is write-through, so a write "hit" only means the
     // copy is present (never Modified); reads complete here, writes
     // always continue to the L2.
-    if (l1 && !is_write && l1->find(addr) != nullptr) {
+    if (rq.l1 && !rq.isWrite && rq.l1->find(rq.addr) != nullptr) {
         res.latency = l1Latency_;
-        CacheLine* l1line = l1->access(addr, /*is_write=*/false);
+        CacheLine* l1line = rq.l1->access(rq.addr, /*is_write=*/false);
         GRAPHITE_ASSERT(l1line != nullptr);
-        std::memcpy(buf, l1line->data.data() + (addr - line_addr), size);
+        std::memcpy(rq.buf,
+                    l1line->data.data() + (rq.addr - lineAlign(rq.addr)),
+                    rq.size);
         res.l1Hit = true;
-        finishAccess(tm, res);
-        return true;
+        finishAccess(tm, rq, res);
+        return CacheProbe::Hit;
     }
 
     // L2 permission probe — side-effect-free, so a negative answer
     // leaves no stats or LRU trace behind (the caller will come back
     // through the transaction path, which records the miss exactly
     // once).
-    if (tm.l2->probe(addr, is_write) != CacheProbe::Hit)
-        return false;
-
-    // The access completes locally: now commit the L1 stats (access +
-    // hit/miss) exactly as the serial engine did.
-    if (l1) {
-        res.latency += l1Latency_;
-        l1->access(addr, /*is_write=*/false);
-    }
-    res.latency += l2Latency_;
-    CacheLine* l2line = tm.l2->access(addr, is_write);
+    CacheProbe p = tm.l2->probe(rq.addr, rq.isWrite);
+    if (p != CacheProbe::Hit)
+        return p;
+    CacheLine* l2line = lookupLocal(tm, rq, res);
     GRAPHITE_ASSERT(l2line != nullptr);
     res.l2Hit = true;
-
-    if (is_write) {
-        GRAPHITE_ASSERT(l2line->state == CacheState::Modified);
-        bumpVersions(addr, size);
-        std::memcpy(l2line->data.data() + (addr - line_addr), buf, size);
-        // Write-through into the L1 copy, if present; allocate on miss.
-        if (l1) {
-            CacheLine* l1line = l1->find(addr);
-            if (l1line != nullptr) {
-                std::memcpy(l1line->data.data() + (addr - line_addr),
-                            buf, size);
-            } else {
-                fillL1(l1, *l2line);
-            }
-        }
-    } else {
-        std::memcpy(buf, l2line->data.data() + (addr - line_addr), size);
-        fillL1(l1, *l2line);
-    }
-    finishAccess(tm, res);
-    return true;
+    commitLine(tm, rq, *l2line);
+    finishAccess(tm, rq, res);
+    return CacheProbe::Hit;
 }
 
 AccessResult
-MemorySystem::accessLine(tile_id_t tile, MemAccessType type, addr_t addr,
-                         void* buf, size_t size, cycle_t start_time)
+MemorySystem::accessLine(LineRequest& rq, cycle_t start_time)
 {
-    GRAPHITE_ASSERT(tile >= 0 && tile < topo_.totalTiles());
-    GRAPHITE_ASSERT(lineAlign(addr) == lineAlign(addr + size - 1));
+    GRAPHITE_ASSERT(lineAlign(rq.addr) == lineAlign(rq.addr + rq.size - 1));
 
     if (fastForward())
-        return accessLineFastForward(tile, type, addr, buf, size);
+        return accessLineFastForward(rq);
 
-    auto global = globalGuard();
-    TileMemory& tm = tiles_[tile];
-    addr_t line_addr = lineAlign(addr);
-    bool is_write = type == MemAccessType::Write;
-    Cache* l1 =
-        type == MemAccessType::Fetch ? tm.l1i.get() : tm.l1d.get();
+    TileMemory& tm = tiles_[rq.tile];
+    addr_t line_addr = lineAlign(rq.addr);
 
     for (;;) {
         // Phase A — fast path + transaction plan under the tile lock
         // alone. Hits with sufficient permission never touch shared
-        // state (the paper's partition-local case).
-        bool planned_upgrade = false;
+        // state (the paper's partition-local case). An upgrade keeps
+        // its line, so only a miss can have a victim.
         std::optional<addr_t> planned_victim;
         {
             auto tile_lock = lockTile(tm);
             AccessResult res;
-            if (tryCompleteLocal(tile, tm, l1, is_write, addr, buf, size,
-                                 res))
+            CacheProbe p = tryCompleteLocal(tm, rq, res);
+            if (p == CacheProbe::Hit)
                 return res;
-            planned_upgrade =
-                tm.l2->probe(addr, is_write) == CacheProbe::NeedsUpgrade;
-            if (!planned_upgrade)
+            if (p == CacheProbe::Miss)
                 planned_victim = tm.l2->peekVictim(line_addr);
         }
 
@@ -874,7 +875,7 @@ MemorySystem::accessLine(tile_id_t tile, MemAccessType type, addr_t addr,
         for (tile_id_t id : shard_ids)
             shard_locks.push_back(lockShard(shards_[id]));
 
-        std::vector<tile_id_t> tile_ids{tile};
+        std::vector<tile_id_t> tile_ids{rq.tile};
         if (DirectoryEntry* e = shards_[home].directory->peek(line_addr);
             e != nullptr) {
             if (e->owner() != INVALID_TILE_ID)
@@ -894,13 +895,10 @@ MemorySystem::accessLine(tile_id_t tile, MemAccessType type, addr_t addr,
         // have changed our local state; other tiles can only have
         // *lost* copies (which never adds lock requirements).
         AccessResult res;
-        if (tryCompleteLocal(tile, tm, l1, is_write, addr, buf, size,
-                             res))
+        CacheProbe p = tryCompleteLocal(tm, rq, res);
+        if (p == CacheProbe::Hit)
             return res; // raced to sufficient permission
-
-        bool upgrade_now =
-            tm.l2->probe(addr, is_write) == CacheProbe::NeedsUpgrade;
-        if (!upgrade_now) {
+        if (p == CacheProbe::Miss) {
             auto victim_now = tm.l2->peekVictim(line_addr);
             if (victim_now &&
                 !std::binary_search(shard_ids.begin(), shard_ids.end(),
@@ -908,58 +906,36 @@ MemorySystem::accessLine(tile_id_t tile, MemAccessType type, addr_t addr,
                 continue; // victim changed shard: replan
         }
 
-        // Commit: run the access through the full transaction with the
+        // Commit: run the request through the full transaction with the
         // serial engine's exact stats/latency sequence.
+        const bool atomic = rq.rmw != nullptr;
         std::optional<obs::SpanBuilder> span;
         if (obs::SpanSink::enabled())
-            span.emplace(is_write ? obs::SpanKind::WriteMiss
-                                  : obs::SpanKind::ReadMiss,
-                         tile, home, start_time);
-        if (l1) {
-            res.latency += l1Latency_;
-            l1->access(addr, /*is_write=*/false);
-        }
-        res.latency += l2Latency_;
+            span.emplace(atomic       ? obs::SpanKind::Atomic
+                         : rq.isWrite ? obs::SpanKind::WriteMiss
+                                      : obs::SpanKind::ReadMiss,
+                         rq.tile, home, start_time);
+        CacheLine* l2line = lookupLocal(tm, rq, res);
+        GRAPHITE_ASSERT(l2line == nullptr);
         if (span)
             span->add(obs::SpanStage::LocalCheck, start_time,
                       res.latency);
-        CacheLine* l2line = tm.l2->access(addr, is_write);
-        GRAPHITE_ASSERT(l2line == nullptr);
         aggL2Misses_.fetch_add(1, std::memory_order_relaxed);
         MissClass mc;
-        res.latency += fetchLineLocked(tile, line_addr, is_write, addr,
-                                       size, start_time + res.latency,
-                                       mc);
+        res.latency += fetchLineLocked(rq.tile, line_addr, rq.isWrite,
+                                       rq.addr, rq.size,
+                                       start_time + res.latency, mc);
         res.missClass = mc;
-        recordMiss(tile, tm, mc, start_time + res.latency);
+        recordMiss(rq.tile, tm, mc, start_time + res.latency);
         if (span) {
-            if (mc == MissClass::Upgrade)
+            if (mc == MissClass::Upgrade && !atomic)
                 span->setKind(obs::SpanKind::Upgrade);
             span->finish(start_time + res.latency);
         }
         l2line = tm.l2->find(line_addr);
         GRAPHITE_ASSERT(l2line != nullptr);
-
-        if (is_write) {
-            GRAPHITE_ASSERT(l2line->state == CacheState::Modified);
-            bumpVersions(addr, size);
-            std::memcpy(l2line->data.data() + (addr - line_addr), buf,
-                        size);
-            if (l1) {
-                CacheLine* l1line = l1->find(addr);
-                if (l1line != nullptr) {
-                    std::memcpy(l1line->data.data() + (addr - line_addr),
-                                buf, size);
-                } else {
-                    fillL1(l1, *l2line);
-                }
-            }
-        } else {
-            std::memcpy(buf, l2line->data.data() + (addr - line_addr),
-                        size);
-            fillL1(l1, *l2line);
-        }
-        finishAccess(tm, res);
+        commitLine(tm, rq, *l2line);
+        finishAccess(tm, rq, res);
         return res;
     }
 }
@@ -969,6 +945,7 @@ MemorySystem::access(tile_id_t tile, MemAccessType type, addr_t addr,
                      void* buf, size_t size, cycle_t start_time)
 {
     GRAPHITE_ASSERT(size > 0);
+    GRAPHITE_ASSERT(tile >= 0 && tile < topo_.totalTiles());
     // Race detection taps the single application-access funnel. Kernel
     // paths (readCoherent/writeCoherent) and instruction fetches are
     // exempt; sync-library internals are masked by InternalScope.
@@ -977,6 +954,11 @@ MemorySystem::access(tile_id_t tile, MemAccessType type, addr_t addr,
         race::Detector::instance().onAccess(
             tile, addr, size, type == MemAccessType::Write, start_time);
     }
+    LineRequest rq;
+    rq.tile = tile;
+    rq.isWrite = type == MemAccessType::Write;
+    rq.l1 = type == MemAccessType::Fetch ? tiles_[tile].l1i.get()
+                                         : tiles_[tile].l1d.get();
     AccessResult total;
     total.l1Hit = true;
     total.l2Hit = true;
@@ -985,8 +967,10 @@ MemorySystem::access(tile_id_t tile, MemAccessType type, addr_t addr,
         addr_t line_end = lineAlign(addr) + lineSize_;
         size_t chunk =
             std::min<std::uint64_t>(size, line_end - addr);
-        AccessResult r = accessLine(tile, type, addr, bytes, chunk,
-                                    start_time + total.latency);
+        rq.addr = addr;
+        rq.size = chunk;
+        rq.buf = bytes;
+        AccessResult r = accessLine(rq, start_time + total.latency);
         total.latency += r.latency;
         total.l1Hit = total.l1Hit && r.l1Hit;
         total.l2Hit = total.l2Hit && r.l2Hit;
@@ -1006,154 +990,51 @@ MemorySystem::atomicRmw(tile_id_t tile, addr_t addr, size_t size,
                         cycle_t start_time)
 {
     GRAPHITE_ASSERT(size == 4 || size == 8);
-    GRAPHITE_ASSERT(lineAlign(addr) == lineAlign(addr + size - 1));
+    GRAPHITE_ASSERT(tile >= 0 && tile < topo_.totalTiles());
+    // An atomic needs write permission up front and bypasses the L1
+    // (as on most tiled targets); the whole RMW is one line request.
+    LineRequest rq{.tile = tile,
+                   .addr = addr,
+                   .size = size,
+                   .isWrite = true,
+                   .rmw = &op};
+    AccessResult res = accessLine(rq, start_time);
+    return AtomicResult{rq.oldValue, res.latency};
+}
 
-    if (fastForward()) {
-        // Functional-only RMW against the backing store; the home
-        // shard lock makes it atomic (every fast-forward access to
-        // this line serializes on the same lock).
-        auto global = globalGuard();
-        addr_t line_addr = lineAlign(addr);
-        tile_id_t home = homeTile(line_addr);
-        auto shard_lock = lockShard(shards_[home]);
-        if (DirectoryEntry* entry =
-                shards_[home].directory->peek(line_addr);
-            entry != nullptr &&
-            entry->state() != DirectoryState::Uncached)
-            demoteLineLocked(*entry, line_addr);
-        AtomicResult res;
-        std::uint64_t old_val = 0;
-        backing_.read(addr, &old_val, size);
-        std::uint64_t new_val = op(old_val);
-        backing_.write(addr, &new_val, size);
-        res.oldValue = old_val;
-        TileMemory& tmf = tiles_[tile];
-        auto tile_lock = lockTile(tmf);
-        ++tmf.stats.totalAccesses;
-        aggAccesses_.fetch_add(1, std::memory_order_relaxed);
-        return res;
+AccessResult
+MemorySystem::accessLineFastForward(LineRequest& rq)
+{
+    addr_t line_addr = lineAlign(rq.addr);
+
+    // The backing store is the single memory image during warmup. The
+    // first fast-forward touch of a line demotes any cached copies
+    // (mixed-mode safety: a detailed-path access that straddled the
+    // mode flip may have installed one); after that the steady state
+    // is a directory peek plus a plain memory copy under the home
+    // shard lock — no cache, network or DRAM modeling at all. The
+    // shard lock also makes an RMW atomic: every fast-forward access
+    // to the line serializes on it.
+    tile_id_t home = homeTile(line_addr);
+    auto shard_lock = lockShard(shards_[home]);
+    if (DirectoryEntry* entry = shards_[home].directory->peek(line_addr);
+        entry != nullptr && entry->state() != DirectoryState::Uncached)
+        demoteLineLocked(*entry, line_addr);
+    if (rq.rmw != nullptr) {
+        backing_.read(rq.addr, &rq.oldValue, rq.size);
+        std::uint64_t new_val = (*rq.rmw)(rq.oldValue);
+        backing_.write(rq.addr, &new_val, rq.size);
+    } else if (rq.isWrite) {
+        backing_.write(rq.addr, rq.buf, rq.size);
+    } else {
+        backing_.read(rq.addr, rq.buf, rq.size);
     }
 
-    auto global = globalGuard();
-    TileMemory& tm = tiles_[tile];
-    addr_t line_addr = lineAlign(addr);
-
-    // An atomic op needs write permission up front; probe L2 directly
-    // (atomics bypass the L1 on most tiled targets). Applies @p op once
-    // the line is held Modified under the tile lock.
-    auto rmw = [&](CacheLine* l2line, AtomicResult& res) {
-        GRAPHITE_ASSERT(l2line->state == CacheState::Modified);
-        std::uint64_t old_val = 0;
-        std::memcpy(&old_val, l2line->data.data() + (addr - line_addr),
-                    size);
-        std::uint64_t new_val = op(old_val);
-        bumpVersions(addr, size);
-        std::memcpy(l2line->data.data() + (addr - line_addr), &new_val,
-                    size);
-        // Keep any L1 copy in sync (write-through).
-        if (tm.l1d) {
-            CacheLine* l1line = tm.l1d->find(addr);
-            if (l1line != nullptr &&
-                !(check::FaultPlan::armed() &&
-                  check::FaultPlan::instance().shouldFire(
-                      check::FaultMode::SkipReleaseFence, line_addr)))
-                std::memcpy(l1line->data.data() + (addr - line_addr),
-                            &new_val, size);
-        }
-        res.oldValue = old_val;
-        ++tm.stats.totalAccesses;
-        tm.stats.totalLatency += res.latency;
-        aggAccesses_.fetch_add(1, std::memory_order_relaxed);
-    };
-
-    for (;;) {
-        // Phase A — fast path: the line is already held Modified.
-        bool planned_upgrade = false;
-        std::optional<addr_t> planned_victim;
-        {
-            auto tile_lock = lockTile(tm);
-            CacheProbe p = tm.l2->probe(addr, /*is_write=*/true);
-            if (p == CacheProbe::Hit) {
-                AtomicResult res;
-                res.latency += l2Latency_;
-                CacheLine* l2line =
-                    tm.l2->access(addr, /*is_write=*/true);
-                GRAPHITE_ASSERT(l2line != nullptr);
-                rmw(l2line, res);
-                return res;
-            }
-            planned_upgrade = p == CacheProbe::NeedsUpgrade;
-            if (!planned_upgrade)
-                planned_victim = tm.l2->peekVictim(line_addr);
-        }
-
-        // Phase B — same ordered acquisition as accessLine.
-        tile_id_t home = homeTile(line_addr);
-        std::vector<tile_id_t> shard_ids{home};
-        if (planned_victim)
-            shard_ids.push_back(homeTile(*planned_victim));
-        sortUnique(shard_ids);
-
-        std::vector<lockdep::UniqueLock> shard_locks;
-        shard_locks.reserve(shard_ids.size());
-        for (tile_id_t id : shard_ids)
-            shard_locks.push_back(lockShard(shards_[id]));
-
-        std::vector<tile_id_t> tile_ids{tile};
-        if (DirectoryEntry* e = shards_[home].directory->peek(line_addr);
-            e != nullptr) {
-            if (e->owner() != INVALID_TILE_ID)
-                tile_ids.push_back(e->owner());
-            for (tile_id_t s : e->sharers())
-                tile_ids.push_back(s);
-        }
-        sortUnique(tile_ids);
-
-        std::vector<lockdep::UniqueLock> tile_locks;
-        tile_locks.reserve(tile_ids.size());
-        for (tile_id_t id : tile_ids)
-            tile_locks.push_back(lockTile(tiles_[id]));
-
-        // Phase C — revalidate and commit.
-        AtomicResult res;
-        CacheProbe p = tm.l2->probe(addr, /*is_write=*/true);
-        if (p == CacheProbe::Hit) {
-            res.latency += l2Latency_;
-            CacheLine* l2line = tm.l2->access(addr, /*is_write=*/true);
-            GRAPHITE_ASSERT(l2line != nullptr);
-            rmw(l2line, res);
-            return res;
-        }
-        if (p == CacheProbe::Miss) {
-            auto victim_now = tm.l2->peekVictim(line_addr);
-            if (victim_now &&
-                !std::binary_search(shard_ids.begin(), shard_ids.end(),
-                                    homeTile(*victim_now)))
-                continue; // victim changed shard: replan
-        }
-
-        std::optional<obs::SpanBuilder> span;
-        if (obs::SpanSink::enabled())
-            span.emplace(obs::SpanKind::Atomic, tile, home, start_time);
-        res.latency += l2Latency_;
-        if (span)
-            span->add(obs::SpanStage::LocalCheck, start_time,
-                      res.latency);
-        CacheLine* l2line = tm.l2->access(addr, /*is_write=*/true);
-        GRAPHITE_ASSERT(l2line == nullptr);
-        aggL2Misses_.fetch_add(1, std::memory_order_relaxed);
-        MissClass mc;
-        res.latency += fetchLineLocked(tile, line_addr,
-                                       /*for_write=*/true, addr, size,
-                                       start_time + res.latency, mc);
-        recordMiss(tile, tm, mc, start_time + res.latency);
-        if (span)
-            span->finish(start_time + res.latency);
-        l2line = tm.l2->find(line_addr);
-        GRAPHITE_ASSERT(l2line != nullptr);
-        rmw(l2line, res);
-        return res;
-    }
+    AccessResult res; // zero latency, counts as a (cold) miss
+    TileMemory& tm = tiles_[rq.tile];
+    auto tile_lock = lockTile(tm);
+    finishAccess(tm, rq, res);
+    return res;
 }
 
 // ------------------------------------------------- untimed coherent access
@@ -1190,41 +1071,9 @@ MemorySystem::demoteLineLocked(DirectoryEntry& entry, addr_t line_addr)
     entry.clearSharers();
 }
 
-AccessResult
-MemorySystem::accessLineFastForward(tile_id_t tile, MemAccessType type,
-                                    addr_t addr, void* buf, size_t size)
-{
-    auto global = globalGuard();
-    addr_t line_addr = lineAlign(addr);
-    const bool is_write = type == MemAccessType::Write;
-
-    // The backing store is the single memory image during warmup. The
-    // first fast-forward touch of a line demotes any cached copies
-    // (mixed-mode safety: a detailed-path access that straddled the
-    // mode flip may have installed one); after that the steady state
-    // is a directory peek plus a plain memory copy under the home
-    // shard lock — no cache, network or DRAM modeling at all.
-    tile_id_t home = homeTile(line_addr);
-    auto shard_lock = lockShard(shards_[home]);
-    if (DirectoryEntry* entry = shards_[home].directory->peek(line_addr);
-        entry != nullptr && entry->state() != DirectoryState::Uncached)
-        demoteLineLocked(*entry, line_addr);
-    if (is_write)
-        backing_.write(addr, buf, size);
-    else
-        backing_.read(addr, buf, size);
-
-    AccessResult res; // zero latency, counts as a (cold) miss
-    TileMemory& tm = tiles_[tile];
-    auto tile_lock = lockTile(tm);
-    finishAccess(tm, res);
-    return res;
-}
-
 void
 MemorySystem::readCoherent(addr_t addr, void* buf, size_t size)
 {
-    auto global = globalGuard();
     auto* out = static_cast<std::uint8_t*>(buf);
     while (size > 0) {
         addr_t line_addr = lineAlign(addr);
@@ -1257,7 +1106,6 @@ MemorySystem::readCoherent(addr_t addr, void* buf, size_t size)
 void
 MemorySystem::writeCoherent(addr_t addr, const void* buf, size_t size)
 {
-    auto global = globalGuard();
     const auto* in = static_cast<const std::uint8_t*>(buf);
     while (size > 0) {
         addr_t line_addr = lineAlign(addr);
@@ -1324,7 +1172,6 @@ MemorySystem::validateCoherence()
     // Quiesce: take every shard, then every tile, in ascending order —
     // the same global order transactions use, so this composes with
     // concurrent traffic.
-    auto global = globalGuard();
     std::vector<lockdep::UniqueLock> shard_locks;
     shard_locks.reserve(shards_.size());
     for (Shard& sh : shards_)

@@ -1,7 +1,9 @@
 /**
  * @file
  * The memory system: functional + timing model of the target cache
- * hierarchy and directory-based MSI coherence (paper §3.2).
+ * hierarchy and directory-based coherence (paper §3.2): MSI
+ * (`caching_protocol/type = dir_msi`) or MESI (`dir_mesi`, which grants
+ * a sole reader the Exclusive state).
  *
  * Functional role: maintains the single target address space. Every
  * application memory reference is redirected here; data actually lives in
@@ -22,11 +24,9 @@
  * controller, and the word-version shard homed at each tile; coherence
  * transactions acquire the shards they need in ascending id order, then
  * every involved tile lock (requester + current holders) in ascending id
- * order. See DESIGN.md §"Coherence-transaction serialization: the
- * shard scheme" for the full lock order and plan/validate/retry
- * protocol. Setting
- * config key `mem/host_concurrency = global` restores a single engine
- * mutex (the pre-shard behavior) for A/B benchmarking.
+ * order. Plain accesses and atomics run through the same transaction
+ * code. See DESIGN.md §"Coherence-transaction serialization: the shard
+ * scheme" for the full lock order and plan/validate/retry protocol.
  */
 
 #pragma once
@@ -243,9 +243,6 @@ class MemorySystem
     void holdShardLockForTest(tile_id_t tile, std::uint64_t ns,
                               std::atomic<bool>* held = nullptr);
 
-    /** False when `mem/host_concurrency = global` pinned the old mutex. */
-    bool shardedLocking() const { return sharded_; }
-
     /** Home tile of the line containing @p addr. */
     tile_id_t homeTile(addr_t addr) const;
 
@@ -345,9 +342,6 @@ class MemorySystem
 
     addr_t lineAlign(addr_t a) const { return a & ~(lineSize_ - 1); }
 
-    /** The whole-engine mutex when `mem/host_concurrency = global`. */
-    lockdep::UniqueLock globalGuard();
-
     /** Acquire a shard lock, recording contention statistics. */
     lockdep::UniqueLock lockShard(Shard& shard,
                                   const char* file = __builtin_FILE(),
@@ -373,20 +367,46 @@ class MemorySystem
                 obs::accuracy::ViolationPoint point =
                     obs::accuracy::ViolationPoint::MemRequest);
 
-    /** One-line access; addr..addr+size must stay within a line. */
-    AccessResult accessLine(tile_id_t tile, MemAccessType type,
-                            addr_t addr, void* buf, size_t size,
-                            cycle_t start_time);
+    /**
+     * One line-contained request on the transaction path. Plain accesses
+     * and atomics differ only in these fields; the fast path, the
+     * plan/lock/revalidate loop, the commit tail and the fast-forward
+     * body all read them.
+     */
+    struct LineRequest
+    {
+        tile_id_t tile = INVALID_TILE_ID;
+        addr_t addr = 0;
+        size_t size = 0;
+        bool isWrite = false;
+        /**
+         * L1 charged for the access (stats, latency, fill). Null for
+         * atomics, which bypass the L1: they only write through to an
+         * L1d copy that is already present.
+         */
+        Cache* l1 = nullptr;
+        /** Read destination or write source (plain accesses). */
+        void* buf = nullptr;
+        /** Atomic read-modify-write; null for plain accesses. */
+        const std::function<std::uint64_t(std::uint64_t)>* rmw = nullptr;
+        /** Atomics: the value before rmw. */
+        std::uint64_t oldValue = 0;
+    };
 
     /**
-     * Fast-forward line access: demote the line to the backing store
+     * Run one line request: the local fast path, else the full coherence
+     * transaction (plan under the tile lock, lock shards then holders,
+     * revalidate, commit).
+     */
+    AccessResult accessLine(LineRequest& rq, cycle_t start_time);
+
+    /**
+     * Fast-forward line request: demote the line to the backing store
      * on first touch, then serve the bytes straight from backing with
      * zero modeled latency (no cache, directory-protocol, network or
      * DRAM work).
      */
-    AccessResult accessLineFastForward(tile_id_t tile,
-                                       MemAccessType type, addr_t addr,
-                                       void* buf, size_t size);
+    AccessResult accessLineFastForward(LineRequest& rq);
 
     /**
      * Invalidate every cached copy of @p line_addr (merging a Modified
@@ -396,16 +416,33 @@ class MemorySystem
     void demoteLineLocked(DirectoryEntry& entry, addr_t line_addr);
 
     /**
-     * Complete the access if @p tile's caches already hold the line with
-     * sufficient permission (the fast path). Caller holds the tile lock.
-     * @return true when the access completed and @p res is filled.
+     * Complete the request if the tile's caches already hold the line
+     * with sufficient permission (the fast path). Caller holds the tile
+     * lock.
+     * @return CacheProbe::Hit when the request completed and @p res is
+     * filled; otherwise the L2's answer (Miss or NeedsUpgrade), which
+     * plans the transaction.
      */
-    bool tryCompleteLocal(tile_id_t tile, TileMemory& tm, Cache* l1,
-                          bool is_write, addr_t addr, void* buf,
-                          size_t size, AccessResult& res);
+    CacheProbe tryCompleteLocal(TileMemory& tm, LineRequest& rq,
+                                AccessResult& res);
 
-    /** Commit stats for one finished line access. Tile lock held. */
-    void finishAccess(TileMemory& tm, const AccessResult& res);
+    /**
+     * Charge the L1 and L2 lookups (stats and latency) and return the
+     * L2 line, null on a miss. Tile lock held.
+     */
+    CacheLine* lookupLocal(TileMemory& tm, const LineRequest& rq,
+                           AccessResult& res);
+
+    /**
+     * Move the request's bytes once the L2 holds the line with
+     * sufficient permission: the commit tail of hits and misses alike.
+     * Tile lock held.
+     */
+    void commitLine(TileMemory& tm, LineRequest& rq, CacheLine& l2line);
+
+    /** Commit stats for one finished line request. Tile lock held. */
+    void finishAccess(TileMemory& tm, const LineRequest& rq,
+                      const AccessResult& res);
 
     /**
      * Acquire the line into @p tile's L2 with read or write permission,
@@ -457,10 +494,7 @@ class MemorySystem
     cycle_t dirLatency_;
     bool classify_;
     bool mesi_ = false;
-    bool sharded_ = true;
     std::atomic<bool> fastForward_{false};
-    lockdep::OrderedMutex globalMutex_{
-        lockdep::LockClass::mem_global}; ///< only used when !sharded_
     std::vector<TileMemory> tiles_;
     std::vector<Shard> shards_;
     HistogramStat accessLatency_;

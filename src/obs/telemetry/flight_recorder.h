@@ -55,7 +55,7 @@ enum class FrEvent : std::uint8_t
     MsgSend,      ///< a=dst tile, b=bytes
     MsgRecv,      ///< a=src tile, b=bytes
     SyncBarrier,  ///< quantum barrier release: a=epoch, b=wait us
-    SyncSleep,    ///< LaxP2P throttle: a=sleep us, b=partner clock delta
+    SyncSleep,    ///< LaxP2P throttle: a=park us, b=partner clock delta
     MissPath,     ///< memory miss-path entry: a=line addr, b=for_write
     Writeback,    ///< dirty L2 eviction: a=line addr, b=home tile
     WatchdogFlag, ///< watchdog stall/deadlock flag: a=verdict code

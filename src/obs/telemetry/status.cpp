@@ -172,7 +172,7 @@ renderStatusJson(const StatusSource& src, const WatchdogView* wd)
         os << "\"pair_samples\":" << acc.pairSamples() << "},";
     }
 
-    // Host execution pool health (scheduler off => enabled:false).
+    // Host execution pool health (no pool source => enabled:false).
     HostPoolStatus hp;
     if (src.hostPool)
         hp = src.hostPool();

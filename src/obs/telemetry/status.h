@@ -88,7 +88,7 @@ struct StatusSource
     std::function<stat_t()> inflightPackets;
     std::function<stat_t()> syncEvents;
     std::function<stat_t()> syncWaitUs;
-    /** Null/empty when the host scheduler is off. */
+    /** Null/empty when the source has no host scheduler (unit tests). */
     std::function<HostPoolStatus()> hostPool;
     std::string syncModelName;
     std::chrono::steady_clock::time_point start =

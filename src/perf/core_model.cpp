@@ -145,7 +145,7 @@ CoreModel::executeInstructions(InstrClass c, std::uint64_t count)
 {
     GRAPHITE_ASSERT(c != InstrClass::Load && c != InstrClass::Store &&
                     c != InstrClass::Branch);
-    instructions_ += count;
+    retire(count);
     perClass_[static_cast<int>(c)] += count;
     advance(costs_.cost[static_cast<int>(c)] * count);
 }
@@ -153,7 +153,7 @@ CoreModel::executeInstructions(InstrClass c, std::uint64_t count)
 void
 CoreModel::executeBranch(addr_t site, bool taken)
 {
-    ++instructions_;
+    retire(1);
     ++perClass_[static_cast<int>(InstrClass::Branch)];
     cycle_t cost = costs_.cost[static_cast<int>(InstrClass::Branch)];
     if (!bp_->predictAndTrain(site, taken))
@@ -165,7 +165,7 @@ void
 CoreModel::executeLoad(cycle_t latency)
 {
     GRAPHITE_ASSERT(latency < (1ull << 40));
-    ++instructions_;
+    retire(1);
     ++perClass_[static_cast<int>(InstrClass::Load)];
 
     cycle_t now = cycle() + costs_.cost[static_cast<int>(InstrClass::Load)];
@@ -189,7 +189,7 @@ void
 CoreModel::executeStore(cycle_t latency)
 {
     GRAPHITE_ASSERT(latency < (1ull << 40));
-    ++instructions_;
+    retire(1);
     ++perClass_[static_cast<int>(InstrClass::Store)];
 
     cycle_t now =
@@ -256,7 +256,7 @@ CoreModel::saveState(snapshot::SnapshotWriter& w) const
     bp_->saveState(w);
     saveSlotRing(w, loadSlots_, nextLoadSlot_);
     saveSlotRing(w, storeSlots_, nextStoreSlot_);
-    w.u64(instructions_);
+    w.u64(instructions_.load(std::memory_order_relaxed));
     for (stat_t s : perClass_)
         w.u64(s);
     w.u64(loadStalls_);
@@ -271,7 +271,7 @@ CoreModel::loadState(snapshot::SnapshotReader& r)
     bp_->loadState(r);
     loadSlotRing(r, loadSlots_, nextLoadSlot_);
     loadSlotRing(r, storeSlots_, nextStoreSlot_);
-    instructions_ = r.u64();
+    instructions_.store(r.u64(), std::memory_order_relaxed);
     for (stat_t& s : perClass_)
         s = r.u64();
     loadStalls_ = r.u64();

@@ -111,7 +111,11 @@ class CoreModel
     /** @} */
 
     /** @name Statistics @{ */
-    stat_t instructionsRetired() const { return instructions_; }
+    /** Thread-safe read (the watchdog and gauges poll it mid-run). */
+    stat_t instructionsRetired() const
+    {
+        return instructions_.load(std::memory_order_relaxed);
+    }
     stat_t instructionsOfClass(InstrClass c) const;
     stat_t loadStalls() const { return loadStalls_; }
     stat_t storeStalls() const { return storeStalls_; }
@@ -129,6 +133,18 @@ class CoreModel
   private:
     void advance(cycle_t cycles);
 
+    /**
+     * Count @p n retired instructions. Only the owner thread writes, so
+     * a relaxed load plus store suffices (no locked read-modify-write
+     * on every modeled instruction).
+     */
+    void retire(std::uint64_t n)
+    {
+        instructions_.store(
+            instructions_.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+    }
+
     tile_id_t tile_;
     std::atomic<cycle_t> clock_{0};
     InstructionCosts costs_;
@@ -141,7 +157,7 @@ class CoreModel
     size_t nextLoadSlot_ = 0;
     size_t nextStoreSlot_ = 0;
 
-    stat_t instructions_ = 0;
+    std::atomic<stat_t> instructions_{0};
     std::array<stat_t, NUM_INSTR_CLASSES> perClass_{};
     stat_t loadStalls_ = 0;
     stat_t storeStalls_ = 0;

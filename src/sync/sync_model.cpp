@@ -2,7 +2,7 @@
 #include "sync/sync_model.h"
 
 #include <algorithm>
-#include <thread>
+#include <chrono>
 
 #include "common/config.h"
 #include "common/log.h"
@@ -60,11 +60,8 @@ LaxBarrierSync::releaseWaitersLocked()
     // Caller holds mutex_ and completed the epoch: re-queue every
     // blocked waiter with the scheduler at this (deterministic) point
     // rather than when their host threads win the condition variable.
-    if (sched_ != nullptr) {
-        for (tile_id_t t : waitingTiles_)
-            sched_->notifyUnblocked(
-                t, host::HostScheduler::BlockKind::Sync);
-    }
+    for (tile_id_t t : waitingTiles_)
+        sched_->notifyUnblocked(t, host::HostScheduler::BlockKind::Sync);
     waitingTiles_.clear();
 }
 
@@ -114,33 +111,30 @@ LaxBarrierSync::arrive(tile_id_t tile, cycle_t now)
     GRAPHITE_PROFILE_SCOPE("sync.barrier_wait");
     auto t0 = std::chrono::steady_clock::now();
     lockdep::UniqueLock lock(mutex_);
-    ++waiting_;
-    bool blocked = false;
-    if (waiting_ == active_) {
+    // No later epoch can complete before this thread arrives again (it
+    // stays counted active), so the one that releases it is the next.
+    const std::uint64_t my_epoch = epoch_;
+    if (++waiting_ == active_) {
         waiting_ = 0;
         ++epoch_;
         barriers_.fetch_add(1, std::memory_order_relaxed);
         releaseWaitersLocked();
         cv_.notify_all();
+        lock.unlock();
     } else {
-        std::uint64_t my_epoch = epoch_;
         // Give up the execution slot for the duration of the epoch
         // wait — the barrier must never hold a slot hostage, or the
         // laggards it waits for could not run.
-        if (sched_ != nullptr) {
-            waitingTiles_.push_back(tile);
-            sched_->beginBlock(tile,
-                               host::HostScheduler::BlockKind::Sync);
-            blocked = true;
-        }
+        waitingTiles_.push_back(tile);
+        sched_->beginBlock(tile, host::HostScheduler::BlockKind::Sync);
         cv_.wait(lock, [&] { return epoch_ != my_epoch; });
-    }
-    std::uint64_t released_epoch = epoch_;
-    lock.unlock();
-    // Re-acquire a slot outside mutex_: a grant can take arbitrarily
-    // long and other threads need the barrier lock to release us.
-    if (blocked)
+        lock.unlock();
+        // Re-acquire a slot outside mutex_: a grant can take
+        // arbitrarily long and other threads need the barrier lock to
+        // release us.
         sched_->endBlock(tile);
+    }
+    const std::uint64_t released_epoch = my_epoch + 1;
     auto dt = std::chrono::duration_cast<std::chrono::microseconds>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -173,7 +167,6 @@ LaxP2PSync::LaxP2PSync(tile_id_t total_tiles, cycle_t slack,
                        cycle_t interval, std::uint64_t seed)
     : slack_(slack),
       interval_(interval),
-      start_(std::chrono::steady_clock::now()),
       cores_(total_tiles, nullptr),
       rng_(seed),
       nextCheck_(total_tiles, interval)
@@ -245,67 +238,29 @@ LaxP2PSync::periodicSync(CoreModel& core)
 
     // Each partner check is an interaction point: feed the observed
     // clock pair to the accuracy observatory's skew matrix (pure
-    // observation, no effect on the park/sleep decision below).
+    // observation, no effect on the park decision below).
     if (obs::accuracy::AccuracyObservatory::armed())
         obs::accuracy::AccuracyObservatory::instance().onPairObserved(
             tile, partner, my_clock, partner_clock);
 
-    if (my_clock > partner_clock && my_clock - partner_clock > slack_) {
-        if (sched_ != nullptr) {
-            // Under the host scheduler, parking on the skew gate
-            // replaces the wall-clock sleep: the slot goes to a
-            // laggard and we resume once the minimum schedulable
-            // clock is within the slack again. Simulated time is
-            // unaffected either way; only host scheduling changes.
-            std::uint64_t ns =
-                sched_->skewPark(tile, my_clock - slack_);
-            if (ns > 0) {
-                auto micros =
-                    static_cast<std::int64_t>(std::max<std::uint64_t>(
-                        ns / 1000, 1));
-                sleeps_.fetch_add(1, std::memory_order_relaxed);
-                sleepMicros_.fetch_add(micros,
-                                       std::memory_order_relaxed);
-                obs::telemetry::FlightRecorder::record(
-                    obs::telemetry::FrEvent::SyncSleep, tile, my_clock,
-                    static_cast<std::uint64_t>(micros),
-                    my_clock - partner_clock);
-                obs::TraceSink::instant(
-                    static_cast<std::uint32_t>(tile), "sync.p2p_park",
-                    my_clock, "park_us", micros);
-            }
-            return;
-        }
-        // We are ahead: sleep s = c / r, where r is the observed
-        // simulation rate in cycles per wall-clock second (§3.6.3).
-        cycle_t c = my_clock - partner_clock;
-        double elapsed =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start_)
-                .count();
-        if (elapsed <= 0.0)
-            return;
-        double r = static_cast<double>(my_clock) / elapsed;
-        if (r <= 0.0)
-            return;
-        double sleep_s = static_cast<double>(c) / r;
-        // Bound pathological sleeps (startup transients).
-        sleep_s = std::min(sleep_s, 0.05);
-        auto micros = static_cast<std::int64_t>(sleep_s * 1e6);
-        if (micros <= 0)
-            return;
-        sleeps_.fetch_add(1, std::memory_order_relaxed);
-        sleepMicros_.fetch_add(micros, std::memory_order_relaxed);
-        obs::telemetry::FlightRecorder::record(
-            obs::telemetry::FrEvent::SyncSleep, tile, my_clock,
-            static_cast<std::uint64_t>(micros),
-            my_clock - partner_clock);
-        obs::TraceSink::instant(static_cast<std::uint32_t>(tile),
-                                "sync.p2p_sleep", my_clock, "sleep_us",
-                                micros);
-        GRAPHITE_PROFILE_SCOPE("sync.p2p_sleep");
-        std::this_thread::sleep_for(std::chrono::microseconds(micros));
-    }
+    if (my_clock <= partner_clock || my_clock - partner_clock <= slack_)
+        return;
+    // We are ahead: park on the scheduler's skew gate. The slot goes to
+    // a laggard and we resume once the minimum schedulable clock is
+    // within the slack again. Simulated time is unaffected; only host
+    // scheduling changes.
+    std::uint64_t ns = sched_->skewPark(tile, my_clock - slack_);
+    if (ns == 0)
+        return;
+    auto micros = static_cast<std::int64_t>(
+        std::max<std::uint64_t>(ns / 1000, 1));
+    parks_.fetch_add(1, std::memory_order_relaxed);
+    parkMicros_.fetch_add(micros, std::memory_order_relaxed);
+    obs::telemetry::FlightRecorder::record(
+        obs::telemetry::FrEvent::SyncSleep, tile, my_clock,
+        static_cast<std::uint64_t>(micros), my_clock - partner_clock);
+    obs::TraceSink::instant(static_cast<std::uint32_t>(tile),
+                            "sync.p2p_park", my_clock, "park_us", micros);
 }
 
 // ----------------------------------------------------------- serialization

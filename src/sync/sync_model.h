@@ -11,10 +11,14 @@
  *                cycles; very frequent barriers closely approximate
  *                cycle-accurate simulation (§3.6.2).
  *  - LaxP2P:     each tile periodically picks a random partner; a tile
- *                ahead of its partner by more than the slack sleeps for
- *                s = c / r wall-clock seconds, where c is the clock
- *                difference and r the observed simulation rate (§3.6.3).
- *                Completely distributed — no global structures.
+ *                ahead of its partner by more than the slack waits for
+ *                the laggards (§3.6.3). The paper sleeps s = c / r
+ *                wall-clock seconds (c the clock difference, r the
+ *                observed simulation rate); this model instead parks
+ *                the tile on the host scheduler's skew gate until the
+ *                minimum schedulable clock is back within the slack.
+ *                Only host scheduling differs; simulated time is
+ *                unaffected.
  *
  * Threads that block in application synchronization (futex) or have
  * exited must be deregistered from the model, or a barrier would wait
@@ -24,7 +28,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -60,10 +63,9 @@ class SyncModel
     virtual ~SyncModel() = default;
 
     /**
-     * Attach the host execution scheduler (null when off). A model
-     * whose skew mechanism blocks integrates with it: barrier waits
-     * release the execution slot, and LaxP2P parks on the scheduler's
-     * skew gate instead of wall-clock sleeping.
+     * Attach the host execution scheduler. Required before any thread
+     * can wait in the model: barrier waits release the execution slot,
+     * and LaxP2P parks on the scheduler's skew gate.
      */
     void attachScheduler(host::HostScheduler* sched) { sched_ = sched; }
 
@@ -185,11 +187,11 @@ class LaxP2PSync : public SyncModel
     void periodicSync(CoreModel& core) override;
     std::string name() const override { return "lax_p2p"; }
 
-    stat_t syncEvents() const override { return sleeps_.load(); }
+    stat_t syncEvents() const override { return parks_.load(); }
     stat_t
     syncWaitMicroseconds() const override
     {
-        return sleepMicros_.load();
+        return parkMicros_.load();
     }
 
     void saveState(snapshot::SnapshotWriter& w) const override;
@@ -198,7 +200,6 @@ class LaxP2PSync : public SyncModel
   private:
     cycle_t slack_;
     cycle_t interval_;
-    std::chrono::steady_clock::time_point start_;
 
     mutable lockdep::OrderedMutex mutex_{
         lockdep::LockClass::sync_p2p}; ///< guards cores_ and rng_
@@ -206,8 +207,8 @@ class LaxP2PSync : public SyncModel
     Rng rng_;
     /** Next local check threshold per tile. */
     std::vector<cycle_t> nextCheck_;
-    std::atomic<stat_t> sleeps_{0};
-    std::atomic<stat_t> sleepMicros_{0};
+    std::atomic<stat_t> parks_{0};
+    std::atomic<stat_t> parkMicros_{0};
 };
 
 } // namespace graphite

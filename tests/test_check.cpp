@@ -156,7 +156,6 @@ detectInProcess(const char* fault, std::uint64_t max_seed)
     ConfigPoint pt;
     pt.name = "drill";
     pt.processes = 3;
-    pt.concurrency = "sharded";
     pt.syncModel = "lax_p2p";
     pt.lineSize = 32;
     for (std::uint64_t seed = 1; seed <= max_seed; ++seed) {

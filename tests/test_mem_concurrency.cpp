@@ -38,11 +38,9 @@ constexpr int kIters = 20000;
 
 struct MemFixture
 {
-    explicit MemFixture(int tiles = 8, Config overrides = Config())
-        : cfg(defaultTargetConfig())
+    explicit MemFixture(int tiles = 8) : cfg(defaultTargetConfig())
     {
         cfg.setInt("general/total_tiles", tiles);
-        cfg.parseText(overrides.toString());
         topo = std::make_unique<ClusterTopology>(tiles, 1);
         fabric = std::make_unique<NetworkFabric>(*topo, cfg);
         mem = std::make_unique<MemorySystem>(*topo, *fabric, cfg);
@@ -280,35 +278,6 @@ TEST(MemConcurrency, EvictionStorm)
     EXPECT_EQ(sumTileAccesses(f, kThreads),
               static_cast<stat_t>(kThreads) * (kIters / 2));
     expectAggregatesConsistent(f, kThreads);
-}
-
-// The global-mutex compatibility mode must produce the same invariants
-// (it is the baseline the contention benchmark compares against).
-TEST(MemConcurrency, GlobalModeStillCoherent)
-{
-    Config overrides;
-    overrides.set("mem/host_concurrency", "global");
-    MemFixture f(4, overrides);
-    ASSERT_FALSE(f.mem->shardedLocking());
-    std::vector<std::thread> threads;
-    for (int i = 0; i < 4; ++i) {
-        threads.emplace_back([&f, i] {
-            Rng rng(3 + i);
-            for (int it = 0; it < kIters / 4; ++it) {
-                addr_t addr =
-                    SHARED_BASE + (rng.next() % 4) * f.mem->lineSize();
-                std::uint64_t v = rng.next();
-                f.mem->access(i, MemAccessType::Write, addr, &v, 8, it);
-            }
-        });
-    }
-    for (auto& t : threads)
-        t.join();
-
-    EXPECT_EQ(f.mem->validateCoherence(), "");
-    EXPECT_EQ(sumTileAccesses(f, 4),
-              static_cast<stat_t>(4) * (kIters / 4));
-    expectAggregatesConsistent(f, 4);
 }
 
 // Shard-lock contention statistics must be plausible: acquisitions

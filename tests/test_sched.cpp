@@ -22,6 +22,7 @@
 #include "core/simulator.h"
 #include "host/scheduler.h"
 #include "perf/core_model.h"
+#include "sched_test_util.h"
 #include "sync/sync_model.h"
 
 namespace graphite
@@ -81,22 +82,24 @@ TEST(SchedulerConfig, ParsesModesAndDefaults)
     EXPECT_EQ(sc.quantumCycles, 500u);
     EXPECT_EQ(sc.skewSlack, 1234u);
 
+    // `off` is rejected, and the error names the free_running setting
+    // that keeps every target thread runnable.
     cfg.set("host/scheduler", "off");
-    EXPECT_EQ(host::SchedulerConfig::fromConfig(cfg).mode,
-              host::SchedMode::Off);
+    try {
+        host::SchedulerConfig::fromConfig(cfg);
+        ADD_FAILURE() << "host/scheduler = off was accepted";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "free_running with host/threads >="),
+                  std::string::npos)
+            << e.what();
+    }
 
     cfg.set("host/scheduler", "bogus");
     EXPECT_THROW(host::SchedulerConfig::fromConfig(cfg), FatalError);
     cfg.set("host/scheduler", "free_running");
     cfg.setInt("host/quantum_cycles", 0);
     EXPECT_THROW(host::SchedulerConfig::fromConfig(cfg), FatalError);
-}
-
-TEST(SchedulerConfig, OffModeLeavesSimulatorWithoutScheduler)
-{
-    Config cfg = schedConfig("off", 2);
-    Simulator sim(cfg);
-    EXPECT_EQ(sim.hostScheduler(), nullptr);
 }
 
 // ------------------------------------------------------------- pool smoke
@@ -228,26 +231,8 @@ TEST(SchedDeterminism, RepeatedRunsReproduce)
 // host that interleaving makes clock gaps genuinely nondeterministic).
 // Full-stack integration of the same code paths runs in SchedStress.
 
-host::SchedulerConfig
-unitSchedConfig(int host_threads, cycle_t quantum, cycle_t slack)
-{
-    host::SchedulerConfig sc;
-    sc.mode = host::SchedMode::FreeRunning;
-    sc.hostThreads = host_threads;
-    sc.quantumCycles = quantum;
-    sc.skewSlack = slack;
-    return sc;
-}
-
-void
-registerTiles(host::HostScheduler& sched, const CoreModel& a,
-              const CoreModel& b)
-{
-    sched.expectThread(0);
-    sched.registerThread(0, &a);
-    sched.expectThread(1);
-    sched.registerThread(1, &b);
-}
+using testutil::registerTiles;
+using testutil::unitSchedConfig;
 
 TEST(SchedSkew, SchedulerGateParksFastTile)
 {

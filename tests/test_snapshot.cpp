@@ -393,10 +393,9 @@ TEST(SnapshotSmoke, ResumeMatchesAcrossConfigCells)
     FuzzProgram prog = pickProgram(seed);
 
     ConfigPoint barrier_cell;
-    barrier_cell.name = "p3_lax_barrier_sharded";
+    barrier_cell.name = "p3_lax_barrier";
     barrier_cell.processes = 3;
     barrier_cell.syncModel = "lax_barrier";
-    barrier_cell.concurrency = "sharded";
 
     ConfigPoint p2p_cell;
     p2p_cell.name = "p1_lax_p2p_limited_l32";

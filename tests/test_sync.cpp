@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the synchronization models (§3.6) and the skew tracker.
  * The models are driven directly with CoreModels on host threads, without
- * a full simulation.
+ * a full simulation; cases whose threads wait in the model attach a
+ * HostScheduler, as every Simulator does.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/config.h"
 #include "common/log.h"
 #include "perf/core_model.h"
+#include "sched_test_util.h"
 #include "sync/skew_tracker.h"
 #include "sync/sync_model.h"
 
@@ -57,14 +59,19 @@ TEST(LaxBarrier, KeepsTwoThreadsWithinQuanta)
     // Two threads advancing at very different rates: the barrier must
     // keep their clocks within a few quanta of each other.
     constexpr cycle_t QUANTUM = 1000;
+    host::HostScheduler sched(testutil::unitSchedConfig(2, 1000000, 0),
+                              2);
     LaxBarrierSync barrier(QUANTUM, 2);
+    barrier.attachScheduler(&sched);
     Config cfg = defaultTargetConfig();
     CoreModel fast(0, cfg), slow(1, cfg);
+    testutil::registerTiles(sched, fast, slow);
     barrier.threadStart(fast);
     barrier.threadStart(slow);
 
     std::atomic<cycle_t> max_gap{0};
     auto runner = [&](CoreModel& core, cycle_t step, int iters) {
+        sched.start(core.tileId());
         for (int i = 0; i < iters; ++i) {
             core.addLatency(step);
             barrier.periodicSync(core);
@@ -76,6 +83,7 @@ TEST(LaxBarrier, KeepsTwoThreadsWithinQuanta)
             }
         }
         barrier.threadExit(core);
+        sched.finishThread(core.tileId());
     };
     std::thread t1([&] { runner(fast, 500, 200); });   // 100k cycles
     std::thread t2([&] { runner(slow, 100, 1000); });  // 100k cycles
@@ -110,22 +118,7 @@ TEST(LaxBarrier, BlockedThreadDoesNotDeadlockOthers)
     EXPECT_GE(a.cycle(), 5000u);
 }
 
-TEST(LaxP2P, AheadThreadSleeps)
-{
-    LaxP2PSync p2p(2, /*slack=*/1000, /*interval=*/100, 42);
-    Config cfg = defaultTargetConfig();
-    CoreModel ahead(0, cfg), behind(1, cfg);
-    p2p.threadStart(ahead);
-    p2p.threadStart(behind);
-    ahead.addLatency(100000); // way past the slack
-    p2p.periodicSync(ahead);  // must sleep
-    EXPECT_GE(p2p.syncEvents(), 1u);
-    EXPECT_GT(p2p.syncWaitMicroseconds(), 0u);
-    p2p.threadExit(ahead);
-    p2p.threadExit(behind);
-}
-
-TEST(LaxP2P, BehindThreadDoesNotSleep)
+TEST(LaxP2P, BehindThreadDoesNotPark)
 {
     LaxP2PSync p2p(2, 1000, 100, 42);
     Config cfg = defaultTargetConfig();
@@ -134,11 +127,11 @@ TEST(LaxP2P, BehindThreadDoesNotSleep)
     p2p.threadStart(behind);
     ahead.addLatency(100000);
     behind.addLatency(200);
-    p2p.periodicSync(behind); // behind: partner ahead, no sleep
+    p2p.periodicSync(behind); // behind: partner ahead, no park
     EXPECT_EQ(p2p.syncEvents(), 0u);
 }
 
-TEST(LaxP2P, NoPartnerNoSleep)
+TEST(LaxP2P, NoPartnerNoPark)
 {
     LaxP2PSync p2p(4, 10, 100, 42);
     Config cfg = defaultTargetConfig();
@@ -216,18 +209,24 @@ TEST(SkewTracker, SingleRunnableClockIsNotSkew)
 TEST(LaxP2P, ZeroSlackStaysLive)
 {
     // slack = 0 makes every partner check with any clock difference a
-    // sleep candidate; the model must still make forward progress.
+    // park candidate; the model must still make forward progress.
+    host::HostScheduler sched(testutil::unitSchedConfig(2, 1000000, 0),
+                              2);
     LaxP2PSync p2p(2, /*slack=*/0, /*interval=*/10, 42);
+    p2p.attachScheduler(&sched);
     Config cfg = defaultTargetConfig();
     CoreModel a(0, cfg), b(1, cfg);
+    testutil::registerTiles(sched, a, b);
     p2p.threadStart(a);
     p2p.threadStart(b);
     auto runner = [&](CoreModel& core) {
+        sched.start(core.tileId());
         for (int i = 0; i < 100; ++i) {
             core.addLatency(10);
             p2p.periodicSync(core);
         }
         p2p.threadExit(core);
+        sched.finishThread(core.tileId());
     };
     std::thread t1([&] { runner(a); });
     std::thread t2([&] { runner(b); });

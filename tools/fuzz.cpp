@@ -428,7 +428,7 @@ writeArtifacts(const std::string& dir, const FuzzProgram& prog,
         << "config      : " << pt.name << " (processes=" << pt.processes
         << " sync=" << pt.syncModel << " slack=" << pt.slack
         << " dir=" << pt.directoryType << " line=" << pt.lineSize
-        << " locking=" << pt.concurrency << ")\n"
+        << ")\n"
         << "verdict     : " << ev.verdict << "\n"
         << "detail      : " << ev.detail << "\n"
         << "reproduce   : graphite_fuzz --seed-start " << seed

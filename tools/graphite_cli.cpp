@@ -20,7 +20,7 @@
  *   --iters N         iterations               (workload default)
  *   --config PATH     load an INI config file first
  *   --set K=V         override one config key (repeatable)
- *   --scheduler MODE  host execution scheduler: off | deterministic |
+ *   --scheduler MODE  host execution scheduler: deterministic |
  *                     free_running (= host/scheduler)
  *   --host-threads N  host pool width, 0 = hardware concurrency
  *                     (= host/threads)
@@ -258,7 +258,8 @@ usage(const char* argv0)
                  " [--threads N]\n"
                  "          [--size N] [--iters N] [--config PATH]"
                  " [--set K=V]... [--stats]\n"
-                 "          [--scheduler MODE] [--host-threads N]\n"
+                 "          [--scheduler free_running|deterministic]"
+                 " [--host-threads N]\n"
                  "          [--trace-out PATH] [--metrics-out PATH]"
                  " [--metrics-interval N]\n"
                  "          [--spans-out PATH] [--self-profile]"
