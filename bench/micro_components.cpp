@@ -140,12 +140,16 @@ void
 BM_TransportRoundTrip(benchmark::State& state)
 {
     ClusterTopology topo(2, 2);
-    InProcessTransport transport(topo);
-    std::vector<std::uint8_t> payload(80, 0);
+    Transport transport(topo);
+    NetPacket pkt;
+    pkt.type = PacketType::Memory;
+    pkt.sender = 0;
+    pkt.receiver = 1;
+    pkt.payload.assign(80, 0);
     for (auto _ : state) {
-        transport.send(0, 1, payload);
-        TransportBuffer buf = transport.recv(1);
-        benchmark::DoNotOptimize(buf);
+        transport.send(1, pkt);
+        NetPacket got = transport.recv(1, PacketType::Memory);
+        benchmark::DoNotOptimize(got);
     }
 }
 BENCHMARK(BM_TransportRoundTrip);

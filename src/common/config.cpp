@@ -324,7 +324,6 @@ slack                  = 100000        ; LaxP2P slack, cycles
 check_interval         = 200           ; instructions between sync checks
 
 [transport]
-type                      = in_process ; in_process | unix_socket
 intra_process_latency_us  = 0.5
 inter_process_latency_us  = 50        ; one-way, gigabit-class LAN
 inter_process_bandwidth_mbps = 1000

@@ -55,18 +55,46 @@ namespace
 
 constexpr int MAX_HELD = 64;
 
-// One lock currently held by a thread. `depth` below is bumped with
-// release ordering after the entry is fully written so that the racy
-// heldSnapshot() reader sees complete entries.
+// One lock currently held by a thread, or a run of same-class ORDERED
+// locks taken in ascending instance order (mutex == nullptr): `count`
+// locks with instances in [instance, last]. Runs bound the held set by
+// the number of lock classes, not by how many shards or tiles one
+// thread locks at once. `depth` below is bumped with release ordering
+// after a new entry is fully written so that the racy heldSnapshot()
+// reader sees complete entries.
 struct Entry {
     const OrderedMutex* mutex;
     LockClass cls;
     std::int64_t instance;
+    std::int64_t last;
+    int count;
     const char* file;
     int line;
 };
 
-struct ThreadState {
+// True when entry @p e accounts for the held mutex @p m.
+bool
+covers(const Entry& e, const OrderedMutex* m)
+{
+    if (e.mutex != nullptr)
+        return e.mutex == m;
+    return e.cls == m->lockClass() && m->instance() >= e.instance &&
+           m->instance() <= e.last;
+}
+
+// "5" for one lock, "0..63 x64" for a run.
+std::string
+instanceText(std::int64_t instance, std::int64_t last, int count)
+{
+    if (count <= 1 && last == instance)
+        return strfmt("{}", instance);
+    return strfmt("{}..{} x{}", instance, last, count);
+}
+
+// Cache-line aligned: the owning thread writes its held set on every
+// lock and unlock, so another thread's state must not share its lines
+// (adjacent states cost fft-w4 about 8% of host time).
+struct alignas(64) ThreadState {
     std::atomic<int> depth{0};
     Entry held[MAX_HELD];
     std::atomic<bool> alive{true};
@@ -218,7 +246,8 @@ describeHeld(const ThreadState& ts)
     for (int i = 0; i < depth && i < MAX_HELD; ++i) {
         const Entry& e = ts.held[i];
         out += strfmt("\n    [{}] '{}' instance {} acquired at {}:{}", i,
-                      lockClassName(e.cls), e.instance,
+                      lockClassName(e.cls),
+                      instanceText(e.instance, e.last, e.count),
                       e.file != nullptr ? e.file : "?", e.line);
     }
     return out;
@@ -244,7 +273,8 @@ report(const ThreadState& ts, const Entry& held, LockClass cls,
         "  while holding '{}' instance {} acquired at {}:{}\n"
         "  rule: {}",
         lockClassName(cls), instance, file, line,
-        lockClassName(held.cls), held.instance,
+        lockClassName(held.cls),
+        instanceText(held.instance, held.last, held.count),
         held.file != nullptr ? held.file : "?", held.line, rule);
 
     // If the opposite order has been observed before, name that edge's
@@ -289,7 +319,7 @@ checkAcquire(ThreadState& ts, LockClass cls, std::int64_t instance,
             if (f == ClassFlags::MULTI)
                 continue;
             if (f == ClassFlags::ORDERED) {
-                if (instance > h.instance)
+                if (instance > h.last)
                     continue;
                 report(ts, h, cls, instance, file, line,
                        "same-class ORDERED locks must be acquired in "
@@ -331,6 +361,16 @@ push(ThreadState& ts, const OrderedMutex* m, LockClass cls,
      std::int64_t instance, const char* file, int line)
 {
     int depth = ts.depth.load(std::memory_order_relaxed);
+    if (depth > 0) {
+        Entry& top = ts.held[depth - 1];
+        if (top.cls == cls && lockClassFlags(cls) == ClassFlags::ORDERED &&
+            instance > top.last) {
+            top.mutex = nullptr;
+            top.last = instance;
+            ++top.count;
+            return;
+        }
+    }
     if (depth >= MAX_HELD) {
         std::fprintf(stderr,
                      "lockdep: held-set overflow (depth %d) acquiring "
@@ -339,12 +379,7 @@ push(ThreadState& ts, const OrderedMutex* m, LockClass cls,
         std::fflush(stderr);
         std::_Exit(87);
     }
-    Entry& e = ts.held[depth];
-    e.mutex = m;
-    e.cls = cls;
-    e.instance = instance;
-    e.file = file;
-    e.line = line;
+    ts.held[depth] = {m, cls, instance, instance, 1, file, line};
     ts.depth.store(depth + 1, std::memory_order_release);
 }
 
@@ -353,12 +388,24 @@ pop(ThreadState& ts, const OrderedMutex* m)
 {
     int depth = ts.depth.load(std::memory_order_relaxed);
     for (int i = depth - 1; i >= 0; --i) {
-        if (ts.held[i].mutex == m) {
-            for (int j = i; j < depth - 1; ++j)
-                ts.held[j] = ts.held[j + 1];
-            ts.depth.store(depth - 1, std::memory_order_release);
+        Entry& e = ts.held[i];
+        if (!covers(e, m))
+            continue;
+        if (e.count > 1) {
+            // Partial release of a run. Its instances are distinct, so
+            // a released end moves the bound inward by one; an interior
+            // release keeps both bounds, which can only over-report.
+            --e.count;
+            if (m->instance() == e.last)
+                --e.last;
+            else if (m->instance() == e.instance)
+                ++e.instance;
             return;
         }
+        for (int j = i; j < depth - 1; ++j)
+            ts.held[j] = ts.held[j + 1];
+        ts.depth.store(depth - 1, std::memory_order_release);
+        return;
     }
     std::fprintf(stderr,
                  "lockdep: unlocking '%s' which this thread does not "
@@ -372,7 +419,8 @@ void
 beginPending(ThreadState& ts, const OrderedMutex* m, const char* file,
              int line)
 {
-    ts.pending = {m, m->lockClass(), m->instance(), file, line};
+    ts.pending = {m, m->lockClass(), m->instance(), m->instance(), 1,
+                  file, line};
     ts.waiting.store(true, std::memory_order_release);
 }
 
@@ -445,12 +493,15 @@ heldSnapshot()
         set.threadId = ts->threadId;
         for (int i = 0; i < depth && i < MAX_HELD; ++i) {
             const Entry& e = ts->held[i];
-            set.held.push_back({e.cls, e.instance, e.file, e.line});
+            set.held.push_back(
+                {e.cls, e.instance, e.last, e.count, e.file, e.line});
         }
         set.hasPending = waiting;
-        if (waiting)
-            set.pending = {ts->pending.cls, ts->pending.instance,
-                           ts->pending.file, ts->pending.line};
+        if (waiting) {
+            const Entry& p = ts->pending;
+            set.pending = {p.cls, p.instance, p.last,
+                           p.count, p.file, p.line};
+        }
         out.push_back(std::move(set));
     }
     return out;
@@ -464,8 +515,8 @@ renderHeldSets(const char* indent)
         out += strfmt("{}thread {}:", indent, set.threadId);
         for (const HeldLock& h : set.held) {
             out += strfmt(" holds {}[{}]@{}:{}", lockClassName(h.cls),
-                          h.instance, h.file != nullptr ? h.file : "?",
-                          h.line);
+                          instanceText(h.instance, h.last, h.count),
+                          h.file != nullptr ? h.file : "?", h.line);
         }
         if (set.hasPending) {
             out += strfmt(
@@ -516,20 +567,32 @@ fdDec(int fd, std::uint64_t v)
 }
 
 void
-fdEntry(int fd, LockClass cls, std::int64_t instance, const char* file,
-        int line)
+fdInstance(int fd, std::int64_t instance)
 {
-    fdStr(fd, lockClassName(cls));
-    fdStr(fd, "[");
     if (instance < 0) {
         fdStr(fd, "-");
         instance = -instance;
     }
     fdDec(fd, static_cast<std::uint64_t>(instance));
+}
+
+// Same text as renderHeldSets: "cls[5]@file:line", "cls[0..63 x64]@...".
+void
+fdEntry(int fd, const Entry& e)
+{
+    fdStr(fd, lockClassName(e.cls));
+    fdStr(fd, "[");
+    fdInstance(fd, e.instance);
+    if (e.count > 1 || e.last != e.instance) {
+        fdStr(fd, "..");
+        fdInstance(fd, e.last);
+        fdStr(fd, " x");
+        fdDec(fd, static_cast<std::uint64_t>(e.count < 0 ? 0 : e.count));
+    }
     fdStr(fd, "]@");
-    fdStr(fd, file != nullptr ? file : "?");
+    fdStr(fd, e.file != nullptr ? e.file : "?");
     fdStr(fd, ":");
-    fdDec(fd, static_cast<std::uint64_t>(line < 0 ? 0 : line));
+    fdDec(fd, static_cast<std::uint64_t>(e.line < 0 ? 0 : e.line));
 }
 
 } // namespace
@@ -560,14 +623,12 @@ dumpHeldSetsToFd(int fd)
         if (depth > MAX_HELD)
             depth = MAX_HELD;
         for (int j = 0; j < depth; ++j) {
-            const Entry& e = ts->held[j];
             fdStr(fd, " holds ");
-            fdEntry(fd, e.cls, e.instance, e.file, e.line);
+            fdEntry(fd, ts->held[j]);
         }
         if (waiting) {
             fdStr(fd, " WAITING-FOR ");
-            fdEntry(fd, ts->pending.cls, ts->pending.instance,
-                    ts->pending.file, ts->pending.line);
+            fdEntry(fd, ts->pending);
         }
         fdStr(fd, "\n");
     }
@@ -645,20 +706,22 @@ CondVar::beginWait(UniqueLock& l, const char* file, int line)
     // The waited mutex leaves the held-set for the duration of the
     // wait (the thread does not hold it while blocked). Requiring it
     // to be innermost catches waits that would release a mid-stack
-    // lock while keeping locks acquired under it.
+    // lock while keeping locks acquired under it. In a run, only the
+    // highest instance is innermost.
     ThreadState& ts = threadState();
     int depth = ts.depth.load(std::memory_order_relaxed);
-    if (depth <= 0 || ts.held[depth - 1].mutex != l.mutex()) {
+    const OrderedMutex* m = l.mutex();
+    if (depth <= 0 || !covers(ts.held[depth - 1], m) ||
+        m->instance() != ts.held[depth - 1].last) {
         if (mode() != Mode::Off) {
             Entry e = depth > 0 ? ts.held[depth - 1] : Entry{};
-            report(ts, e, l.mutex()->lockClass(),
-                   l.mutex()->instance(), file, line,
+            report(ts, e, m->lockClass(), m->instance(), file, line,
                    "condvar wait requires the waited mutex to be the "
                    "innermost held lock");
         }
     }
-    pop(ts, l.mutex());
-    beginPending(ts, l.mutex(), file, line);
+    pop(ts, m);
+    beginPending(ts, m, file, line);
 }
 
 void

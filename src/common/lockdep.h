@@ -60,10 +60,15 @@ const char* lockClassName(LockClass cls);
 ClassFlags lockClassFlags(LockClass cls);
 
 // One entry of a thread's held-set, exported to the telemetry plane
-// (watchdog hang dumps, flight recorder) by heldSnapshot().
+// (watchdog hang dumps, flight recorder) by heldSnapshot(). A run of
+// same-class ORDERED locks taken in ascending instance order is one
+// entry: `count` locks with instances in [instance, last], acquired
+// first at file:line.
 struct HeldLock {
     LockClass cls;
     std::int64_t instance;
+    std::int64_t last;
+    int count;
     const char* file;
     int line;
 };

@@ -85,9 +85,8 @@ sendSysRequest(std::vector<std::uint8_t> payload)
     // process 0, co-located with tile 0).
     c.sim->fabric().model(PacketType::System, c.tile, 0,
                           pkt.modeledBytes(), pkt.time);
-    c.sim->transport().send(c.sim->topology().tileEndpoint(c.tile),
-                            c.sim->topology().mcpEndpoint(),
-                            pkt.serialize());
+    c.sim->transport().send(c.sim->topology().mcpEndpoint(),
+                            std::move(pkt));
     // Deterministic mode: hold the slot until the MCP dispatched the
     // request, so its side effects land at a fixed schedule point.
     c.sched->requestFence(c.tile);

@@ -13,7 +13,6 @@
 #include "obs/span/span_sink.h"
 #include "obs/telemetry/flight_recorder.h"
 #include "race/detector.h"
-#include "transport/socket_transport.h"
 
 namespace graphite
 {
@@ -39,14 +38,14 @@ Simulator::Simulator(Config cfg)
             static_cast<proc_id_t>(
                 cfg_.getInt("general/num_processes", 1)),
             static_cast<int>(
-                cfg_.getInt("host/processes_per_machine", 1)))
+                cfg_.getInt("host/processes_per_machine", 1))),
+      transport_(topo_)
 {
     obs::Observability::instance().configure(cfg_, topo_.totalTiles());
     check::FaultPlan::instance().configure(cfg_);
     race::Detector::instance().configure(cfg_, topo_.totalTiles());
     GRAPHITE_PROFILE_SCOPE("sim.init");
 
-    transport_ = createTransport(topo_, cfg_);
     fabric_ = std::make_unique<NetworkFabric>(topo_, cfg_);
     memory_ = std::make_unique<MemorySystem>(topo_, *fabric_, cfg_);
     sync_ = SyncModel::create(cfg_, topo_.totalTiles());
@@ -59,7 +58,7 @@ Simulator::Simulator(Config cfg)
     tiles_.reserve(topo_.totalTiles());
     for (tile_id_t t = 0; t < topo_.totalTiles(); ++t)
         tiles_.push_back(
-            std::make_unique<Tile>(t, cfg_, *fabric_, *transport_));
+            std::make_unique<Tile>(t, cfg_, *fabric_, transport_));
 
     // Hand the accuracy observatory live clock pointers so delivery
     // hooks can compare event timestamps against receiver clocks. The
@@ -192,7 +191,7 @@ Simulator::registerStats()
     stats_.registerGauge("net.inflight_packets", [fabric] {
         return fabric->inflightAppPackets();
     });
-    Transport* transport = transport_.get();
+    Transport* transport = &transport_;
     stats_.registerGauge("transport.queue_depth", [transport] {
         return static_cast<stat_t>(transport->totalPending());
     });
@@ -344,7 +343,7 @@ Simulator::makeStatusSource()
     src.simulatedTime = [this] { return simulatedTime(); };
     src.waitSets = [this] { return threads_->waitSets(); };
     src.transportQueueDepth = [this] {
-        return static_cast<stat_t>(transport_->totalPending());
+        return static_cast<stat_t>(transport_.totalPending());
     };
     src.inflightPackets = [this] {
         return fabric_->inflightAppPackets();

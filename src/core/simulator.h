@@ -71,7 +71,7 @@ class Simulator
     /** @name Component access @{ */
     const Config& config() const { return cfg_; }
     const ClusterTopology& topology() const { return topo_; }
-    Transport& transport() { return *transport_; }
+    Transport& transport() { return transport_; }
     NetworkFabric& fabric() { return *fabric_; }
     const NetworkFabric& fabric() const { return *fabric_; }
     MemorySystem& memory() { return *memory_; }
@@ -168,7 +168,7 @@ class Simulator
 
     Config cfg_;
     ClusterTopology topo_;
-    std::unique_ptr<Transport> transport_;
+    Transport transport_;
     std::unique_ptr<NetworkFabric> fabric_;
     std::unique_ptr<MemorySystem> memory_;
     std::unique_ptr<SyncModel> sync_;

@@ -99,8 +99,7 @@ ThreadManager::waitForShutdown()
     pkt.sender = MCP_SENDER;
     pkt.receiver = INVALID_TILE_ID;
     pkt.payload = packSysMsg(hdr);
-    endpoint_id_t mcp = sim_.topology().mcpEndpoint();
-    sim_.transport().send(mcp, mcp, pkt.serialize());
+    sim_.transport().send(sim_.topology().mcpEndpoint(), std::move(pkt));
 
     if (mcpThread_.joinable())
         mcpThread_.join();
@@ -166,9 +165,7 @@ ThreadManager::appTrampoline(tile_id_t tile, thread_func_t func,
     pkt.receiver = INVALID_TILE_ID;
     pkt.time = core.cycle();
     pkt.payload = packSysMsg(hdr);
-    sim_.transport().send(sim_.topology().tileEndpoint(tile),
-                          sim_.topology().mcpEndpoint(),
-                          pkt.serialize());
+    sim_.transport().send(sim_.topology().mcpEndpoint(), std::move(pkt));
     // Deterministic mode: hold the slot until the MCP has freed the
     // tile, so exit effects land at a fixed point in the serialized
     // schedule; then leave the rotation.
@@ -184,10 +181,9 @@ ThreadManager::lcpLoop(proc_id_t proc)
 {
     endpoint_id_t ep = sim_.topology().lcpEndpoint(proc);
     while (true) {
-        TransportBuffer buf = sim_.transport().recv(ep);
-        if (buf.src < 0)
+        NetPacket pkt = sim_.transport().recv(ep, PacketType::System);
+        if (pkt.sender == INVALID_TILE_ID)
             return; // transport shut down
-        NetPacket pkt = NetPacket::deserialize(buf.data);
         SysMsgHeader hdr = peekHeader(pkt.payload);
         switch (hdr.type) {
           case SysMsgType::SpawnToLcp: {
@@ -223,9 +219,8 @@ ThreadManager::mcpReplyToTile(tile_id_t tile, cycle_t timestamp,
     pkt.receiver = tile;
     pkt.time = timestamp;
     pkt.payload = std::move(payload);
-    sim_.transport().send(sim_.topology().mcpEndpoint(),
-                          sim_.topology().tileEndpoint(tile),
-                          pkt.serialize());
+    sim_.transport().send(sim_.topology().tileEndpoint(tile),
+                          std::move(pkt));
 }
 
 void
@@ -237,9 +232,8 @@ ThreadManager::mcpSendToLcp(proc_id_t proc,
     pkt.sender = MCP_SENDER;
     pkt.receiver = INVALID_TILE_ID;
     pkt.payload = std::move(payload);
-    sim_.transport().send(sim_.topology().mcpEndpoint(),
-                          sim_.topology().lcpEndpoint(proc),
-                          pkt.serialize());
+    sim_.transport().send(sim_.topology().lcpEndpoint(proc),
+                          std::move(pkt));
 }
 
 void
@@ -247,19 +241,18 @@ ThreadManager::mcpLoop()
 {
     endpoint_id_t ep = sim_.topology().mcpEndpoint();
     while (!shutdownDone_) {
-        TransportBuffer buf;
+        NetPacket pkt;
         {
             GRAPHITE_PROFILE_SCOPE("mcp.recv_wait");
-            buf = sim_.transport().recv(ep);
+            pkt = sim_.transport().recv(ep, PacketType::System);
         }
-        if (buf.src < 0)
-            return;
+        if (pkt.sender == INVALID_TILE_ID)
+            return; // transport shut down
         GRAPHITE_PROFILE_SCOPE("mcp.dispatch");
         // One uncontended lock per dispatched message buys the
         // telemetry plane (waitSets()) a consistent read of the futex
         // queues, join waiters, and tile table.
         lockdep::Guard state_lock(mcpStateMutex_);
-        NetPacket pkt = NetPacket::deserialize(buf.data);
         SysMsgHeader hdr = peekHeader(pkt.payload);
         switch (hdr.type) {
           case SysMsgType::SpawnRequest:

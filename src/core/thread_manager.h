@@ -33,9 +33,7 @@
 #include "common/lockdep.h"
 #include "common/stats.h"
 #include "core/sys_msg.h"
-#include "network/net_packet.h"
 #include "obs/telemetry/status.h"
-#include "transport/transport.h"
 
 namespace graphite
 {

@@ -35,13 +35,11 @@ SimulationProfile::capture(Simulator& sim, double wall_seconds)
     size_t n = static_cast<size_t>(prof.tiles) * prof.tiles;
     prof.msgMatrix.resize(n, 0);
     prof.byteMatrix.resize(n, 0);
-    if (sim.fabric().trafficMatrixEnabled()) {
-        for (tile_id_t s = 0; s < prof.tiles; ++s) {
-            for (tile_id_t d = 0; d < prof.tiles; ++d) {
-                size_t idx = static_cast<size_t>(s) * prof.tiles + d;
-                prof.msgMatrix[idx] = sim.fabric().pairMessages(s, d);
-                prof.byteMatrix[idx] = sim.fabric().pairBytes(s, d);
-            }
+    for (tile_id_t s = 0; s < prof.tiles; ++s) {
+        for (tile_id_t d = 0; d < prof.tiles; ++d) {
+            size_t idx = static_cast<size_t>(s) * prof.tiles + d;
+            prof.msgMatrix[idx] = sim.fabric().pairMessages(s, d);
+            prof.byteMatrix[idx] = sim.fabric().pairBytes(s, d);
         }
     }
 

@@ -1,4 +1,3 @@
-#include "common/lockdep.h"
 #include "network/network.h"
 
 #include "check/fault.h"
@@ -40,8 +39,6 @@ observeDelivery(const NetPacket& pkt, tile_id_t receiver)
 {
     if (!obs::accuracy::AccuracyObservatory::armed())
         return;
-    if (pkt.sender == INVALID_TILE_ID)
-        return; // transport shutdown marker, not a modeled event
     obs::accuracy::AccuracyObservatory::instance().onDelivery(
         recvPoint(pkt.type), pkt.sender, receiver, pkt.time);
 }
@@ -55,7 +52,9 @@ NetworkFabric::NetworkFabric(const ClusterTopology& topo,
     : topo_(topo),
       progress_(std::max<size_t>(
           cfg.getInt("network/queue_model_window", 64),
-          static_cast<size_t>(topo.totalTiles())))
+          static_cast<size_t>(topo.totalTiles()))),
+      msgMatrix_(static_cast<size_t>(topo.totalTiles()) * topo.totalTiles()),
+      byteMatrix_(msgMatrix_.size())
 {
     auto make = [&](const char* key, const char* dflt) {
         return NetworkModel::create(cfg.getString(key, dflt),
@@ -67,13 +66,6 @@ NetworkFabric::NetworkFabric(const ClusterTopology& topo,
         make("network/memory_model", "emesh_contention");
     models_[static_cast<int>(PacketType::System)] =
         make("network/system_model", "magic");
-
-    if (cfg.getBool("network/record_traffic_matrix", true)) {
-        size_t n = static_cast<size_t>(topo_.totalTiles()) *
-                   static_cast<size_t>(topo_.totalTiles());
-        msgMatrix_ = std::vector<std::atomic<stat_t>>(n);
-        byteMatrix_ = std::vector<std::atomic<stat_t>>(n);
-    }
 }
 
 cycle_t
@@ -87,7 +79,7 @@ NetBreakdown
 NetworkFabric::modelEx(PacketType type, tile_id_t src, tile_id_t dst,
                        size_t bytes, cycle_t send_time)
 {
-    if (!msgMatrix_.empty() && type != PacketType::System) {
+    if (type != PacketType::System) {
         size_t idx = static_cast<size_t>(src) * topo_.totalTiles() + dst;
         msgMatrix_[idx].fetch_add(1, std::memory_order_relaxed);
         byteMatrix_[idx].fetch_add(bytes, std::memory_order_relaxed);
@@ -146,7 +138,6 @@ NetworkFabric::interProcessBytes(PacketType type) const
 stat_t
 NetworkFabric::pairMessages(tile_id_t src, tile_id_t dst) const
 {
-    GRAPHITE_ASSERT(!msgMatrix_.empty());
     return msgMatrix_[static_cast<size_t>(src) * topo_.totalTiles() +
                       dst]
         .load();
@@ -155,7 +146,6 @@ NetworkFabric::pairMessages(tile_id_t src, tile_id_t dst) const
 stat_t
 NetworkFabric::pairBytes(tile_id_t src, tile_id_t dst) const
 {
-    GRAPHITE_ASSERT(!byteMatrix_.empty());
     return byteMatrix_[static_cast<size_t>(src) * topo_.totalTiles() +
                        dst]
         .load();
@@ -217,7 +207,10 @@ NetworkFabric::loadState(snapshot::SnapshotReader& r)
 
 Network::Network(tile_id_t tile, NetworkFabric& fabric,
                  Transport& transport)
-    : tile_(tile), fabric_(fabric), transport_(transport)
+    : tile_(tile),
+      endpoint_(fabric.topology().tileEndpoint(tile)),
+      fabric_(fabric),
+      transport_(transport)
 {
 }
 
@@ -270,79 +263,38 @@ Network::send(PacketType type, tile_id_t dst,
     obs::TraceSink::complete(static_cast<std::uint32_t>(tile_),
                              "net.send", send_time, latency, "bytes",
                              static_cast<std::int64_t>(bytes));
-    transport_.send(fabric_.topology().tileEndpoint(tile_),
-                    fabric_.topology().tileEndpoint(dst),
-                    pkt.serialize());
+    transport_.send(fabric_.topology().tileEndpoint(dst), std::move(pkt));
 }
 
-bool
-Network::popPending(PacketType type, NetPacket& out)
+void
+Network::delivered(const NetPacket& pkt)
 {
-    lockdep::Guard lock(stashMutex_);
-    auto& q = stash_[static_cast<int>(type)];
-    if (q.empty())
-        return false;
-    out = std::move(q.front());
-    q.pop_front();
-    return true;
+    if (pkt.type == PacketType::App)
+        fabric_.noteAppDelivered();
+    observeDelivery(pkt, tile_);
 }
 
 NetPacket
 Network::recv(PacketType type)
 {
-    NetPacket out;
-    if (popPending(type, out)) {
-        observeDelivery(out, tile_);
-        obs::TraceSink::instant(static_cast<std::uint32_t>(tile_),
-                                "net.recv", out.time);
-        return out;
-    }
-    while (true) {
-        TransportBuffer buf = transport_.recv(
-            fabric_.topology().tileEndpoint(tile_));
-        if (buf.src < 0) {
-            // Transport shut down; return an empty packet so blocked
-            // receivers can unwind at simulation teardown.
-            out = NetPacket{};
-            out.sender = INVALID_TILE_ID;
-            return out;
-        }
-        NetPacket pkt = NetPacket::deserialize(buf.data);
-        if (pkt.type == PacketType::App)
-            fabric_.noteAppDelivered();
-        if (pkt.type == type) {
-            observeDelivery(pkt, tile_);
-            obs::TraceSink::instant(static_cast<std::uint32_t>(tile_),
-                                    "net.recv", pkt.time);
-            return pkt;
-        }
-        lockdep::Guard lock(stashMutex_);
-        stash_[static_cast<int>(pkt.type)].push_back(std::move(pkt));
-    }
+    NetPacket pkt = transport_.recv(endpoint_, type);
+    // Transport shut down: the empty packet lets blocked receivers
+    // unwind at simulation teardown.
+    if (pkt.sender == INVALID_TILE_ID)
+        return pkt;
+    delivered(pkt);
+    obs::TraceSink::instant(static_cast<std::uint32_t>(tile_), "net.recv",
+                            pkt.time);
+    return pkt;
 }
 
 bool
 Network::tryRecv(PacketType type, NetPacket& out)
 {
-    if (popPending(type, out)) {
-        observeDelivery(out, tile_);
-        return true;
-    }
-    TransportBuffer buf;
-    while (transport_.tryRecv(fabric_.topology().tileEndpoint(tile_),
-                              buf)) {
-        NetPacket pkt = NetPacket::deserialize(buf.data);
-        if (pkt.type == PacketType::App)
-            fabric_.noteAppDelivered();
-        if (pkt.type == type) {
-            observeDelivery(pkt, tile_);
-            out = std::move(pkt);
-            return true;
-        }
-        lockdep::Guard lock(stashMutex_);
-        stash_[static_cast<int>(pkt.type)].push_back(std::move(pkt));
-    }
-    return false;
+    if (!transport_.tryRecv(endpoint_, type, out))
+        return false;
+    delivered(out);
+    return true;
 }
 
 } // namespace graphite

@@ -13,7 +13,7 @@
  *    by the host model. Timing for *any* message — whether or not it is
  *    physically transported — goes through NetworkFabric::model().
  *  - Network is a tile's endpoint: it physically sends/receives packets
- *    over the transport and demultiplexes arrivals by packet type.
+ *    over the transport, which keeps one FIFO per packet type.
  *    "Regardless of the time-stamp of a packet, the network forwards
  *    messages immediately and delivers them in the order they are
  *    received" — lax semantics.
@@ -23,14 +23,10 @@
 
 #include <array>
 #include <atomic>
-#include <deque>
 #include <memory>
-#include <mutex>
 
 #include "common/fixed_types.h"
-#include "common/lockdep.h"
 #include "network/global_progress.h"
-#include "network/net_packet.h"
 #include "network/network_model.h"
 #include "transport/transport.h"
 
@@ -74,9 +70,9 @@ class NetworkFabric
 
     /**
      * @name In-flight application packets
-     * Sent via a tile endpoint but not yet pulled off the transport
-     * by the receiver. Sampled as the net.inflight_packets gauge so
-     * span queueing attribution can be cross-checked coarsely.
+     * Sent via a tile endpoint but not yet taken by the receiver.
+     * Sampled as the net.inflight_packets gauge so span queueing
+     * attribution can be cross-checked coarsely.
      * @{
      */
     void noteAppSend() { inflightApp_.fetch_add(1, std::memory_order_relaxed); }
@@ -109,10 +105,8 @@ class NetworkFabric
      * traffic. The host cluster model uses this to recompute message
      * locality for *hypothetical* process/machine layouts (the
      * functional run's striping need not match the modeled one).
-     * Enabled by config network/record_traffic_matrix (default true).
      * @{
      */
-    bool trafficMatrixEnabled() const { return !msgMatrix_.empty(); }
     stat_t pairMessages(tile_id_t src, tile_id_t dst) const;
     stat_t pairBytes(tile_id_t src, tile_id_t dst) const;
     /** @} */
@@ -136,7 +130,7 @@ class NetworkFabric
     std::atomic<std::int64_t> inflightApp_{0};
     std::array<std::unique_ptr<NetworkModel>, NUM_PACKET_TYPES> models_;
     std::array<LocalityCounters, NUM_PACKET_TYPES> counters_;
-    /** N*N atomic counters, src-major; empty when recording disabled. */
+    /** N*N atomic counters, src-major. */
     std::vector<std::atomic<stat_t>> msgMatrix_;
     std::vector<std::atomic<stat_t>> byteMatrix_;
 };
@@ -159,7 +153,8 @@ class Network
 
     /**
      * Blocking receive of the next packet of @p type. Packets of other
-     * types arriving meanwhile are queued for their own receivers.
+     * types stay in their own FIFOs. After transport shutdown, returns
+     * a packet whose sender is INVALID_TILE_ID.
      */
     NetPacket recv(PacketType type);
 
@@ -170,14 +165,13 @@ class Network
     NetworkFabric& fabric() { return fabric_; }
 
   private:
-    bool popPending(PacketType type, NetPacket& out);
+    /** Per-delivery bookkeeping shared by recv() and tryRecv(). */
+    void delivered(const NetPacket& pkt);
 
     tile_id_t tile_;
+    endpoint_id_t endpoint_;
     NetworkFabric& fabric_;
     Transport& transport_;
-    /** Per-type stash for packets received while waiting on another type. */
-    lockdep::OrderedMutex stashMutex_{lockdep::LockClass::network_stash};
-    std::array<std::deque<NetPacket>, NUM_PACKET_TYPES> stash_;
 };
 
 } // namespace graphite

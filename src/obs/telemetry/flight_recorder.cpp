@@ -181,17 +181,20 @@ FlightRecorder::push(FrEvent type, tile_id_t tile, cycle_t cycle,
         return;
     std::uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
     Slot& s = slots_[ticket & mask_];
-    // Seqlock write: odd while the payload is inconsistent. A slower
-    // writer lapped by a faster one may interleave stamps on the same
-    // slot; readers then see a torn sequence and drop the slot — one
-    // lost event out of `capacity`, never a corrupt record.
-    s.seq.store(2 * ticket + 1, std::memory_order_release);
-    s.type = type;
-    s.tile = tile;
-    s.cycle = cycle;
-    s.a = a;
-    s.b = b;
-    s.order = ticket;
+    // Seqlock write: odd while the payload is inconsistent. The fence
+    // keeps the payload stores from moving above the odd stamp, so a
+    // reader that copied any of them sees the stamp change. Two writers
+    // on one slot (a slow one lapped by a fast one) can still leave a
+    // record mixing both; that needs a writer stalled for a whole lap.
+    constexpr auto relaxed = std::memory_order_relaxed;
+    s.seq.store(2 * ticket + 1, relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+    s.type.store(type, relaxed);
+    s.tile.store(tile, relaxed);
+    s.cycle.store(cycle, relaxed);
+    s.a.store(a, relaxed);
+    s.b.store(b, relaxed);
+    s.order.store(ticket, relaxed);
     s.seq.store(2 * ticket + 2, std::memory_order_release);
 }
 
@@ -211,13 +214,14 @@ FlightRecorder::snapshot(TakenSlot* scratch, std::size_t max) const
         std::uint64_t before = s.seq.load(std::memory_order_acquire);
         if (before == 0 || (before & 1) != 0)
             continue; // empty or mid-write
+        constexpr auto relaxed = std::memory_order_relaxed;
         TakenSlot t;
-        t.type = s.type;
-        t.tile = s.tile;
-        t.cycle = s.cycle;
-        t.a = s.a;
-        t.b = s.b;
-        t.order = s.order;
+        t.type = s.type.load(relaxed);
+        t.tile = s.tile.load(relaxed);
+        t.cycle = s.cycle.load(relaxed);
+        t.a = s.a.load(relaxed);
+        t.b = s.b.load(relaxed);
+        t.order = s.order.load(relaxed);
         std::atomic_thread_fence(std::memory_order_acquire);
         if (s.seq.load(std::memory_order_relaxed) != before)
             continue; // torn by a concurrent writer

@@ -10,8 +10,8 @@
  * at clean finalize(), which a crash or deadlock never reaches. The
  * ring is always-on by default (telemetry/recorder) because its hot
  * path is one relaxed atomic load when scanning for the gate plus, per
- * recorded event, one fetch_add and five relaxed stores — events are
- * per miss/sync/syscall, not per instruction.
+ * recorded event, one fetch_add and a seqlock-stamped slot write —
+ * events are per miss/sync/syscall, not per instruction.
  *
  * Concurrency: per-slot seqlock. A writer claims a global ticket with
  * fetch_add, stamps the slot's sequence odd (write in progress), fills
@@ -134,16 +134,28 @@ class FlightRecorder
     bool crashHandlerInstalled() const;
 
   private:
+    /**
+     * Payload fields are relaxed atomics: readers copy them while a
+     * writer may be filling the slot, and the seqlock discards the torn
+     * copy afterwards.
+     */
     struct Slot
     {
         std::atomic<std::uint64_t> seq{0}; ///< odd = write in progress
-        FrEvent type = FrEvent::Custom;
-        tile_id_t tile = INVALID_TILE_ID;
-        cycle_t cycle = 0;
-        std::uint64_t a = 0;
-        std::uint64_t b = 0;
-        std::uint64_t order = 0; ///< global ticket, for sorting dumps
+        std::atomic<FrEvent> type{FrEvent::Custom};
+        std::atomic<tile_id_t> tile{INVALID_TILE_ID};
+        std::atomic<cycle_t> cycle{0};
+        std::atomic<std::uint64_t> a{0};
+        std::atomic<std::uint64_t> b{0};
+        /** Global ticket, for sorting dumps. */
+        std::atomic<std::uint64_t> order{0};
     };
+    // Lock-free payload loads keep dumpToFd() async-signal-safe.
+    static_assert(std::atomic<FrEvent>::is_always_lock_free &&
+                      std::atomic<tile_id_t>::is_always_lock_free &&
+                      std::atomic<cycle_t>::is_always_lock_free &&
+                      std::atomic<std::uint64_t>::is_always_lock_free,
+                  "flight recorder slots must be lock-free");
 
     struct TakenSlot
     {

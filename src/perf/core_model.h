@@ -55,8 +55,13 @@ struct InstructionCosts
  * The in-order core model. Owned and driven by a single application
  * thread; the clock is readable concurrently (LaxP2P partners, the skew
  * tracker) so it is atomic.
+ *
+ * Cache-line aligned: the owning thread writes the clock and counters
+ * on every modeled instruction, so no other tile's heap data may share
+ * those lines (neighbouring objects there cost blackscholes-w4 about a
+ * quarter of its host time).
  */
-class CoreModel
+class alignas(64) CoreModel
 {
   public:
     CoreModel(tile_id_t tile, const Config& cfg);

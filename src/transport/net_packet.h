@@ -1,6 +1,6 @@
 /**
  * @file
- * Network packet definition and (de)serialization.
+ * Network packet definition.
  *
  * The network component (paper §3.3) multiplexes several logical networks
  * over the physical transport; the packet type selects which network model
@@ -50,8 +50,8 @@ struct NetPacket
     cycle_t time = 0;
     /**
      * Causal-tracing context (obs/span): the root trace and the span
-     * that emitted this packet, 0 when tracing is off. Carried on the
-     * wire so a receiver can attribute work to the sender's trace;
+     * that emitted this packet, 0 when tracing is off. Carried with the
+     * packet so a receiver can attribute work to the sender's trace;
      * purely observational — excluded from the *modeled* size so
      * arming spans never changes timing.
      */
@@ -64,12 +64,6 @@ struct NetPacket
 
     /** Modeled packet header size (type + route + timestamp). */
     static constexpr size_t HEADER_BYTES = 16;
-
-    /** Serialize for the physical transport. */
-    std::vector<std::uint8_t> serialize() const;
-
-    /** Inverse of serialize(). Panics on malformed input (a sim bug). */
-    static NetPacket deserialize(const std::vector<std::uint8_t>& bytes);
 };
 
 } // namespace graphite

@@ -6,128 +6,80 @@
 namespace graphite
 {
 
-InProcessTransport::InProcessTransport(const ClusterTopology& topo)
-    : topo_(topo)
+Transport::Transport(const ClusterTopology& topo)
+    : boxes_(static_cast<size_t>(topo.numEndpoints()) * NUM_PACKET_TYPES)
 {
-    boxes_.reserve(topo_.numEndpoints());
-    for (endpoint_id_t i = 0; i < topo_.numEndpoints(); ++i) {
-        boxes_.push_back(std::make_unique<Mailbox>());
-        boxes_.back()->mutex.setInstance(i);
-    }
+    for (size_t i = 0; i < boxes_.size(); ++i)
+        boxes_[i].mutex.setInstance(static_cast<std::int64_t>(i));
+}
+
+Transport::Mailbox&
+Transport::box(endpoint_id_t ep, PacketType type)
+{
+    int t = static_cast<int>(type);
+    GRAPHITE_ASSERT(t >= 0 && t < NUM_PACKET_TYPES);
+    size_t i = static_cast<size_t>(ep) * NUM_PACKET_TYPES + t;
+    GRAPHITE_ASSERT(ep >= 0 && i < boxes_.size());
+    return boxes_[i];
 }
 
 void
-InProcessTransport::send(endpoint_id_t src, endpoint_id_t dst,
-                         std::vector<std::uint8_t> data)
+Transport::send(endpoint_id_t dst, NetPacket pkt)
 {
-    GRAPHITE_ASSERT(src >= 0 && src < topo_.numEndpoints());
-    GRAPHITE_ASSERT(dst >= 0 && dst < topo_.numEndpoints());
-
+    Mailbox& b = box(dst, pkt.type);
     {
-        lockdep::Guard lock(statsMutex_);
-        bool same = topo_.processForEndpoint(src) ==
-                    topo_.processForEndpoint(dst);
-        if (same) {
-            ++intraMsgs_;
-            intraBytes_ += data.size();
-        } else {
-            ++interMsgs_;
-            interBytes_ += data.size();
-        }
+        lockdep::Guard lock(b.mutex);
+        b.queue.push_back(std::move(pkt));
     }
-
-    Mailbox& box = *boxes_[dst];
-    {
-        lockdep::Guard lock(box.mutex);
-        box.queue.push_back(TransportBuffer{src, dst, std::move(data)});
-    }
-    box.cv.notify_one();
+    b.cv.notify_one();
 }
 
-TransportBuffer
-InProcessTransport::recv(endpoint_id_t dst)
+NetPacket
+Transport::recv(endpoint_id_t dst, PacketType type)
 {
-    GRAPHITE_ASSERT(dst >= 0 && dst < topo_.numEndpoints());
-    Mailbox& box = *boxes_[dst];
-    lockdep::UniqueLock lock(box.mutex);
-    box.cv.wait(lock,
-                [&] { return !box.queue.empty() || shutdown_.load(); });
-    if (box.queue.empty())
-        return TransportBuffer{}; // shutdown drain
-    TransportBuffer out = std::move(box.queue.front());
-    box.queue.pop_front();
+    Mailbox& b = box(dst, type);
+    lockdep::UniqueLock lock(b.mutex);
+    b.cv.wait(lock, [&] { return !b.queue.empty() || shutdown_.load(); });
+    if (b.queue.empty())
+        return NetPacket{}; // shutdown drain: sender INVALID_TILE_ID
+    NetPacket out = std::move(b.queue.front());
+    b.queue.pop_front();
     return out;
 }
 
 bool
-InProcessTransport::tryRecv(endpoint_id_t dst, TransportBuffer& out)
+Transport::tryRecv(endpoint_id_t dst, PacketType type, NetPacket& out)
 {
-    GRAPHITE_ASSERT(dst >= 0 && dst < topo_.numEndpoints());
-    Mailbox& box = *boxes_[dst];
-    lockdep::Guard lock(box.mutex);
-    if (box.queue.empty())
+    Mailbox& b = box(dst, type);
+    lockdep::Guard lock(b.mutex);
+    if (b.queue.empty())
         return false;
-    out = std::move(box.queue.front());
-    box.queue.pop_front();
+    out = std::move(b.queue.front());
+    b.queue.pop_front();
     return true;
 }
 
 size_t
-InProcessTransport::pending(endpoint_id_t dst) const
-{
-    GRAPHITE_ASSERT(dst >= 0 && dst < topo_.numEndpoints());
-    const Mailbox& box = *boxes_[dst];
-    lockdep::Guard lock(box.mutex);
-    return box.queue.size();
-}
-
-size_t
-InProcessTransport::totalPending() const
+Transport::totalPending() const
 {
     size_t total = 0;
-    for (endpoint_id_t ep = 0; ep < topo_.numEndpoints(); ++ep)
-        total += pending(ep);
+    for (const Mailbox& b : boxes_) {
+        lockdep::Guard lock(b.mutex);
+        total += b.queue.size();
+    }
     return total;
 }
 
 void
-InProcessTransport::shutdown()
+Transport::shutdown()
 {
     shutdown_.store(true);
-    for (auto& box : boxes_) {
+    for (Mailbox& b : boxes_) {
         // Take the lock so no receiver can miss the flag between its
         // predicate check and wait.
-        lockdep::Guard lock(box->mutex);
-        box->cv.notify_all();
+        lockdep::Guard lock(b.mutex);
+        b.cv.notify_all();
     }
-}
-
-stat_t
-InProcessTransport::intraProcessMessages() const
-{
-    lockdep::Guard lock(statsMutex_);
-    return intraMsgs_;
-}
-
-stat_t
-InProcessTransport::interProcessMessages() const
-{
-    lockdep::Guard lock(statsMutex_);
-    return interMsgs_;
-}
-
-stat_t
-InProcessTransport::intraProcessBytes() const
-{
-    lockdep::Guard lock(statsMutex_);
-    return intraBytes_;
-}
-
-stat_t
-InProcessTransport::interProcessBytes() const
-{
-    lockdep::Guard lock(statsMutex_);
-    return interBytes_;
 }
 
 } // namespace graphite

@@ -7,111 +7,64 @@
  * communication required for distributed support goes through this
  * communication channel."
  *
- * The interface is deliberately byte-oriented and endpoint-addressed so a
- * different back end (the paper used TCP/IP sockets, and suggests MPI)
- * could be swapped in. The bundled implementation, InProcessTransport,
- * delivers through in-memory mailboxes and *accounts* for the host-side
- * cost difference between intra-process (shared memory) and inter-process
- * (socket) delivery; those counters feed the host cluster model.
+ * The whole simulation runs in one host process, so the transport moves
+ * NetPackets by value between in-memory mailboxes: one FIFO per
+ * (endpoint, PacketType). A receiver pops the FIFO of the type it waits
+ * for; packets of other types wait in their own FIFOs. Delivery is
+ * immediate; the *modeled* latency is stamped on the packet by the
+ * network models, and the cluster's intra/inter-process split is
+ * accounted by NetworkFabric (see DESIGN.md, substitution 2).
  */
 
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <cstdint>
 #include <deque>
-#include <memory>
-#include <mutex>
 #include <vector>
 
-#include "common/fixed_types.h"
 #include "common/lockdep.h"
-#include "common/stats.h"
 #include "transport/cluster_topology.h"
+#include "transport/net_packet.h"
 
 namespace graphite
 {
 
-/** A transported datagram: opaque bytes plus addressing metadata. */
-struct TransportBuffer
-{
-    endpoint_id_t src = -1;
-    endpoint_id_t dst = -1;
-    std::vector<std::uint8_t> data;
-};
-
 /**
- * Abstract physical transport. Implementations must be thread-safe:
- * any thread may send to any endpoint; one logical owner receives per
- * endpoint (multiple receivers are permitted but unordered among them).
+ * Per-(endpoint, type) mailboxes guarded by a mutex + condition
+ * variable. Thread-safe: any thread may send to any endpoint; one
+ * logical owner receives per mailbox (multiple receivers are permitted
+ * but unordered among them).
  */
 class Transport
 {
   public:
-    virtual ~Transport() = default;
+    explicit Transport(const ClusterTopology& topo);
 
-    /** Send @p data from @p src to @p dst. Never blocks indefinitely. */
-    virtual void send(endpoint_id_t src, endpoint_id_t dst,
-                      std::vector<std::uint8_t> data) = 0;
+    /** Append @p pkt to @p dst's FIFO for pkt.type. Never blocks. */
+    void send(endpoint_id_t dst, NetPacket pkt);
 
-    /** Block until a datagram arrives for @p dst and return it. */
-    virtual TransportBuffer recv(endpoint_id_t dst) = 0;
+    /**
+     * Block until a @p type packet arrives at @p dst and return it.
+     * After shutdown() an empty mailbox yields a packet whose sender
+     * is INVALID_TILE_ID.
+     */
+    NetPacket recv(endpoint_id_t dst, PacketType type);
 
     /**
      * Non-blocking receive.
-     * @return true and fill @p out when a datagram was pending.
+     * @return true and fill @p out when a @p type packet was pending.
      */
-    virtual bool tryRecv(endpoint_id_t dst, TransportBuffer& out) = 0;
-
-    /** Number of datagrams pending for @p dst. */
-    virtual size_t pending(endpoint_id_t dst) const = 0;
+    bool tryRecv(endpoint_id_t dst, PacketType type, NetPacket& out);
 
     /**
-     * Datagrams pending across every endpoint — the instantaneous
+     * Packets pending across every mailbox — the instantaneous
      * transport queue depth (sampled as the transport.queue_depth
-     * gauge). A snapshot: endpoints are counted one at a time.
+     * gauge). A snapshot: mailboxes are counted one at a time.
      */
-    virtual size_t totalPending() const = 0;
+    size_t totalPending() const;
 
-    /**
-     * Wake all blocked receivers; subsequent recv() calls on a shut-down
-     * transport return an empty buffer with src == -1. Used at teardown.
-     */
-    virtual void shutdown() = 0;
-};
-
-/**
- * Mailbox-based transport simulating a cluster deployment.
- *
- * Per-endpoint FIFO mailboxes guarded by a mutex + condition variable.
- * Delivery is immediate (the *modeled* latency is applied by the network
- * models via timestamps, per lax synchronization); what this layer tracks
- * is host-side traffic accounting:
- *   - intraProcessMessages/Bytes: src and dst in the same simulated process
- *   - interProcessMessages/Bytes: crossing simulated process boundaries
- */
-class InProcessTransport : public Transport
-{
-  public:
-    explicit InProcessTransport(const ClusterTopology& topo);
-
-    void send(endpoint_id_t src, endpoint_id_t dst,
-              std::vector<std::uint8_t> data) override;
-    TransportBuffer recv(endpoint_id_t dst) override;
-    bool tryRecv(endpoint_id_t dst, TransportBuffer& out) override;
-    size_t pending(endpoint_id_t dst) const override;
-    size_t totalPending() const override;
-    void shutdown() override;
-
-    /** @name Host-side traffic accounting (see src/host). @{ */
-    stat_t intraProcessMessages() const;
-    stat_t interProcessMessages() const;
-    stat_t intraProcessBytes() const;
-    stat_t interProcessBytes() const;
-    /** @} */
-
-    const ClusterTopology& topology() const { return topo_; }
+    /** Wake all blocked receivers (see recv()). Used at teardown. */
+    void shutdown();
 
   private:
     struct Mailbox
@@ -119,18 +72,14 @@ class InProcessTransport : public Transport
         mutable lockdep::OrderedMutex mutex{
             lockdep::LockClass::transport_mailbox};
         lockdep::CondVar cv;
-        std::deque<TransportBuffer> queue;
+        std::deque<NetPacket> queue;
     };
 
-    ClusterTopology topo_;
-    std::vector<std::unique_ptr<Mailbox>> boxes_;
+    Mailbox& box(endpoint_id_t ep, PacketType type);
+
+    /** Endpoint-major: mailbox ep * NUM_PACKET_TYPES + type. */
+    std::vector<Mailbox> boxes_;
     std::atomic<bool> shutdown_{false};
-    mutable lockdep::OrderedMutex statsMutex_{
-        lockdep::LockClass::transport_stats};
-    stat_t intraMsgs_ = 0;
-    stat_t interMsgs_ = 0;
-    stat_t intraBytes_ = 0;
-    stat_t interBytes_ = 0;
 };
 
 } // namespace graphite

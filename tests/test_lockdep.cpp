@@ -16,10 +16,13 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include <pthread.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -214,6 +217,47 @@ TEST_F(LockdepWarn, OrderedClassRequiresAscendingInstances)
     }
     EXPECT_EQ(lockdep::violationCount(), 1u);
     EXPECT_NE(lockdep::lastReport().find("ascending instance"),
+              std::string::npos);
+}
+
+TEST_F(LockdepWarn, AscendingRunTakesOneHeldSlot)
+{
+    LOCKDEP_REQUIRE_ARMED();
+    // An ascending same-class run is one held-set entry, checked
+    // against its highest instance. (40 locks: ThreadSanitizer's own
+    // deadlock detector tracks at most 64 per thread.)
+    constexpr int N = 40;
+    std::vector<std::unique_ptr<lockdep::OrderedMutex>> tiles;
+    for (int i = 0; i < N; ++i)
+        tiles.push_back(std::make_unique<lockdep::OrderedMutex>(
+            LockClass::mem_tile, i));
+    for (int i = 0; i < N - 1; ++i)
+        tiles[i]->lock();
+    {
+        lockdep::UniqueLock top(*tiles[N - 1]);
+        for (const lockdep::ThreadHeldSet& s : lockdep::heldSnapshot()) {
+            if (s.threadId != static_cast<std::uint64_t>(pthread_self()))
+                continue;
+            EXPECT_EQ(s.held.size(), 1u);
+            EXPECT_EQ(s.held.front().count, N);
+        }
+        EXPECT_NE(lockdep::renderHeldSets().find("mem_tile[0..39 x40]"),
+                  std::string::npos);
+        // The run's highest instance is the innermost lock.
+        lockdep::CondVar cv;
+        cv.wait_for(top, std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(lockdep::violationCount(), 0u);
+
+    lockdep::OrderedMutex inside(LockClass::mem_tile, 7);
+    {
+        lockdep::Guard g(inside); // not above the run: flagged
+    }
+    EXPECT_EQ(lockdep::violationCount(), 1u);
+
+    for (int i = 0; i < N - 1; ++i)
+        tiles[i]->unlock();
+    EXPECT_EQ(lockdep::renderHeldSets().find("mem_tile"),
               std::string::npos);
 }
 

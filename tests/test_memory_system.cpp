@@ -11,6 +11,7 @@
 #include "common/config.h"
 #include <cstring>
 
+#include "common/lockdep.h"
 #include "common/rng.h"
 #include "mem/memory_system.h"
 
@@ -215,6 +216,22 @@ TEST(Hierarchy, DisabledL1StillWorks)
     EXPECT_EQ(f.mem->validateCoherence(), "");
 }
 
+TEST(Hierarchy, ValidateCoherenceAt64Tiles)
+{
+    // validateCoherence() holds every shard lock and every tile lock at
+    // once, and a write to a line all tiles share locks every sharer.
+    // Lockdep's held set must not grow with the tile count.
+    lockdep::Mode saved = lockdep::mode();
+    lockdep::setMode(lockdep::Mode::Enforce);
+    MemFixture f(64);
+    for (tile_id_t t = 0; t < 64; ++t)
+        f.read64(t, A);
+    f.write64(0, A, 5);
+    EXPECT_EQ(f.read64(63, A), 5u);
+    EXPECT_EQ(f.mem->validateCoherence(), "");
+    lockdep::setMode(saved);
+}
+
 // ------------------------------------------------------ miss classification
 
 TEST(MissClass, ColdThenCapacity)
@@ -223,14 +240,12 @@ TEST(MissClass, ColdThenCapacity)
     over.setInt("perf_model/l2_cache/cache_size", 256);
     over.setInt("perf_model/l2_cache/associativity", 2);
     MemFixture f(1, over);
-    AccessResult first =
-        f.mem->access(0, MemAccessType::Read, A, new std::uint64_t, 8,
-                      0);
+    std::uint64_t v = 0;
+    AccessResult first = f.mem->access(0, MemAccessType::Read, A, &v, 8, 0);
     EXPECT_EQ(first.missClass, MissClass::Cold);
     // Blow the cache, then return: capacity miss.
     for (int i = 1; i < 32; ++i)
         f.read64(0, A + static_cast<addr_t>(i) * 64);
-    std::uint64_t v;
     AccessResult again =
         f.mem->access(0, MemAccessType::Read, A, &v, 8, 0);
     EXPECT_EQ(again.missClass, MissClass::Capacity);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the network component: packet serialization, global
- * progress, the lax-compatible queue model, mesh geometry, the three
- * network models, and the fabric/endpoint layer.
+ * Unit tests for the network component: global progress, the
+ * lax-compatible queue model, mesh geometry, the three network models,
+ * and the fabric/endpoint layer.
  */
 
 #include <gtest/gtest.h>
@@ -18,33 +18,6 @@ namespace graphite
 {
 namespace
 {
-
-// -------------------------------------------------------------- NetPacket
-
-TEST(NetPacket, SerializeRoundTrip)
-{
-    NetPacket pkt;
-    pkt.type = PacketType::Memory;
-    pkt.sender = 3;
-    pkt.receiver = 7;
-    pkt.time = 123456789ull;
-    pkt.payload = {1, 2, 3, 4, 5};
-    NetPacket back = NetPacket::deserialize(pkt.serialize());
-    EXPECT_EQ(back.type, PacketType::Memory);
-    EXPECT_EQ(back.sender, 3);
-    EXPECT_EQ(back.receiver, 7);
-    EXPECT_EQ(back.time, 123456789ull);
-    EXPECT_EQ(back.payload, pkt.payload);
-}
-
-TEST(NetPacket, EmptyPayloadRoundTrip)
-{
-    NetPacket pkt;
-    pkt.type = PacketType::System;
-    NetPacket back = NetPacket::deserialize(pkt.serialize());
-    EXPECT_TRUE(back.payload.empty());
-    EXPECT_EQ(back.modeledBytes(), NetPacket::HEADER_BYTES);
-}
 
 // --------------------------------------------------------- GlobalProgress
 
@@ -271,7 +244,7 @@ TEST(Network, SendRecvAcrossEndpoints)
 {
     Config cfg = defaultTargetConfig();
     ClusterTopology topo(4, 1);
-    InProcessTransport transport(topo);
+    Transport transport(topo);
     NetworkFabric fabric(topo, cfg);
     Network n0(0, fabric, transport);
     Network n1(1, fabric, transport);
@@ -282,20 +255,27 @@ TEST(Network, SendRecvAcrossEndpoints)
     EXPECT_EQ(pkt.payload.size(), 2u);
     // Arrival time = send time + modeled latency (> 0 on a mesh).
     EXPECT_GT(pkt.time, 100u);
+
+    // An empty payload still models the fixed header.
+    n0.send(PacketType::System, 1, {}, 100);
+    NetPacket sys = n1.recv(PacketType::System);
+    EXPECT_TRUE(sys.payload.empty());
+    EXPECT_EQ(sys.modeledBytes(), NetPacket::HEADER_BYTES);
 }
 
 TEST(Network, DemultiplexesByType)
 {
     Config cfg = defaultTargetConfig();
     ClusterTopology topo(2, 1);
-    InProcessTransport transport(topo);
+    Transport transport(topo);
     NetworkFabric fabric(topo, cfg);
     Network n0(0, fabric, transport);
     Network n1(1, fabric, transport);
 
     n0.send(PacketType::System, 1, {1}, 0);
     n0.send(PacketType::App, 1, {2}, 0);
-    // Requesting App first must stash the System packet, not drop it.
+    // Requesting App first must leave the System packet queued, not
+    // drop it.
     NetPacket app = n1.recv(PacketType::App);
     EXPECT_EQ(app.payload[0], 2);
     NetPacket sys;

@@ -58,24 +58,6 @@ TEST(Transparency, ProcessCountIsInvisibleToTheApplication)
     }
 }
 
-TEST(Transparency, TransportBackEndIsInvisibleToTheApplication)
-{
-    // §3.3.1: the transport back end is swappable. Running the whole
-    // simulation over real Unix-domain sockets must not change results.
-    WorkloadParams p;
-    p.threads = 8;
-    p.size = 48;
-    p.iters = 2;
-    double mem = runWith("ocean_cont", p, [](Config& cfg) {
-        cfg.setInt("general/num_processes", 4);
-    });
-    double sock = runWith("ocean_cont", p, [](Config& cfg) {
-        cfg.setInt("general/num_processes", 4);
-        cfg.set("transport/type", "unix_socket");
-    });
-    EXPECT_EQ(mem, sock);
-}
-
 TEST(Transparency, DirectorySchemeIsFunctionallyInvisible)
 {
     WorkloadParams p;

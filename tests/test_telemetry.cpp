@@ -199,6 +199,41 @@ TEST(FlightRecorder, ConcurrentWritersLoseNoArmedEvents)
     EXPECT_EQ(countOccurrences(d, "custom"), 1 << 12);
 }
 
+TEST(FlightRecorder, DumpWhileWriterWrapsShowsOnlyWholeEvents)
+{
+    // A reader dumps while a writer laps a small ring. Every event
+    // carries cycle == a == b, so a record mixing two writes shows up
+    // as a mismatch: the seqlock must drop slots rewritten mid-copy.
+    FlightRecorder& fr = FlightRecorder::instance();
+    fr.configure(64);
+    fr.setArmed(true);
+    std::atomic<bool> stop{false};
+    std::thread writer([&stop] {
+        for (std::uint64_t i = 0; !stop.load(); ++i)
+            FlightRecorder::record(FrEvent::Custom, 0, i, i, i);
+    });
+    // Dump until the writer has lapped the ring 100 times.
+    int torn = 0;
+    do {
+        std::istringstream in(fr.dump());
+        std::string line;
+        while (std::getline(in, line)) {
+            unsigned long long cycle = 0, a = 0, b = 0;
+            if (std::sscanf(line.c_str(),
+                            "fr %*u custom tile=%*d cycle=%llu a=%llx "
+                            "b=%llx",
+                            &cycle, &a, &b) != 3)
+                continue;
+            if (a != cycle || b != cycle)
+                ++torn;
+        }
+    } while (fr.recorded() < 64 * 100);
+    stop.store(true);
+    writer.join();
+    fr.setArmed(false);
+    EXPECT_EQ(torn, 0);
+}
+
 // ------------------------------------------------------------ renderers
 
 TEST(Renderers, PrometheusNameSanitizes)

@@ -8,7 +8,6 @@
 
 #include <thread>
 
-#include "common/config.h"
 #include "common/log.h"
 #include "transport/transport.h"
 
@@ -73,128 +72,83 @@ TEST(ClusterTopology, InvalidShapesAreFatal)
     EXPECT_THROW(ClusterTopology(2, 4), FatalError);
 }
 
+NetPacket
+packet(PacketType type, std::uint8_t byte)
+{
+    NetPacket pkt;
+    pkt.type = type;
+    pkt.sender = 0;
+    pkt.payload = {byte};
+    return pkt;
+}
+
 TEST(Transport, DeliversInFifoOrder)
 {
     ClusterTopology topo(4, 2);
-    InProcessTransport tr(topo);
-    tr.send(0, 1, {1});
-    tr.send(0, 1, {2});
-    EXPECT_EQ(tr.pending(1), 2u);
-    EXPECT_EQ(tr.recv(1).data[0], 1);
-    EXPECT_EQ(tr.recv(1).data[0], 2);
-    EXPECT_EQ(tr.pending(1), 0u);
+    Transport tr(topo);
+    tr.send(1, packet(PacketType::App, 1));
+    tr.send(1, packet(PacketType::App, 2));
+    EXPECT_EQ(tr.totalPending(), 2u);
+    EXPECT_EQ(tr.recv(1, PacketType::App).payload[0], 1);
+    EXPECT_EQ(tr.recv(1, PacketType::App).payload[0], 2);
+    EXPECT_EQ(tr.totalPending(), 0u);
+}
+
+TEST(Transport, KeepsOneFifoPerType)
+{
+    ClusterTopology topo(2, 1);
+    Transport tr(topo);
+    tr.send(1, packet(PacketType::System, 1));
+    tr.send(1, packet(PacketType::App, 2));
+    tr.send(1, packet(PacketType::System, 3));
+    EXPECT_EQ(tr.totalPending(), 3u);
+    EXPECT_EQ(tr.recv(1, PacketType::App).payload[0], 2);
+    EXPECT_EQ(tr.recv(1, PacketType::System).payload[0], 1);
+    EXPECT_EQ(tr.recv(1, PacketType::System).payload[0], 3);
+    EXPECT_EQ(tr.totalPending(), 0u);
 }
 
 TEST(Transport, TryRecvNonBlocking)
 {
     ClusterTopology topo(2, 1);
-    InProcessTransport tr(topo);
-    TransportBuffer buf;
-    EXPECT_FALSE(tr.tryRecv(0, buf));
-    tr.send(1, 0, {42});
-    EXPECT_TRUE(tr.tryRecv(0, buf));
-    EXPECT_EQ(buf.src, 1);
-    EXPECT_EQ(buf.data[0], 42);
-}
-
-TEST(Transport, CountsIntraAndInterProcessTraffic)
-{
-    ClusterTopology topo(4, 2);
-    InProcessTransport tr(topo);
-    tr.send(0, 2, {1, 2, 3}); // tiles 0,2 -> proc 0: intra
-    tr.send(0, 1, {1});       // tile 1 -> proc 1: inter
-    EXPECT_EQ(tr.intraProcessMessages(), 1u);
-    EXPECT_EQ(tr.interProcessMessages(), 1u);
-    EXPECT_EQ(tr.intraProcessBytes(), 3u);
-    EXPECT_EQ(tr.interProcessBytes(), 1u);
+    Transport tr(topo);
+    NetPacket pkt;
+    EXPECT_FALSE(tr.tryRecv(0, PacketType::App, pkt));
+    NetPacket sent = packet(PacketType::App, 42);
+    sent.sender = 1;
+    sent.traceId = 7;
+    tr.send(0, sent);
+    EXPECT_FALSE(tr.tryRecv(0, PacketType::System, pkt));
+    EXPECT_TRUE(tr.tryRecv(0, PacketType::App, pkt));
+    EXPECT_EQ(pkt.sender, 1);
+    EXPECT_EQ(pkt.traceId, 7u);
+    EXPECT_EQ(pkt.payload[0], 42);
 }
 
 TEST(Transport, BlockingRecvWakesOnSend)
 {
     ClusterTopology topo(2, 1);
-    InProcessTransport tr(topo);
+    Transport tr(topo);
     std::thread sender([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        tr.send(0, 1, {9});
+        tr.send(1, packet(PacketType::App, 9));
     });
-    TransportBuffer buf = tr.recv(1); // blocks until sender fires
-    EXPECT_EQ(buf.data[0], 9);
+    NetPacket pkt = tr.recv(1, PacketType::App); // blocks until sent
+    EXPECT_EQ(pkt.payload[0], 9);
     sender.join();
 }
 
 TEST(Transport, ShutdownUnblocksReceivers)
 {
     ClusterTopology topo(2, 1);
-    InProcessTransport tr(topo);
+    Transport tr(topo);
     std::thread receiver([&] {
-        TransportBuffer buf = tr.recv(0);
-        EXPECT_EQ(buf.src, -1); // shutdown sentinel
+        NetPacket pkt = tr.recv(0, PacketType::System);
+        EXPECT_EQ(pkt.sender, INVALID_TILE_ID); // shutdown sentinel
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     tr.shutdown();
     receiver.join();
-}
-
-} // namespace
-} // namespace graphite
-
-#include "transport/socket_transport.h"
-
-namespace graphite
-{
-namespace
-{
-
-TEST(SocketTransport, RoundTripOverRealSockets)
-{
-    ClusterTopology topo(4, 2);
-    UnixSocketTransport tr(topo);
-    tr.send(0, 1, {1, 2, 3});
-    TransportBuffer buf = tr.recv(1);
-    EXPECT_EQ(buf.src, 0);
-    EXPECT_EQ(buf.dst, 1);
-    EXPECT_EQ(buf.data, (std::vector<std::uint8_t>{1, 2, 3}));
-}
-
-TEST(SocketTransport, TryRecvAndPending)
-{
-    ClusterTopology topo(2, 1);
-    UnixSocketTransport tr(topo);
-    TransportBuffer buf;
-    EXPECT_FALSE(tr.tryRecv(0, buf));
-    EXPECT_EQ(tr.pending(0), 0u);
-    tr.send(1, 0, {9});
-    EXPECT_GE(tr.pending(0), 1u);
-    EXPECT_TRUE(tr.tryRecv(0, buf));
-    EXPECT_EQ(buf.data[0], 9);
-}
-
-TEST(SocketTransport, ShutdownUnblocksReceivers)
-{
-    ClusterTopology topo(2, 1);
-    UnixSocketTransport tr(topo);
-    std::thread receiver([&] {
-        TransportBuffer buf = tr.recv(0);
-        EXPECT_EQ(buf.src, -1);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    tr.shutdown();
-    receiver.join();
-}
-
-TEST(SocketTransport, FactorySelectsByConfig)
-{
-    ClusterTopology topo(2, 1);
-    Config cfg = defaultTargetConfig();
-    EXPECT_NE(dynamic_cast<InProcessTransport*>(
-                  createTransport(topo, cfg).get()),
-              nullptr);
-    cfg.set("transport/type", "unix_socket");
-    EXPECT_NE(dynamic_cast<UnixSocketTransport*>(
-                  createTransport(topo, cfg).get()),
-              nullptr);
-    cfg.set("transport/type", "pigeon");
-    EXPECT_THROW(createTransport(topo, cfg), FatalError);
 }
 
 } // namespace

@@ -88,7 +88,7 @@
 #include "common/log.h"
 #include "common/table.h"
 #include "core/simulator.h"
-#include "network/net_packet.h"
+#include "transport/net_packet.h"
 #include "obs/accuracy/accuracy.h"
 #include "obs/observability.h"
 #include "obs/profiler.h"
