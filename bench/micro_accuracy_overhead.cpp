@@ -68,10 +68,11 @@ runConfig(const workloads::WorkloadInfo& w,
         workloads::SimRunResult r = workloads::runSim(sim, w, p);
         out.wallSeconds = std::min(out.wallSeconds, r.wallSeconds);
         out.simulatedCycles = r.simulatedCycles;
-        const auto& acc = obs::accuracy::AccuracyObservatory::instance();
-        out.deliveries = acc.deliveries();
-        out.violations = acc.violations();
-        out.pairSamples = acc.pairSamples();
+        if (const auto* acc = sim.accuracy()) {
+            out.deliveries = acc->deliveries();
+            out.violations = acc->violations();
+            out.pairSamples = acc->pairSamples();
+        }
     }
     return out;
 }

@@ -76,11 +76,12 @@ runConfig(const workloads::WorkloadInfo& w,
         workloads::SimRunResult r = workloads::runSim(sim, w, p);
         out.wallSeconds = std::min(out.wallSeconds, r.wallSeconds);
         out.simulatedCycles = r.simulatedCycles;
-        const race::Detector& det = race::Detector::instance();
-        out.wordsChecked = det.wordsChecked();
-        out.syncEdges = det.syncEdges();
-        out.shadowLines = det.shadowLines();
-        out.races = det.raceCount();
+        if (const race::Detector* det = sim.raceDetector()) {
+            out.wordsChecked = det->wordsChecked();
+            out.syncEdges = det->syncEdges();
+            out.shadowLines = det->shadowLines();
+            out.races = det->raceCount();
+        }
     }
     return out;
 }

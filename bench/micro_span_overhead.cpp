@@ -71,16 +71,18 @@ runConfig(const workloads::WorkloadInfo& w,
         workloads::SimRunResult r = workloads::runSim(sim, w, p);
         out.wallSeconds = std::min(out.wallSeconds, r.wallSeconds);
         out.simulatedCycles = r.simulatedCycles;
-        const obs::SpanSink& sink = obs::SpanSink::instance();
-        out.spansCompleted = sink.completedCount();
+        out.spansCompleted = 0;
         out.kindCycles = 0;
         out.stageCycles = 0;
-        for (int k = 0; k < obs::NUM_SPAN_KINDS; ++k)
-            out.kindCycles +=
-                sink.kindCycles(static_cast<obs::SpanKind>(k));
-        for (int s = 0; s < obs::NUM_SPAN_STAGES; ++s)
-            out.stageCycles +=
-                sink.stageCycles(static_cast<obs::SpanStage>(s));
+        if (const obs::SpanSink* sink = sim.spanSink()) {
+            out.spansCompleted = sink->completedCount();
+            for (int k = 0; k < obs::NUM_SPAN_KINDS; ++k)
+                out.kindCycles +=
+                    sink->kindCycles(static_cast<obs::SpanKind>(k));
+            for (int s = 0; s < obs::NUM_SPAN_STAGES; ++s)
+                out.stageCycles +=
+                    sink->stageCycles(static_cast<obs::SpanStage>(s));
+        }
     }
     return out;
 }

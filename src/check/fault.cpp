@@ -8,37 +8,25 @@ namespace graphite
 namespace check
 {
 
-std::atomic<bool> FaultPlan::armedFlag_{false};
-
-FaultPlan&
-FaultPlan::instance()
+FaultPlan::FaultPlan(const Config& cfg)
+    : mode_(parseMode(cfg.getString("check/inject_fault", "none"))),
+      after_(static_cast<std::uint64_t>(
+          cfg.getInt("check/fault_after", 4))),
+      addrBelow_(
+          static_cast<addr_t>(cfg.getInt("check/fault_addr_below", 0)))
 {
-    static FaultPlan plan;
-    return plan;
-}
-
-void
-FaultPlan::configure(const Config& cfg)
-{
-    mode_ = parseMode(cfg.getString("check/inject_fault", "none"));
-    after_ = static_cast<std::uint64_t>(
-        cfg.getInt("check/fault_after", 4));
-    addrBelow_ =
-        static_cast<addr_t>(cfg.getInt("check/fault_addr_below", 0));
-    opportunities_.store(0, std::memory_order_relaxed);
-    fired_.store(0, std::memory_order_relaxed);
-    armedFlag_.store(mode_ != FaultMode::None,
-                     std::memory_order_relaxed);
     if (mode_ != FaultMode::None)
         warn("fault injection armed: {} after {} opportunities",
              modeName(mode_), after_);
 }
 
-void
-FaultPlan::disarm()
+std::unique_ptr<FaultPlan>
+FaultPlan::fromConfig(const Config& cfg)
 {
-    mode_ = FaultMode::None;
-    armedFlag_.store(false, std::memory_order_relaxed);
+    auto plan = std::make_unique<FaultPlan>(cfg);
+    if (plan->mode() == FaultMode::None)
+        return nullptr;
+    return plan;
 }
 
 bool

@@ -20,15 +20,16 @@
  *                           manifests as a detectable corruption rather
  *                           than a deadlock)
  *
- * Like obs::Observability, the plan is process-global and re-configured
- * by each Simulator's constructor; the armed flag keeps the fully
- * disabled hot path to one relaxed atomic load.
+ * Each Simulator owns its plan, built only when a fault is armed; the
+ * injection points hold a non-owning pointer, so the fully disabled hot
+ * path is one null check.
  */
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,24 +57,15 @@ enum class FaultMode : std::uint8_t
                        ///< observatory's detection tests
 };
 
-/** Process-global fault schedule. */
+/** One Simulator's fault schedule. */
 class FaultPlan
 {
   public:
-    static FaultPlan& instance();
+    /** The schedule the [check] keys describe. */
+    explicit FaultPlan(const Config& cfg);
 
-    /** Read the [check] keys and (re)arm; resets all counters. */
-    void configure(const Config& cfg);
-
-    /** Disable injection (counters keep their values). */
-    void disarm();
-
-    /** Cheap hot-path guard: any fault armed in this process? */
-    static bool
-    armed()
-    {
-        return armedFlag_.load(std::memory_order_relaxed);
-    }
+    /** The plan `check/inject_fault` arms; null for "none". */
+    static std::unique_ptr<FaultPlan> fromConfig(const Config& cfg);
 
     /**
      * Record an opportunity for @p mode on the line at @p line_addr and
@@ -93,13 +85,9 @@ class FaultPlan
     static const std::vector<FaultMode>& allModes();
 
   private:
-    FaultPlan() = default;
-
-    static std::atomic<bool> armedFlag_;
-
-    FaultMode mode_ = FaultMode::None;
-    std::uint64_t after_ = 0;
-    addr_t addrBelow_ = 0; ///< 0 = no filter
+    FaultMode mode_;
+    std::uint64_t after_;
+    addr_t addrBelow_; ///< 0 = no filter
     std::atomic<std::uint64_t> opportunities_{0};
     std::atomic<std::uint64_t> fired_{0};
 };

@@ -11,6 +11,7 @@
 #include "core/api.h"
 #include "core/simulator.h"
 #include "mem/address_space.h"
+#include "obs/span/span_sink.h"
 #include "race/detector.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
@@ -432,13 +433,13 @@ runFuzzProgram(const FuzzProgram& prog, const Config& cfg,
         res.violations.push_back(std::move(v));
     // Race-oracle verdicts: generated programs synchronize every shared
     // access, so the detector must stay silent on a healthy stack.
-    if (race::Detector::armed()) {
-        race::Detector& det = race::Detector::instance();
-        for (const race::RaceRecord& r : det.records())
-            res.violations.push_back("race: " + det.describe(r));
-    }
+    if (const race::Detector* det = sim.raceDetector())
+        for (const race::RaceRecord& r : det->records())
+            res.violations.push_back("race: " + det->describe(r));
     res.simulatedCycles = summary.simulatedCycles;
     res.maxSkew = watcher.maxSkew();
+    if (const obs::SpanSink* spans = sim.spanSink())
+        res.spansCompleted = spans->completedCount();
     if (opt.collectStats)
         res.statsReport = sim.statsReport();
     return res;
@@ -480,12 +481,12 @@ finishResult(Simulator& sim, const HostShared& sh, const RunOptions& opt,
     res.fingerprint = sh.finalFingerprint;
     for (std::string& v : checkConservation(sim))
         res.violations.push_back(std::move(v));
-    if (race::Detector::armed()) {
-        race::Detector& det = race::Detector::instance();
-        for (const race::RaceRecord& r : det.records())
-            res.violations.push_back("race: " + det.describe(r));
-    }
+    if (const race::Detector* det = sim.raceDetector())
+        for (const race::RaceRecord& r : det->records())
+            res.violations.push_back("race: " + det->describe(r));
     res.simulatedCycles = summary.simulatedCycles;
+    if (const obs::SpanSink* spans = sim.spanSink())
+        res.spansCompleted = spans->completedCount();
     if (opt.collectStats)
         res.statsReport = sim.statsReport();
 }

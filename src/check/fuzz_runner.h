@@ -18,6 +18,7 @@
 
 #include "common/config.h"
 #include "common/fixed_types.h"
+#include "common/stats.h"
 #include "check/fuzz_program.h"
 
 namespace graphite
@@ -39,6 +40,8 @@ struct FuzzResult
     std::vector<std::string> violations;
     cycle_t simulatedCycles = 0;
     cycle_t maxSkew = 0;
+    /** Spans the armed span engine completed; 0 when spans are off. */
+    stat_t spansCompleted = 0;
     std::string statsReport;
 };
 

@@ -64,8 +64,8 @@ tick(std::uint64_t instructions)
     c.sched->quantumCheck(c.tile);
     if (SkewTracker* skew = c.sim->skewTracker())
         skew->maybeSnapshot();
-    if (obs::MetricsSampler::globalEnabled())
-        obs::MetricsSampler::instance().maybeSample();
+    if (obs::MetricsSampler* sampler = c.sim->metricsSampler())
+        sampler->maybeSample();
 }
 
 /** Charge the syscall cost and send a request packet to the MCP. */
@@ -130,8 +130,9 @@ recvSysReply()
     GRAPHITE_ASSERT(pkt.sender == MCP_SENDER);
     cycle_t now = c.core->cycle();
     if (pkt.time > now) {
-        obs::TraceSink::complete(static_cast<std::uint32_t>(c.tile),
-                                 "sys.wait", now, pkt.time - now);
+        if (obs::TraceSink* trace = c.sim->traceSink())
+            trace->complete(static_cast<std::uint32_t>(c.tile), "sys.wait",
+                            now, pkt.time - now);
         c.core->executePseudo(PseudoInstr::SyncWait, pkt.time - now);
     }
     return pkt;
@@ -152,9 +153,10 @@ makeHeader(SysMsgType type)
 void
 atomicRaceHook(addr_t addr, bool release)
 {
-    if (!race::Detector::armed() || race::Detector::suppressed())
+    race::Detector* det = t_ctx.sim->raceDetector();
+    if (det == nullptr || race::Detector::suppressed())
         return;
-    race::Detector::instance().onAtomic(t_ctx.tile, addr, release);
+    det->onAtomic(t_ctx.tile, addr, release);
 }
 
 } // namespace
@@ -233,8 +235,8 @@ malloc(std::uint64_t size)
     // Reused storage carries no happens-before history: a block freed
     // by one thread and reallocated to another must not report the old
     // owner's accesses as racing.
-    if (race::Detector::armed())
-        race::Detector::instance().clearRange(addr, size);
+    if (race::Detector* det = c.sim->raceDetector())
+        det->clearRange(addr, size);
     return addr;
 }
 
@@ -260,8 +262,8 @@ mmap(std::uint64_t length)
     Context& c = ctx();
     c.core->addLatency(c.sim->syscallCost());
     addr_t addr = c.sim->memory().manager().mmap(length);
-    if (race::Detector::armed())
-        race::Detector::instance().clearRange(addr, length);
+    if (race::Detector* det = c.sim->raceDetector())
+        det->clearRange(addr, length);
     return addr;
 }
 
@@ -365,8 +367,8 @@ atomicAdd64(addr_t addr, std::int64_t delta)
 void
 annotateSite(const char* site)
 {
-    if (race::Detector::armed())
-        race::Detector::instance().setSite(site);
+    if (race::Detector* det = ctx().sim->raceDetector())
+        det->setSite(site);
 }
 
 // ------------------------------------------------------- instruction events
@@ -455,8 +457,8 @@ msgSend(tile_id_t dst, const void* data, size_t len)
     std::memcpy(payload.data(), data, len);
     // Push the sender's clock before the packet becomes receivable; the
     // per-(sender,receiver) channel is FIFO like the transport.
-    if (race::Detector::armed())
-        race::Detector::instance().msgSendEdge(c.tile, dst);
+    if (race::Detector* det = c.sim->raceDetector())
+        det->msgSendEdge(c.tile, dst);
     obs::telemetry::FlightRecorder::record(
         obs::telemetry::FrEvent::MsgSend, c.tile, c.core->cycle(),
         static_cast<std::uint64_t>(dst), len);
@@ -476,8 +478,8 @@ msgRecv()
     Context& c = ctx();
     NetPacket pkt =
         recvBlocking(PacketType::App, host::HostScheduler::BlockKind::App);
-    if (race::Detector::armed())
-        race::Detector::instance().msgRecvEdge(pkt.sender, c.tile);
+    if (race::Detector* det = c.sim->raceDetector())
+        det->msgRecvEdge(pkt.sender, c.tile);
     obs::telemetry::FlightRecorder::record(
         obs::telemetry::FrEvent::MsgRecv, c.tile, c.core->cycle(),
         static_cast<std::uint64_t>(pkt.sender), pkt.payload.size());
@@ -487,8 +489,9 @@ msgRecv()
     // receive pseudo-instruction" (§3.1).
     cycle_t now = c.core->cycle();
     if (pkt.time > now) {
-        obs::TraceSink::complete(static_cast<std::uint32_t>(c.tile),
-                                 "msg.wait", now, pkt.time - now);
+        if (obs::TraceSink* trace = c.sim->traceSink())
+            trace->complete(static_cast<std::uint32_t>(c.tile), "msg.wait",
+                            now, pkt.time - now);
         c.core->executePseudo(PseudoInstr::SyncWait, pkt.time - now);
     }
     c.core->executePseudo(PseudoInstr::MessageReceive, 1);
@@ -604,15 +607,15 @@ mutexLock(addr_t m)
             } while ((c = atomicCas32(m, 0, 2)) != 0);
         }
     }
-    if (race::Detector::armed())
-        race::Detector::instance().acquireAddr(ctx().tile, m);
+    if (race::Detector* det = ctx().sim->raceDetector())
+        det->acquireAddr(ctx().tile, m);
 }
 
 void
 mutexUnlock(addr_t m)
 {
-    if (race::Detector::armed())
-        race::Detector::instance().releaseAddr(ctx().tile, m);
+    if (race::Detector* det = ctx().sim->raceDetector())
+        det->releaseAddr(ctx().tile, m);
     race::Detector::InternalScope guard;
     std::uint32_t old = atomicExchange32(m, 0);
     GRAPHITE_ASSERT(old != 0);
@@ -640,11 +643,10 @@ barrierWait(addr_t b)
     std::uint32_t g = read<std::uint32_t>(gen);
     // Arrival joins our clock into the generation's pending set and
     // must precede the count increment that publishes the arrival.
-    bool armed = race::Detector::armed();
+    race::Detector* det = ctx().sim->raceDetector();
     std::uint64_t rgen = 0;
-    if (armed)
-        rgen = race::Detector::instance().barrierArrive(ctx().tile, b,
-                                                        total);
+    if (det)
+        rgen = det->barrierArrive(ctx().tile, b, total);
     std::uint32_t n = atomicAdd32(count, 1) + 1;
     if (n == total) {
         write<std::uint32_t>(count, 0);
@@ -659,8 +661,8 @@ barrierWait(addr_t b)
                 break;
         }
     }
-    if (armed)
-        race::Detector::instance().barrierLeave(ctx().tile, b, rgen);
+    if (det)
+        det->barrierLeave(ctx().tile, b, rgen);
 }
 
 void

@@ -8,29 +8,53 @@
 #include "common/strfmt.h"
 #include "common/table.h"
 #include "obs/accuracy/accuracy.h"
-#include "obs/observability.h"
+#include "obs/metrics_sampler.h"
 #include "obs/profiler.h"
 #include "obs/span/span_sink.h"
 #include "obs/telemetry/flight_recorder.h"
+#include "obs/trace_event.h"
 #include "race/detector.h"
 
 namespace graphite
 {
 
-Simulator*&
-Simulator::currentSlot()
+namespace
 {
-    static Simulator* current = nullptr;
-    return current;
+
+/**
+ * Set up the two process-wide observers: the host profiler, whose sites
+ * are static per call site, and the flight recorder, whose crash
+ * handler needs one async-signal-safe target for the whole process.
+ * Building a Simulator resets both.
+ */
+void
+configureProcessWide(const Config& cfg)
+{
+    obs::HostProfiler::instance().reset();
+    obs::HostProfiler::instance().setEnabled(
+        cfg.getBool("obs/self_profile", false));
+
+    // Black-box flight recorder: always-on by default. Reconfigure
+    // drops the previous run's events so dumps never mix runs.
+    obs::telemetry::FlightRecorder& recorder =
+        obs::telemetry::FlightRecorder::instance();
+    recorder.setArmed(false);
+    if (cfg.getBool("telemetry/recorder", true)) {
+        recorder.configure(static_cast<std::size_t>(
+            cfg.getInt("telemetry/recorder_capacity", 4096)));
+        recorder.setArmed(true);
+    }
+    std::string crash_dump = cfg.getString("telemetry/crash_dump", "");
+    if (!crash_dump.empty())
+        recorder.installCrashHandler(crash_dump);
+    else
+        recorder.uninstallCrashHandler();
+
+    if (cfg.has("log/filter"))
+        setLogFilter(cfg.getString("log/filter"));
 }
 
-Simulator*
-Simulator::current()
-{
-    Simulator* sim = currentSlot();
-    GRAPHITE_ASSERT(sim != nullptr);
-    return sim;
-}
+} // namespace
 
 Simulator::Simulator(Config cfg)
     : cfg_(std::move(cfg)),
@@ -41,33 +65,48 @@ Simulator::Simulator(Config cfg)
                 cfg_.getInt("host/processes_per_machine", 1))),
       transport_(topo_)
 {
-    obs::Observability::instance().configure(cfg_, topo_.totalTiles());
-    check::FaultPlan::instance().configure(cfg_);
-    race::Detector::instance().configure(cfg_, topo_.totalTiles());
+    configureProcessWide(cfg_);
     GRAPHITE_PROFILE_SCOPE("sim.init");
 
+    const tile_id_t tiles = topo_.totalTiles();
     fabric_ = std::make_unique<NetworkFabric>(topo_, cfg_);
-    memory_ = std::make_unique<MemorySystem>(topo_, *fabric_, cfg_);
-    sync_ = SyncModel::create(cfg_, topo_.totalTiles());
+
+    trace_ = obs::TraceSink::fromConfig(cfg_, tiles);
+    obs::SpanSink::Options span_opt;
+    MeshShape mesh(tiles);
+    span_opt.hops = [mesh](tile_id_t a, tile_id_t b) {
+        return mesh.hops(a, b);
+    };
+    span_opt.maxHops = mesh.width() + mesh.height();
+    span_opt.progress = [fabric = fabric_.get()] {
+        return fabric->progress().estimate();
+    };
+    spans_ = obs::SpanSink::fromConfig(cfg_, tiles, std::move(span_opt),
+                                       trace_.get());
+    accuracy_ = obs::accuracy::AccuracyObservatory::fromConfig(cfg_, tiles);
+    race_ = race::Detector::fromConfig(cfg_, tiles, trace_.get());
+    faults_ = check::FaultPlan::fromConfig(cfg_);
+
+    memory_ =
+        std::make_unique<MemorySystem>(topo_, *fabric_, cfg_, observers());
+    sync_ = SyncModel::create(cfg_, tiles);
 
     sched_ = std::make_unique<host::HostScheduler>(
-        host::SchedulerConfig::fromConfig(cfg_), topo_.totalTiles());
+        host::SchedulerConfig::fromConfig(cfg_), tiles);
     // Sync models that block release the execution slot while waiting.
     sync_->attachScheduler(sched_.get());
+    sync_->attachObservers(observers());
 
-    tiles_.reserve(topo_.totalTiles());
-    for (tile_id_t t = 0; t < topo_.totalTiles(); ++t)
-        tiles_.push_back(
-            std::make_unique<Tile>(t, cfg_, *fabric_, transport_));
+    tiles_.reserve(tiles);
+    for (tile_id_t t = 0; t < tiles; ++t)
+        tiles_.push_back(std::make_unique<Tile>(t, cfg_, *fabric_,
+                                                transport_, observers()));
 
     // Hand the accuracy observatory live clock pointers so delivery
-    // hooks can compare event timestamps against receiver clocks. The
-    // clocks are detached again in Observability::finalize(), before
-    // the tiles die.
-    if (obs::accuracy::AccuracyObservatory::armed())
-        for (tile_id_t t = 0; t < topo_.totalTiles(); ++t)
-            obs::accuracy::AccuracyObservatory::instance().attachClock(
-                t, tiles_[t]->core().clockPtr());
+    // hooks can compare event timestamps against receiver clocks.
+    if (accuracy_)
+        for (tile_id_t t = 0; t < tiles; ++t)
+            accuracy_->attachClock(t, tiles_[t]->core().clockPtr());
 
     threads_ = std::make_unique<ThreadManager>(*this);
 
@@ -102,8 +141,8 @@ Simulator::Simulator(Config cfg)
               action);
 
     registerStats();
-    obs::Observability::instance().attachSources(
-        &stats_, [this] { return simulatedTime(); },
+    sampler_ = obs::MetricsSampler::fromConfig(
+        cfg_, &stats_, [this] { return simulatedTime(); },
         [this] {
             std::vector<double> clocks;
             clocks.reserve(tiles_.size());
@@ -114,16 +153,45 @@ Simulator::Simulator(Config cfg)
             }
             return clocks;
         },
-        [this] { return fabric_->progress().estimate(); });
+        accuracy_.get());
 }
 
 Simulator::~Simulator()
 {
-    // If run() never completed (error paths), still flush artifacts and
-    // detach the obs layer from soon-to-die members.
-    obs::Observability::instance().finalize();
-    if (currentSlot() == this)
-        currentSlot() = nullptr;
+    // A run() that never returned (error paths) still leaves artifacts.
+    if (!artifactsWritten_)
+        writeArtifacts();
+}
+
+obs::Observers
+Simulator::observers() const
+{
+    return obs::Observers{trace_.get(), spans_.get(), accuracy_.get(),
+                          race_.get(), faults_.get()};
+}
+
+void
+Simulator::writeArtifacts()
+{
+    artifactsWritten_ = true;
+    if (sampler_) {
+        sampler_->flush();
+        informc("obs", "wrote {} metrics intervals to {}",
+                sampler_->rowCount(), sampler_->path());
+    }
+    if (spans_ && !spans_->path().empty()) {
+        spans_->writeFile();
+        informc("obs", "wrote {} sampled spans ({} completed) to {}",
+                spans_->sampledCount(), spans_->completedCount(),
+                spans_->path());
+    }
+    if (trace_) {
+        trace_->writeFile();
+        informc("obs", "wrote {} trace events to {} ({} dropped)",
+                trace_->recorded(), trace_->path(), trace_->dropped());
+    }
+    if (accuracy_)
+        accuracy_->writeReport();
 }
 
 void
@@ -226,8 +294,7 @@ Simulator::registerStats()
     stats_.registerCounter("host.pool.skew_park_ns",
                            sched->skewParkNsCounter());
 
-    if (race::Detector::armed()) {
-        race::Detector* det = &race::Detector::instance();
+    if (race::Detector* det = race_.get()) {
         stats_.registerGauge("race.races",
                              [det] { return det->raceCount(); });
         stats_.registerGauge("race.words_checked",
@@ -242,8 +309,7 @@ Simulator::registerStats()
                              [det] { return det->shadowExpansions(); });
     }
 
-    if (obs::SpanSink::enabled()) {
-        obs::SpanSink* spans = &obs::SpanSink::instance();
+    if (obs::SpanSink* spans = spans_.get()) {
         stats_.registerCounter("span.completed",
                                spans->completedCounter());
         for (int s = 0; s < obs::NUM_SPAN_STAGES; ++s) {
@@ -254,8 +320,7 @@ Simulator::registerStats()
         }
     }
 
-    if (obs::accuracy::AccuracyObservatory::armed()) {
-        auto* acc = &obs::accuracy::AccuracyObservatory::instance();
+    if (obs::accuracy::AccuracyObservatory* acc = accuracy_.get()) {
         stats_.registerCounter("accuracy.deliveries",
                                acc->deliveriesCounter());
         stats_.registerCounter("accuracy.violations",
@@ -368,6 +433,7 @@ Simulator::makeStatusSource()
         return hp;
     };
     src.syncModelName = sync_->name();
+    src.accuracy = accuracy_.get();
     return src;
 }
 
@@ -380,7 +446,7 @@ Simulator::attachSkewTracker(SkewTracker* tracker)
         cores.reserve(tiles_.size());
         for (const auto& t : tiles_)
             cores.push_back(SkewSource{&t->core(), t->runningFlag()});
-        tracker->attachCores(std::move(cores));
+        tracker->attachCores(std::move(cores), observers());
     }
 }
 
@@ -394,9 +460,7 @@ Simulator::tile(tile_id_t id)
 SimulationSummary
 Simulator::run(thread_func_t app_main, void* arg)
 {
-    GRAPHITE_ASSERT(currentSlot() == nullptr);
-    currentSlot() = this;
-
+    artifactsWritten_ = false;
     if (telemetryPort_ >= 0 && !telemetryServer_.running()) {
         telemetryServer_.start(
             static_cast<std::uint16_t>(telemetryPort_),
@@ -429,8 +493,7 @@ Simulator::run(thread_func_t app_main, void* arg)
     // can scrape a quiescent /metrics (see --telemetry-linger).
     watchdog_.stop();
 
-    currentSlot() = nullptr;
-    obs::Observability::instance().finalize();
+    writeArtifacts();
 
     // The memory system is self-verifying: protocol state must be
     // consistent at quiescence. On by default so every system test
@@ -441,11 +504,10 @@ Simulator::run(thread_func_t app_main, void* arg)
             fatal("coherence validation failed at shutdown: {}", err);
     }
 
-    if (race::Detector::armed()) {
-        race::Detector& det = race::Detector::instance();
-        det.finalizeReport();
-        for (const race::RaceRecord& r : det.records())
-            warn("race detector: {}", det.describe(r));
+    if (race_) {
+        race_->finalizeReport();
+        for (const race::RaceRecord& r : race_->records())
+            warn("race detector: {}", race_->describe(r));
     }
 
     SimulationSummary summary;
@@ -483,12 +545,11 @@ Simulator::statsReport() const
     os << "target heap       : "
        << memory_->manager().bytesAllocated() << " bytes in "
        << memory_->manager().allocationCount() << " allocations\n";
-    if (race::Detector::armed()) {
-        const race::Detector& det = race::Detector::instance();
-        os << "race detector     : " << det.raceCount()
-           << " races (words checked " << det.wordsChecked()
-           << ", sync edges " << det.syncEdges() << ", shadow lines "
-           << det.shadowLines() << ")\n";
+    if (race_) {
+        os << "race detector     : " << race_->raceCount()
+           << " races (words checked " << race_->wordsChecked()
+           << ", sync edges " << race_->syncEdges() << ", shadow lines "
+           << race_->shadowLines() << ")\n";
     }
 
     os << "\n=== network models ===\n";

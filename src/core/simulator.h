@@ -33,6 +33,7 @@
 #include "core/tile.h"
 #include "mem/memory_system.h"
 #include "network/network.h"
+#include "obs/observers.h"
 #include "obs/telemetry/server.h"
 #include "obs/telemetry/watchdog.h"
 #include "sync/skew_tracker.h"
@@ -41,6 +42,11 @@
 
 namespace graphite
 {
+
+namespace obs
+{
+class MetricsSampler;
+}
 
 /** Aggregate results of one simulation run. */
 struct SimulationSummary
@@ -65,6 +71,8 @@ class Simulator
      * Execute the application: @p app_main runs as the thread on tile 0;
      * it may spawn further threads via the API. Returns when every
      * application thread has finished and the MCP has shut down.
+     * Writes the observers' artifacts before returning. Simulators are
+     * independent: several may run at once on different host threads.
      */
     SimulationSummary run(thread_func_t app_main, void* arg);
 
@@ -106,6 +114,26 @@ class Simulator
      * at construction. Input of the obs-layer interval sampler.
      */
     const StatsRegistry& stats() const { return stats_; }
+
+    /**
+     * @name Observers
+     * Owned by this Simulator and built at construction from their
+     * config keys; each is null when the config leaves it off. They
+     * keep recording across run() calls, and their artifacts are
+     * written at the end of each run() (or by the destructor when no
+     * run() returned since construction).
+     * @{
+     */
+    obs::TraceSink* traceSink() const { return trace_.get(); }
+    obs::SpanSink* spanSink() const { return spans_.get(); }
+    obs::MetricsSampler* metricsSampler() const { return sampler_.get(); }
+    obs::accuracy::AccuracyObservatory* accuracy() const
+    {
+        return accuracy_.get();
+    }
+    race::Detector* raceDetector() const { return race_.get(); }
+    check::FaultPlan* faultPlan() const { return faults_.get(); }
+    /** @} */
 
     /**
      * @name Telemetry plane
@@ -154,22 +182,26 @@ class Simulator
     /** Modeled cost charged to a freshly spawned thread, cycles. */
     cycle_t spawnCost() const { return spawnCost_; }
 
-    /**
-     * The simulator the calling application thread belongs to.
-     * Valid only inside run() on application threads.
-     */
-    static Simulator* current();
-
   private:
-    friend class ThreadManager;
-    static Simulator*& currentSlot();
-
     void registerStats();
+
+    /** The observers, as handed to the components that hook them. */
+    obs::Observers observers() const;
+
+    /** Flush the sampler and write every configured artifact file. */
+    void writeArtifacts();
 
     Config cfg_;
     ClusterTopology topo_;
     Transport transport_;
     std::unique_ptr<NetworkFabric> fabric_;
+    // Observers, declared before the components that hold pointers to
+    // them so they outlive those components.
+    std::unique_ptr<obs::TraceSink> trace_;
+    std::unique_ptr<obs::SpanSink> spans_;
+    std::unique_ptr<obs::accuracy::AccuracyObservatory> accuracy_;
+    std::unique_ptr<race::Detector> race_;
+    std::unique_ptr<check::FaultPlan> faults_;
     std::unique_ptr<MemorySystem> memory_;
     std::unique_ptr<SyncModel> sync_;
     std::vector<std::unique_ptr<Tile>> tiles_;
@@ -177,6 +209,9 @@ class Simulator
     std::unique_ptr<host::HostScheduler> sched_;
     std::unique_ptr<ThreadManager> threads_;
     StatsRegistry stats_;
+    // Samples stats_ and the tiles, so it is declared after both.
+    std::unique_ptr<obs::MetricsSampler> sampler_;
+    bool artifactsWritten_ = false;
     SkewTracker* skew_ = nullptr;
     cycle_t syncCheckInterval_;
     cycle_t syscallCost_;

@@ -130,8 +130,8 @@ ThreadManager::appTrampoline(tile_id_t tile, thread_func_t func,
     // clock is inherited — reuse of a freed tile is genuinely ordered
     // through the exit -> MCP -> spawn chain, so stale stack/heap words
     // from the previous occupant never report as races.
-    if (race::Detector::armed())
-        race::Detector::instance().threadStart(tile);
+    if (race::Detector* det = sim_.raceDetector())
+        det->threadStart(tile);
     Tile& t = sim_.tile(tile);
     CoreModel& core = t.core();
     core.forwardClock(start_clock);
@@ -153,9 +153,10 @@ ThreadManager::appTrampoline(tile_id_t tile, thread_func_t func,
     obs::telemetry::FlightRecorder::record(
         obs::telemetry::FrEvent::ThreadExit, tile, core.cycle(),
         core.cycle());
-    obs::TraceSink::complete(static_cast<std::uint32_t>(tile),
-                             is_main ? "thread.main" : "thread",
-                             trace_start, core.cycle() - trace_start);
+    if (obs::TraceSink* trace = sim_.traceSink())
+        trace->complete(static_cast<std::uint32_t>(tile),
+                        is_main ? "thread.main" : "thread", trace_start,
+                        core.cycle() - trace_start);
 
     // Tell the MCP this tile is free; join waiters observe our clock.
     SysMsgHeader hdr{SysMsgType::ThreadExit, tile, core.cycle()};
@@ -320,8 +321,8 @@ ThreadManager::handleSpawn(const SysMsgHeader& hdr, const SpawnBody& body)
         exitClock_.erase(chosen);
         // Parent -> child ordering; applied before the LCP can start
         // the child, while the parent is blocked on SpawnReply.
-        if (race::Detector::armed())
-            race::Detector::instance().edge(hdr.srcTile, chosen);
+        if (race::Detector* det = sim_.raceDetector())
+            det->edge(hdr.srcTile, chosen);
         reply.error = 0;
         reply.tile = chosen;
         // Commit the tile to the rotation now: scheduling order must
@@ -331,9 +332,10 @@ ThreadManager::handleSpawn(const SysMsgHeader& hdr, const SpawnBody& body)
             obs::telemetry::FrEvent::Spawn, hdr.srcTile, hdr.timestamp,
             static_cast<std::uint64_t>(chosen),
             static_cast<std::uint64_t>(hdr.srcTile));
-        obs::TraceSink::instant(
-            static_cast<std::uint32_t>(sim_.topology().totalTiles()),
-            "mcp.spawn", hdr.timestamp, "tile", chosen);
+        if (obs::TraceSink* trace = sim_.traceSink())
+            trace->instant(
+                static_cast<std::uint32_t>(sim_.topology().totalTiles()),
+                "mcp.spawn", hdr.timestamp, "tile", chosen);
         debugc("core", "spawn: tile {} requested, tile {} chosen",
                hdr.srcTile, chosen);
 
@@ -358,8 +360,8 @@ ThreadManager::handleJoin(const SysMsgHeader& hdr, const JoinBody& body)
     auto it = exitClock_.find(target);
     if (tileState_[target] == TileState::Free && it != exitClock_.end()) {
         // Exited target -> joiner ordering (immediate-join path).
-        if (race::Detector::armed())
-            race::Detector::instance().edge(target, hdr.srcTile);
+        if (race::Detector* det = sim_.raceDetector())
+            det->edge(target, hdr.srcTile);
         JoinBody reply{target, it->second};
         SysMsgHeader rh{SysMsgType::JoinReply, hdr.srcTile, it->second};
         mcpReplyToTile(hdr.srcTile, it->second, packSysMsg(rh, reply));
@@ -383,8 +385,8 @@ ThreadManager::handleThreadExit(const SysMsgHeader& hdr)
     if (wit != joinWaiters_.end()) {
         for (tile_id_t waiter : wit->second) {
             // Exited thread -> each queued joiner.
-            if (race::Detector::armed())
-                race::Detector::instance().edge(tile, waiter);
+            if (race::Detector* det = sim_.raceDetector())
+                det->edge(tile, waiter);
             // Deterministic wake: the joiner re-enters the rotation at
             // this dispatch, not when its host thread gets CPU time.
             sim_.hostScheduler()->notifyUnblocked(
@@ -439,8 +441,8 @@ ThreadManager::handleFutexWake(const SysMsgHeader& hdr,
             // was never queued and gets no edge — futexWake alone
             // orders nothing it did not wake. Both endpoints are
             // blocked on MCP replies, so their clocks are quiescent.
-            if (race::Detector::armed()) {
-                race::Detector::instance().edge(hdr.srcTile, w.tile);
+            if (race::Detector* det = sim_.raceDetector()) {
+                det->edge(hdr.srcTile, w.tile);
                 ++race_edges;
             }
             sim_.hostScheduler()->notifyUnblocked(
@@ -459,7 +461,7 @@ ThreadManager::handleFutexWake(const SysMsgHeader& hdr,
     }
     // Transfer-only invariant: one edge per consumed waiter, never for
     // unconsumed wake count (see tests/test_race.cpp regressions).
-    GRAPHITE_ASSERT(!race::Detector::armed() || race_edges == woken);
+    GRAPHITE_ASSERT(sim_.raceDetector() == nullptr || race_edges == woken);
     obs::telemetry::FlightRecorder::record(
         obs::telemetry::FrEvent::FutexWake, hdr.srcTile, hdr.timestamp,
         body.addr, woken);

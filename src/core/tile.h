@@ -28,10 +28,11 @@ class Tile
 {
   public:
     Tile(tile_id_t id, const Config& cfg, NetworkFabric& fabric,
-         Transport& transport)
+         Transport& transport, const obs::Observers& observers)
         : id_(id),
           core_(std::make_unique<CoreModel>(id, cfg)),
-          network_(std::make_unique<Network>(id, fabric, transport))
+          network_(std::make_unique<Network>(id, fabric, transport,
+                                             observers))
     {}
 
     tile_id_t id() const { return id_; }

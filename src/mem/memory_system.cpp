@@ -80,9 +80,11 @@ markDram(obs::SpanBuilder* sb, const DramController::Breakdown& bd,
 } // namespace
 
 MemorySystem::MemorySystem(const ClusterTopology& topo,
-                           NetworkFabric& fabric, const Config& cfg)
+                           NetworkFabric& fabric, const Config& cfg,
+                           const obs::Observers& observers)
     : topo_(topo),
       fabric_(fabric),
+      obs_(observers),
       tiles_(topo.totalTiles()),
       shards_(topo.totalTiles())
 {
@@ -184,9 +186,8 @@ MemorySystem::msg(tile_id_t src, tile_id_t dst, size_t payload_bytes,
     // the accuracy observatory transaction-completion coverage: the
     // modeled arrival time is compared against the destination tile's
     // local clock (pure observation, never feeds back into timing).
-    if (obs::accuracy::AccuracyObservatory::armed())
-        obs::accuracy::AccuracyObservatory::instance().onDelivery(
-            point, src, dst, send_time + b.total);
+    if (obs_.accuracy)
+        obs_.accuracy->onDelivery(point, src, dst, send_time + b.total);
     return b.total;
 }
 
@@ -338,9 +339,9 @@ MemorySystem::recordMiss(tile_id_t tile, TileMemory& tm, MissClass mc,
       case MissClass::Upgrade: ++tm.stats.l2UpgradeMisses; break;
       case MissClass::None: return;
     }
-    obs::TraceSink::instant(static_cast<std::uint32_t>(tile), "l2.miss",
-                            time, "class",
-                            static_cast<std::int64_t>(mc));
+    if (obs_.trace)
+        obs_.trace->instant(static_cast<std::uint32_t>(tile), "l2.miss",
+                            time, "class", static_cast<std::int64_t>(mc));
 }
 
 // ----------------------------------------------------------- functional ops
@@ -385,8 +386,9 @@ MemorySystem::handleL2Eviction(tile_id_t tile, const Eviction& ev,
     // its span nests under the miss span (same trace ID) — the
     // off-critical-path cost stays out of the parent's accounting.
     std::optional<obs::SpanBuilder> span;
-    if (obs::SpanSink::enabled())
-        span.emplace(ev.dirty ? obs::SpanKind::Writeback
+    if (obs_.spans)
+        span.emplace(*obs_.spans,
+                     ev.dirty ? obs::SpanKind::Writeback
                               : obs::SpanKind::Evict,
                      tile, home, now);
     if (ev.dirty) {
@@ -411,9 +413,9 @@ MemorySystem::handleL2Eviction(tile_id_t tile, const Eviction& ev,
             markDram(&*span, dbd, now + m);
             span->finish(now + m + dbd.total);
         }
-        if (!(check::FaultPlan::armed() &&
-              check::FaultPlan::instance().shouldFire(
-                  check::FaultMode::LostWriteback, ev.lineAddr)))
+        if (!(obs_.faults &&
+              obs_.faults->shouldFire(check::FaultMode::LostWriteback,
+                                      ev.lineAddr)))
             backing_.write(ev.lineAddr, ev.data.data(), ev.data.size());
         GRAPHITE_ASSERT(entry.state() == DirectoryState::Modified &&
                         entry.owner() == tile);
@@ -479,9 +481,9 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
     auto fill_from_memory = [&](std::vector<std::uint8_t>& d) {
         d.resize(lineSize_);
         backing_.read(line_addr, d.data(), lineSize_);
-        if (check::FaultPlan::armed() &&
-            check::FaultPlan::instance().shouldFire(
-                check::FaultMode::StaleDramFill, line_addr))
+        if (obs_.faults &&
+            obs_.faults->shouldFire(check::FaultMode::StaleDramFill,
+                                    line_addr))
             d[0] ^= 0x01;
     };
 
@@ -499,8 +501,7 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
     // The miss span (if one is live) belongs to the access that called
     // us; every latency accumulation below mirrors into a stage mark so
     // the marks sum exactly to the returned latency.
-    obs::SpanBuilder* sb =
-        obs::SpanSink::enabled() ? obs::SpanBuilder::active() : nullptr;
+    obs::SpanBuilder* sb = obs_.spans ? obs::SpanBuilder::active() : nullptr;
 
     cycle_t lat = 0;
     // Request to the home directory.
@@ -542,8 +543,8 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
             for (tile_id_t s : entry.sharers()) {
                 if (s == tile)
                     continue;
-                if (check::FaultPlan::armed() &&
-                    check::FaultPlan::instance().shouldFire(
+                if (obs_.faults &&
+                    obs_.faults->shouldFire(
                         check::FaultMode::DropInvalidation, line_addr))
                     continue; // injected fault: sharer keeps stale copy
                 ++tm.stats.invalidationsSent;
@@ -789,9 +790,9 @@ MemorySystem::commitLine(TileMemory& tm, LineRequest& rq,
     CacheLine* l1line = tm.l1d->find(rq.addr);
     if (l1line == nullptr)
         fillL1(rq.l1, l2line);
-    else if (!(rq.rmw != nullptr && check::FaultPlan::armed() &&
-               check::FaultPlan::instance().shouldFire(
-                   check::FaultMode::SkipReleaseFence, l2line.lineAddr)))
+    else if (!(rq.rmw != nullptr && obs_.faults &&
+               obs_.faults->shouldFire(check::FaultMode::SkipReleaseFence,
+                                       l2line.lineAddr)))
         std::memcpy(l1line->data.data() + offset, src, rq.size);
 }
 
@@ -910,8 +911,9 @@ MemorySystem::accessLine(LineRequest& rq, cycle_t start_time)
         // serial engine's exact stats/latency sequence.
         const bool atomic = rq.rmw != nullptr;
         std::optional<obs::SpanBuilder> span;
-        if (obs::SpanSink::enabled())
-            span.emplace(atomic       ? obs::SpanKind::Atomic
+        if (obs_.spans)
+            span.emplace(*obs_.spans,
+                         atomic       ? obs::SpanKind::Atomic
                          : rq.isWrite ? obs::SpanKind::WriteMiss
                                       : obs::SpanKind::ReadMiss,
                          rq.tile, home, start_time);
@@ -949,10 +951,10 @@ MemorySystem::access(tile_id_t tile, MemAccessType type, addr_t addr,
     // Race detection taps the single application-access funnel. Kernel
     // paths (readCoherent/writeCoherent) and instruction fetches are
     // exempt; sync-library internals are masked by InternalScope.
-    if (race::Detector::armed() && type != MemAccessType::Fetch &&
+    if (obs_.race && type != MemAccessType::Fetch &&
         !race::Detector::suppressed()) {
-        race::Detector::instance().onAccess(
-            tile, addr, size, type == MemAccessType::Write, start_time);
+        obs_.race->onAccess(tile, addr, size, type == MemAccessType::Write,
+                            start_time);
     }
     LineRequest rq;
     rq.tile = tile;

@@ -52,6 +52,7 @@
 #include "mem/main_memory.h"
 #include "network/network.h"
 #include "obs/accuracy/accuracy.h"
+#include "obs/observers.h"
 
 namespace graphite
 {
@@ -115,8 +116,9 @@ struct TileMemoryStats
 class MemorySystem
 {
   public:
+    /** @p observers are the hooks accesses feed (all null = none). */
     MemorySystem(const ClusterTopology& topo, NetworkFabric& fabric,
-                 const Config& cfg);
+                 const Config& cfg, const obs::Observers& observers = {});
     ~MemorySystem();
 
     MemorySystem(const MemorySystem&) = delete;
@@ -494,6 +496,7 @@ class MemorySystem
     cycle_t dirLatency_;
     bool classify_;
     bool mesi_ = false;
+    obs::Observers obs_;
     std::atomic<bool> fastForward_{false};
     std::vector<TileMemory> tiles_;
     std::vector<Shard> shards_;

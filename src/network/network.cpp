@@ -28,21 +28,6 @@ recvPoint(PacketType type)
     }
 }
 
-/**
- * Causality check at the delivery demux: a packet whose timestamp is
- * already in the receiving tile's past is a lax-sync violation. Pure
- * observation — reads clocks, bumps observatory atomics, never touches
- * the packet (see DESIGN.md "Accuracy observatory").
- */
-void
-observeDelivery(const NetPacket& pkt, tile_id_t receiver)
-{
-    if (!obs::accuracy::AccuracyObservatory::armed())
-        return;
-    obs::accuracy::AccuracyObservatory::instance().onDelivery(
-        recvPoint(pkt.type), pkt.sender, receiver, pkt.time);
-}
-
 } // namespace
 
 // ------------------------------------------------------------ NetworkFabric
@@ -206,11 +191,12 @@ NetworkFabric::loadState(snapshot::SnapshotReader& r)
 // ------------------------------------------------------------------ Network
 
 Network::Network(tile_id_t tile, NetworkFabric& fabric,
-                 Transport& transport)
+                 Transport& transport, const obs::Observers& observers)
     : tile_(tile),
       endpoint_(fabric.topology().tileEndpoint(tile)),
       fabric_(fabric),
-      transport_(transport)
+      transport_(transport),
+      obs_(observers)
 {
 }
 
@@ -227,28 +213,26 @@ Network::send(PacketType type, tile_id_t dst,
     NetBreakdown bd = fabric_.modelEx(type, tile_, dst, bytes, send_time);
     cycle_t latency = bd.total;
     pkt.time = send_time + latency;
-    if (obs::accuracy::AccuracyObservatory::armed())
-        obs::accuracy::AccuracyObservatory::instance().onNetLatency(
-            static_cast<int>(type), latency);
+    if (obs_.accuracy)
+        obs_.accuracy->onNetLatency(static_cast<int>(type), latency);
     // Planted causality violation: stamp the packet with its *send*
     // time, as if the network delivered it with zero modeled latency.
     // Timing-only — payload and delivery order are untouched — so the
     // differential fingerprint stays clean while the accuracy
     // observatory must flag the receiver-past timestamp.
-    if (check::FaultPlan::armed() &&
-        check::FaultPlan::instance().shouldFire(
-            check::FaultMode::LateDelivery,
-            static_cast<addr_t>(dst)))
+    if (obs_.faults &&
+        obs_.faults->shouldFire(check::FaultMode::LateDelivery,
+                                static_cast<addr_t>(dst)))
         pkt.time = send_time;
     if (type == PacketType::App) {
         fabric_.noteAppSend();
-        if (obs::SpanSink::enabled()) {
+        if (obs_.spans) {
             // The arrival time is fully determined at send under lax
             // delivery, so the whole span — including the receive-side
             // flow step — is emitted here; nothing dangles if the
             // receiver never drains it.
-            obs::SpanBuilder span(obs::SpanKind::AppMsg, tile_, dst,
-                                  send_time);
+            obs::SpanBuilder span(*obs_.spans, obs::SpanKind::AppMsg,
+                                  tile_, dst, send_time);
             span.add(obs::SpanStage::ReqSer, send_time,
                      bd.serialization);
             span.add(obs::SpanStage::ReqQueue,
@@ -260,8 +244,9 @@ Network::send(PacketType type, tile_id_t dst,
             pkt.spanId = span.spanId();
         }
     }
-    obs::TraceSink::complete(static_cast<std::uint32_t>(tile_),
-                             "net.send", send_time, latency, "bytes",
+    if (obs_.trace)
+        obs_.trace->complete(static_cast<std::uint32_t>(tile_), "net.send",
+                             send_time, latency, "bytes",
                              static_cast<std::int64_t>(bytes));
     transport_.send(fabric_.topology().tileEndpoint(dst), std::move(pkt));
 }
@@ -271,7 +256,13 @@ Network::delivered(const NetPacket& pkt)
 {
     if (pkt.type == PacketType::App)
         fabric_.noteAppDelivered();
-    observeDelivery(pkt, tile_);
+    // Causality check at the delivery demux: a packet whose timestamp is
+    // already in the receiving tile's past is a lax-sync violation. Pure
+    // observation — reads clocks, bumps observatory atomics, never
+    // touches the packet (see DESIGN.md "Accuracy observatory").
+    if (obs_.accuracy)
+        obs_.accuracy->onDelivery(recvPoint(pkt.type), pkt.sender, tile_,
+                                  pkt.time);
 }
 
 NetPacket
@@ -283,7 +274,8 @@ Network::recv(PacketType type)
     if (pkt.sender == INVALID_TILE_ID)
         return pkt;
     delivered(pkt);
-    obs::TraceSink::instant(static_cast<std::uint32_t>(tile_), "net.recv",
+    if (obs_.trace)
+        obs_.trace->instant(static_cast<std::uint32_t>(tile_), "net.recv",
                             pkt.time);
     return pkt;
 }

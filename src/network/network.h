@@ -28,6 +28,7 @@
 #include "common/fixed_types.h"
 #include "network/global_progress.h"
 #include "network/network_model.h"
+#include "obs/observers.h"
 #include "transport/transport.h"
 
 namespace graphite
@@ -142,7 +143,9 @@ class NetworkFabric
 class Network
 {
   public:
-    Network(tile_id_t tile, NetworkFabric& fabric, Transport& transport);
+    /** @p observers are the hooks send/recv feed (all null = none). */
+    Network(tile_id_t tile, NetworkFabric& fabric, Transport& transport,
+            const obs::Observers& observers = {});
 
     /**
      * Model, stamp, and physically send a packet. The packet's arrival
@@ -172,6 +175,7 @@ class Network
     endpoint_id_t endpoint_;
     NetworkFabric& fabric_;
     Transport& transport_;
+    obs::Observers obs_;
 };
 
 } // namespace graphite

@@ -14,8 +14,6 @@ namespace obs
 namespace accuracy
 {
 
-std::atomic<bool> AccuracyObservatory::armedFlag_{false};
-
 const char*
 violationPointName(ViolationPoint p)
 {
@@ -32,51 +30,29 @@ violationPointName(ViolationPoint p)
     return "?";
 }
 
-AccuracyObservatory&
-AccuracyObservatory::instance()
+AccuracyObservatory::AccuracyObservatory(tile_id_t total_tiles,
+                                         cycle_t flight_min_cycles,
+                                         std::string out)
+    : tiles_(total_tiles),
+      flightMin_(flight_min_cycles),
+      out_(std::move(out)),
+      clocks_(static_cast<size_t>(total_tiles), nullptr),
+      pairs_(static_cast<size_t>(total_tiles) *
+             static_cast<size_t>(total_tiles))
 {
-    static AccuracyObservatory obs;
-    return obs;
 }
 
-void
-AccuracyObservatory::configure(const Config& cfg, tile_id_t total_tiles)
+std::unique_ptr<AccuracyObservatory>
+AccuracyObservatory::fromConfig(const Config& cfg, tile_id_t total_tiles)
 {
-    // A previous Simulator's report must be flushed before its state
-    // (and clock pointers) are discarded.
-    finalizeReport();
-
-    tiles_ = total_tiles;
-    out_ = cfg.getString("accuracy/out", "");
-    bool enabled = cfg.getBool("accuracy/enabled", false);
-    flightMin_ = static_cast<cycle_t>(
-        cfg.getInt("accuracy/flight_min_cycles", 10000));
-    reported_ = false;
-
-    deliveries_.store(0, std::memory_order_relaxed);
-    violations_.store(0, std::memory_order_relaxed);
-    worst_.store(0, std::memory_order_relaxed);
-    magnitude_.reset();
-    for (PointState& ps : points_) {
-        ps.deliveries.store(0, std::memory_order_relaxed);
-        ps.violations.store(0, std::memory_order_relaxed);
-        ps.magnitude.reset();
-    }
-    for (HistogramStat& h : netLatency_)
-        h.reset();
-
-    clocks_.assign(static_cast<size_t>(total_tiles), nullptr);
-    pairs_.clear();
-    size_t n = static_cast<size_t>(total_tiles) *
-               static_cast<size_t>(total_tiles);
-    pairMax_.store(0, std::memory_order_relaxed);
-    pairSum_.store(0, std::memory_order_relaxed);
-    pairSamples_.store(0, std::memory_order_relaxed);
-
-    bool arm = enabled || !out_.empty();
-    if (arm)
-        pairs_ = std::vector<PairCell>(n);
-    armedFlag_.store(arm, std::memory_order_relaxed);
+    std::string out = cfg.getString("accuracy/out", "");
+    if (out.empty() && !cfg.getBool("accuracy/enabled", false))
+        return nullptr;
+    return std::make_unique<AccuracyObservatory>(
+        total_tiles,
+        static_cast<cycle_t>(
+            cfg.getInt("accuracy/flight_min_cycles", 10000)),
+        std::move(out));
 }
 
 void
@@ -85,13 +61,6 @@ AccuracyObservatory::attachClock(tile_id_t tile,
 {
     if (tile >= 0 && static_cast<size_t>(tile) < clocks_.size())
         clocks_[static_cast<size_t>(tile)] = clock;
-}
-
-void
-AccuracyObservatory::detachClocks()
-{
-    for (auto& c : clocks_)
-        c = nullptr;
 }
 
 void
@@ -164,8 +133,8 @@ void
 AccuracyObservatory::recordPair(tile_id_t src, tile_id_t dst,
                                 cycle_t skew)
 {
-    if (pairs_.empty() || src < 0 || dst < 0 || src >= tiles_ ||
-        dst >= tiles_ || src == dst)
+    if (src < 0 || dst < 0 || src >= tiles_ || dst >= tiles_ ||
+        src == dst)
         return;
     PairCell& cell =
         pairs_[static_cast<size_t>(src) * static_cast<size_t>(tiles_) +
@@ -217,8 +186,7 @@ PairSkew
 AccuracyObservatory::pair(tile_id_t src, tile_id_t dst) const
 {
     PairSkew out;
-    if (pairs_.empty() || src < 0 || dst < 0 || src >= tiles_ ||
-        dst >= tiles_)
+    if (src < 0 || dst < 0 || src >= tiles_ || dst >= tiles_)
         return out;
     const PairCell& cell =
         pairs_[static_cast<size_t>(src) * static_cast<size_t>(tiles_) +
@@ -291,23 +259,20 @@ AccuracyObservatory::reportJsonl() const
 }
 
 void
-AccuracyObservatory::finalizeReport()
+AccuracyObservatory::writeReport() const
 {
-    if (!out_.empty() && !reported_ &&
-        armedFlag_.load(std::memory_order_relaxed)) {
-        reported_ = true;
-        std::ofstream f(out_, std::ios::trunc);
-        if (!f) {
-            warn("accuracy: cannot write report to '{}'", out_);
-        } else {
-            f << reportJsonl();
-            informc("obs",
-                    "accuracy report: {} ({} violations / {} "
-                    "deliveries, worst {} cycles)",
-                    out_, violations(), deliveries(), worstMagnitude());
-        }
+    if (out_.empty())
+        return;
+    std::ofstream f(out_, std::ios::trunc);
+    if (!f) {
+        warn("accuracy: cannot write report to '{}'", out_);
+        return;
     }
-    detachClocks();
+    f << reportJsonl();
+    informc("obs",
+            "accuracy report: {} ({} violations / {} deliveries, worst "
+            "{} cycles)",
+            out_, violations(), deliveries(), worstMagnitude());
 }
 
 } // namespace accuracy

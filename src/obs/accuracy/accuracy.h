@@ -33,15 +33,16 @@
  *   accuracy/flight_min_cycles  min violation magnitude recorded into
  *                               the flight recorder (worst offenders)
  *
- * Like obs::Observability and check::FaultPlan, the observatory is
- * process-global, re-configured by each Simulator's constructor, with
- * a single relaxed atomic load guarding the fully disarmed hot path.
+ * Each Simulator owns its observatory, built only when armed; the
+ * hooks hold a non-owning pointer, so the fully disarmed hot path is a
+ * null check.
  */
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -89,36 +90,33 @@ struct PairSkew
 };
 
 /**
- * Process-global accuracy observatory. All hot-path methods are
+ * One Simulator's accuracy observatory. All hot-path methods are
  * wait-free (relaxed atomics only) and safe from any host thread.
  */
 class AccuracyObservatory
 {
   public:
-    static AccuracyObservatory& instance();
-
-    /** Cheap hot-path guard: is detection armed in this process? */
-    static bool
-    armed()
-    {
-        return armedFlag_.load(std::memory_order_relaxed);
-    }
-
     /**
-     * Read the [accuracy] keys and (re)arm; resets all counters,
-     * histograms, the pair matrix, and attached clocks.
+     * An armed observatory over @p total_tiles tiles. Violations of at
+     * least @p flight_min_cycles reach the flight recorder; the JSONL
+     * report goes to @p out (empty = no report).
      */
-    void configure(const Config& cfg, tile_id_t total_tiles);
+    explicit AccuracyObservatory(tile_id_t total_tiles,
+                                 cycle_t flight_min_cycles = 10000,
+                                 std::string out = "");
 
     /**
-     * Attach @p tile's live clock (the core model's atomic). Clocks
-     * belong to a Simulator; they are attached after construction and
-     * detached by finalizeReport() before the Simulator dies.
+     * The observatory the [accuracy] keys ask for; null unless
+     * `accuracy/enabled` is set or `accuracy/out` names a report.
+     */
+    static std::unique_ptr<AccuracyObservatory>
+    fromConfig(const Config& cfg, tile_id_t total_tiles);
+
+    /**
+     * Attach @p tile's live clock (the core model's atomic). A tile
+     * with no clock attached observes nothing.
      */
     void attachClock(tile_id_t tile, const std::atomic<cycle_t>* clock);
-
-    /** Drop all attached clock pointers (hooks then observe nothing). */
-    void detachClocks();
 
     /**
      * One delivery/completion observed at interaction point @p p:
@@ -126,7 +124,7 @@ class AccuracyObservatory
      * (sent by @p src). Reads the destination clock; when the event
      * timestamp is already in the receiver's past, records a causality
      * violation of magnitude (clock − event_time). Also feeds the
-     * (src, dst) skew-matrix cell. Call only when armed().
+     * (src, dst) skew-matrix cell.
      */
     void onDelivery(ViolationPoint p, tile_id_t src, tile_id_t dst,
                     cycle_t event_time);
@@ -135,14 +133,14 @@ class AccuracyObservatory
      * One modeled network delivery latency on @p channel (the integer
      * value of the PacketType enum). Feeds the per-channel latency
      * histograms the accuracy-diff harness compares across sync
-     * models. Call only when armed().
+     * models.
      */
     void onNetLatency(int channel, cycle_t latency);
 
     /**
      * A direct observation of two tiles' clocks at an interaction
      * point (LaxP2P partner check, skew-tracker snapshot extremes).
-     * Feeds the (a, b) skew-matrix cell. Call only when armed().
+     * Feeds the (a, b) skew-matrix cell.
      */
     void onPairObserved(tile_id_t a, tile_id_t b, cycle_t clock_a,
                         cycle_t clock_b);
@@ -186,19 +184,13 @@ class AccuracyObservatory
     /** Configured report path ("" when none). */
     const std::string& reportPath() const { return out_; }
 
-    /**
-     * Write the JSONL report (if a path is configured and not yet
-     * written this arming) and detach clocks. Idempotent; called from
-     * Observability::finalize().
-     */
-    void finalizeReport();
+    /** Write the JSONL report to reportPath(), if one is configured. */
+    void writeReport() const;
 
-    /** Render the JSONL report body (tests; empty when disarmed). */
+    /** Render the JSONL report body. */
     std::string reportJsonl() const;
 
   private:
-    AccuracyObservatory() = default;
-
     struct PointState
     {
         atomic_stat_t deliveries{0};
@@ -217,12 +209,9 @@ class AccuracyObservatory
 
     void recordPair(tile_id_t src, tile_id_t dst, cycle_t skew);
 
-    static std::atomic<bool> armedFlag_;
-
-    tile_id_t tiles_ = 0;
-    cycle_t flightMin_ = 0;
+    tile_id_t tiles_;
+    cycle_t flightMin_;
     std::string out_;
-    bool reported_ = false;
 
     std::vector<const std::atomic<cycle_t>*> clocks_;
 

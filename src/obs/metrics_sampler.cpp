@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/config.h"
 #include "common/log.h"
 #include "obs/accuracy/accuracy.h"
 #include "obs/telemetry/status.h"
@@ -14,50 +15,44 @@ namespace graphite
 namespace obs
 {
 
-std::atomic<bool> MetricsSampler::enabledFlag_{false};
-
-MetricsSampler&
-MetricsSampler::instance()
-{
-    static MetricsSampler sampler;
-    return sampler;
-}
-
-void
-MetricsSampler::setGlobalEnabled(bool on)
-{
-    enabledFlag_.store(on, std::memory_order_relaxed);
-}
-
-void
-MetricsSampler::configure(const StatsRegistry* registry, cycle_t interval,
-                          std::string out_path,
-                          std::function<cycle_t()> now,
-                          std::function<std::vector<double>()>
-                              active_clocks)
+MetricsSampler::MetricsSampler(
+    const StatsRegistry* registry, cycle_t interval, std::string out_path,
+    std::function<cycle_t()> now,
+    std::function<std::vector<double>()> active_clocks,
+    const accuracy::AccuracyObservatory* accuracy)
+    : registry_(registry),
+      interval_(interval),
+      outPath_(std::move(out_path)),
+      now_(std::move(now)),
+      activeClocks_(std::move(active_clocks)),
+      accuracy_(accuracy),
+      start_(std::chrono::steady_clock::now()),
+      nextSample_(interval)
 {
     if (interval == 0)
         fatal("metrics: interval must be positive");
-    lockdep::Guard lock(mutex_);
-    registry_ = registry;
-    interval_ = interval;
-    outPath_ = std::move(out_path);
-    now_ = std::move(now);
-    activeClocks_ = std::move(active_clocks);
-    start_ = std::chrono::steady_clock::now();
-
-    columns_.clear();
-    prevValues_.clear();
     for (auto& [name, value] : registry_->snapshot()) {
         columns_.push_back(name);
         prevValues_.push_back(value);
     }
-    prevViolations_ =
-        accuracy::AccuracyObservatory::instance().violations();
-    lastSampleCycle_ = 0;
-    nextSample_.store(interval_, std::memory_order_relaxed);
-    rows_.clear();
-    finalized_ = false;
+    prevViolations_ = accuracy_ ? accuracy_->violations() : 0;
+}
+
+std::unique_ptr<MetricsSampler>
+MetricsSampler::fromConfig(
+    const Config& cfg, const StatsRegistry* registry,
+    std::function<cycle_t()> now,
+    std::function<std::vector<double>()> active_clocks,
+    const accuracy::AccuracyObservatory* accuracy)
+{
+    std::string path = cfg.getString("obs/metrics_out", "");
+    if (path.empty())
+        return nullptr;
+    return std::make_unique<MetricsSampler>(
+        registry,
+        static_cast<cycle_t>(cfg.getInt("obs/metrics_interval", 100000)),
+        std::move(path), std::move(now), std::move(active_clocks),
+        accuracy);
 }
 
 void
@@ -66,16 +61,11 @@ MetricsSampler::maybeSample()
     // Racy pre-check: worth it because this runs from every application
     // thread's periodic sync hook. The boundary is re-checked under the
     // lock before sampling.
-    cycle_t next = nextSample_.load(std::memory_order_relaxed);
-    if (next == INVALID_CYCLE)
-        return;
     cycle_t now = now_ ? now_() : 0;
-    if (now < next)
+    if (now < nextSample_.load(std::memory_order_relaxed))
         return;
 
     lockdep::Guard lock(mutex_);
-    if (registry_ == nullptr || finalized_)
-        return;
     if (now < nextSample_.load(std::memory_order_relaxed))
         return; // another thread beat us to this interval
     sampleLocked(now);
@@ -117,8 +107,7 @@ MetricsSampler::sampleLocked(cycle_t now)
 
     // Per-interval causality-violation delta from the accuracy
     // observatory (always a column; reads 0 while disarmed).
-    stat_t violations =
-        accuracy::AccuracyObservatory::instance().violations();
+    stat_t violations = accuracy_ ? accuracy_->violations() : 0;
     row.causalityViolations = violations >= prevViolations_
                                   ? violations - prevViolations_
                                   : 0;
@@ -126,7 +115,7 @@ MetricsSampler::sampleLocked(cycle_t now)
 
     auto snap = registry_->snapshot();
     row.deltas.assign(columns_.size(), 0);
-    // The column set is fixed at configure(); stats registered later in
+    // The column set is fixed at construction; stats registered later in
     // the run are ignored (documented behavior, keeps rows rectangular).
     std::size_t si = 0;
     for (std::size_t ci = 0; ci < columns_.size(); ++ci) {
@@ -218,22 +207,15 @@ MetricsSampler::renderLocked() const
 }
 
 void
-MetricsSampler::finalize()
+MetricsSampler::flush()
 {
     lockdep::Guard lock(mutex_);
-    if (finalized_ || registry_ == nullptr)
-        return;
     // Tail interval: whatever accumulated since the last boundary. A
     // run shorter than one interval still gets its single partial row
     // (an empty artifact would hide the whole run).
     cycle_t now = now_ ? now_() : 0;
     if (now > lastSampleCycle_ || rows_.empty())
         sampleLocked(now);
-    finalized_ = true;
-    nextSample_.store(INVALID_CYCLE, std::memory_order_relaxed);
-    registry_ = nullptr;
-    now_ = nullptr;
-    activeClocks_ = nullptr;
 
     if (outPath_.empty())
         return;

@@ -15,10 +15,11 @@
  * periodic sync checks (the same hook that feeds SkewTracker): whichever
  * thread first observes simulated time crossing the next interval
  * boundary takes the snapshot. Rows are buffered in memory and written
- * at finalize(), so the hot path never touches the filesystem.
+ * at flush(), so the hot path never touches the filesystem.
  *
- * Hot-path discipline mirrors TraceSink: globalEnabled() is one relaxed
- * atomic load; everything else happens only when the feature is on.
+ * Each Simulator owns its sampler, built only when `obs/metrics_out` is
+ * set; the sync hook checks the Simulator's pointer, so a run without
+ * one pays a null check.
  */
 
 #pragma once
@@ -27,7 +28,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,41 +38,50 @@
 
 namespace graphite
 {
+
+class Config;
+
 namespace obs
 {
+
+namespace accuracy
+{
+class AccuracyObservatory;
+}
 
 /** Periodic snapshotter of a StatsRegistry. */
 class MetricsSampler
 {
   public:
-    /** The sampler wired into the simulator's periodic sync hook. */
-    static MetricsSampler& instance();
-
-    /** Cached enable flag for the global instance (hot-path check). */
-    static bool
-    globalEnabled()
-    {
-        return enabledFlag_.load(std::memory_order_relaxed);
-    }
-
-    static void setGlobalEnabled(bool on);
-
     /**
-     * (Re)initialize for a run. Fixes the column set from the registry's
-     * current contents and discards previous rows.
+     * Sample @p registry from now on. Fixes the column set from the
+     * registry's current contents.
      *
      * @param registry       source of counters/gauges; must outlive the
-     *                       sampler or be detached via finalize()
+     *                       sampler
      * @param interval       simulated cycles between rows (> 0)
      * @param out_path       output file; ".jsonl" suffix selects JSONL,
      *                       anything else CSV. Empty = render-only (tests)
      * @param now            returns current simulated time (max tile clock)
      * @param active_clocks  returns the clocks of currently-running tiles
      *                       (for the derived skew columns); may be empty
+     * @param accuracy       source of the causality_violations column;
+     *                       null reads 0
      */
-    void configure(const StatsRegistry* registry, cycle_t interval,
+    MetricsSampler(const StatsRegistry* registry, cycle_t interval,
                    std::string out_path, std::function<cycle_t()> now,
-                   std::function<std::vector<double>()> active_clocks);
+                   std::function<std::vector<double>()> active_clocks,
+                   const accuracy::AccuracyObservatory* accuracy = nullptr);
+
+    /**
+     * The sampler `obs/metrics_out` asks for, every
+     * `obs/metrics_interval` cycles; null when the key is empty.
+     */
+    static std::unique_ptr<MetricsSampler>
+    fromConfig(const Config& cfg, const StatsRegistry* registry,
+               std::function<cycle_t()> now,
+               std::function<std::vector<double>()> active_clocks,
+               const accuracy::AccuracyObservatory* accuracy);
 
     /**
      * Take a snapshot if simulated time has crossed the next interval
@@ -80,10 +90,13 @@ class MetricsSampler
     void maybeSample();
 
     /**
-     * Record the tail interval, write the output file (if a path was
-     * configured), and detach from the registry. Idempotent.
+     * Record the tail interval (whatever accumulated since the last
+     * row) and write the output file, if a path was given. Sampling
+     * continues afterwards, so a later run keeps adding rows.
      */
-    void finalize();
+    void flush();
+
+    const std::string& path() const { return outPath_; }
 
     /** Rows recorded so far. */
     std::size_t rowCount() const;
@@ -118,23 +131,21 @@ class MetricsSampler
     void sampleLocked(cycle_t now);
     std::string renderLocked() const;
 
-    static std::atomic<bool> enabledFlag_;
-
     mutable lockdep::OrderedMutex mutex_{lockdep::LockClass::metrics_sampler};
-    const StatsRegistry* registry_ = nullptr;
-    cycle_t interval_ = 0;
+    const StatsRegistry* registry_;
+    cycle_t interval_;
     std::string outPath_;
     std::function<cycle_t()> now_;
     std::function<std::vector<double>()> activeClocks_;
+    const accuracy::AccuracyObservatory* accuracy_;
     std::chrono::steady_clock::time_point start_;
 
     std::vector<std::string> columns_;
     std::vector<stat_t> prevValues_;
     stat_t prevViolations_ = 0;
     cycle_t lastSampleCycle_ = 0;
-    std::atomic<cycle_t> nextSample_{INVALID_CYCLE};
+    std::atomic<cycle_t> nextSample_;
     std::vector<Row> rows_;
-    bool finalized_ = true;
 };
 
 } // namespace obs

@@ -51,14 +51,16 @@ spanStageName(SpanStage s)
     return "?";
 }
 
-SpanBuilder::SpanBuilder(SpanKind kind, tile_id_t requester,
-                         tile_id_t home, cycle_t start)
+SpanBuilder::SpanBuilder(SpanSink& sink, SpanKind kind,
+                         tile_id_t requester, tile_id_t home,
+                         cycle_t start)
+    : sink_(sink)
 {
     rec_.kind = kind;
     rec_.requester = requester;
     rec_.home = home;
     rec_.start = start;
-    rec_.spanId = SpanSink::nextSpanId();
+    rec_.spanId = sink.nextSpanId();
     prev_ = t_active;
     if (prev_ != nullptr) {
         rec_.traceId = prev_->rec_.traceId;
@@ -109,7 +111,7 @@ SpanBuilder::finish(cycle_t end)
         return;
     finished_ = true;
     rec_.end = end;
-    SpanSink::instance().complete(rec_);
+    sink_.complete(rec_);
 }
 
 } // namespace obs

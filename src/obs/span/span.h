@@ -13,9 +13,8 @@
  * rely on (asserted in tests/test_span.cpp).
  *
  * Hot-path discipline: a SpanBuilder is a fixed-size stack object (no
- * heap allocation); instrumentation points guard on
- * SpanSink::enabled(), a single relaxed atomic load, so the disabled
- * cost is a predicted branch.
+ * heap allocation); instrumentation points guard on their Simulator's
+ * SpanSink pointer, so the disabled cost is one null check.
  */
 
 #pragma once
@@ -28,6 +27,8 @@ namespace graphite
 {
 namespace obs
 {
+
+class SpanSink;
 
 /** What kind of transaction a span describes. */
 enum class SpanKind : std::uint8_t
@@ -123,18 +124,18 @@ struct SpanRecord
 /**
  * Builds one span on the stack of the thread driving the transaction.
  *
- * Construction allocates IDs and links to the innermost live builder
- * on this thread (so a writeback modeled inside a miss becomes a
- * child span with the same trace ID). Instrumentation between
+ * Construction allocates an ID from @p sink and links to the innermost
+ * live builder on this thread (so a writeback modeled inside a miss
+ * becomes a child span with the same trace ID). Instrumentation between
  * construction and finish() appends stage marks; finish() hands the
- * record to the SpanSink. A builder destroyed without finish()
- * records nothing.
+ * record to the sink. A builder destroyed without finish() records
+ * nothing.
  */
 class SpanBuilder
 {
   public:
-    SpanBuilder(SpanKind kind, tile_id_t requester, tile_id_t home,
-                cycle_t start);
+    SpanBuilder(SpanSink& sink, SpanKind kind, tile_id_t requester,
+                tile_id_t home, cycle_t start);
     ~SpanBuilder();
 
     SpanBuilder(const SpanBuilder&) = delete;
@@ -152,7 +153,7 @@ class SpanBuilder
     /** Reclassify (e.g. WriteMiss -> Upgrade once known). */
     void setKind(SpanKind kind) { rec_.kind = kind; }
 
-    /** Complete at @p end and hand the record to the SpanSink. */
+    /** Complete at @p end and hand the record to the sink. */
     void finish(cycle_t end);
 
     std::uint64_t traceId() const { return rec_.traceId; }
@@ -160,6 +161,7 @@ class SpanBuilder
     const SpanRecord& record() const { return rec_; }
 
   private:
+    SpanSink& sink_;
     SpanRecord rec_;
     SpanBuilder* prev_; ///< enclosing builder on this thread
     bool finished_ = false;

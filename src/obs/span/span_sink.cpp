@@ -2,10 +2,10 @@
 #include "obs/span/span_sink.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
+#include "common/config.h"
 #include "common/log.h"
 #include "obs/trace_event.h"
 
@@ -13,9 +13,6 @@ namespace graphite
 {
 namespace obs
 {
-
-std::atomic<bool> SpanSink::enabledFlag_{false};
-std::atomic<std::uint64_t> SpanSink::nextId_{1};
 
 namespace
 {
@@ -61,101 +58,51 @@ constexpr std::size_t MAX_INTERVAL_BINS = 4096;
 
 } // namespace
 
-SpanSink::SpanSink() = default;
-
-SpanSink&
-SpanSink::instance()
+SpanSink::SpanSink(tile_id_t total_tiles, Options opt, TraceSink* trace)
+    : opt_(std::move(opt)), totalTiles_(total_tiles), trace_(trace)
 {
-    static SpanSink sink;
-    return sink;
-}
-
-void
-SpanSink::configure(tile_id_t total_tiles, const Options& opt)
-{
-    lockdep::Guard lock(mutex_);
-    opt_ = opt;
     if (opt_.reservoirCapacity == 0)
         opt_.reservoirCapacity = 1;
     if (opt_.intervalCycles == 0)
         opt_.intervalCycles = 100000;
-    totalTiles_ = total_tiles;
-    // Same near-square geometry as MeshShape (network_model.cpp); the
-    // obs layer duplicates the two lines rather than depending on the
-    // network library.
-    meshWidth_ = static_cast<int>(
-        std::ceil(std::sqrt(static_cast<double>(
-            std::max<tile_id_t>(total_tiles, 1)))));
-    int mesh_height = (static_cast<int>(std::max<tile_id_t>(
-                           total_tiles, 1)) +
-                       meshWidth_ - 1) /
-                      meshWidth_;
-
-    completed_.store(0, std::memory_order_relaxed);
-    for (auto& c : stageCycles_)
-        c.store(0, std::memory_order_relaxed);
-    for (auto& c : kindCount_)
-        c.store(0, std::memory_order_relaxed);
-    for (auto& c : kindCycles_)
-        c.store(0, std::memory_order_relaxed);
     homeCount_ = std::vector<atomic_stat_t>(total_tiles);
     homeCycles_ = std::vector<atomic_stat_t>(total_tiles);
-    std::size_t max_dist =
-        static_cast<std::size_t>(meshWidth_ + mesh_height);
+    auto max_dist = static_cast<std::size_t>(std::max(opt_.maxHops, 0));
     distCount_ = std::vector<atomic_stat_t>(max_dist + 1);
     distCycles_ = std::vector<atomic_stat_t>(max_dist + 1);
-    for (auto& row : hist_)
-        for (auto& h : row)
-            h.reset();
-
-    reservoir_.clear();
     reservoir_.reserve(opt_.reservoirCapacity);
-    reservoirSeen_ = 0;
     rngState_ = opt_.seed * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull;
-    slowest_.clear();
-    intervals_.clear();
-    intervalOverflow_ = 0;
 }
 
-void
-SpanSink::setEnabled(bool on)
+std::unique_ptr<SpanSink>
+SpanSink::fromConfig(const Config& cfg, tile_id_t total_tiles,
+                     Options opt, TraceSink* trace)
 {
-    enabledFlag_.store(on, std::memory_order_relaxed);
-}
-
-void
-SpanSink::attachProgress(std::function<cycle_t()> progress)
-{
-    lockdep::Guard lock(mutex_);
-    progress_ = std::move(progress);
-}
-
-void
-SpanSink::detachSources()
-{
-    lockdep::Guard lock(mutex_);
-    progress_ = nullptr;
+    opt.path = cfg.getString("obs/spans_out", "");
+    if (opt.path.empty() && !cfg.getBool("obs/spans_enabled", false))
+        return nullptr;
+    opt.reservoirCapacity = static_cast<std::size_t>(
+        cfg.getInt("obs/span_reservoir", 4096));
+    opt.slowestCapacity =
+        static_cast<std::size_t>(cfg.getInt("obs/span_slowest", 64));
+    opt.intervalCycles =
+        static_cast<cycle_t>(cfg.getInt("obs/span_interval", 100000));
+    opt.flowEvents = cfg.getBool("obs/span_flow_events", true);
+    opt.seed = static_cast<std::uint64_t>(cfg.getInt("rng/seed", 42));
+    return std::make_unique<SpanSink>(total_tiles, std::move(opt), trace);
 }
 
 std::uint16_t
 SpanSink::distance(tile_id_t a, tile_id_t b) const
 {
-    if (a < 0 || b < 0)
+    if (a < 0 || b < 0 || !opt_.hops)
         return 0;
-    int ax = static_cast<int>(a) % meshWidth_;
-    int ay = static_cast<int>(a) / meshWidth_;
-    int bx = static_cast<int>(b) % meshWidth_;
-    int by = static_cast<int>(b) / meshWidth_;
-    return static_cast<std::uint16_t>(std::abs(ax - bx) +
-                                      std::abs(ay - by));
+    return static_cast<std::uint16_t>(opt_.hops(a, b));
 }
 
 void
 SpanSink::complete(const SpanRecord& rec_in)
 {
-    if (!enabled())
-        return;
-
     SpanRecord rec = rec_in;
     rec.distance = distance(rec.requester, rec.home);
 
@@ -184,9 +131,9 @@ SpanSink::complete(const SpanRecord& rec_in)
     bool flow = false;
     {
         lockdep::Guard lock(mutex_);
-        if (progress_)
+        if (opt_.progress)
             rec.skew = static_cast<std::int64_t>(rec.end) -
-                       static_cast<std::int64_t>(progress_());
+                       static_cast<std::int64_t>(opt_.progress());
 
         // Reservoir sampling (algorithm R).
         ++reservoirSeen_;
@@ -233,7 +180,7 @@ SpanSink::complete(const SpanRecord& rec_in)
 
     // Flow events only for sampled spans: bounded event volume, and
     // every arrow in the trace has a matching record in spans.jsonl.
-    if (flow && opt_.flowEvents && TraceSink::enabled())
+    if (flow && opt_.flowEvents && trace_ != nullptr)
         emitFlow(rec);
 }
 
@@ -245,11 +192,9 @@ SpanSink::emitFlow(const SpanRecord& rec)
 
     // Slice on the requester covering the whole transaction; the flow
     // start binds to it.
-    TraceSink::complete(lane(rec.requester), name, rec.start,
-                        rec.total(), "home",
-                        static_cast<std::int64_t>(rec.home));
-    TraceSink::flow('s', lane(rec.requester), name, rec.start,
-                    rec.spanId);
+    trace_->complete(lane(rec.requester), name, rec.start, rec.total(),
+                     "home", static_cast<std::int64_t>(rec.home));
+    trace_->flow('s', lane(rec.requester), name, rec.start, rec.spanId);
 
     // Home-side occupancy slice + flow step, when the transaction
     // actually visited a remote home.
@@ -266,12 +211,10 @@ SpanSink::emitFlow(const SpanRecord& rec)
             any = true;
         }
         if (any) {
-            TraceSink::complete(lane(rec.home), "span.home", h_begin,
-                                h_end - h_begin, "requester",
-                                static_cast<std::int64_t>(
-                                    rec.requester));
-            TraceSink::flow('t', lane(rec.home), name, h_begin,
-                            rec.spanId);
+            trace_->complete(lane(rec.home), "span.home", h_begin,
+                             h_end - h_begin, "requester",
+                             static_cast<std::int64_t>(rec.requester));
+            trace_->flow('t', lane(rec.home), name, h_begin, rec.spanId);
         }
     }
 
@@ -280,10 +223,10 @@ SpanSink::emitFlow(const SpanRecord& rec)
     tile_id_t end_tile =
         rec.kind == SpanKind::AppMsg ? rec.home : rec.requester;
     if (rec.kind == SpanKind::AppMsg && rec.home >= 0)
-        TraceSink::complete(lane(rec.home), "span.deliver",
-                            rec.end, 0, "sender",
-                            static_cast<std::int64_t>(rec.requester));
-    TraceSink::flow('f', lane(end_tile), name, rec.end, rec.spanId);
+        trace_->complete(lane(rec.home), "span.deliver", rec.end, 0,
+                         "sender",
+                         static_cast<std::int64_t>(rec.requester));
+    trace_->flow('f', lane(end_tile), name, rec.end, rec.spanId);
 }
 
 std::vector<SpanRecord>
@@ -433,43 +376,14 @@ SpanSink::renderJsonl() const
 }
 
 void
-SpanSink::writeFile(const std::string& path) const
+SpanSink::writeFile() const
 {
     std::string doc = renderJsonl();
-    std::FILE* f = std::fopen(path.c_str(), "wb");
+    std::FILE* f = std::fopen(opt_.path.c_str(), "wb");
     if (f == nullptr)
-        fatal("spans: cannot open '{}' for writing", path);
+        fatal("spans: cannot open '{}' for writing", opt_.path);
     std::fwrite(doc.data(), 1, doc.size(), f);
     std::fclose(f);
-}
-
-void
-SpanSink::reset()
-{
-    setEnabled(false);
-    lockdep::Guard lock(mutex_);
-    progress_ = nullptr;
-    totalTiles_ = 0;
-    meshWidth_ = 1;
-    completed_.store(0, std::memory_order_relaxed);
-    for (auto& c : stageCycles_)
-        c.store(0, std::memory_order_relaxed);
-    for (auto& c : kindCount_)
-        c.store(0, std::memory_order_relaxed);
-    for (auto& c : kindCycles_)
-        c.store(0, std::memory_order_relaxed);
-    homeCount_.clear();
-    homeCycles_.clear();
-    distCount_.clear();
-    distCycles_.clear();
-    for (auto& row : hist_)
-        for (auto& h : row)
-            h.reset();
-    reservoir_.clear();
-    reservoirSeen_ = 0;
-    slowest_.clear();
-    intervals_.clear();
-    intervalOverflow_ = 0;
 }
 
 } // namespace obs

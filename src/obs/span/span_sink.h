@@ -1,6 +1,6 @@
 /**
  * @file
- * Process-global collector and aggregator of completed spans.
+ * One Simulator's collector and aggregator of completed spans.
  *
  * Completion is the only synchronization point of the span engine:
  * builders live on the completing thread's stack, so the sink sees
@@ -28,7 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,10 +39,15 @@
 
 namespace graphite
 {
+
+class Config;
+
 namespace obs
 {
 
-/** Process-global span collector. */
+class TraceSink;
+
+/** One Simulator's span collector. */
 class SpanSink
 {
   public:
@@ -55,38 +60,40 @@ class SpanSink
          *  event tracer enabled too). */
         bool flowEvents = true;
         std::uint64_t seed = 42;
+        /** Mesh hops between two tiles (the network's MeshShape) and
+         *  the largest value it returns; null = every distance 0. */
+        std::function<int(tile_id_t, tile_id_t)> hops;
+        int maxHops = 0;
+        /** Global-progress estimate used to stamp per-span skew;
+         *  null = skew 0. */
+        std::function<cycle_t()> progress;
+        /** spans.jsonl destination; empty = aggregates and stats only. */
+        std::string path;
     };
 
-    static SpanSink& instance();
+    /**
+     * A sink for @p total_tiles tiles. Flow events go to @p trace when
+     * it is non-null.
+     */
+    SpanSink(tile_id_t total_tiles, Options opt,
+             TraceSink* trace = nullptr);
 
-    /** Cached enable flag — the only hot-path check. */
-    static bool
-    enabled()
-    {
-        return enabledFlag_.load(std::memory_order_relaxed);
-    }
+    /**
+     * The sink `obs/spans_out` or `obs/spans_enabled` asks for, with the
+     * remaining [obs] span keys read into @p opt (whose hops, maxHops
+     * and progress the caller supplies). Null when spans are off.
+     */
+    static std::unique_ptr<SpanSink> fromConfig(const Config& cfg,
+                                                tile_id_t total_tiles,
+                                                Options opt,
+                                                TraceSink* trace);
 
-    /** Allocate a process-unique span ID (never 0). */
-    static std::uint64_t
+    /** Allocate a span ID unique within this sink (never 0). */
+    std::uint64_t
     nextSpanId()
     {
         return nextId_.fetch_add(1, std::memory_order_relaxed);
     }
-
-    /** (Re)initialize for a run over @p total_tiles tiles. */
-    void configure(tile_id_t total_tiles, const Options& opt);
-
-    void setEnabled(bool on);
-
-    /**
-     * Wire the global-progress estimate used to stamp per-span skew.
-     * Cleared by detachSources(); spans completing with no callback
-     * get skew 0.
-     */
-    void attachProgress(std::function<cycle_t()> progress);
-
-    /** Drop simulator-owned callbacks (call before the sim dies). */
-    void detachSources();
 
     /** Record a finished span (called by SpanBuilder::finish). */
     void complete(const SpanRecord& rec);
@@ -122,17 +129,16 @@ class SpanSink
     std::size_t sampledCount() const;
     /** @} */
 
-    /** Mesh hops between two tiles (the models' MeshShape geometry). */
+    /** Mesh hops between two tiles (Options::hops). */
     std::uint16_t distance(tile_id_t a, tile_id_t b) const;
 
     /** Render the spans.jsonl document. */
     std::string renderJsonl() const;
 
-    /** Write renderJsonl() to @p path; fatal on I/O error. */
-    void writeFile(const std::string& path) const;
+    const std::string& path() const { return opt_.path; }
 
-    /** Drop all state; leaves the sink disabled. */
-    void reset();
+    /** Write renderJsonl() to path(); fatal on I/O error. */
+    void writeFile() const;
 
   private:
     struct IntervalBin
@@ -141,17 +147,12 @@ class SpanSink
         stat_t stage[NUM_SPAN_STAGES] = {};
     };
 
-    SpanSink();
-
     void emitFlow(const SpanRecord& rec);
 
-    static std::atomic<bool> enabledFlag_;
-    static std::atomic<std::uint64_t> nextId_;
-
     Options opt_;
-    int meshWidth_ = 1;
-    tile_id_t totalTiles_ = 0;
-    std::function<cycle_t()> progress_;
+    tile_id_t totalTiles_;
+    TraceSink* trace_;
+    std::atomic<std::uint64_t> nextId_{1};
 
     atomic_stat_t completed_{0};
     atomic_stat_t stageCycles_[NUM_SPAN_STAGES] = {};
@@ -166,7 +167,7 @@ class SpanSink
     mutable lockdep::OrderedMutex mutex_{lockdep::LockClass::span_sink};
     std::vector<SpanRecord> reservoir_;
     std::uint64_t reservoirSeen_ = 0;
-    std::uint64_t rngState_ = 0x9e3779b97f4a7c15ull;
+    std::uint64_t rngState_;
     std::vector<SpanRecord> slowest_; ///< sorted descending by total
     std::vector<IntervalBin> intervals_;
     stat_t intervalOverflow_ = 0; ///< spans past the last bin

@@ -159,17 +159,21 @@ renderStatusJson(const StatusSource& src, const WatchdogView* wd)
     // Accuracy observatory: lax-sync skew and causality-violation
     // gauges (disarmed => armed:false with zeroed fields).
     {
-        const auto& acc = accuracy::AccuracyObservatory::instance();
-        bool armed = accuracy::AccuracyObservatory::armed();
+        const accuracy::AccuracyObservatory* acc = src.accuracy;
         os << "\"sync_skew\":{";
-        os << "\"armed\":" << (armed ? "true" : "false") << ",";
-        os << "\"causality_violations\":" << acc.violations() << ",";
-        os << "\"deliveries_checked\":" << acc.deliveries() << ",";
-        os << "\"worst_magnitude_cycles\":" << acc.worstMagnitude()
+        os << "\"armed\":" << (acc ? "true" : "false") << ",";
+        os << "\"causality_violations\":" << (acc ? acc->violations() : 0)
            << ",";
-        os << "\"pair_skew_max_cycles\":" << acc.pairSkewMax() << ",";
-        os << "\"pair_skew_mean_cycles\":" << acc.pairSkewMean() << ",";
-        os << "\"pair_samples\":" << acc.pairSamples() << "},";
+        os << "\"deliveries_checked\":" << (acc ? acc->deliveries() : 0)
+           << ",";
+        os << "\"worst_magnitude_cycles\":"
+           << (acc ? acc->worstMagnitude() : 0) << ",";
+        os << "\"pair_skew_max_cycles\":" << (acc ? acc->pairSkewMax() : 0)
+           << ",";
+        os << "\"pair_skew_mean_cycles\":"
+           << (acc ? acc->pairSkewMean() : 0.0) << ",";
+        os << "\"pair_samples\":" << (acc ? acc->pairSamples() : 0)
+           << "},";
     }
 
     // Host execution pool health (no pool source => enabled:false).

@@ -29,6 +29,11 @@ namespace graphite
 {
 namespace obs
 {
+
+namespace accuracy
+{
+class AccuracyObservatory;
+}
 namespace telemetry
 {
 
@@ -91,6 +96,8 @@ struct StatusSource
     /** Null/empty when the source has no host scheduler (unit tests). */
     std::function<HostPoolStatus()> hostPool;
     std::string syncModelName;
+    /** The Simulator's accuracy observatory; null when disarmed. */
+    const accuracy::AccuracyObservatory* accuracy = nullptr;
     std::chrono::steady_clock::time_point start =
         std::chrono::steady_clock::now();
 };

@@ -5,58 +5,49 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/config.h"
 #include "common/log.h"
+#include "common/strfmt.h"
 
 namespace graphite
 {
 namespace obs
 {
 
-std::atomic<bool> TraceSink::enabledFlag_{false};
-
-TraceSink&
-TraceSink::instance()
+TraceSink::TraceSink(std::vector<std::string> lane_names,
+                     std::size_t capacity, std::string path)
+    : capacity_(capacity), path_(std::move(path))
 {
-    static TraceSink sink;
-    return sink;
-}
-
-void
-TraceSink::configure(std::uint32_t num_lanes, std::size_t capacity)
-{
-    lockdep::Guard lock(configMutex_);
-    lanes_.clear();
-    lanes_.reserve(num_lanes);
-    for (std::uint32_t i = 0; i < num_lanes; ++i) {
+    lanes_.reserve(lane_names.size());
+    for (std::size_t i = 0; i < lane_names.size(); ++i) {
         auto lane = std::make_unique<Lane>();
-        lane->mutex.setInstance(i);
+        lane->mutex.setInstance(static_cast<std::int64_t>(i));
         lane->events.reserve(capacity);
+        lane->name = std::move(lane_names[i]);
         lanes_.push_back(std::move(lane));
     }
-    capacity_ = capacity;
 }
 
-void
-TraceSink::setEnabled(bool on)
+std::unique_ptr<TraceSink>
+TraceSink::fromConfig(const Config& cfg, tile_id_t total_tiles)
 {
-    enabledFlag_.store(on, std::memory_order_relaxed);
-}
-
-void
-TraceSink::setLaneName(std::uint32_t lane, std::string name)
-{
-    lockdep::Guard lock(configMutex_);
-    if (lane < lanes_.size())
-        lanes_[lane]->name = std::move(name);
+    std::string path = cfg.getString("obs/trace_out", "");
+    if (path.empty())
+        return nullptr;
+    auto capacity = static_cast<std::size_t>(
+        cfg.getInt("obs/trace_buffer_capacity", 65536));
+    std::vector<std::string> names;
+    for (tile_id_t t = 0; t < total_tiles; ++t)
+        names.push_back(strfmt("tile {}", t));
+    names.emplace_back("mcp");
+    return std::make_unique<TraceSink>(std::move(names), capacity,
+                                       std::move(path));
 }
 
 void
 TraceSink::record(const TraceEvent& ev)
 {
-    // The lanes_ vector shape is fixed between configure() calls, and
-    // instrumentation only runs while a simulation is live, so indexing
-    // without configMutex_ is safe; events from an unconfigured or
-    // out-of-range lane are dropped.
+    // Events from an out-of-range lane are dropped.
     if (ev.lane >= lanes_.size())
         return;
     Lane& lane = *lanes_[ev.lane];
@@ -72,8 +63,6 @@ void
 TraceSink::complete(std::uint32_t lane, const char* name, cycle_t ts,
                     cycle_t dur, const char* arg_name, std::int64_t arg)
 {
-    if (!enabled())
-        return;
     TraceEvent ev;
     ev.name = name;
     ev.argName = arg_name;
@@ -82,15 +71,13 @@ TraceSink::complete(std::uint32_t lane, const char* name, cycle_t ts,
     ev.arg = arg;
     ev.lane = lane;
     ev.phase = 'X';
-    instance().record(ev);
+    record(ev);
 }
 
 void
 TraceSink::instant(std::uint32_t lane, const char* name, cycle_t ts,
                    const char* arg_name, std::int64_t arg)
 {
-    if (!enabled())
-        return;
     TraceEvent ev;
     ev.name = name;
     ev.argName = arg_name;
@@ -98,30 +85,26 @@ TraceSink::instant(std::uint32_t lane, const char* name, cycle_t ts,
     ev.arg = arg;
     ev.lane = lane;
     ev.phase = 'i';
-    instance().record(ev);
+    record(ev);
 }
 
 void
 TraceSink::counter(std::uint32_t lane, const char* name, cycle_t ts,
                    std::int64_t value)
 {
-    if (!enabled())
-        return;
     TraceEvent ev;
     ev.name = name;
     ev.ts = ts;
     ev.arg = value;
     ev.lane = lane;
     ev.phase = 'C';
-    instance().record(ev);
+    record(ev);
 }
 
 void
 TraceSink::flow(char phase, std::uint32_t lane, const char* name,
                 cycle_t ts, std::uint64_t id)
 {
-    if (!enabled())
-        return;
     GRAPHITE_ASSERT(phase == 's' || phase == 't' || phase == 'f');
     TraceEvent ev;
     ev.name = name;
@@ -129,13 +112,12 @@ TraceSink::flow(char phase, std::uint32_t lane, const char* name,
     ev.id = id;
     ev.lane = lane;
     ev.phase = phase;
-    instance().record(ev);
+    record(ev);
 }
 
 std::size_t
 TraceSink::recorded() const
 {
-    lockdep::Guard lock(configMutex_);
     std::size_t total = 0;
     for (const auto& lane : lanes_) {
         lockdep::Guard ll(lane->mutex);
@@ -147,7 +129,6 @@ TraceSink::recorded() const
 std::size_t
 TraceSink::dropped() const
 {
-    lockdep::Guard lock(configMutex_);
     std::size_t total = 0;
     for (const auto& lane : lanes_) {
         lockdep::Guard ll(lane->mutex);
@@ -186,7 +167,6 @@ appendEscaped(std::ostringstream& os, std::string_view s)
 std::string
 TraceSink::toJson() const
 {
-    lockdep::Guard lock(configMutex_);
     std::ostringstream os;
     os << "{\"traceEvents\":[";
     bool first = true;
@@ -258,23 +238,14 @@ TraceSink::toJson() const
 }
 
 void
-TraceSink::writeFile(const std::string& path) const
+TraceSink::writeFile() const
 {
     std::string json = toJson();
-    std::FILE* f = std::fopen(path.c_str(), "wb");
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
     if (f == nullptr)
-        fatal("trace: cannot open '{}' for writing", path);
+        fatal("trace: cannot open '{}' for writing", path_);
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
-}
-
-void
-TraceSink::reset()
-{
-    setEnabled(false);
-    lockdep::Guard lock(configMutex_);
-    lanes_.clear();
-    capacity_ = 0;
 }
 
 } // namespace obs

@@ -8,11 +8,11 @@
  * trace microseconds (1 cycle == 1 us of display time), so the viewer
  * shows target time, not host time.
  *
- * Hot-path discipline: every recording helper first checks a cached
- * process-global enable flag (one relaxed atomic load, no locks). When
- * disabled — the default — instrumentation points cost a predicted
- * branch. When enabled, a per-lane mutex guards the lane's ring; lanes
- * are effectively single-writer (a tile's events come from the thread
+ * Each Simulator owns its sink, built only when `obs/trace_out` is set;
+ * components hold a non-owning pointer, so the disabled hot path — the
+ * default — is one null check. Lanes and their names are fixed at
+ * construction. A per-lane mutex guards the lane's ring; lanes are
+ * effectively single-writer (a tile's events come from the thread
  * occupying it), so contention is nil. Rings overwrite nothing: once a
  * lane is full further events are dropped and counted, keeping the
  * *beginning* of the run — the part whose thread-spawn structure makes
@@ -21,10 +21,8 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -33,6 +31,9 @@
 
 namespace graphite
 {
+
+class Config;
+
 namespace obs
 {
 
@@ -51,48 +52,42 @@ struct TraceEvent
     char phase = 'i';
 };
 
-/** Process-global trace sink. */
+/** One Simulator's trace sink. */
 class TraceSink
 {
   public:
-    /** The sink used by all instrumentation points. */
-    static TraceSink& instance();
-
-    /** Cached enable flag — the only hot-path check. */
-    static bool
-    enabled()
-    {
-        return enabledFlag_.load(std::memory_order_relaxed);
-    }
+    /**
+     * One ring of @p capacity events per entry of @p lane_names (the
+     * viewer's thread names). @p path is where writeFile() puts the
+     * document; empty for render-only sinks (tests).
+     */
+    TraceSink(std::vector<std::string> lane_names, std::size_t capacity,
+              std::string path = "");
 
     /**
-     * (Re)initialize for a run: @p num_lanes rings of @p capacity events
-     * each. Discards previously recorded events.
+     * The sink `obs/trace_out` asks for: one lane per tile plus one for
+     * the MCP service thread, `obs/trace_buffer_capacity` events each.
+     * Null when the key is empty (tracing off).
      */
-    void configure(std::uint32_t num_lanes, std::size_t capacity);
+    static std::unique_ptr<TraceSink> fromConfig(const Config& cfg,
+                                                 tile_id_t total_tiles);
 
-    void setEnabled(bool on);
-
-    /** Label a lane ("tile 3", "mcp") for the viewer's thread list. */
-    void setLaneName(std::uint32_t lane, std::string name);
-
-    /** @name Recording (no-ops while disabled) @{ */
-    static void complete(std::uint32_t lane, const char* name, cycle_t ts,
-                         cycle_t dur, const char* arg_name = nullptr,
-                         std::int64_t arg = 0);
-    static void instant(std::uint32_t lane, const char* name, cycle_t ts,
-                        const char* arg_name = nullptr,
-                        std::int64_t arg = 0);
-    static void counter(std::uint32_t lane, const char* name, cycle_t ts,
-                        std::int64_t value);
+    /** @name Recording @{ */
+    void complete(std::uint32_t lane, const char* name, cycle_t ts,
+                  cycle_t dur, const char* arg_name = nullptr,
+                  std::int64_t arg = 0);
+    void instant(std::uint32_t lane, const char* name, cycle_t ts,
+                 const char* arg_name = nullptr, std::int64_t arg = 0);
+    void counter(std::uint32_t lane, const char* name, cycle_t ts,
+                 std::int64_t value);
     /**
      * Record a flow event: @p phase is 's' (start), 't' (step) or
      * 'f' (end). Events with the same @p name and @p id form one
      * arrow chain; the 'f' event binds to the enclosing slice
      * ("bp":"e"). All events of one chain share category "span".
      */
-    static void flow(char phase, std::uint32_t lane, const char* name,
-                     cycle_t ts, std::uint64_t id);
+    void flow(char phase, std::uint32_t lane, const char* name,
+              cycle_t ts, std::uint64_t id);
     /** @} */
 
     /** Events currently held across all lanes. */
@@ -104,11 +99,10 @@ class TraceSink
     /** Render the Chrome trace JSON document. */
     std::string toJson() const;
 
-    /** Write toJson() to @p path; fatal if the file cannot be written. */
-    void writeFile(const std::string& path) const;
+    const std::string& path() const { return path_; }
 
-    /** Drop all lanes and recorded events; leaves the sink disabled. */
-    void reset();
+    /** Write toJson() to path(); fatal if the file cannot be written. */
+    void writeFile() const;
 
   private:
     struct Lane
@@ -121,12 +115,9 @@ class TraceSink
 
     void record(const TraceEvent& ev);
 
-    static std::atomic<bool> enabledFlag_;
-
-    mutable lockdep::OrderedMutex configMutex_{
-        lockdep::LockClass::trace_config}; ///< guards lanes_ vector shape
-    std::vector<std::unique_ptr<Lane>> lanes_;
-    std::size_t capacity_ = 0;
+    std::vector<std::unique_ptr<Lane>> lanes_; ///< fixed at construction
+    std::size_t capacity_;
+    std::string path_;
 };
 
 } // namespace obs

@@ -18,6 +18,8 @@ namespace
 {
 
 thread_local int t_suppress = 0;
+/** The calling thread's current site, interned by t_siteOwner. */
+thread_local const Detector* t_siteOwner = nullptr;
 thread_local std::uint32_t t_site = 0;
 thread_local const char* t_siteName = nullptr;
 
@@ -62,15 +64,6 @@ hexStr(addr_t v)
 
 } // namespace
 
-std::atomic<bool> Detector::armedFlag_{false};
-
-Detector&
-Detector::instance()
-{
-    static Detector detector;
-    return detector;
-}
-
 Detector::InternalScope::InternalScope()
 {
     ++t_suppress;
@@ -101,61 +94,43 @@ Detector::parseGranularity(const std::string& name)
           name);
 }
 
-void
-Detector::configure(const Config& cfg, tile_id_t total_tiles)
+Detector::Detector(const Config& cfg, tile_id_t total_tiles,
+                   obs::TraceSink* trace)
+    : totalTiles_(total_tiles),
+      granularity_(parseGranularity(
+          cfg.getString("race/granularity", "adaptive"))),
+      maxShadowLines_(static_cast<std::uint64_t>(
+          cfg.getInt("race/max_shadow_lines", 1 << 20))),
+      maxRecords_(
+          static_cast<std::uint64_t>(cfg.getInt("race/max_records", 256))),
+      reportOut_(cfg.getString("race/report_out", "")),
+      trace_(trace)
 {
-    bool enabled = cfg.getBool("race/enabled", false);
-    armedFlag_.store(enabled, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < NUM_SHARDS; ++i)
+        shards_[i].mutex.setInstance(static_cast<std::int64_t>(i));
+    threads_.assign(static_cast<std::size_t>(total_tiles), ThreadState{});
+    for (ThreadState& t : threads_)
+        t.vc.assign(static_cast<std::size_t>(total_tiles), 0);
+    // Clocks start at 1 so a live epoch never equals EPOCH_NONE.
+    for (tile_id_t t = 0; t < total_tiles; ++t)
+        threads_[t].vc[t] = 1;
+    siteNames_.assign(1, "?");
+}
 
-    totalTiles_ = total_tiles;
-    granularity_ = parseGranularity(
-        cfg.getString("race/granularity", "adaptive"));
-    maxShadowLines_ = static_cast<std::uint64_t>(
-        cfg.getInt("race/max_shadow_lines", 1 << 20));
-    maxRecords_ =
-        static_cast<std::uint64_t>(cfg.getInt("race/max_records", 256));
-    reportOut_ = cfg.getString("race/report_out", "");
-
-    for (Shard& s : shards_) {
-        lockdep::Guard lock(s.mutex);
-        s.lines.clear();
-    }
-    {
-        lockdep::Guard lock(syncMutex_);
-        threads_.assign(static_cast<std::size_t>(total_tiles),
-                        ThreadState{});
-        for (ThreadState& t : threads_)
-            t.vc.assign(static_cast<std::size_t>(total_tiles), 0);
-        // Clocks start at 1 so a live epoch never equals EPOCH_NONE.
-        for (tile_id_t t = 0; t < total_tiles; ++t)
-            threads_[t].vc[t] = 1;
-        syncVc_.clear();
-        barriers_.clear();
-        channels_.clear();
-    }
-    {
-        lockdep::Guard lock(recordsMutex_);
-        records_.clear();
-        recordIndex_.clear();
-    }
-    {
-        lockdep::Guard lock(sitesMutex_);
-        siteNames_.assign(1, "?");
-        siteIds_.clear();
-    }
-    races_.store(0, std::memory_order_relaxed);
-    checked_.store(0, std::memory_order_relaxed);
-    edges_.store(0, std::memory_order_relaxed);
-    evictions_.store(0, std::memory_order_relaxed);
-    expansions_.store(0, std::memory_order_relaxed);
-    lineCount_.store(0, std::memory_order_relaxed);
+std::unique_ptr<Detector>
+Detector::fromConfig(const Config& cfg, tile_id_t total_tiles,
+                     obs::TraceSink* trace)
+{
+    if (!cfg.getBool("race/enabled", false))
+        return nullptr;
+    return std::make_unique<Detector>(cfg, total_tiles, trace);
 }
 
 std::uint32_t
 Detector::setSite(const char* name)
 {
     // Fast path: the same string literal as last time on this thread.
-    if (name == t_siteName)
+    if (name == t_siteName && t_siteOwner == this)
         return t_site;
     std::uint32_t id;
     {
@@ -166,6 +141,7 @@ Detector::setSite(const char* name)
             siteNames_.emplace_back(name);
         id = it->second;
     }
+    t_siteOwner = this;
     t_siteName = name;
     t_site = id;
     return id;
@@ -204,7 +180,7 @@ Detector::onAccess(tile_id_t tile, addr_t addr, std::uint64_t size,
     // The thread's own clock vector is only mutated by itself or by the
     // MCP while it is blocked, so it is quiescent here (see header).
     const std::vector<std::uint64_t>& vc = threads_[tile].vc;
-    std::uint32_t site = t_site;
+    std::uint32_t site = t_siteOwner == this ? t_site : 0;
 
     addr_t first = addr & ~addr_t{3};
     addr_t last = (addr + size - 1) & ~addr_t{3};
@@ -511,9 +487,9 @@ Detector::report(RaceKind kind, addr_t addr, epoch_t prev,
                  cycle_t when)
 {
     races_.fetch_add(1, std::memory_order_relaxed);
-    obs::TraceSink::instant(static_cast<std::uint32_t>(cur_tile),
-                            "race", when, "addr",
-                            static_cast<std::int64_t>(addr));
+    if (trace_ != nullptr)
+        trace_->instant(static_cast<std::uint32_t>(cur_tile), "race", when,
+                        "addr", static_cast<std::int64_t>(addr));
 
     std::uint64_t key =
         mix64(addr) ^ mix64((static_cast<std::uint64_t>(kind) << 60) ^

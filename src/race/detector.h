@@ -51,9 +51,9 @@
  * Config ([race]): enabled, granularity, max_shadow_lines, max_records,
  * report_out (JSONL for tools/race_report.py).
  *
- * Like check::FaultPlan, the detector is process-global, reconfigured
- * by each Simulator's constructor; the disabled hot path is one relaxed
- * atomic load.
+ * Each Simulator owns its detector, built only when `race/enabled` is
+ * set; the hooks hold a non-owning pointer, so the disabled hot path is
+ * one null check.
  */
 
 #pragma once
@@ -78,6 +78,11 @@ namespace graphite
 {
 
 class Config;
+
+namespace obs
+{
+class TraceSink;
+}
 
 namespace race
 {
@@ -137,21 +142,21 @@ struct RaceRecord
     std::uint64_t count = 1; ///< occurrences folded into this record
 };
 
-/** Process-global happens-before race detector. */
+/** One Simulator's happens-before race detector. */
 class Detector
 {
   public:
-    static Detector& instance();
+    /**
+     * A detector over @p total_tiles tiles configured by the remaining
+     * [race] keys. Reports also land in @p trace when it is non-null.
+     */
+    Detector(const Config& cfg, tile_id_t total_tiles,
+             obs::TraceSink* trace = nullptr);
 
-    /** Read the [race] keys and (re)arm; resets all state. */
-    void configure(const Config& cfg, tile_id_t total_tiles);
-
-    /** Cheap hot-path guard: detector armed in this process? */
-    static bool
-    armed()
-    {
-        return armedFlag_.load(std::memory_order_relaxed);
-    }
+    /** The detector `race/enabled` asks for; null when it is off. */
+    static std::unique_ptr<Detector> fromConfig(const Config& cfg,
+                                                tile_id_t total_tiles,
+                                                obs::TraceSink* trace);
 
     /**
      * Suppress data-access checking on the calling thread while alive
@@ -321,12 +326,6 @@ class Detector
         std::map<std::uint64_t, std::vector<std::uint64_t>> released;
     };
 
-    Detector()
-    {
-        for (std::size_t i = 0; i < NUM_SHARDS; ++i)
-            shards_[i].mutex.setInstance(static_cast<std::int64_t>(i));
-    }
-
     void checkWord(tile_id_t tile, const std::vector<std::uint64_t>& vc,
                    addr_t word_addr, bool is_write, std::uint32_t site,
                    cycle_t when);
@@ -340,13 +339,12 @@ class Detector
     static void join(std::vector<std::uint64_t>& into,
                      const std::vector<std::uint64_t>& from);
 
-    static std::atomic<bool> armedFlag_;
-
-    tile_id_t totalTiles_ = 0;
-    Granularity granularity_ = Granularity::Adaptive;
-    std::uint64_t maxShadowLines_ = 1ull << 20;
-    std::uint64_t maxRecords_ = 256;
+    tile_id_t totalTiles_;
+    Granularity granularity_;
+    std::uint64_t maxShadowLines_;
+    std::uint64_t maxRecords_;
     std::string reportOut_;
+    obs::TraceSink* trace_;
 
     std::array<Shard, NUM_SHARDS> shards_;
 

@@ -18,10 +18,12 @@ SkewTracker::SkewTracker(std::uint64_t min_period_us)
 }
 
 void
-SkewTracker::attachCores(std::vector<SkewSource> cores)
+SkewTracker::attachCores(std::vector<SkewSource> cores,
+                         const obs::Observers& observers)
 {
     lockdep::Guard lock(mutex_);
     cores_ = std::move(cores);
+    obs_ = observers;
 }
 
 void
@@ -71,10 +73,9 @@ SkewTracker::maybeSnapshot()
 
     // The envelope extremes define the worst tile pair this snapshot;
     // feed it to the accuracy observatory's skew matrix.
-    if (obs::accuracy::AccuracyObservatory::armed() &&
-        fast_tile != slow_tile)
-        obs::accuracy::AccuracyObservatory::instance().onPairObserved(
-            fast_tile, slow_tile, fast_clock, slow_clock);
+    if (obs_.accuracy && fast_tile != slow_tile)
+        obs_.accuracy->onPairObserved(fast_tile, slow_tile, fast_clock,
+                                      slow_clock);
     double mean = sum / n;
     Snapshot s;
     s.wallSeconds =
@@ -88,11 +89,13 @@ SkewTracker::maybeSnapshot()
     snaps_.push_back(s);
 
     // Counter tracks on lane 0 plot the skew envelope over target time.
-    auto ts = static_cast<cycle_t>(mean);
-    obs::TraceSink::counter(0, "skew.max_cycles", ts,
+    if (obs_.trace) {
+        auto ts = static_cast<cycle_t>(mean);
+        obs_.trace->counter(0, "skew.max_cycles", ts,
                             static_cast<std::int64_t>(s.maxSkew));
-    obs::TraceSink::counter(0, "skew.min_cycles", ts,
+        obs_.trace->counter(0, "skew.min_cycles", ts,
                             static_cast<std::int64_t>(s.minSkew));
+    }
 }
 
 size_t

@@ -26,6 +26,7 @@
 
 #include "common/fixed_types.h"
 #include "common/lockdep.h"
+#include "obs/observers.h"
 
 namespace graphite
 {
@@ -48,8 +49,12 @@ class SkewTracker
     /** @param min_period_us minimum wall time between snapshots. */
     explicit SkewTracker(std::uint64_t min_period_us = 2000);
 
-    /** Attach the cores whose clocks are snapshot (before the run). */
-    void attachCores(std::vector<SkewSource> cores);
+    /**
+     * Attach the cores whose clocks are snapshot (before the run), and
+     * the trace sink and accuracy observatory snapshots feed.
+     */
+    void attachCores(std::vector<SkewSource> cores,
+                     const obs::Observers& observers = {});
 
     /**
      * Take a snapshot if at least the configured period elapsed since
@@ -87,6 +92,7 @@ class SkewTracker
     std::uint64_t minPeriodUs_;
     mutable lockdep::OrderedMutex mutex_{lockdep::LockClass::skew_tracker};
     std::vector<SkewSource> cores_;
+    obs::Observers obs_;
     std::chrono::steady_clock::time_point lastSnap_;
     std::vector<Snapshot> snaps_;
 };

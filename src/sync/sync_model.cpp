@@ -142,7 +142,8 @@ LaxBarrierSync::arrive(tile_id_t tile, cycle_t now)
     obs::telemetry::FlightRecorder::record(
         obs::telemetry::FrEvent::SyncBarrier, tile, now, released_epoch,
         static_cast<std::uint64_t>(dt));
-    obs::TraceSink::instant(static_cast<std::uint32_t>(tile),
+    if (obs_.trace)
+        obs_.trace->instant(static_cast<std::uint32_t>(tile),
                             "sync.barrier", now, "wait_us", dt);
 }
 
@@ -239,9 +240,9 @@ LaxP2PSync::periodicSync(CoreModel& core)
     // Each partner check is an interaction point: feed the observed
     // clock pair to the accuracy observatory's skew matrix (pure
     // observation, no effect on the park decision below).
-    if (obs::accuracy::AccuracyObservatory::armed())
-        obs::accuracy::AccuracyObservatory::instance().onPairObserved(
-            tile, partner, my_clock, partner_clock);
+    if (obs_.accuracy)
+        obs_.accuracy->onPairObserved(tile, partner, my_clock,
+                                      partner_clock);
 
     if (my_clock <= partner_clock || my_clock - partner_clock <= slack_)
         return;
@@ -259,7 +260,8 @@ LaxP2PSync::periodicSync(CoreModel& core)
     obs::telemetry::FlightRecorder::record(
         obs::telemetry::FrEvent::SyncSleep, tile, my_clock,
         static_cast<std::uint64_t>(micros), my_clock - partner_clock);
-    obs::TraceSink::instant(static_cast<std::uint32_t>(tile),
+    if (obs_.trace)
+        obs_.trace->instant(static_cast<std::uint32_t>(tile),
                             "sync.p2p_park", my_clock, "park_us", micros);
 }
 

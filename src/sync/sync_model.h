@@ -38,6 +38,7 @@
 #include "common/lockdep.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "obs/observers.h"
 
 namespace graphite
 {
@@ -68,6 +69,12 @@ class SyncModel
      * and LaxP2P parks on the scheduler's skew gate.
      */
     void attachScheduler(host::HostScheduler* sched) { sched_ = sched; }
+
+    /** Attach the Simulator's trace sink and accuracy observatory. */
+    void attachObservers(const obs::Observers& observers)
+    {
+        obs_ = observers;
+    }
 
     /** A thread began running on @p core's tile. */
     virtual void threadStart(CoreModel& core) = 0;
@@ -111,6 +118,7 @@ class SyncModel
 
   protected:
     host::HostScheduler* sched_ = nullptr;
+    obs::Observers obs_;
 };
 
 /** §3.6.1 — application events only; periodicSync is a no-op. */

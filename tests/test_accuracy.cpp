@@ -21,7 +21,6 @@
 #include <set>
 #include <string>
 
-#include "check/fault.h"
 #include "common/config.h"
 #include "core/simulator.h"
 #include "obs/accuracy/accuracy.h"
@@ -38,14 +37,6 @@ namespace accuracy
 namespace
 {
 
-/** Return the observatory to the shipping default (disarmed). */
-void
-disarmObservatory()
-{
-    AccuracyObservatory::instance().configure(defaultTargetConfig(), 0);
-    ASSERT_FALSE(AccuracyObservatory::armed());
-}
-
 // ------------------------------------------------------------ unit level
 
 class AccuracyUnit : public ::testing::Test
@@ -56,19 +47,13 @@ class AccuracyUnit : public ::testing::Test
     void
     SetUp() override
     {
-        Config cfg = defaultTargetConfig();
-        cfg.setBool("accuracy/enabled", true);
-        AccuracyObservatory& acc = AccuracyObservatory::instance();
-        acc.configure(cfg, TILES);
-        ASSERT_TRUE(AccuracyObservatory::armed());
         for (tile_id_t t = 0; t < TILES; ++t) {
             clocks_[t].store(0, std::memory_order_relaxed);
             acc.attachClock(t, &clocks_[t]);
         }
     }
 
-    void TearDown() override { disarmObservatory(); }
-
+    AccuracyObservatory acc{TILES};
     std::atomic<cycle_t> clocks_[TILES];
 };
 
@@ -91,7 +76,6 @@ TEST_F(AccuracyUnit, PointNamesAreStableAndUnique)
 
 TEST_F(AccuracyUnit, ExactViolationAccounting)
 {
-    AccuracyObservatory& acc = AccuracyObservatory::instance();
     clocks_[1].store(1000, std::memory_order_relaxed);
 
     // Event in the receiver's future and event exactly at the clock
@@ -116,7 +100,6 @@ TEST_F(AccuracyUnit, ExactViolationAccounting)
 
 TEST_F(AccuracyUnit, EveryPointClassifiesIndependently)
 {
-    AccuracyObservatory& acc = AccuracyObservatory::instance();
     clocks_[2].store(500, std::memory_order_relaxed);
     for (int i = 0; i < NUM_VIOLATION_POINTS; ++i)
         acc.onDelivery(static_cast<ViolationPoint>(i), 0, 2,
@@ -132,26 +115,24 @@ TEST_F(AccuracyUnit, EveryPointClassifiesIndependently)
     EXPECT_EQ(acc.worstMagnitude(), 500u); // event_time 0 at clock 500
 }
 
-TEST_F(AccuracyUnit, OutOfRangeAndDetachedClocksObserveNothing)
+TEST_F(AccuracyUnit, OutOfRangeAndUnattachedClocksObserveNothing)
 {
-    AccuracyObservatory& acc = AccuracyObservatory::instance();
     clocks_[0].store(100, std::memory_order_relaxed);
 
     acc.onDelivery(ViolationPoint::NetApp, 0, TILES + 7, 1);
     acc.onDelivery(ViolationPoint::NetApp, 0, INVALID_TILE_ID, 1);
     EXPECT_EQ(acc.deliveries(), 0);
 
-    // After finalize the clocks are detached (they belong to a dying
-    // Simulator); the hooks must freeze rather than dereference.
-    acc.detachClocks();
-    acc.onDelivery(ViolationPoint::NetApp, 1, 0, 1);
-    EXPECT_EQ(acc.deliveries(), 0);
-    EXPECT_EQ(acc.violations(), 0);
+    // A tile with no clock attached has nothing to compare against; the
+    // hook must skip it rather than dereference.
+    AccuracyObservatory bare(TILES);
+    bare.onDelivery(ViolationPoint::NetApp, 1, 0, 1);
+    EXPECT_EQ(bare.deliveries(), 0);
+    EXPECT_EQ(bare.violations(), 0);
 }
 
 TEST_F(AccuracyUnit, PairMatrixTracksDirectionalSkew)
 {
-    AccuracyObservatory& acc = AccuracyObservatory::instance();
     acc.onPairObserved(0, 1, 100, 350); // skew 250
     acc.onPairObserved(0, 1, 500, 100); // skew 400
     acc.onPairObserved(2, 2, 5, 900);   // self pair: ignored
@@ -169,7 +150,6 @@ TEST_F(AccuracyUnit, PairMatrixTracksDirectionalSkew)
 
 TEST_F(AccuracyUnit, DeliveriesFeedThePairMatrix)
 {
-    AccuracyObservatory& acc = AccuracyObservatory::instance();
     clocks_[0].store(100, std::memory_order_relaxed);
     clocks_[3].store(400, std::memory_order_relaxed);
 
@@ -185,7 +165,6 @@ TEST_F(AccuracyUnit, DeliveriesFeedThePairMatrix)
 
 TEST_F(AccuracyUnit, ReportJsonlCarriesTheFullSchema)
 {
-    AccuracyObservatory& acc = AccuracyObservatory::instance();
     clocks_[1].store(1000, std::memory_order_relaxed);
     acc.onDelivery(ViolationPoint::MemReply, 0, 1, 250); // 750 late
     acc.onPairObserved(2, 3, 900, 100);
@@ -214,30 +193,24 @@ TEST_F(AccuracyUnit, ReportJsonlCarriesTheFullSchema)
 
 TEST(AccuracyConfig, DisarmedByDefaultAndArmedByReportPath)
 {
-    AccuracyObservatory& acc = AccuracyObservatory::instance();
-    acc.configure(defaultTargetConfig(), 4);
-    EXPECT_FALSE(AccuracyObservatory::armed());
+    EXPECT_EQ(AccuracyObservatory::fromConfig(defaultTargetConfig(), 4),
+              nullptr);
 
     // accuracy/out implies enabled: asking for a report arms detection.
+    // Dropping the observatory unreported writes no file.
     Config cfg = defaultTargetConfig();
     cfg.set("accuracy/out", "/tmp/graphite_test_accuracy_unused.jsonl");
-    acc.configure(cfg, 4);
-    EXPECT_TRUE(AccuracyObservatory::armed());
-    EXPECT_EQ(acc.reportPath(),
+    auto acc = AccuracyObservatory::fromConfig(cfg, 4);
+    ASSERT_NE(acc, nullptr);
+    EXPECT_EQ(acc->reportPath(),
               "/tmp/graphite_test_accuracy_unused.jsonl");
-    // Drop the pending report path without writing the file.
-    acc.configure(defaultTargetConfig(), 0);
-    EXPECT_FALSE(AccuracyObservatory::armed());
 }
 
 // ---------------------------------------------------- SkewTracker feed
 
 TEST(SkewTrackerPairFeed, SnapshotExtremesLandInPairMatrix)
 {
-    Config cfg = defaultTargetConfig();
-    cfg.setBool("accuracy/enabled", true);
-    AccuracyObservatory& acc = AccuracyObservatory::instance();
-    acc.configure(cfg, 4);
+    AccuracyObservatory acc(4);
 
     // Three free-standing cores with hand-advanced clocks; the snapshot
     // must feed its fastest/slowest pair into the observatory matrix.
@@ -252,9 +225,10 @@ TEST(SkewTrackerPairFeed, SnapshotExtremesLandInPairMatrix)
     ASSERT_GT(mid.cycle(), slow.cycle());
 
     SkewTracker tracker(0); // unthrottled
-    tracker.attachCores({{&fast, nullptr},
-                         {&mid, nullptr},
-                         {&slow, nullptr}});
+    obs::Observers observers;
+    observers.accuracy = &acc;
+    tracker.attachCores(
+        {{&fast, nullptr}, {&mid, nullptr}, {&slow, nullptr}}, observers);
     tracker.maybeSnapshot();
     EXPECT_EQ(tracker.sampleCount(), 1u);
 
@@ -264,8 +238,6 @@ TEST(SkewTrackerPairFeed, SnapshotExtremesLandInPairMatrix)
     EXPECT_EQ(ps.maxSkew, envelope);
     EXPECT_EQ(acc.pairSkewMax(), envelope);
     EXPECT_EQ(acc.pair(2, 3).samples, 0); // only the extremes feed
-
-    disarmObservatory();
 }
 
 // ---------------------------------------------------------- system level
@@ -299,7 +271,7 @@ runModel(const std::string& model, bool plant_late_delivery)
     p.size = 256;
     workloads::SimRunResult r = workloads::runSim(sim, w, p);
 
-    const AccuracyObservatory& acc = AccuracyObservatory::instance();
+    const AccuracyObservatory& acc = *sim.accuracy();
     SysRun out;
     out.checksum = r.checksum;
     out.deliveries = acc.deliveries();
@@ -307,7 +279,6 @@ runModel(const std::string& model, bool plant_late_delivery)
     out.worst = acc.worstMagnitude();
     out.pairSamples = acc.pairSamples();
     out.statViolations = sim.stats().get("accuracy.violations");
-    check::FaultPlan::instance().disarm();
     return out;
 }
 
@@ -342,8 +313,6 @@ TEST_P(AccuracySystem, PlantedLateDeliveryIsDetectedDeterministically)
     EXPECT_EQ(again.violations, faulted.violations) << model;
     EXPECT_EQ(again.worst, faulted.worst) << model;
     EXPECT_EQ(again.checksum, faulted.checksum) << model;
-
-    disarmObservatory();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSyncModels, AccuracySystem,

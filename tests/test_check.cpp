@@ -72,9 +72,9 @@ TEST(FaultPlan, ParseAndFireSemantics)
     cfg.set("check/inject_fault", "stale_dram_fill");
     cfg.setInt("check/fault_after", 2);
     cfg.setInt("check/fault_addr_below", 0x1000);
-    FaultPlan& fp = FaultPlan::instance();
-    fp.configure(cfg);
-    EXPECT_TRUE(FaultPlan::armed());
+    EXPECT_EQ(FaultPlan::fromConfig(defaultTargetConfig()), nullptr);
+    ASSERT_NE(FaultPlan::fromConfig(cfg), nullptr);
+    FaultPlan fp(cfg);
     // Wrong mode and filtered addresses never burn opportunities.
     EXPECT_FALSE(fp.shouldFire(FaultMode::LostWriteback, 0x40));
     EXPECT_FALSE(fp.shouldFire(FaultMode::StaleDramFill, 0x2000));
@@ -82,8 +82,6 @@ TEST(FaultPlan, ParseAndFireSemantics)
     EXPECT_FALSE(fp.shouldFire(FaultMode::StaleDramFill, 0x40));
     EXPECT_TRUE(fp.shouldFire(FaultMode::StaleDramFill, 0x40));
     EXPECT_EQ(fp.fired(), 1u);
-    fp.disarm();
-    EXPECT_FALSE(FaultPlan::armed());
 }
 
 TEST(FuzzRunner, CleanRunHoldsInvariants)

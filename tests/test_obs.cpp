@@ -2,8 +2,10 @@
  * @file
  * Unit tests for the observability layer: histogram stats, gauge and
  * histogram registration, trace-event JSON export, interval metrics
- * snapshots, component log filtering, and the off-by-default contract
- * (disabled observability records nothing and writes no files).
+ * snapshots, component log filtering, the off-by-default contract
+ * (disabled observability records nothing and writes no files), and
+ * per-Simulator ownership (Simulators in one process, in sequence or
+ * at once, keep separate records).
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +13,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <ostream>
 #include <string>
+#include <thread>
 
 #include "common/config.h"
 #include "common/log.h"
@@ -19,7 +23,6 @@
 #include "core/api.h"
 #include "core/simulator.h"
 #include "obs/metrics_sampler.h"
-#include "obs/observability.h"
 #include "obs/profiler.h"
 #include "obs/trace_event.h"
 
@@ -370,31 +373,12 @@ TEST(LogFilter, ComponentOverridesAndGlobalDefault)
 
 // --------------------------------------------------------------- TraceSink
 
-TEST(TraceSink, DisabledRecordingIsNoOp)
-{
-    obs::TraceSink& sink = obs::TraceSink::instance();
-    sink.reset();
-    sink.configure(2, 16);
-    ASSERT_FALSE(obs::TraceSink::enabled()); // reset leaves it disabled
-    obs::TraceSink::instant(0, "nope", 1);
-    obs::TraceSink::complete(0, "nope", 1, 2);
-    obs::TraceSink::counter(0, "nope", 1, 3);
-    EXPECT_EQ(sink.recorded(), 0u);
-    EXPECT_EQ(sink.dropped(), 0u);
-}
-
 TEST(TraceSink, RecordsAndRendersValidJson)
 {
-    obs::TraceSink& sink = obs::TraceSink::instance();
-    sink.reset();
-    sink.configure(2, 16);
-    sink.setLaneName(0, "tile 0");
-    sink.setLaneName(1, "mcp");
-    sink.setEnabled(true);
-    obs::TraceSink::complete(0, "thread", 100, 50, "bytes", 64);
-    obs::TraceSink::instant(1, "spawn \"q\"", 120, "tile", 1);
-    obs::TraceSink::counter(0, "skew", 150, -25);
-    sink.setEnabled(false);
+    obs::TraceSink sink({"tile 0", "mcp"}, 16);
+    sink.complete(0, "thread", 100, 50, "bytes", 64);
+    sink.instant(1, "spawn \"q\"", 120, "tile", 1);
+    sink.counter(0, "skew", 150, -25);
 
     EXPECT_EQ(sink.recorded(), 3u);
     std::string json = sink.toJson();
@@ -408,18 +392,13 @@ TEST(TraceSink, RecordsAndRendersValidJson)
     EXPECT_NE(json.find("\"bytes\":64"), std::string::npos);
     // The quote inside the instant's name must be escaped.
     EXPECT_NE(json.find("spawn \\\"q\\\""), std::string::npos);
-    sink.reset();
 }
 
 TEST(TraceSink, RingDropsNewestWhenFull)
 {
-    obs::TraceSink& sink = obs::TraceSink::instance();
-    sink.reset();
-    sink.configure(1, 4);
-    sink.setEnabled(true);
+    obs::TraceSink sink({""}, 4);
     for (int i = 0; i < 10; ++i)
-        obs::TraceSink::instant(0, "e", i);
-    sink.setEnabled(false);
+        sink.instant(0, "e", i);
     EXPECT_EQ(sink.recorded(), 4u);
     EXPECT_EQ(sink.dropped(), 6u);
     // The kept events are the earliest ones.
@@ -427,25 +406,20 @@ TEST(TraceSink, RingDropsNewestWhenFull)
     EXPECT_NE(json.find("\"ts\":0"), std::string::npos);
     EXPECT_EQ(json.find("\"ts\":9"), std::string::npos);
     EXPECT_NE(json.find("\"droppedEvents\":6"), std::string::npos);
-    sink.reset();
 }
 
 TEST(TraceSink, LaneOverflowIsIndependentPerLane)
 {
-    obs::TraceSink& sink = obs::TraceSink::instance();
-    sink.reset();
-    sink.configure(2, 4);
-    sink.setEnabled(true);
+    obs::TraceSink sink({"", ""}, 4);
     // Overflow lane 0; lane 1 stays under capacity.
     for (int i = 0; i < 6; ++i)
-        obs::TraceSink::instant(0, "full", i);
-    obs::TraceSink::instant(1, "ok", 100);
-    obs::TraceSink::instant(1, "ok", 101);
+        sink.instant(0, "full", i);
+    sink.instant(1, "ok", 100);
+    sink.instant(1, "ok", 101);
     // Flow events obey the same ring bound: dropped on the full lane,
     // recorded on the other.
-    obs::TraceSink::flow('s', 0, "span.read_miss", 6, 77);
-    obs::TraceSink::flow('f', 1, "span.read_miss", 102, 77);
-    sink.setEnabled(false);
+    sink.flow('s', 0, "span.read_miss", 6, 77);
+    sink.flow('f', 1, "span.read_miss", 102, 77);
 
     EXPECT_EQ(sink.recorded(), 7u); // 4 + 3
     EXPECT_EQ(sink.dropped(), 3u);  // two instants + the flow 's'
@@ -463,7 +437,6 @@ TEST(TraceSink, LaneOverflowIsIndependentPerLane)
     EXPECT_NE(json.find("\"id\":77"), std::string::npos);
     EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
     EXPECT_NE(json.find("\"droppedEvents\":3"), std::string::npos);
-    sink.reset();
 }
 
 // ---------------------------------------------------------- MetricsSampler
@@ -475,9 +448,8 @@ TEST(MetricsSampler, IntervalDeltaMath)
     reg.registerCounter("c", &counter);
 
     cycle_t clock = 0;
-    obs::MetricsSampler sampler;
-    sampler.configure(&reg, 100, "", [&clock] { return clock; },
-                      nullptr);
+    obs::MetricsSampler sampler(&reg, 100, "", [&clock] { return clock; },
+                                nullptr);
 
     clock = 50;
     sampler.maybeSample(); // below the first boundary: no row
@@ -507,33 +479,36 @@ TEST(MetricsSampler, IntervalDeltaMath)
     sampler.maybeSample(); // boundary not crossed again
     EXPECT_EQ(sampler.rowCount(), 2u);
 
-    // finalize() records the tail interval and detaches.
+    // flush() records the tail interval; sampling continues after it,
+    // so a second run on the same Simulator keeps adding rows.
     counter = 31;
     clock = 1040;
-    sampler.finalize();
+    sampler.flush();
     ASSERT_EQ(sampler.rowCount(), 3u);
     EXPECT_EQ(sampler.row(2).deltas[0], 1);
+    counter = 40;
     clock = 5000;
-    sampler.maybeSample(); // after finalize: inert
-    EXPECT_EQ(sampler.rowCount(), 3u);
+    sampler.maybeSample();
+    ASSERT_EQ(sampler.rowCount(), 4u);
+    EXPECT_EQ(sampler.row(3).startCycle, 1040u);
+    EXPECT_EQ(sampler.row(3).deltas[0], 9);
 }
 
 TEST(MetricsSampler, SkewColumnsFromActiveClocks)
 {
     StatsRegistry reg;
     cycle_t clock = 0;
-    obs::MetricsSampler sampler;
-    sampler.configure(&reg, 100, "", [&clock] { return clock; },
-                      [] {
-                          return std::vector<double>{100.0, 200.0, 300.0};
-                      });
+    obs::MetricsSampler sampler(&reg, 100, "", [&clock] { return clock; },
+                                [] {
+                                    return std::vector<double>{
+                                        100.0, 200.0, 300.0};
+                                });
     clock = 100;
     sampler.maybeSample();
     ASSERT_EQ(sampler.rowCount(), 1u);
     auto r = sampler.row(0);
     EXPECT_DOUBLE_EQ(r.skewMax, 100.0);  // 300 - mean(200)
     EXPECT_DOUBLE_EQ(r.skewMin, -100.0); // 100 - mean(200)
-    sampler.finalize();
 }
 
 TEST(MetricsSampler, CsvRendering)
@@ -542,8 +517,8 @@ TEST(MetricsSampler, CsvRendering)
     stat_t counter = 0;
     reg.registerCounter("x.total", &counter);
     cycle_t clock = 0;
-    obs::MetricsSampler sampler;
-    sampler.configure(&reg, 10, "", [&clock] { return clock; }, nullptr);
+    obs::MetricsSampler sampler(&reg, 10, "", [&clock] { return clock; },
+                                nullptr);
     counter = 4;
     clock = 10;
     sampler.maybeSample();
@@ -554,7 +529,6 @@ TEST(MetricsSampler, CsvRendering)
                        "causality_violations,x.total"),
               std::string::npos);
     EXPECT_NE(csv.find("\n0,0,10,"), std::string::npos);
-    sampler.finalize();
 }
 
 TEST(MetricsSampler, ShortRunEmitsPartialRowAtFinalize)
@@ -563,18 +537,17 @@ TEST(MetricsSampler, ShortRunEmitsPartialRowAtFinalize)
     stat_t counter = 0;
     reg.registerCounter("c", &counter);
     cycle_t clock = 0;
-    obs::MetricsSampler sampler;
-    sampler.configure(&reg, 100000, "", [&clock] { return clock; },
-                      nullptr);
+    obs::MetricsSampler sampler(&reg, 100000, "",
+                                [&clock] { return clock; }, nullptr);
 
     // The run ends well inside the first interval: maybeSample never
-    // crossed a boundary, but finalize still emits the partial row so
+    // crossed a boundary, but flush still emits the partial row so
     // short runs don't produce empty artifacts.
     counter = 12;
     clock = 40;
     sampler.maybeSample();
     EXPECT_EQ(sampler.rowCount(), 0u);
-    sampler.finalize();
+    sampler.flush();
     ASSERT_EQ(sampler.rowCount(), 1u);
     auto r = sampler.row(0);
     EXPECT_EQ(r.startCycle, 0u);
@@ -730,18 +703,205 @@ TEST(Observability, DisabledByDefaultWritesNothing)
 {
     Config cfg = defaultTargetConfig();
     cfg.setInt("general/total_tiles", 4);
+    Simulator sim(cfg);
+    // Off by default: no observer is even built, and no stat for one is
+    // registered.
+    EXPECT_EQ(sim.traceSink(), nullptr);
+    EXPECT_EQ(sim.spanSink(), nullptr);
+    EXPECT_EQ(sim.metricsSampler(), nullptr);
+    EXPECT_EQ(sim.accuracy(), nullptr);
+    EXPECT_EQ(sim.raceDetector(), nullptr);
+    EXPECT_EQ(sim.faultPlan(), nullptr);
+    addr_t data = 0;
+    sim.run(&obsMain, &data);
+    EXPECT_FALSE(obs::HostProfiler::enabled());
+    EXPECT_FALSE(sim.stats().has("span.completed"));
+    EXPECT_FALSE(sim.stats().has("accuracy.deliveries"));
+    EXPECT_FALSE(sim.stats().has("race.words_checked"));
+}
+
+// ----------------------------------------------------- per-Simulator obs
+//
+// Each Simulator owns its observers, so Simulators sharing a process —
+// a figure sweep, a fuzz sweep, a checkpoint resume — neither reset nor
+// mix each other's records.
+
+/** Two threads each update their own word of 8 shared lines. */
+void
+isoWorker(addr_t lines, int word)
+{
+    for (int i = 0; i < 100; ++i) {
+        addr_t a = lines + (i % 8) * 64 + word * 8;
+        api::write<std::uint64_t>(a, api::read<std::uint64_t>(a) + 1);
+        api::exec(InstrClass::IntAlu, 20);
+    }
+}
+
+void
+isoSecondThread(void* p)
+{
+    isoWorker(*static_cast<addr_t*>(p), 1);
+}
+
+void
+isoMain(void* p)
+{
+    auto* lines = static_cast<addr_t*>(p);
+    *lines = api::malloc(8 * 64);
+    for (int i = 0; i < 16; ++i)
+        api::write<std::uint64_t>(*lines + i * 8, 0);
+    tile_id_t t1 = api::threadSpawn(&isoSecondThread, lines);
+    isoWorker(*lines, 0);
+    api::threadJoin(t1);
+}
+
+Config
+isoConfig(bool armed)
+{
+    Config cfg = defaultTargetConfig();
+    cfg.setInt("general/total_tiles", 4);
+    cfg.set("host/scheduler", "deterministic");
+    cfg.setBool("obs/spans_enabled", armed);
+    cfg.setBool("accuracy/enabled", armed);
+    return cfg;
+}
+
+void
+runIso(Simulator& sim)
+{
+    addr_t lines = 0;
+    sim.run(&isoMain, &lines);
+}
+
+/** The integer following `"key":` in @p doc; -1 when absent. */
+long long
+jsonInt(const std::string& doc, const std::string& key)
+{
+    std::size_t at = doc.find("\"" + key + "\":");
+    if (at == std::string::npos)
+        return -1;
+    return std::stoll(doc.substr(at + key.size() + 3));
+}
+
+TEST(ObsIsolation, SecondSimulatorLeavesTheFirstsRecordsAlone)
+{
+    Simulator first(isoConfig(true));
+    runIso(first);
+    stat_t spans = first.stats().get("span.completed");
+    stat_t deliveries = first.stats().get("accuracy.deliveries");
+    ASSERT_GT(spans, 0u);
+    ASSERT_GT(deliveries, 0u);
+
+    {
+        Simulator second(isoConfig(false));
+        runIso(second);
+    }
+    EXPECT_EQ(first.stats().get("span.completed"), spans);
+    EXPECT_EQ(first.stats().get("accuracy.deliveries"), deliveries);
+}
+
+TEST(ObsIsolation, ArmedSimulatorBuiltBeforeAPlainOneStillRecords)
+{
+    std::string dir = ::testing::TempDir();
+    std::string spans_path = dir + "graphite_iso_spans.jsonl";
+    std::string acc_path = dir + "graphite_iso_accuracy.jsonl";
+    std::remove(spans_path.c_str());
+    std::remove(acc_path.c_str());
+
+    Config cfg = isoConfig(true);
+    cfg.set("obs/spans_out", spans_path);
+    cfg.set("accuracy/out", acc_path);
+    Simulator armed(cfg);
+    Simulator plain(isoConfig(false));
+    runIso(armed);
+
+    stat_t spans = armed.stats().get("span.completed");
+    stat_t deliveries = armed.stats().get("accuracy.deliveries");
+    EXPECT_GT(spans, 0u);
+    EXPECT_GT(deliveries, 0u);
+    // The artifacts describe this Simulator's run.
+    EXPECT_EQ(jsonInt(readFile(spans_path), "completed"),
+              static_cast<long long>(spans));
+    EXPECT_EQ(jsonInt(readFile(acc_path), "deliveries"),
+              static_cast<long long>(deliveries));
+
+    std::remove(spans_path.c_str());
+    std::remove(acc_path.c_str());
+}
+
+TEST(ObsIsolation, SecondRunKeepsRecording)
+{
+    Simulator sim(isoConfig(true));
+    runIso(sim);
+    stat_t spans = sim.stats().get("span.completed");
+    stat_t deliveries = sim.stats().get("accuracy.deliveries");
+    ASSERT_GT(spans, 0u);
+    ASSERT_GT(deliveries, 0u);
+
+    runIso(sim);
+    EXPECT_GT(sim.stats().get("span.completed"), spans);
+    EXPECT_GT(sim.stats().get("accuracy.deliveries"), deliveries);
+}
+
+struct IsoCounts
+{
+    cycle_t cycles = 0;
+    stat_t spans = 0;
+    stat_t deliveries = 0;
+    stat_t wordsChecked = 0;
+
+    bool
+    operator==(const IsoCounts& o) const
+    {
+        return cycles == o.cycles && spans == o.spans &&
+               deliveries == o.deliveries && wordsChecked == o.wordsChecked;
+    }
+};
+
+std::ostream&
+operator<<(std::ostream& os, const IsoCounts& c)
+{
+    return os << "{cycles " << c.cycles << ", spans " << c.spans
+              << ", deliveries " << c.deliveries << ", words "
+              << c.wordsChecked << "}";
+}
+
+IsoCounts
+isoCounts(const Simulator& sim)
+{
+    IsoCounts c;
+    c.cycles = sim.simulatedTime();
+    c.spans = sim.stats().get("span.completed");
+    c.deliveries = sim.stats().get("accuracy.deliveries");
+    c.wordsChecked = sim.stats().get("race.words_checked");
+    return c;
+}
+
+TEST(ObsIsolation, ConcurrentSimulatorsMatchSoloRuns)
+{
+    Config cfg = isoConfig(true);
+    cfg.setBool("race/enabled", true);
+
+    IsoCounts solo;
     {
         Simulator sim(cfg);
-        addr_t data = 0;
-        sim.run(&obsMain, &data);
-        EXPECT_FALSE(obs::TraceSink::enabled());
-        EXPECT_FALSE(obs::MetricsSampler::globalEnabled());
-        EXPECT_FALSE(obs::HostProfiler::enabled());
+        runIso(sim);
+        solo = isoCounts(sim);
     }
-    // The disabled run's configure() reset the trace sink; nothing was
-    // recorded. (The sampler singleton may still hold a prior enabled
-    // run's rows — by design, so post-run reports can read them.)
-    EXPECT_EQ(obs::TraceSink::instance().recorded(), 0u);
+    ASSERT_GT(solo.spans, 0u);
+    ASSERT_GT(solo.deliveries, 0u);
+    ASSERT_GT(solo.wordsChecked, 0u);
+
+    // Both are built before either starts, then run on two host threads
+    // at once.
+    Simulator a(cfg);
+    Simulator b(cfg);
+    std::thread ta([&a] { runIso(a); });
+    std::thread tb([&b] { runIso(b); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(isoCounts(a), solo);
+    EXPECT_EQ(isoCounts(b), solo);
 }
 
 } // namespace

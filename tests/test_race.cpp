@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "check/fuzz_program.h"
@@ -29,22 +30,24 @@ namespace graphite
 namespace
 {
 
+/** The detector the unit tests drive directly. */
+std::unique_ptr<race::Detector> g_det;
+
 race::Detector&
 det()
 {
-    return race::Detector::instance();
+    return *g_det;
 }
 
-/** Arm the global detector directly for unit tests. */
+/** Build a fresh detector for a unit test. */
 void
 resetDetector(int tiles = 4, const std::string& granularity = "adaptive",
               int max_shadow_lines = 1 << 20)
 {
     Config cfg = defaultTargetConfig();
-    cfg.setBool("race/enabled", true);
     cfg.set("race/granularity", granularity);
     cfg.setInt("race/max_shadow_lines", max_shadow_lines);
-    det().configure(cfg, tiles);
+    g_det = std::make_unique<race::Detector>(cfg, tiles);
 }
 
 // ------------------------------------------------------------- unit: epochs
@@ -304,11 +307,12 @@ TEST(RaceSim, PlantedWriteWriteIsFlaggedAcrossSyncModels)
         Simulator sim(cfg);
         RaceProbe probe;
         sim.run(&racyMain, &probe);
-        EXPECT_GE(det().raceCount(), 1) << "sync model " << model;
-        ASSERT_GE(det().records().size(), 1u) << "sync model " << model;
+        race::Detector& det = *sim.raceDetector();
+        EXPECT_GE(det.raceCount(), 1) << "sync model " << model;
+        ASSERT_GE(det.records().size(), 1u) << "sync model " << model;
         // Whichever write came second, both annotated sites name the
         // conflicting pair.
-        std::string line = det().describe(det().records()[0]);
+        std::string line = det.describe(det.records()[0]);
         EXPECT_NE(line.find("child-write"), std::string::npos) << line;
         EXPECT_NE(line.find("parent-write"), std::string::npos) << line;
     }
@@ -339,7 +343,8 @@ TEST(RaceSim, PlantedReadWriteIsFlagged)
     Simulator sim(cfg);
     RaceProbe probe;
     sim.run(&racyReaderMain, &probe);
-    EXPECT_GE(det().raceCount(), 1);
+    race::Detector& det = *sim.raceDetector();
+    EXPECT_GE(det.raceCount(), 1);
 }
 
 TEST(RaceSim, ReportFileIsWritten)
@@ -407,12 +412,13 @@ TEST(RaceSim, MutexCounterIsCleanAcrossSyncModels)
         Simulator sim(cfg);
         SharedProbe probe;
         sim.run(&mutexMain, &probe);
+        race::Detector& det = *sim.raceDetector();
         EXPECT_EQ(probe.result, 12u) << "sync model " << model;
-        EXPECT_EQ(det().raceCount(), 0)
+        EXPECT_EQ(det.raceCount(), 0)
             << "sync model " << model << ": "
-            << (det().records().empty()
+            << (det.records().empty()
                     ? std::string()
-                    : det().describe(det().records()[0]));
+                    : det.describe(det.records()[0]));
     }
 }
 
@@ -448,11 +454,12 @@ TEST(RaceSim, AtomicFlagPublishIsClean)
     Simulator sim(cfg);
     SharedProbe probe;
     sim.run(&atomicPublishMain, &probe);
+    race::Detector& det = *sim.raceDetector();
     EXPECT_EQ(probe.result, 77u);
-    EXPECT_EQ(det().raceCount(), 0)
-        << (det().records().empty()
+    EXPECT_EQ(det.raceCount(), 0)
+        << (det.records().empty()
                 ? std::string()
-                : det().describe(det().records()[0]));
+                : det.describe(det.records()[0]));
 }
 
 struct BarrierProbe
@@ -503,12 +510,13 @@ TEST(RaceSim, BarrierPhasesAreClean)
         Simulator sim(cfg);
         BarrierProbe probe;
         sim.run(&barrierMain, &probe);
+        race::Detector& det = *sim.raceDetector();
         EXPECT_EQ(probe.sum.load(), 10u + 11u + 12u + 13u);
-        EXPECT_EQ(det().raceCount(), 0)
+        EXPECT_EQ(det.raceCount(), 0)
             << "sync model " << model << ": "
-            << (det().records().empty()
+            << (det.records().empty()
                     ? std::string()
-                    : det().describe(det().records()[0]));
+                    : det.describe(det.records()[0]));
     }
 }
 
@@ -544,11 +552,12 @@ TEST(RaceSim, MessagePassingOrdersSharedMemory)
     Simulator sim(cfg);
     SharedProbe probe;
     sim.run(&msgOrderMain, &probe);
+    race::Detector& det = *sim.raceDetector();
     EXPECT_EQ(probe.result, 42u);
-    EXPECT_EQ(det().raceCount(), 0)
-        << (det().records().empty()
+    EXPECT_EQ(det.raceCount(), 0)
+        << (det.records().empty()
                 ? std::string()
-                : det().describe(det().records()[0]));
+                : det.describe(det.records()[0]));
 }
 
 void
@@ -584,11 +593,12 @@ TEST(RaceSim, TileReuseThroughJoinIsClean)
     Simulator sim(cfg);
     SharedProbe probe;
     sim.run(&reuseMain, &probe);
+    race::Detector& det = *sim.raceDetector();
     EXPECT_EQ(probe.result, 6u);
-    EXPECT_EQ(det().raceCount(), 0)
-        << (det().records().empty()
+    EXPECT_EQ(det.raceCount(), 0)
+        << (det.records().empty()
                 ? std::string()
-                : det().describe(det().records()[0]));
+                : det.describe(det.records()[0]));
 }
 
 TEST(RaceSim, WorkloadRunsClean)
@@ -600,12 +610,13 @@ TEST(RaceSim, WorkloadRunsClean)
     Config cfg = simConfig("lax_barrier", 8);
     Simulator sim(cfg);
     workloads::SimRunResult r = workloads::runSim(sim, w, p);
+    race::Detector& det = *sim.raceDetector();
     EXPECT_GT(r.simulatedCycles, 0u);
-    EXPECT_EQ(det().raceCount(), 0)
-        << (det().records().empty()
+    EXPECT_EQ(det.raceCount(), 0)
+        << (det.records().empty()
                 ? std::string()
-                : det().describe(det().records()[0]));
-    EXPECT_GT(det().wordsChecked(), 0);
+                : det.describe(det.records()[0]));
+    EXPECT_GT(det.wordsChecked(), 0);
 }
 
 // ------------------------------------------------ integration: fuzz corpus

@@ -22,7 +22,6 @@
 #include "core/simulator.h"
 #include "obs/span/span.h"
 #include "obs/span/span_sink.h"
-#include "obs/trace_event.h"
 
 namespace graphite
 {
@@ -35,19 +34,16 @@ using obs::SpanRecord;
 using obs::SpanSink;
 using obs::SpanStage;
 
-/** Fresh, enabled sink with small bounded buffers. */
-void
-armSink(tile_id_t tiles, std::size_t reservoir, std::size_t slowest)
+/** Sink options with small bounded buffers. */
+SpanSink::Options
+smallSink(std::size_t reservoir, std::size_t slowest)
 {
-    SpanSink& sink = SpanSink::instance();
-    sink.reset();
     SpanSink::Options opt;
     opt.reservoirCapacity = reservoir;
     opt.slowestCapacity = slowest;
     opt.intervalCycles = 1000;
     opt.flowEvents = false;
-    sink.configure(tiles, opt);
-    sink.setEnabled(true);
+    return opt;
 }
 
 std::string
@@ -70,8 +66,8 @@ readFile(const std::string& path)
 
 TEST(SpanBuilder, CoalescesAdjacentMarksAndSkipsZeroDurations)
 {
-    SpanSink::instance().reset(); // disabled: finish() records nothing
-    SpanBuilder b(SpanKind::ReadMiss, 0, 3, 100);
+    SpanSink sink(4, smallSink(8, 4));
+    SpanBuilder b(sink, SpanKind::ReadMiss, 0, 3, 100);
     b.add(SpanStage::LocalCheck, 100, 10);
     b.add(SpanStage::ReqQueue, 110, 0); // zero: skipped
     b.add(SpanStage::ReqQueue, 110, 5);
@@ -90,21 +86,22 @@ TEST(SpanBuilder, CoalescesAdjacentMarksAndSkipsZeroDurations)
     // Exact accounting: the marks cover the whole span.
     EXPECT_EQ(r.stageSum(), r.total());
     EXPECT_EQ(r.total(), 26u);
+    EXPECT_EQ(sink.completedCount(), 1u);
 }
 
 TEST(SpanBuilder, NestedBuildersShareTraceAndLinkParent)
 {
-    SpanSink::instance().reset();
+    SpanSink sink(8, smallSink(8, 4));
     EXPECT_EQ(SpanBuilder::active(), nullptr);
     {
-        SpanBuilder outer(SpanKind::WriteMiss, 1, 2, 0);
+        SpanBuilder outer(sink, SpanKind::WriteMiss, 1, 2, 0);
         EXPECT_EQ(SpanBuilder::active(), &outer);
         EXPECT_EQ(outer.record().parentId, 0u);
         EXPECT_EQ(outer.traceId(), outer.spanId());
         {
             // A writeback modeled while the miss is in flight becomes
             // a child span in the same trace.
-            SpanBuilder child(SpanKind::Writeback, 1, 5, 10);
+            SpanBuilder child(sink, SpanKind::Writeback, 1, 5, 10);
             EXPECT_EQ(SpanBuilder::active(), &child);
             EXPECT_EQ(child.traceId(), outer.traceId());
             EXPECT_EQ(child.record().parentId, outer.spanId());
@@ -117,8 +114,8 @@ TEST(SpanBuilder, NestedBuildersShareTraceAndLinkParent)
 
 TEST(SpanBuilder, OverflowFoldsIntoLastMarkPreservingSums)
 {
-    SpanSink::instance().reset();
-    SpanBuilder b(SpanKind::ReadMiss, 0, 1, 0);
+    SpanSink sink(2, smallSink(8, 4));
+    SpanBuilder b(sink, SpanKind::ReadMiss, 0, 1, 0);
     // Alternate stages so nothing coalesces; overflow the fixed array.
     cycle_t t = 0;
     for (int i = 0; i < SpanRecord::MAX_STAGES + 10; ++i) {
@@ -136,28 +133,20 @@ TEST(SpanBuilder, OverflowFoldsIntoLastMarkPreservingSums)
 
 // ----------------------------------------------------------------- SpanSink
 
-TEST(SpanSink, DisabledCompleteIsDropped)
-{
-    SpanSink& sink = SpanSink::instance();
-    sink.reset();
-    ASSERT_FALSE(SpanSink::enabled());
-    SpanBuilder b(SpanKind::ReadMiss, 0, 1, 0);
-    b.add(SpanStage::LocalCheck, 0, 5);
-    b.finish(5);
-    EXPECT_EQ(sink.completedCount(), 0u);
-    EXPECT_EQ(sink.sampledCount(), 0u);
-}
-
 TEST(SpanSink, MeshDistanceMatchesModelGeometry)
 {
-    armSink(16, 8, 4); // 4x4 mesh
-    SpanSink& sink = SpanSink::instance();
+    // The Simulator hands its sink the network's mesh geometry.
+    Config cfg = defaultTargetConfig();
+    cfg.setInt("general/total_tiles", 16); // 4x4 mesh
+    cfg.setBool("obs/spans_enabled", true);
+    Simulator sim(cfg);
+    ASSERT_NE(sim.spanSink(), nullptr);
+    const SpanSink& sink = *sim.spanSink();
     EXPECT_EQ(sink.distance(0, 0), 0);
     EXPECT_EQ(sink.distance(0, 3), 3);
     EXPECT_EQ(sink.distance(0, 5), 2);  // (1,1)
     EXPECT_EQ(sink.distance(0, 15), 6); // opposite corner
     EXPECT_EQ(sink.distance(0, INVALID_TILE_ID), 0);
-    sink.reset();
 }
 
 TEST(SpanSink, BoundedSamplingWithExactAggregates)
@@ -165,12 +154,11 @@ TEST(SpanSink, BoundedSamplingWithExactAggregates)
     constexpr int N = 500;
     constexpr std::size_t RESERVOIR = 32;
     constexpr std::size_t SLOWEST = 8;
-    armSink(16, RESERVOIR, SLOWEST);
-    SpanSink& sink = SpanSink::instance();
+    SpanSink sink(16, smallSink(RESERVOIR, SLOWEST));
 
     stat_t local_total = 0, queue_total = 0;
     for (int i = 0; i < N; ++i) {
-        SpanBuilder b(SpanKind::ReadMiss, i % 16, (i * 7) % 16,
+        SpanBuilder b(sink, SpanKind::ReadMiss, i % 16, (i * 7) % 16,
                       static_cast<cycle_t>(i) * 10);
         cycle_t local = 10, queue = static_cast<cycle_t>(i % 50);
         b.add(SpanStage::LocalCheck, i * 10, local);
@@ -216,22 +204,19 @@ TEST(SpanSink, BoundedSamplingWithExactAggregates)
     EXPECT_NE(doc.find("\"stage\":\"req_queue\""), std::string::npos);
     EXPECT_NE(doc.find("\"bottleneck\":\"req_queue\""),
               std::string::npos);
-    sink.reset();
 }
 
 TEST(SpanSink, ReservoirIsDeterministicGivenSeedAndOrder)
 {
     auto run = [] {
-        armSink(4, 16, 0);
+        SpanSink sink(4, smallSink(16, 0));
         for (int i = 0; i < 200; ++i) {
-            SpanBuilder b(SpanKind::Atomic, 0, i % 4,
+            SpanBuilder b(sink, SpanKind::Atomic, 0, i % 4,
                           static_cast<cycle_t>(i));
             b.add(SpanStage::LocalCheck, i, 1 + i % 3);
             b.finish(i + 1 + i % 3);
         }
-        std::vector<SpanRecord> s = SpanSink::instance().sampled();
-        SpanSink::instance().reset();
-        return s;
+        return sink.sampled();
     };
     std::vector<SpanRecord> a = run();
     std::vector<SpanRecord> b = run();
@@ -288,16 +273,13 @@ TEST(SpanEndToEnd, WorkloadHoldsExactAccountingAndEmitsArtifacts)
     cfg.setInt("general/total_tiles", 8);
     cfg.set("obs/spans_out", spans_path);
     cfg.set("obs/trace_out", trace_path);
-    {
-        Simulator sim(cfg);
-        addr_t data = 0;
-        sim.run(&spanMain, &data);
-    }
+    Simulator sim(cfg);
+    addr_t data = 0;
+    sim.run(&spanMain, &data);
 
-    // finalize() disabled the sink but kept its buffers: assert the
-    // invariant over every span the run actually sampled.
-    SpanSink& sink = SpanSink::instance();
-    EXPECT_FALSE(SpanSink::enabled());
+    // Assert the invariant over every span the run actually sampled.
+    ASSERT_NE(sim.spanSink(), nullptr);
+    const SpanSink& sink = *sim.spanSink();
     EXPECT_GT(sink.completedCount(), 0u);
     std::vector<SpanRecord> sample = sink.sampled();
     std::vector<SpanRecord> slow = sink.slowest();
@@ -362,11 +344,11 @@ TEST(SpanEndToEnd, ArmedSpansAreFingerprintNeutral)
     check::FuzzResult spans = check::runFuzzProgram(prog, armed, opt);
 
     EXPECT_TRUE(spans.violations.empty());
-    EXPECT_GT(SpanSink::instance().completedCount(), 0u);
+    EXPECT_EQ(plain.spansCompleted, 0u);
+    EXPECT_GT(spans.spansCompleted, 0u);
     // Span instrumentation observes the timing model; it must never
     // feed back into it.
     EXPECT_EQ(spans.fingerprint, plain.fingerprint);
-    SpanSink::instance().reset();
 }
 
 } // namespace

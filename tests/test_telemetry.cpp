@@ -604,6 +604,7 @@ TEST(Watchdog, DumpActionWritesDiagnosticFile)
 
 struct WaitSetProbe
 {
+    Simulator* sim = nullptr;
     addr_t gate = 0;
     WaitSetSnapshot seen;
     bool observed = false;
@@ -634,7 +635,7 @@ waitSetMain(void* p)
     // host-side would otherwise monopolize the slot and starve the
     // workers before they ever reach futexWait. Wall-clock deadline,
     // not an iteration cap, so a loaded host cannot exhaust it.
-    ThreadManager& tm = Simulator::current()->threadManager();
+    ThreadManager& tm = probe->sim->threadManager();
     auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
     while (!probe->observed &&
@@ -664,6 +665,7 @@ TEST(Integration, WaitSetSnapshotNamesParkedTiles)
     cfg.setInt("general/total_tiles", 4);
     Simulator sim(cfg);
     WaitSetProbe probe;
+    probe.sim = &sim;
     sim.run(&waitSetMain, &probe);
     ASSERT_TRUE(probe.observed);
     ASSERT_EQ(probe.seen.futexes.size(), 1u);

@@ -90,7 +90,6 @@
 #include "core/simulator.h"
 #include "transport/net_packet.h"
 #include "obs/accuracy/accuracy.h"
-#include "obs/observability.h"
 #include "obs/profiler.h"
 #include "race/detector.h"
 #include "snapshot/checkpoint.h"
@@ -127,8 +126,8 @@ collectHeadline(const Simulator& sim, const workloads::SimRunResult& r)
         out.emplace_back("mem_latency_p95", static_cast<double>(
                                                 h->percentileApprox(0.95)));
     }
-    const auto& acc = obs::accuracy::AccuracyObservatory::instance();
-    if (obs::accuracy::AccuracyObservatory::armed()) {
+    if (sim.accuracy() != nullptr) {
+        const obs::accuracy::AccuracyObservatory& acc = *sim.accuracy();
         const HistogramStat* app = acc.netLatencyHistogram(
             static_cast<int>(PacketType::App));
         const HistogramStat* mem = acc.netLatencyHistogram(

@@ -16,6 +16,10 @@ Checks, over every C++ file under src/:
      known flags) and the implied ordering graph is acyclic.
   4. Every OrderedMutex declaration names its LockClass at
      construction (no default-constructed untagged mutexes).
+  5. No process-global singleton: a `static <Type>& instance()`
+     declaration is allowed only in the files SINGLETON_ALLOWLIST
+     names. Everything else a Simulator observes or injects is owned
+     by that Simulator, so Simulators sharing a process stay separate.
 
 Exit status: 0 clean, 1 violations (each printed as file:line: msg),
 2 usage/environment error.
@@ -50,12 +54,23 @@ ALLOWLIST = {
     "src/common/lockdep.cpp",
 }
 
+# The two process-wide objects that stay singletons, and why.
+SINGLETON_ALLOWLIST = {
+    # The crash handler needs one async-signal-safe ring to dump for
+    # the whole process.
+    "src/obs/telemetry/flight_recorder.h",
+    # Profiling sites are static per call site
+    # (GRAPHITE_PROFILE_SCOPE), so their registry is process-wide.
+    "src/obs/profiler.h",
+}
+
 VALID_FLAGS = {"NONE", "ORDERED", "MULTI"}
 
 CLASS_DECL_RE = re.compile(r"^\s*LOCK_CLASS\(\s*(\w+)\s*,\s*(\w+)\s*\)")
 CLASS_REF_RE = re.compile(r"\bLockClass::(\w+)\b")
 UNTAGGED_MUTEX_RE = re.compile(
     r"\bOrderedMutex\s+\w+\s*;")
+SINGLETON_RE = re.compile(r"\bstatic\s+[\w:<>]+\s*&\s*instance\s*\(\s*\)")
 ACQUISITION_RE = re.compile(
     r"\block(?:dep::Guard|dep::UniqueLock)\b|\.lock\(|\.try_lock\(")
 
@@ -206,6 +221,12 @@ def audit(repo_root: pathlib.Path):
                 errors.append(
                     f"{rel}:{lineno}: OrderedMutex declared without a "
                     f"LockClass — tag it at construction")
+            if (SINGLETON_RE.search(line)
+                    and rel not in SINGLETON_ALLOWLIST):
+                errors.append(
+                    f"{rel}:{lineno}: process-global singleton "
+                    f"'static ...& instance()' — let the Simulator own "
+                    f"this object and hand out pointers")
             acquisition_sites += len(ACQUISITION_RE.findall(line))
 
     # lockdep.h materializes the enum from the .def, so its references
