@@ -23,8 +23,15 @@
  * per-lock/unlock wrapper cost against a plain std::mutex for
  * reference.
  *
+ * Threads share no line and no lock, so any memory the engine writes
+ * on every access for all of them (a process-wide counter or
+ * histogram) shows up as lost scaling: l1_hit_scaling_4t is the armed
+ * serialized throughput at 4 threads over 1 thread, ideally 4.
+ *
  * Emits BENCH_mem_contention.json; the criterion is
- * lockdep_overhead_8t <= 1.25.
+ * l1_hit_scaling_4t >= 2.5 && lockdep_overhead_8t <= 1.25. Only full
+ * size measures the scaling: GRAPHITE_BENCH_FAST's short loops hide a
+ * shared counter's cost.
  */
 
 #include <pthread.h>
@@ -43,6 +50,7 @@
 
 #include "common/config.h"
 #include "common/lockdep.h"
+#include "common/stats.h"
 #include "common/table.h"
 #include "mem/memory_system.h"
 
@@ -145,8 +153,10 @@ runConfig(bool lockdep_armed, int threads, std::uint64_t ops)
         r.cpuSumSeconds += c;
         r.cpuMaxSeconds = std::max(r.cpuMaxSeconds, c);
     }
-    r.shardContended = mem.shardLockContendedCounter()->load();
-    r.tileContended = mem.tileLockContendedCounter()->load();
+    StatsRegistry stats;
+    mem.registerStats(stats);
+    r.shardContended = stats.get("mem.shard_lock.contended");
+    r.tileContended = stats.get("mem.tile_lock.contended");
     return r;
 }
 
@@ -224,6 +234,12 @@ main()
     std::printf("lockdep-armed overhead at 8 threads: %.3fx "
                 "(criterion: <= 1.25x)\n",
                 ld_overhead);
+    // Shared-nothing hot path: armed serialized throughput, 4 over 1.
+    double scaling_4t = find("armed", 4).serializedThroughput() /
+                        find("armed", 1).serializedThroughput();
+    std::printf("L1-hit scaling, 4 threads over 1 (armed): %.3fx "
+                "(criterion: >= 2.5x)\n",
+                scaling_4t);
 
     // Raw wrapper reference: uncontended lock/unlock cost.
     const std::uint64_t wrap_iters = fastMode() ? 200'000 : 2'000'000;
@@ -282,13 +298,19 @@ main()
         "(sizeof parity pinned by tests/lockdep_force_off_probe)\",\n");
     std::fprintf(f, "  \"lockdep_overhead_8t\": %.3f,\n", ld_overhead);
     std::fprintf(f,
+                 "  \"l1_hit_scaling_note\": \"armed serialized_mops at "
+                 "4 threads over 1 thread; 4.0 when threads share "
+                 "nothing\",\n");
+    std::fprintf(f, "  \"l1_hit_scaling_4t\": %.3f,\n", scaling_4t);
+    std::fprintf(f,
                  "  \"uncontended_lock_unlock_ns\": {\"std_mutex\": "
                  "%.2f, \"ordered_mutex_off\": %.2f, "
                  "\"ordered_mutex_enforce\": %.2f},\n",
                  plain_ns, off_ns, armed_ns);
-    bool met = ld_overhead <= 1.25;
+    bool met = scaling_4t >= 2.5 && ld_overhead <= 1.25;
     std::fprintf(f,
-                 "  \"criterion\": \"lockdep_overhead_8t <= 1.25\",\n");
+                 "  \"criterion\": \"l1_hit_scaling_4t >= 2.5 && "
+                 "lockdep_overhead_8t <= 1.25\",\n");
     std::fprintf(f, "  \"criterion_met\": %s\n", met ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);

@@ -18,7 +18,11 @@
  *
  * The emitted BENCH_parallel_scaling.json records every run plus the
  * CPU-count-conditional criterion so the perf trajectory stays
- * comparable across differently-provisioned hosts.
+ * comparable across differently-provisioned hosts. Each run also
+ * records its simulated instructions and host ns per simulated
+ * instruction: under lax sync the widths can simulate different cycle
+ * counts, but they retire the same instructions, so ns per instruction
+ * compares the host cost of equal work.
  */
 
 #include <atomic>
@@ -107,8 +111,14 @@ struct RunResult
     int hostThreads = 0;
     double wallSeconds = 0.0;
     cycle_t simCycles = 0;
+    stat_t instructions = 0;
     stat_t quanta = 0;
     stat_t yields = 0;
+
+    double hostNsPerInstruction() const
+    {
+        return wallSeconds * 1e9 / static_cast<double>(instructions);
+    }
 };
 
 RunResult
@@ -133,6 +143,7 @@ runPoint(int host_threads, int reps)
         if (rep == 0 || wall < best.wallSeconds) {
             best.wallSeconds = wall;
             best.simCycles = sim.simulatedTime();
+            best.instructions = sim.totalInstructions();
             best.quanta = sim.hostScheduler()->quantaCounter()->load();
             best.yields = sim.hostScheduler()->yieldsCounter()->load();
         }
@@ -162,13 +173,17 @@ main()
         results.push_back(runPoint(ht, reps));
 
     TextTable table;
-    table.header({"host_threads", "wall s", "sim cycles", "quanta",
+    table.header({"host_threads", "wall s", "sim cycles",
+                  "sim instructions", "host ns/instr", "quanta",
                   "yields"});
     for (const RunResult& r : results) {
-        char wall[32];
+        char wall[32], per_instr[32];
         std::snprintf(wall, sizeof wall, "%.3f", r.wallSeconds);
+        std::snprintf(per_instr, sizeof per_instr, "%.3f",
+                      r.hostNsPerInstruction());
         table.row({std::to_string(r.hostThreads), wall,
                    std::to_string(r.simCycles),
+                   std::to_string(r.instructions), per_instr,
                    std::to_string(r.quanta),
                    std::to_string(r.yields)});
     }
@@ -221,10 +236,13 @@ main()
         std::fprintf(
             f,
             "    {\"scheduler\": \"free_running\", \"host_threads\": %d, "
-            "\"wall_s\": %.6f, \"sim_cycles\": %llu, \"quanta\": %llu, "
-            "\"yields\": %llu}%s\n",
+            "\"wall_s\": %.6f, \"sim_cycles\": %llu, "
+            "\"sim_instructions\": %llu, \"host_ns_per_instr\": %.3f, "
+            "\"quanta\": %llu, \"yields\": %llu}%s\n",
             r.hostThreads, r.wallSeconds,
             static_cast<unsigned long long>(r.simCycles),
+            static_cast<unsigned long long>(r.instructions),
+            r.hostNsPerInstruction(),
             static_cast<unsigned long long>(r.quanta),
             static_cast<unsigned long long>(r.yields),
             i + 1 < results.size() ? "," : "");

@@ -22,17 +22,20 @@ checkConservation(Simulator& sim)
     if (!coherence.empty())
         out.push_back("coherence: " + coherence);
 
-    // Shared atomic aggregates must equal the per-tile sums at
-    // quiescence (PR 2's sharded-locking contract).
+    // The registered mem.* aggregates, which sum the hot path's
+    // per-tile parts, must equal the per-tile architectural counters at
+    // quiescence: reading them by name also catches a gauge that sums
+    // the wrong field.
     stat_t accesses = 0, writebacks = 0, l2_misses = 0;
     for (tile_id_t t = 0; t < sim.totalTiles(); ++t) {
         accesses += mem.stats(t).totalAccesses;
         writebacks += mem.stats(t).writebacks;
         l2_misses += mem.l2(t).misses();
     }
-    stat_t agg_accesses = mem.totalAccessesCounter()->load();
-    stat_t agg_writebacks = mem.writebacksCounter()->load();
-    stat_t agg_l2 = mem.l2MissesCounter()->load();
+    const StatsRegistry& stats = sim.stats();
+    stat_t agg_accesses = stats.get("mem.accesses_total");
+    stat_t agg_writebacks = stats.get("mem.writebacks_total");
+    stat_t agg_l2 = stats.get("mem.l2_misses_total");
     if (accesses != agg_accesses)
         out.push_back(strfmt("counter sum: per-tile accesses {} != "
                              "aggregate {}",

@@ -5,7 +5,7 @@
  *
  * Conservation checks run at quiescence (after Simulator::run returns):
  *  - coherence SWMR / inclusion / data agreement (validateCoherence)
- *  - per-tile counter sums equal the shared atomic aggregates
+ *  - per-tile counter sums equal the registered mem.* aggregates
  *  - network locality counters equal per-model routed packet/byte totals
  *  - target heap fully released (the fuzz program frees everything)
  *

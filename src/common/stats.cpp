@@ -32,6 +32,33 @@ HistogramStat::record(stat_t value)
     }
 }
 
+void
+HistogramStat::recordSerialized(stat_t value)
+{
+    addSerialized(buckets_[std::bit_width(value)]);
+    addSerialized(count_);
+    addSerialized(sum_, value);
+    if (value < min_.load(std::memory_order_relaxed))
+        min_.store(value, std::memory_order_relaxed);
+    if (value > max_.load(std::memory_order_relaxed))
+        max_.store(value, std::memory_order_relaxed);
+}
+
+void
+HistogramStat::merge(const HistogramStat& other)
+{
+    for (int i = 0; i < NUM_BUCKETS; ++i)
+        addSerialized(buckets_[i], other.bucket(i));
+    addSerialized(count_, other.count());
+    addSerialized(sum_, other.sum());
+    // Raw min_ (all-ones when empty), as saveState() writes it.
+    stat_t other_min = other.min_.load(std::memory_order_relaxed);
+    if (other_min < min_.load(std::memory_order_relaxed))
+        min_.store(other_min, std::memory_order_relaxed);
+    if (other.max() > max())
+        max_.store(other.max(), std::memory_order_relaxed);
+}
+
 double
 HistogramStat::mean() const
 {
@@ -157,11 +184,12 @@ StatsRegistry::registerGauge(const std::string& name, gauge_fn fn)
 
 void
 StatsRegistry::registerHistogram(const std::string& name,
-                                 const HistogramStat* histogram)
+                                 std::vector<const HistogramStat*> parts)
 {
+    GRAPHITE_ASSERT(!parts.empty());
     lockdep::Guard lock(mutex_);
     checkNewName(name);
-    histograms_.emplace(name, histogram);
+    histograms_.emplace(name, std::move(parts));
 }
 
 stat_t
@@ -187,12 +215,23 @@ StatsRegistry::has(const std::string& name) const
            gauges_.count(name) != 0 || histograms_.count(name) != 0;
 }
 
-const HistogramStat*
+HistogramStat
+StatsRegistry::merged(const std::vector<const HistogramStat*>& parts)
+{
+    HistogramStat out;
+    for (const HistogramStat* part : parts)
+        out.merge(*part);
+    return out;
+}
+
+std::optional<HistogramStat>
 StatsRegistry::histogram(const std::string& name) const
 {
     lockdep::Guard lock(mutex_);
     auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : it->second;
+    if (it == histograms_.end())
+        return std::nullopt;
+    return merged(it->second);
 }
 
 stat_t
@@ -240,7 +279,7 @@ StatsRegistry::names() const
         out.push_back(name);
     for (const auto& [name, fn] : gauges_)
         out.push_back(name);
-    for (const auto& [name, h] : histograms_)
+    for (const auto& [name, parts] : histograms_)
         out.push_back(name);
     std::sort(out.begin(), out.end());
     return out;
@@ -252,7 +291,7 @@ StatsRegistry::histogramNames() const
     lockdep::Guard lock(mutex_);
     std::vector<std::string> out;
     out.reserve(histograms_.size());
-    for (const auto& [name, h] : histograms_)
+    for (const auto& [name, parts] : histograms_)
         out.push_back(name);
     return out;
 }
@@ -270,9 +309,10 @@ StatsRegistry::snapshot() const
         out.emplace_back(name, ptr->load(std::memory_order_relaxed));
     for (const auto& [name, fn] : gauges_)
         out.emplace_back(name, fn());
-    for (const auto& [name, h] : histograms_) {
-        out.emplace_back(name + ".count", h->count());
-        out.emplace_back(name + ".sum", h->sum());
+    for (const auto& [name, parts] : histograms_) {
+        HistogramStat h = merged(parts);
+        out.emplace_back(name + ".count", h.count());
+        out.emplace_back(name + ".sum", h.sum());
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -291,8 +331,8 @@ StatsRegistry::dump() const
             std::to_string(ptr->load(std::memory_order_relaxed));
     for (const auto& [name, fn] : gauges_)
         lines[name] = std::to_string(fn());
-    for (const auto& [name, h] : histograms_)
-        lines[name] = h->summary();
+    for (const auto& [name, parts] : histograms_)
+        lines[name] = merged(parts).summary();
     std::ostringstream os;
     for (const auto& [name, value] : lines)
         os << name << " = " << value << "\n";

@@ -13,6 +13,8 @@
  *    interval snapshotting possible without invading every model.
  *  - histograms: power-of-two-bucketed distributions (HistogramStat)
  *    for latency-style values where a single counter hides the shape.
+ *    One name may stand for several parts (one per tile, say), merged
+ *    whenever the histogram is read.
  *
  * Aggregation helpers sum statistics across tiles at reporting time;
  * snapshot() flattens everything to (name, value) pairs for the
@@ -27,6 +29,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,11 +48,24 @@ class SnapshotReader;
 using stat_t = std::uint64_t;
 
 /**
- * A shared statistic: incremented (relaxed) by concurrent writers,
- * readable at any time without tearing. Used for aggregates that many
- * application threads bump from the memory-system hot path.
+ * A statistic readable at any time without tearing. Either incremented
+ * (relaxed) by concurrent writers, or written by one writer at a time
+ * through addSerialized().
  */
 using atomic_stat_t = std::atomic<stat_t>;
+
+/**
+ * Add @p n to a statistic whose writers the caller serializes (for
+ * example by holding the lock of the object that owns it): a relaxed
+ * load and store, with no locked read-modify-write. Concurrent readers
+ * still see whole values.
+ */
+inline void
+addSerialized(atomic_stat_t& stat, stat_t n = 1)
+{
+    stat.store(stat.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+}
 
 /** A gauge: evaluated at read time. Must be safe to call concurrently. */
 using gauge_fn = std::function<stat_t()>;
@@ -61,14 +77,33 @@ using gauge_fn = std::function<stat_t()>;
  * concurrently (relaxed atomics); readers tolerate slightly stale
  * values. Bucket i counts samples whose value has bit-width i, i.e.
  * v in [2^(i-1), 2^i) for i >= 1 and v == 0 for bucket 0.
+ *
+ * Copying takes a relaxed snapshot; merge() adds another histogram's
+ * samples, so a distribution kept in per-owner parts reads as one.
  */
 class HistogramStat
 {
   public:
     static constexpr int NUM_BUCKETS = 65; ///< bit widths 0..64
 
+    HistogramStat() = default;
+    HistogramStat(const HistogramStat& other) { merge(other); }
+    HistogramStat& operator=(const HistogramStat&) = delete;
+
     /** Record one sample. Safe to call from multiple threads. */
     void record(stat_t value);
+
+    /**
+     * Record one sample when the caller serializes every writer (see
+     * addSerialized()): relaxed loads and stores only.
+     */
+    void recordSerialized(stat_t value);
+
+    /**
+     * Add @p other's samples to this histogram. Not safe concurrently
+     * with writers of this one.
+     */
+    void merge(const HistogramStat& other);
 
     /** @name Summary statistics @{ */
     stat_t count() const
@@ -148,11 +183,21 @@ class StatsRegistry
     void registerGauge(const std::string& name, gauge_fn fn);
 
     /**
-     * Register a histogram. Its ".count" and ".sum" projections appear
-     * in snapshot() so interval samplers can delta them.
+     * Register a histogram kept as @p parts (for example one per tile,
+     * each written by its owner alone). Every read merges the parts, so
+     * the name reads as one distribution; its ".count" and ".sum"
+     * projections appear in snapshot() so interval samplers can delta
+     * them. Same lifetime contract as counters.
      */
     void registerHistogram(const std::string& name,
-                           const HistogramStat* histogram);
+                           std::vector<const HistogramStat*> parts);
+
+    /** Register a histogram kept in one piece. */
+    void registerHistogram(const std::string& name,
+                           const HistogramStat* histogram)
+    {
+        registerHistogram(name, std::vector{histogram});
+    }
 
     /** @return value of a named counter or gauge; fatal if unknown. */
     stat_t get(const std::string& name) const;
@@ -160,8 +205,11 @@ class StatsRegistry
     /** @return true if a statistic of any kind exists under the name. */
     bool has(const std::string& name) const;
 
-    /** @return registered histogram, or nullptr. */
-    const HistogramStat* histogram(const std::string& name) const;
+    /**
+     * @return the registered histogram with its parts merged, or empty
+     * if no histogram has the name.
+     */
+    std::optional<HistogramStat> histogram(const std::string& name) const;
 
     /**
      * Sum all counters/gauges whose name matches "prefix<id>suffix" over
@@ -197,11 +245,15 @@ class StatsRegistry
   private:
     void checkNewName(const std::string& name) const;
 
+    /** One histogram holding every part's samples. */
+    static HistogramStat
+    merged(const std::vector<const HistogramStat*>& parts);
+
     mutable lockdep::OrderedMutex mutex_{lockdep::LockClass::stats_registry};
     std::map<std::string, const stat_t*> counters_;
     std::map<std::string, const atomic_stat_t*> atomicCounters_;
     std::map<std::string, gauge_fn> gauges_;
-    std::map<std::string, const HistogramStat*> histograms_;
+    std::map<std::string, std::vector<const HistogramStat*>> histograms_;
 };
 
 } // namespace graphite

@@ -215,30 +215,10 @@ Simulator::registerStats()
         });
     }
 
-    // Aggregates are maintained on the memory system's hot path as
-    // shared atomic counters, so the interval sampler reads one word
-    // instead of walking every tile per sample.
-    MemorySystem* mem = memory_.get();
-    stats_.registerCounter("mem.l2_misses_total",
-                           mem->l2MissesCounter());
-    stats_.registerCounter("mem.accesses_total",
-                           mem->totalAccessesCounter());
-    stats_.registerCounter("mem.writebacks_total",
-                           mem->writebacksCounter());
-    stats_.registerCounter("mem.shard_lock.acquisitions",
-                           mem->shardLockAcquisitionsCounter());
-    stats_.registerCounter("mem.shard_lock.contended",
-                           mem->shardLockContendedCounter());
-    stats_.registerCounter("mem.shard_lock.wait_ns",
-                           mem->shardLockWaitNsCounter());
-    stats_.registerCounter("mem.tile_lock.acquisitions",
-                           mem->tileLockAcquisitionsCounter());
-    stats_.registerCounter("mem.tile_lock.contended",
-                           mem->tileLockContendedCounter());
-    stats_.registerCounter("mem.tile_lock.wait_ns",
-                           mem->tileLockWaitNsCounter());
-    stats_.registerHistogram("mem.access_latency",
-                             &memory_->accessLatencyHistogram());
+    // The memory system keeps its aggregates in per-tile and per-shard
+    // parts, so no host thread writes a counter another one writes; the
+    // registry sums the parts when read.
+    memory_->registerStats(stats_);
 
     NetworkFabric* fabric = fabric_.get();
     auto net_gauges = [&](const char* tag, PacketType type) {

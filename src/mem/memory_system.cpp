@@ -194,42 +194,22 @@ MemorySystem::msg(tile_id_t src, tile_id_t dst, size_t payload_bytes,
 // ------------------------------------------------------------------ locking
 
 lockdep::UniqueLock
-MemorySystem::lockShard(Shard& shard, const char* file, int line)
+MemorySystem::lockCounted(CountedMutex& m, const char* file, int line)
 {
-    lockdep::UniqueLock lock(shard.mutex, std::defer_lock);
+    lockdep::UniqueLock lock(m, std::defer_lock);
     if (!lock.try_lock(file, line)) {
-        shardLockContended_.fetch_add(1, std::memory_order_relaxed);
         auto t0 = std::chrono::steady_clock::now();
         lock.lock(file, line);
         auto waited = std::chrono::steady_clock::now() - t0;
-        shardLockWaitNs_.fetch_add(
+        addSerialized(m.contended);
+        addSerialized(
+            m.waitNs,
             static_cast<stat_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     waited)
-                    .count()),
-            std::memory_order_relaxed);
+                    .count()));
     }
-    shardLockAcquisitions_.fetch_add(1, std::memory_order_relaxed);
-    return lock;
-}
-
-lockdep::UniqueLock
-MemorySystem::lockTile(TileMemory& tm, const char* file, int line)
-{
-    lockdep::UniqueLock lock(tm.mutex, std::defer_lock);
-    if (!lock.try_lock(file, line)) {
-        tileLockContended_.fetch_add(1, std::memory_order_relaxed);
-        auto t0 = std::chrono::steady_clock::now();
-        lock.lock(file, line);
-        auto waited = std::chrono::steady_clock::now() - t0;
-        tileLockWaitNs_.fetch_add(
-            static_cast<stat_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    waited)
-                    .count()),
-            std::memory_order_relaxed);
-    }
-    tileLockAcquisitions_.fetch_add(1, std::memory_order_relaxed);
+    addSerialized(m.acquisitions);
     return lock;
 }
 
@@ -396,7 +376,7 @@ MemorySystem::handleL2Eviction(tile_id_t tile, const Eviction& ev,
         // requester's critical path, so the latency is modeled (traffic
         // and queue occupancy) but not accumulated into the access.
         ++tm.stats.writebacks;
-        aggWritebacks_.fetch_add(1, std::memory_order_relaxed);
+        addSerialized(tm.writebacks);
         obs::telemetry::FlightRecorder::record(
             obs::telemetry::FrEvent::Writeback, tile, now, ev.lineAddr,
             static_cast<std::uint64_t>(home));
@@ -741,10 +721,10 @@ MemorySystem::finishAccess(TileMemory& tm, const LineRequest& rq,
 {
     ++tm.stats.totalAccesses;
     tm.stats.totalLatency += res.latency;
-    aggAccesses_.fetch_add(1, std::memory_order_relaxed);
+    addSerialized(tm.accesses);
     // Atomics stay out of the application access-latency distribution.
     if (rq.rmw == nullptr)
-        accessLatency_.record(res.latency);
+        tm.accessLatency.recordSerialized(res.latency);
 }
 
 CacheLine*
@@ -850,7 +830,7 @@ MemorySystem::accessLine(LineRequest& rq, cycle_t start_time)
         // its line, so only a miss can have a victim.
         std::optional<addr_t> planned_victim;
         {
-            auto tile_lock = lockTile(tm);
+            auto tile_lock = lockCounted(tm.mutex);
             AccessResult res;
             CacheProbe p = tryCompleteLocal(tm, rq, res);
             if (p == CacheProbe::Hit)
@@ -874,7 +854,7 @@ MemorySystem::accessLine(LineRequest& rq, cycle_t start_time)
         std::vector<lockdep::UniqueLock> shard_locks;
         shard_locks.reserve(shard_ids.size());
         for (tile_id_t id : shard_ids)
-            shard_locks.push_back(lockShard(shards_[id]));
+            shard_locks.push_back(lockCounted(shards_[id].mutex));
 
         std::vector<tile_id_t> tile_ids{rq.tile};
         if (DirectoryEntry* e = shards_[home].directory->peek(line_addr);
@@ -889,7 +869,7 @@ MemorySystem::accessLine(LineRequest& rq, cycle_t start_time)
         std::vector<lockdep::UniqueLock> tile_locks;
         tile_locks.reserve(tile_ids.size());
         for (tile_id_t id : tile_ids)
-            tile_locks.push_back(lockTile(tiles_[id]));
+            tile_locks.push_back(lockCounted(tiles_[id].mutex));
 
         // Phase C — revalidate the plan now that the world is frozen.
         // A concurrent access by another thread on the same tile may
@@ -922,7 +902,7 @@ MemorySystem::accessLine(LineRequest& rq, cycle_t start_time)
         if (span)
             span->add(obs::SpanStage::LocalCheck, start_time,
                       res.latency);
-        aggL2Misses_.fetch_add(1, std::memory_order_relaxed);
+        addSerialized(tm.l2Misses);
         MissClass mc;
         res.latency += fetchLineLocked(rq.tile, line_addr, rq.isWrite,
                                        rq.addr, rq.size,
@@ -1018,7 +998,7 @@ MemorySystem::accessLineFastForward(LineRequest& rq)
     // shard lock also makes an RMW atomic: every fast-forward access
     // to the line serializes on it.
     tile_id_t home = homeTile(line_addr);
-    auto shard_lock = lockShard(shards_[home]);
+    auto shard_lock = lockCounted(shards_[home].mutex);
     if (DirectoryEntry* entry = shards_[home].directory->peek(line_addr);
         entry != nullptr && entry->state() != DirectoryState::Uncached)
         demoteLineLocked(*entry, line_addr);
@@ -1034,7 +1014,7 @@ MemorySystem::accessLineFastForward(LineRequest& rq)
 
     AccessResult res; // zero latency, counts as a (cold) miss
     TileMemory& tm = tiles_[rq.tile];
-    auto tile_lock = lockTile(tm);
+    auto tile_lock = lockCounted(tm.mutex);
     finishAccess(tm, rq, res);
     return res;
 }
@@ -1057,7 +1037,7 @@ MemorySystem::demoteLineLocked(DirectoryEntry& entry, addr_t line_addr)
     std::vector<lockdep::UniqueLock> tile_locks;
     tile_locks.reserve(holder_ids.size());
     for (tile_id_t id : holder_ids)
-        tile_locks.push_back(lockTile(tiles_[id]));
+        tile_locks.push_back(lockCounted(tiles_[id].mutex));
 
     if (entry.state() == DirectoryState::Modified) {
         std::vector<std::uint8_t> data;
@@ -1085,13 +1065,13 @@ MemorySystem::readCoherent(addr_t addr, void* buf, size_t size)
         // data (L1 is write-through). Holding the home shard freezes
         // the owner; the owner's tile lock freezes the data.
         tile_id_t home = homeTile(line_addr);
-        auto shard_lock = lockShard(shards_[home]);
+        auto shard_lock = lockCounted(shards_[home].mutex);
         DirectoryEntry* entry =
             shards_[home].directory->peek(line_addr);
         if (entry != nullptr &&
             entry->state() == DirectoryState::Modified) {
             tile_id_t owner = entry->owner();
-            auto tile_lock = lockTile(tiles_[owner]);
+            auto tile_lock = lockCounted(tiles_[owner].mutex);
             CacheLine* line = tiles_[owner].l2->find(line_addr);
             GRAPHITE_ASSERT(line != nullptr);
             std::memcpy(out, line->data.data() + (addr - line_addr),
@@ -1116,7 +1096,7 @@ MemorySystem::writeCoherent(addr_t addr, const void* buf, size_t size)
         // Invalidate every cached copy, then update memory. This is a
         // kernel-initiated write (DMA-like); charge no target time.
         tile_id_t home = homeTile(line_addr);
-        auto shard_lock = lockShard(shards_[home]);
+        auto shard_lock = lockCounted(shards_[home].mutex);
         DirectoryEntry* entry =
             shards_[home].directory->peek(line_addr);
         if (entry != nullptr &&
@@ -1168,6 +1148,46 @@ MemorySystem::stats(tile_id_t tile) const
     return tiles_[tile].stats;
 }
 
+void
+MemorySystem::registerStats(StatsRegistry& reg) const
+{
+    std::vector<const HistogramStat*> latency;
+    for (const TileMemory& tm : tiles_)
+        latency.push_back(&tm.accessLatency);
+    reg.registerHistogram("mem.access_latency", std::move(latency));
+
+    auto sum_tiles = [&](const char* name,
+                         atomic_stat_t TileMemory::*field) {
+        reg.registerGauge(name, [this, field] {
+            stat_t total = 0;
+            for (const TileMemory& tm : tiles_)
+                total += (tm.*field).load(std::memory_order_relaxed);
+            return total;
+        });
+    };
+    sum_tiles("mem.accesses_total", &TileMemory::accesses);
+    sum_tiles("mem.l2_misses_total", &TileMemory::l2Misses);
+    sum_tiles("mem.writebacks_total", &TileMemory::writebacks);
+
+    auto sum_locks = [&](const std::string& name, const auto* owners,
+                         atomic_stat_t CountedMutex::*field) {
+        reg.registerGauge(name, [owners, field] {
+            stat_t total = 0;
+            for (const auto& owner : *owners)
+                total +=
+                    (owner.mutex.*field).load(std::memory_order_relaxed);
+            return total;
+        });
+    };
+    for (const auto& [kind, field] :
+         {std::pair{"acquisitions", &CountedMutex::acquisitions},
+          std::pair{"contended", &CountedMutex::contended},
+          std::pair{"wait_ns", &CountedMutex::waitNs}}) {
+        sum_locks(strfmt("mem.tile_lock.{}", kind), &tiles_, field);
+        sum_locks(strfmt("mem.shard_lock.{}", kind), &shards_, field);
+    }
+}
+
 std::string
 MemorySystem::validateCoherence()
 {
@@ -1177,11 +1197,11 @@ MemorySystem::validateCoherence()
     std::vector<lockdep::UniqueLock> shard_locks;
     shard_locks.reserve(shards_.size());
     for (Shard& sh : shards_)
-        shard_locks.push_back(lockShard(sh));
+        shard_locks.push_back(lockCounted(sh.mutex));
     std::vector<lockdep::UniqueLock> tile_locks;
     tile_locks.reserve(tiles_.size());
     for (TileMemory& tm : tiles_)
-        tile_locks.push_back(lockTile(tm));
+        tile_locks.push_back(lockCounted(tm.mutex));
 
     // Gather, for every line cached anywhere, which L2s hold it and how.
     struct Holders
@@ -1340,13 +1360,23 @@ MemorySystem::saveState(snapshot::SnapshotWriter& w)
         }
     }
 
-    accessLatency_.saveState(w);
+    // The format keeps one latency histogram and one total of each
+    // kind: write the tiles' parts merged and summed.
+    HistogramStat latency;
+    stat_t accesses = 0, l2_misses = 0, writebacks = 0;
+    for (const TileMemory& tm : tiles_) {
+        latency.merge(tm.accessLatency);
+        accesses += tm.accesses.load(std::memory_order_relaxed);
+        l2_misses += tm.l2Misses.load(std::memory_order_relaxed);
+        writebacks += tm.writebacks.load(std::memory_order_relaxed);
+    }
+    latency.saveState(w);
     backing_.saveState(w);
     manager_->saveState(w);
 
-    w.u64(aggAccesses_.load(std::memory_order_relaxed));
-    w.u64(aggL2Misses_.load(std::memory_order_relaxed));
-    w.u64(aggWritebacks_.load(std::memory_order_relaxed));
+    w.u64(accesses);
+    w.u64(l2_misses);
+    w.u64(writebacks);
 }
 
 void
@@ -1423,13 +1453,22 @@ MemorySystem::loadState(snapshot::SnapshotReader& r)
         }
     }
 
-    accessLatency_.loadState(r);
+    // The merged histogram and the totals land on tile 0 and the other
+    // parts restart empty, so every sum reads what was saved.
+    for (TileMemory& tm : tiles_) {
+        tm.accessLatency.reset();
+        tm.accesses.store(0, std::memory_order_relaxed);
+        tm.l2Misses.store(0, std::memory_order_relaxed);
+        tm.writebacks.store(0, std::memory_order_relaxed);
+    }
+    TileMemory& first = tiles_.front();
+    first.accessLatency.loadState(r);
     backing_.loadState(r);
     manager_->loadState(r);
 
-    aggAccesses_.store(r.u64(), std::memory_order_relaxed);
-    aggL2Misses_.store(r.u64(), std::memory_order_relaxed);
-    aggWritebacks_.store(r.u64(), std::memory_order_relaxed);
+    first.accesses.store(r.u64(), std::memory_order_relaxed);
+    first.l2Misses.store(r.u64(), std::memory_order_relaxed);
+    first.writebacks.store(r.u64(), std::memory_order_relaxed);
 }
 
 } // namespace graphite

@@ -20,13 +20,16 @@
  * servers. A per-tile lock guards each TileMemory (L1/L2 arrays, local
  * stats, miss-classification state), so hits on lines the tile already
  * holds with sufficient permission complete without touching any shared
- * state. Per-home-tile shard locks guard the directory slice, the DRAM
- * controller, and the word-version shard homed at each tile; coherence
- * transactions acquire the shards they need in ascending id order, then
- * every involved tile lock (requester + current holders) in ascending id
- * order. Plain accesses and atomics run through the same transaction
- * code. See DESIGN.md §"Coherence-transaction serialization: the shard
- * scheme" for the full lock order and plan/validate/retry protocol.
+ * state. Even the statistics are partitioned: an access updates only
+ * the TileMemory or Shard whose lock it holds, and the mem.* aggregates
+ * sum those parts when read. Per-home-tile shard locks guard the
+ * directory slice, the DRAM controller, and the word-version shard
+ * homed at each tile; coherence transactions acquire the shards they
+ * need in ascending id order, then every involved tile lock (requester
+ * + current holders) in ascending id order. Plain accesses and atomics
+ * run through the same transaction code. See DESIGN.md
+ * §"Coherence-transaction serialization: the shard scheme" for the full
+ * lock order and plan/validate/retry protocol.
  */
 
 #pragma once
@@ -176,60 +179,27 @@ class MemorySystem
     const TileMemoryStats& stats(tile_id_t tile) const;
     MemoryManager& manager() { return *manager_; }
     MainMemory& backing() { return backing_; }
-
-    /** Distribution of end-to-end application access latencies. */
-    HistogramStat& accessLatencyHistogram() { return accessLatency_; }
-    const HistogramStat& accessLatencyHistogram() const
-    {
-        return accessLatency_;
-    }
     /** @} */
 
     /**
-     * @name Shared aggregates (register directly as atomic counters)
-     * Maintained on the hot path so reporting never walks every tile:
-     * totalAccesses/l2Misses/writebacks equal the per-tile sums at any
-     * quiescent point. The shard-lock trio measures contention on the
-     * per-home shard mutexes (fast-path hits never touch them); the
-     * tile-lock trio does the same for the level-1 tile mutexes, which
-     * every access takes. Both count with try-lock-then-block, so
-     * "contended" means a real lost race, not just an acquisition.
-     * @{
+     * Register the memory system's aggregates in @p reg: the
+     * "mem.access_latency" histogram (one part per tile) and nine gauges
+     * that sum the tiles or shards when read.
+     *
+     *  - mem.accesses_total, mem.l2_misses_total, mem.writebacks_total
+     *    equal the per-tile sums of TileMemoryStats::totalAccesses,
+     *    the L2 miss counts and TileMemoryStats::writebacks at any
+     *    quiescent point;
+     *  - mem.tile_lock.{acquisitions,contended,wait_ns} measure the
+     *    level-1 tile locks, which every access takes, and
+     *    mem.shard_lock.* the per-home shard locks (fast-path hits never
+     *    touch them). Both count with try-lock-then-block, so
+     *    "contended" means a real lost race, not just an acquisition.
+     *
+     * Every part is written only under the lock of the tile or shard
+     * that owns it, so no host thread writes another's counters.
      */
-    const atomic_stat_t* totalAccessesCounter() const
-    {
-        return &aggAccesses_;
-    }
-    const atomic_stat_t* l2MissesCounter() const { return &aggL2Misses_; }
-    const atomic_stat_t* writebacksCounter() const
-    {
-        return &aggWritebacks_;
-    }
-    const atomic_stat_t* shardLockAcquisitionsCounter() const
-    {
-        return &shardLockAcquisitions_;
-    }
-    const atomic_stat_t* shardLockContendedCounter() const
-    {
-        return &shardLockContended_;
-    }
-    const atomic_stat_t* shardLockWaitNsCounter() const
-    {
-        return &shardLockWaitNs_;
-    }
-    const atomic_stat_t* tileLockAcquisitionsCounter() const
-    {
-        return &tileLockAcquisitions_;
-    }
-    const atomic_stat_t* tileLockContendedCounter() const
-    {
-        return &tileLockContended_;
-    }
-    const atomic_stat_t* tileLockWaitNsCounter() const
-    {
-        return &tileLockWaitNs_;
-    }
-    /** @} */
+    void registerStats(StatsRegistry& reg) const;
 
     /**
      * Hold @p tile's level-1 lock for @p ns nanoseconds from another
@@ -306,15 +276,41 @@ class MemorySystem
         std::vector<std::uint32_t> versions;
     };
 
-    /** Everything guarded by one tile's lock. */
-    struct TileMemory
+    /**
+     * A tile or shard lock with its contention counters, which only the
+     * holder writes (addSerialized).
+     */
+    struct CountedMutex : lockdep::OrderedMutex
+    {
+        using lockdep::OrderedMutex::OrderedMutex;
+        atomic_stat_t acquisitions{0};
+        atomic_stat_t contended{0};
+        atomic_stat_t waitNs{0};
+    };
+
+    /**
+     * Everything guarded by one tile's lock. Cache-line aligned: every
+     * access on this tile writes it, and no other tile's should share
+     * its lines.
+     */
+    struct alignas(64) TileMemory
     {
         /** Level-1 lock: caches, stats, and classification state. */
-        lockdep::OrderedMutex mutex{lockdep::LockClass::mem_tile};
+        CountedMutex mutex{lockdep::LockClass::mem_tile};
         std::unique_ptr<Cache> l1i;
         std::unique_ptr<Cache> l1d;
         std::unique_ptr<Cache> l2;
         TileMemoryStats stats;
+        /**
+         * This tile's parts of the mem.* aggregates, written under the
+         * lock but readable without it, unlike TileMemoryStats. The
+         * latency part counts application accesses only; atomics stay
+         * out of it.
+         */
+        HistogramStat accessLatency;
+        atomic_stat_t accesses{0};
+        atomic_stat_t l2Misses{0};
+        atomic_stat_t writebacks{0};
         /** Lines ever present in this tile's L2 (cold-miss tracking). */
         std::unordered_set<addr_t> everCached;
         /** How lines were lost, for coherence-miss classification. */
@@ -326,10 +322,11 @@ class MemorySystem
      * the directory slice and the memory controller — the paper's MME
      * server state. Holding a line's home shard freezes the line's
      * holder set (every holder-set mutation goes through the home).
+     * Cache-line aligned, like TileMemory.
      */
-    struct Shard
+    struct alignas(64) Shard
     {
-        lockdep::OrderedMutex mutex{lockdep::LockClass::mem_shard};
+        CountedMutex mutex{lockdep::LockClass::mem_shard};
         std::unique_ptr<Directory> directory;
         std::unique_ptr<DramController> dram;
         /** Leaf lock for the word-version shard (classification). */
@@ -344,18 +341,14 @@ class MemorySystem
 
     addr_t lineAlign(addr_t a) const { return a & ~(lineSize_ - 1); }
 
-    /** Acquire a shard lock, recording contention statistics. */
-    lockdep::UniqueLock lockShard(Shard& shard,
-                                  const char* file = __builtin_FILE(),
-                                  int line = __builtin_LINE());
-
     /**
-     * Acquire a tile's level-1 lock, recording contention statistics
+     * Acquire a tile or shard lock, recording its contention statistics
      * (try-lock first; only a lost race counts as contended).
      */
-    lockdep::UniqueLock lockTile(TileMemory& tm,
-                                 const char* file = __builtin_FILE(),
-                                 int line = __builtin_LINE());
+    static lockdep::UniqueLock lockCounted(CountedMutex& m,
+                                           const char* file =
+                                               __builtin_FILE(),
+                                           int line = __builtin_LINE());
 
     /**
      * Model one coherence message; returns its network latency. When
@@ -500,19 +493,8 @@ class MemorySystem
     std::atomic<bool> fastForward_{false};
     std::vector<TileMemory> tiles_;
     std::vector<Shard> shards_;
-    HistogramStat accessLatency_;
     MainMemory backing_;
     std::unique_ptr<MemoryManager> manager_;
-
-    atomic_stat_t aggAccesses_{0};
-    atomic_stat_t aggL2Misses_{0};
-    atomic_stat_t aggWritebacks_{0};
-    atomic_stat_t shardLockAcquisitions_{0};
-    atomic_stat_t shardLockContended_{0};
-    atomic_stat_t shardLockWaitNs_{0};
-    atomic_stat_t tileLockAcquisitions_{0};
-    atomic_stat_t tileLockContended_{0};
-    atomic_stat_t tileLockWaitNs_{0};
 };
 
 } // namespace graphite

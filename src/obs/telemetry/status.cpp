@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <unistd.h>
@@ -99,8 +100,8 @@ renderPrometheus(const StatsRegistry& reg)
     for (const std::string& name : reg.histogramNames()) {
         histogram_projections.insert(name + ".count");
         histogram_projections.insert(name + ".sum");
-        const HistogramStat* h = reg.histogram(name);
-        if (h == nullptr)
+        std::optional<HistogramStat> h = reg.histogram(name);
+        if (!h)
             continue;
         std::string pname = prometheusName(name);
         os << "# TYPE " << pname << " histogram\n";

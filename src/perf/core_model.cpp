@@ -137,7 +137,9 @@ CoreModel::CoreModel(tile_id_t tile, const Config& cfg)
 void
 CoreModel::advance(cycle_t cycles)
 {
-    clock_.fetch_add(cycles, std::memory_order_relaxed);
+    // Only the tile's own thread writes clock_ (as retire() and
+    // forwardClock() rely on too): no locked read-modify-write.
+    clock_.store(cycle() + cycles, std::memory_order_relaxed);
 }
 
 void

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -44,12 +45,14 @@ struct MemFixture
         topo = std::make_unique<ClusterTopology>(tiles, 1);
         fabric = std::make_unique<NetworkFabric>(*topo, cfg);
         mem = std::make_unique<MemorySystem>(*topo, *fabric, cfg);
+        mem->registerStats(stats);
     }
 
     Config cfg;
     std::unique_ptr<ClusterTopology> topo;
     std::unique_ptr<NetworkFabric> fabric;
     std::unique_ptr<MemorySystem> mem;
+    StatsRegistry stats;
 };
 
 const addr_t PRIVATE_BASE = 0x1000'0000; // line-aligned heap region
@@ -73,10 +76,14 @@ expectAggregatesConsistent(MemFixture& f, int tiles)
         l2_misses += f.mem->l2(t).misses();
         writebacks += f.mem->stats(t).writebacks;
     }
-    EXPECT_EQ(f.mem->l2MissesCounter()->load(), l2_misses);
-    EXPECT_EQ(f.mem->writebacksCounter()->load(), writebacks);
-    EXPECT_EQ(f.mem->totalAccessesCounter()->load(),
-              sumTileAccesses(f, tiles));
+    EXPECT_EQ(f.stats.get("mem.l2_misses_total"), l2_misses);
+    EXPECT_EQ(f.stats.get("mem.writebacks_total"), writebacks);
+    EXPECT_EQ(f.stats.get("mem.accesses_total"), sumTileAccesses(f, tiles));
+    // The latency distribution counts application accesses only.
+    std::optional<HistogramStat> latency =
+        f.stats.histogram("mem.access_latency");
+    ASSERT_TRUE(latency.has_value());
+    EXPECT_LE(latency->count(), f.stats.get("mem.accesses_total"));
 }
 
 // Each thread owns one tile and hammers a private region: the pure
@@ -109,6 +116,9 @@ TEST(MemConcurrency, PrivateLinesFastPath)
         EXPECT_EQ(f.mem->stats(t).totalAccesses,
                   static_cast<stat_t>(2 * kIters));
     expectAggregatesConsistent(f, kThreads);
+    // No atomics here, so every access is in the merged distribution.
+    EXPECT_EQ(f.stats.histogram("mem.access_latency")->count(),
+              static_cast<stat_t>(2 * kIters * kThreads));
 }
 
 // All threads fight over a handful of shared lines: invalidations,
@@ -301,10 +311,12 @@ TEST(MemConcurrency, ContentionStatsSane)
     for (auto& t : threads)
         t.join();
 
-    stat_t acq = f.mem->shardLockAcquisitionsCounter()->load();
-    stat_t contended = f.mem->shardLockContendedCounter()->load();
-    EXPECT_GE(acq, f.mem->l2MissesCounter()->load());
+    stat_t acq = f.stats.get("mem.shard_lock.acquisitions");
+    stat_t contended = f.stats.get("mem.shard_lock.contended");
+    EXPECT_GE(acq, f.stats.get("mem.l2_misses_total"));
     EXPECT_LE(contended, acq);
+    EXPECT_LE(f.stats.get("mem.tile_lock.contended"),
+              f.stats.get("mem.tile_lock.acquisitions"));
     EXPECT_EQ(f.mem->validateCoherence(), "");
 }
 
@@ -319,7 +331,7 @@ TEST(MemConcurrency, PlantedContentionMovesCounters)
     constexpr std::uint64_t kHoldNs = 50'000'000; // 50 ms
 
     // Tile lock: every access to tile 0 takes it.
-    stat_t tile_before = f.mem->tileLockContendedCounter()->load();
+    stat_t tile_before = f.stats.get("mem.tile_lock.contended");
     {
         std::atomic<bool> held{false};
         std::thread holder(
@@ -330,14 +342,14 @@ TEST(MemConcurrency, PlantedContentionMovesCounters)
         f.mem->access(0, MemAccessType::Write, PRIVATE_BASE, &v, 8, 0);
         holder.join();
     }
-    EXPECT_GT(f.mem->tileLockContendedCounter()->load(), tile_before);
-    EXPECT_GT(f.mem->tileLockWaitNsCounter()->load(), 0u);
-    EXPECT_GT(f.mem->tileLockAcquisitionsCounter()->load(), 0u);
+    EXPECT_GT(f.stats.get("mem.tile_lock.contended"), tile_before);
+    EXPECT_GT(f.stats.get("mem.tile_lock.wait_ns"), 0u);
+    EXPECT_GT(f.stats.get("mem.tile_lock.acquisitions"), 0u);
 
     // Shard lock: a miss on a fresh line takes its home shard.
     addr_t fresh = SHARED_BASE + 64 * f.mem->lineSize();
     tile_id_t home = f.mem->homeTile(fresh);
-    stat_t shard_before = f.mem->shardLockContendedCounter()->load();
+    stat_t shard_before = f.stats.get("mem.shard_lock.contended");
     {
         std::atomic<bool> held{false};
         std::thread holder(
@@ -348,8 +360,8 @@ TEST(MemConcurrency, PlantedContentionMovesCounters)
         f.mem->access(0, MemAccessType::Write, fresh, &v, 8, 0);
         holder.join();
     }
-    EXPECT_GT(f.mem->shardLockContendedCounter()->load(), shard_before);
-    EXPECT_GT(f.mem->shardLockWaitNsCounter()->load(), 0u);
+    EXPECT_GT(f.stats.get("mem.shard_lock.contended"), shard_before);
+    EXPECT_GT(f.stats.get("mem.shard_lock.wait_ns"), 0u);
     EXPECT_EQ(f.mem->validateCoherence(), "");
 }
 

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "core/simulator.h"
 #include "obs/metrics_sampler.h"
 #include "obs/profiler.h"
+#include "obs/telemetry/status.h"
 #include "obs/trace_event.h"
 
 namespace graphite
@@ -315,9 +317,68 @@ TEST(StatsRegistry, HistogramLookup)
     StatsRegistry reg;
     HistogramStat hist;
     reg.registerHistogram("h", &hist);
-    EXPECT_EQ(reg.histogram("h"), &hist);
-    EXPECT_EQ(reg.histogram("nope"), nullptr);
+    hist.record(12);
+    // A lookup reads the registered histogram's current samples.
+    std::optional<HistogramStat> h = reg.histogram("h");
+    ASSERT_TRUE(h.has_value());
+    EXPECT_EQ(h->count(), 1u);
+    EXPECT_EQ(h->sum(), 12u);
+    EXPECT_EQ(h->bucket(4), 1u);
+    EXPECT_FALSE(reg.histogram("nope").has_value());
     EXPECT_TRUE(reg.has("h"));
+}
+
+// One histogram kept as three parts (as the memory system keeps one per
+// tile) reads as a single distribution on every read path.
+TEST(StatsRegistry, HistogramPartsMergeOnEveryReadPath)
+{
+    HistogramStat a, b, c;
+    a.record(7);              // bucket 3
+    a.record(5);              // bucket 3
+    b.record(100);            // bucket 7
+    b.record(6);              // bucket 3
+    c.recordSerialized(1000); // bucket 10
+    c.recordSerialized(3);    // bucket 2
+    StatsRegistry reg;
+    reg.registerHistogram("lat", {&a, &b, &c});
+
+    std::optional<HistogramStat> h = reg.histogram("lat");
+    ASSERT_TRUE(h.has_value());
+    EXPECT_EQ(h->count(), 6u);
+    EXPECT_EQ(h->sum(), 1121u);
+    EXPECT_EQ(h->min(), 3u);
+    EXPECT_EQ(h->max(), 1000u);
+    EXPECT_EQ(h->bucket(2), 1u);
+    EXPECT_EQ(h->bucket(3), 3u);
+    EXPECT_EQ(h->bucket(7), 1u);
+    EXPECT_EQ(h->bucket(10), 1u);
+    EXPECT_EQ(h->percentileApprox(0.5), 7u);
+
+    auto snap = reg.snapshot();
+    ASSERT_EQ(snap.size(), 2u);
+    EXPECT_EQ(snap[0], (std::pair<std::string, stat_t>{"lat.count", 6}));
+    EXPECT_EQ(snap[1], (std::pair<std::string, stat_t>{"lat.sum", 1121}));
+
+    std::string dump = reg.dump();
+    EXPECT_NE(dump.find("lat = count=6 "), std::string::npos) << dump;
+    EXPECT_NE(dump.find(" min=3 "), std::string::npos) << dump;
+    EXPECT_NE(dump.find(" max=1000\n"), std::string::npos) << dump;
+
+    std::string text = obs::telemetry::renderPrometheus(reg);
+    for (const char* series :
+         {"graphite_lat_bucket{le=\"3\"} 1\n",
+          "graphite_lat_bucket{le=\"7\"} 4\n",
+          "graphite_lat_bucket{le=\"127\"} 5\n",
+          "graphite_lat_bucket{le=\"1023\"} 6\n",
+          "graphite_lat_bucket{le=\"+Inf\"} 6\n", "graphite_lat_sum 1121\n",
+          "graphite_lat_count 6\n"})
+        EXPECT_NE(text.find(series), std::string::npos) << series;
+
+    // An empty part leaves min and max alone.
+    HistogramStat empty;
+    reg.registerHistogram("lat2", {&empty, &a});
+    EXPECT_EQ(reg.histogram("lat2")->min(), 5u);
+    EXPECT_EQ(reg.histogram("lat2")->max(), 7u);
 }
 
 TEST(StatsRegistry, SumMatchingSpansCountersAndGauges)

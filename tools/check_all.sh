@@ -46,7 +46,7 @@ ctest --test-dir "$BUILD" -L telemetry --output-on-failure
 step "accuracy observatory (causality detection + report schema)"
 ctest --test-dir "$BUILD" -L accuracy --output-on-failure
 
-step "overhead benchmarks (armed-vs-off budgets)"
+step "overhead and scaling benchmarks (armed-vs-off budgets, L1-hit scaling)"
 # Fast mode keeps the gate cheap; each bench owns its pass criterion
 # and bench_report.py rolls the BENCH_*.json verdicts into one table.
 # micro_telemetry_overhead stays out: its two sides simulate different
@@ -56,9 +56,13 @@ for bench in micro_accuracy_overhead micro_span_overhead \
         micro_race_overhead; do
     (cd "$BUILD" && GRAPHITE_BENCH_FAST=1 "./bench/$bench" >/dev/null)
 done
+# The L1-hit scaling gate (4 threads over 1 on private lines) runs at
+# full size, about 2 s: fast mode's short loops hide the cost of a
+# counter that every thread writes on every access.
+(cd "$BUILD" && ./bench/micro_lock_contention >/dev/null)
 python3 tools/bench_report.py --dir "$BUILD" \
     --require micro_accuracy_overhead micro_span_overhead \
-    micro_race_overhead
+    micro_race_overhead micro_lock_contention
 
 step "checkpoint/restore differential"
 # Fingerprint-identical resume: segmented-through-snapshot runs vs

@@ -78,6 +78,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -120,7 +121,8 @@ collectHeadline(const Simulator& sim, const workloads::SimRunResult& r)
     out.emplace_back("mem_l2_misses", misses);
     out.emplace_back("mem_l2_miss_rate",
                      accesses > 0 ? misses / accesses : 0.0);
-    if (const HistogramStat* h = reg.histogram("mem.access_latency")) {
+    if (std::optional<HistogramStat> h =
+            reg.histogram("mem.access_latency")) {
         out.emplace_back("mem_latency_p50", static_cast<double>(
                                                 h->percentileApprox(0.5)));
         out.emplace_back("mem_latency_p95", static_cast<double>(
