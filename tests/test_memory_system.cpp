@@ -2,18 +2,24 @@
  * @file
  * Integration tests of the MSI coherence engine: state transitions,
  * functional data movement, miss classification, atomics, kernel-side
- * coherent access, and a randomized property stress that checks the
- * full invariant set after every phase.
+ * coherent access, a randomized property stress that checks the
+ * full invariant set after every phase, and a cycle-exact timing pin of
+ * every protocol and directory scheme.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/config.h"
+#include <array>
 #include <cstring>
+#include <sstream>
 
+#include "common/config.h"
 #include "common/lockdep.h"
 #include "common/rng.h"
+#include "core/simulator.h"
 #include "mem/memory_system.h"
+#include "obs/span/span_sink.h"
+#include "workloads/registry.h"
 
 namespace graphite
 {
@@ -530,6 +536,158 @@ TEST_P(MsiStress, MesiRandomOpsPreserveInvariantsAndData)
         }
     }
     EXPECT_EQ(f.mem->validateCoherence(), "");
+}
+
+// ------------------------------------------------------ protocol timing pin
+
+/**
+ * One cell of the protocol x directory-scheme timing pin: everything a
+ * coherence message leg's order, time or size feeds into.
+ */
+struct PinCell
+{
+    const char* protocol;
+    const char* directory;
+    cycle_t cycles;
+    /** Memory network: packets, bytes, total latency. */
+    std::array<stat_t, 3> network;
+    /** TileMemoryStats fields in declaration order, summed over tiles. */
+    std::array<stat_t, 10> tileStats;
+    /** Per home directory. */
+    std::array<stat_t, 16> pointerEvictions;
+    std::array<stat_t, 16> softwareTraps;
+    /** SpanSink::stageCycles() in SpanStage order. */
+    std::array<stat_t, obs::NUM_SPAN_STAGES> stageCycles;
+};
+
+/** @p c as the initializer that would pin it. */
+std::string
+formatPin(const PinCell& c)
+{
+    std::ostringstream os;
+    auto list = [&os](const auto& values) {
+        os << "{";
+        for (size_t i = 0; i < values.size(); ++i)
+            os << (i ? ", " : "") << values[i];
+        os << "},\n";
+    };
+    os << "{\"" << c.protocol << "\", \"" << c.directory << "\", "
+       << c.cycles << ",\n";
+    list(c.network);
+    list(c.tileStats);
+    list(c.pointerEvictions);
+    list(c.softwareTraps);
+    list(c.stageCycles);
+    os << "}";
+    return os.str();
+}
+
+PinCell
+measurePin(const char* protocol, const char* directory)
+{
+    Config cfg = defaultTargetConfig();
+    cfg.setInt("general/total_tiles", 16);
+    cfg.set("host/scheduler", "deterministic");
+    cfg.setBool("obs/spans_enabled", true);
+    cfg.setInt("perf_model/l2_cache/cache_size", 16384);
+    cfg.setInt("perf_model/l2_cache/associativity", 4);
+    cfg.set("caching_protocol/type", protocol);
+    cfg.set("caching_protocol/directory_type", directory);
+    cfg.setInt("caching_protocol/max_sharers", 2);
+    Simulator sim(cfg);
+    workloads::WorkloadParams p;
+    p.threads = 16;
+    p.size = 8192;
+    workloads::runSim(sim, workloads::findWorkload("radix"), p);
+
+    PinCell c{protocol, directory, sim.simulatedTime(), {}, {}, {}, {},
+              {}};
+    const NetworkModel& net = sim.fabric().modelFor(PacketType::Memory);
+    c.network = {net.packetsRouted(), net.bytesRouted(),
+                 net.totalLatency()};
+    MemorySystem& mem = sim.memory();
+    for (tile_id_t t = 0; t < 16; ++t) {
+        const TileMemoryStats& s = mem.stats(t);
+        const stat_t fields[] = {
+            s.totalAccesses,       s.totalLatency,
+            s.l2ColdMisses,        s.l2CapacityMisses,
+            s.l2TrueSharingMisses, s.l2FalseSharingMisses,
+            s.l2UpgradeMisses,     s.invalidationsSent,
+            s.recalls,             s.writebacks};
+        for (size_t i = 0; i < c.tileStats.size(); ++i)
+            c.tileStats[i] += fields[i];
+        c.pointerEvictions[t] = mem.directory(t).pointerEvictions();
+        c.softwareTraps[t] = mem.directory(t).softwareTraps();
+    }
+    for (int s = 0; s < obs::NUM_SPAN_STAGES; ++s)
+        c.stageCycles[s] =
+            sim.spanSink()->stageCycles(static_cast<obs::SpanStage>(s));
+    return c;
+}
+
+// Recorded before the coherence engine became a rule table. A change
+// that means to move simulated timing re-records them from the failure
+// message, which prints each measured cell in this form.
+const PinCell PINNED[] = {
+    {"dir_msi", "full_map", 743116,
+     {19926, 997968, 4110152},
+     {95715, 7373425, 2078, 2567, 105, 60, 2403, 402, 857, 2454},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {72035, 13146, 3402621, 50217, 72130, 11773, 232577, 1159007, 2360800,
+      11226, 291820, 60119},
+    },
+    {"dir_msi", "limited_no_broadcast", 757379,
+     {19965, 999096, 4198375},
+     {95715, 7482797, 2078, 2567, 105, 63, 2403, 419, 857, 2454},
+     {72, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {72065, 13176, 3475455, 50223, 72160, 242147, 191789, 1142468, 2361775,
+      11256, 154177, 60152},
+    },
+    {"dir_msi", "limitless", 760821,
+     {19926, 997968, 4220488},
+     {95715, 7477304, 2078, 2567, 105, 60, 2403, 402, 857, 2454},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {70, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {72035, 13148, 3466350, 50217, 79130, 11022, 233348, 1161474, 2360800,
+      11228, 322479, 60119},
+    },
+    {"dir_mesi", "full_map", 742809,
+     {15816, 899392, 4093803},
+     {95715, 7335597, 2078, 2567, 105, 60, 347, 402, 858, 2454},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {51475, 13136, 3398634, 44049, 51570, 11773, 232601, 1158413, 2360475,
+      11216, 291790, 53951},
+    },
+    {"dir_mesi", "limited_no_broadcast", 757072,
+     {15855, 900520, 4182327},
+     {95715, 7444969, 2078, 2567, 105, 63, 347, 419, 858, 2454},
+     {72, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {51505, 13166, 3471775, 44055, 51600, 242147, 191813, 1141573, 2361450,
+      11246, 154141, 53984},
+    },
+    {"dir_mesi", "limitless", 760514,
+     {15816, 899392, 4204147},
+     {95715, 7439476, 2078, 2567, 105, 60, 347, 402, 858, 2454},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {70, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {51475, 13138, 3462367, 44049, 58570, 11022, 233372, 1160872, 2360475,
+      11218, 322453, 53951},
+    },
+};
+
+// Radix on 16 tiles under the deterministic scheduler, with a 16 KB
+// 4-way L2 and two sharer pointers, so that capacity writebacks, recalls,
+// Dir_iNB pointer evictions and LimitLESS traps all run in every cell.
+TEST(ProtocolPin, EveryProtocolAndSchemeKeepsItsTiming)
+{
+    for (const PinCell& want : PINNED) {
+        PinCell got = measurePin(want.protocol, want.directory);
+        EXPECT_EQ(formatPin(got), formatPin(want));
+    }
 }
 
 } // namespace
