@@ -69,10 +69,10 @@ Cache::find(addr_t addr) const
 CacheLine*
 Cache::access(addr_t addr, bool is_write)
 {
-    accesses_.fetch_add(1, std::memory_order_relaxed);
+    addSerialized(accesses_);
     CacheLine* line = find(addr);
     if (line == nullptr) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        addSerialized(misses_);
         return nullptr;
     }
     if (is_write && line->state == CacheState::Exclusive) {
@@ -84,7 +84,7 @@ Cache::access(addr_t addr, bool is_write)
         // Upgrade required: treated as a miss by the caller's protocol
         // logic, but the probe itself found data. Count as miss so
         // write-permission misses show up in the stats.
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        addSerialized(misses_);
         line->lruStamp = ++lruCounter_;
         return nullptr;
     }
@@ -153,7 +153,7 @@ Cache::insert(addr_t line_addr, CacheState state,
 
     std::optional<Eviction> evicted;
     if (victim->valid()) {
-        ++evictions_;
+        addSerialized(evictions_);
         evicted = Eviction{victim->lineAddr,
                            victim->state == CacheState::Modified,
                            std::move(victim->data)};
@@ -171,7 +171,7 @@ Cache::invalidate(addr_t line_addr)
     CacheLine* line = lookup(line_addr);
     if (line == nullptr)
         return std::nullopt;
-    ++invalidations_;
+    addSerialized(invalidations_);
     Eviction out{line->lineAddr, line->state == CacheState::Modified,
                  std::move(line->data)};
     line->state = CacheState::Invalid;

@@ -14,9 +14,9 @@
  * Thread-safety: all mutation happens under the owning tile's lock
  * (MemorySystem's two-level locking scheme; see DESIGN.md
  * §"Coherence-transaction serialization"); Cache itself is not
- * internally locked. The statistic
- * counters are relaxed atomics so that gauges and the interval metrics
- * sampler can read them while other threads mutate.
+ * internally locked. The statistic counters are relaxed atomics, added
+ * to under that lock (addSerialized), so that gauges and the interval
+ * metrics sampler can read them while other threads mutate.
  */
 
 #pragma once

@@ -10,190 +10,20 @@
 namespace graphite
 {
 
-namespace
+bool
+DirectoryEntry::isSharer(tile_id_t tile) const
 {
+    return std::find(sharers_.begin(), sharers_.end(), tile) !=
+           sharers_.end();
+}
 
-/** Full bit-vector of sharers (one bit per tile). */
-class FullMapDirectoryEntry : public DirectoryEntry
+void
+DirectoryEntry::reset()
 {
-  public:
-    explicit FullMapDirectoryEntry(tile_id_t total_tiles)
-        : bits_(total_tiles, false)
-    {}
-
-    AddSharerResult
-    addSharer(tile_id_t tile) override
-    {
-        bits_[tile] = true;
-        return {};
-    }
-
-    void removeSharer(tile_id_t tile) override { bits_[tile] = false; }
-
-    void
-    clearSharers() override
-    {
-        std::fill(bits_.begin(), bits_.end(), false);
-    }
-
-    bool isSharer(tile_id_t tile) const override { return bits_[tile]; }
-
-    std::vector<tile_id_t>
-    sharers() const override
-    {
-        std::vector<tile_id_t> out;
-        for (tile_id_t t = 0; t < static_cast<tile_id_t>(bits_.size());
-             ++t) {
-            if (bits_[t])
-                out.push_back(t);
-        }
-        return out;
-    }
-
-    size_t
-    numSharers() const override
-    {
-        return std::count(bits_.begin(), bits_.end(), true);
-    }
-
-  private:
-    std::vector<bool> bits_;
-};
-
-} // namespace
-
-/**
- * Dir_iNB: at most i pointers; "no broadcast" means an (i+1)-th sharer
- * can only be admitted by invalidating one of the existing i.
- */
-class LimitedDirectoryEntry : public DirectoryEntry
-{
-  public:
-    LimitedDirectoryEntry(int max_sharers, Directory* parent)
-        : max_(max_sharers), parent_(parent)
-    {
-        ptrs_.reserve(max_);
-    }
-
-    AddSharerResult
-    addSharer(tile_id_t tile) override
-    {
-        if (isSharer(tile))
-            return {};
-        if (static_cast<int>(ptrs_.size()) < max_) {
-            ptrs_.push_back(tile);
-            return {};
-        }
-        // Evict the oldest pointer (FIFO), per Dir_iNB semantics.
-        tile_id_t victim = ptrs_.front();
-        ptrs_.erase(ptrs_.begin());
-        ptrs_.push_back(tile);
-        ++parent_->pointerEvictions_;
-        return {victim, 0};
-    }
-
-    void
-    removeSharer(tile_id_t tile) override
-    {
-        auto it = std::find(ptrs_.begin(), ptrs_.end(), tile);
-        if (it != ptrs_.end())
-            ptrs_.erase(it);
-    }
-
-    void clearSharers() override { ptrs_.clear(); }
-
-    bool
-    isSharer(tile_id_t tile) const override
-    {
-        return std::find(ptrs_.begin(), ptrs_.end(), tile) != ptrs_.end();
-    }
-
-    std::vector<tile_id_t> sharers() const override { return ptrs_; }
-
-    size_t numSharers() const override { return ptrs_.size(); }
-
-  private:
-    int max_;
-    Directory* parent_;
-    std::vector<tile_id_t> ptrs_;
-};
-
-/**
- * LimitLESS(i): i hardware pointers plus a software-managed overflow
- * list; overflow handling charges the software-trap penalty.
- */
-class LimitlessDirectoryEntry : public DirectoryEntry
-{
-  public:
-    LimitlessDirectoryEntry(int hw_pointers, cycle_t trap_penalty,
-                            Directory* parent)
-        : max_(hw_pointers), trapPenalty_(trap_penalty), parent_(parent)
-    {}
-
-    AddSharerResult
-    addSharer(tile_id_t tile) override
-    {
-        if (isSharer(tile))
-            return {};
-        if (static_cast<int>(hw_.size()) < max_) {
-            hw_.push_back(tile);
-            return {};
-        }
-        // Software trap: the sharer is recorded, at a cost.
-        sw_.push_back(tile);
-        ++parent_->softwareTraps_;
-        return {std::nullopt, trapPenalty_};
-    }
-
-    void
-    removeSharer(tile_id_t tile) override
-    {
-        auto it = std::find(hw_.begin(), hw_.end(), tile);
-        if (it != hw_.end()) {
-            hw_.erase(it);
-            // Promote a software-list sharer into the freed pointer.
-            if (!sw_.empty()) {
-                hw_.push_back(sw_.back());
-                sw_.pop_back();
-            }
-            return;
-        }
-        it = std::find(sw_.begin(), sw_.end(), tile);
-        if (it != sw_.end())
-            sw_.erase(it);
-    }
-
-    void
-    clearSharers() override
-    {
-        hw_.clear();
-        sw_.clear();
-    }
-
-    bool
-    isSharer(tile_id_t tile) const override
-    {
-        return std::find(hw_.begin(), hw_.end(), tile) != hw_.end() ||
-               std::find(sw_.begin(), sw_.end(), tile) != sw_.end();
-    }
-
-    std::vector<tile_id_t>
-    sharers() const override
-    {
-        std::vector<tile_id_t> out = hw_;
-        out.insert(out.end(), sw_.begin(), sw_.end());
-        return out;
-    }
-
-    size_t numSharers() const override { return hw_.size() + sw_.size(); }
-
-  private:
-    int max_;
-    cycle_t trapPenalty_;
-    Directory* parent_;
-    std::vector<tile_id_t> hw_;
-    std::vector<tile_id_t> sw_;
-};
+    state_ = DirectoryState::Uncached;
+    owner_ = INVALID_TILE_ID;
+    sharers_.clear();
+}
 
 DirectoryType
 parseDirectoryType(const std::string& name)
@@ -208,10 +38,9 @@ parseDirectoryType(const std::string& name)
 }
 
 Directory::Directory(DirectoryType type, int max_sharers,
-                     tile_id_t total_tiles, cycle_t software_trap_penalty)
+                     cycle_t software_trap_penalty)
     : type_(type),
-      maxSharers_(max_sharers),
-      totalTiles_(total_tiles),
+      maxSharers_(static_cast<size_t>(std::max(max_sharers, 0))),
       trapPenalty_(software_trap_penalty)
 {
     if (max_sharers <= 0 && type != DirectoryType::FullMap)
@@ -220,35 +49,63 @@ Directory::Directory(DirectoryType type, int max_sharers,
               max_sharers);
 }
 
-std::unique_ptr<DirectoryEntry>
-Directory::makeEntry()
-{
-    switch (type_) {
-      case DirectoryType::FullMap:
-        return std::make_unique<FullMapDirectoryEntry>(totalTiles_);
-      case DirectoryType::LimitedNoBroadcast:
-        return std::make_unique<LimitedDirectoryEntry>(maxSharers_, this);
-      case DirectoryType::Limitless:
-        return std::make_unique<LimitlessDirectoryEntry>(
-            maxSharers_, trapPenalty_, this);
-    }
-    panic("bad directory type");
-}
-
 DirectoryEntry&
 Directory::entry(addr_t line_addr)
 {
-    auto it = entries_.find(line_addr);
-    if (it == entries_.end())
-        it = entries_.emplace(line_addr, makeEntry()).first;
-    return *it->second;
+    return entries_[line_addr];
 }
 
 DirectoryEntry*
 Directory::peek(addr_t line_addr)
 {
     auto it = entries_.find(line_addr);
-    return it == entries_.end() ? nullptr : it->second.get();
+    return it == entries_.end() ? nullptr : &it->second;
+}
+
+AddSharerResult
+Directory::addSharer(DirectoryEntry& e, tile_id_t tile)
+{
+    std::vector<tile_id_t>& s = e.sharers_;
+    if (type_ == DirectoryType::FullMap) {
+        auto it = std::lower_bound(s.begin(), s.end(), tile);
+        if (it == s.end() || *it != tile)
+            s.insert(it, tile);
+        return {};
+    }
+    if (e.isSharer(tile))
+        return {};
+    s.push_back(tile);
+    if (s.size() <= maxSharers_)
+        return {};
+    if (type_ == DirectoryType::Limitless) {
+        // Software trap: the sharer is recorded, at a cost.
+        ++softwareTraps_;
+        return {std::nullopt, trapPenalty_};
+    }
+    // Dir_iNB: evict the oldest pointer (FIFO).
+    tile_id_t victim = s.front();
+    s.erase(s.begin());
+    ++pointerEvictions_;
+    return {victim, 0};
+}
+
+void
+Directory::removeSharer(DirectoryEntry& e, tile_id_t tile)
+{
+    std::vector<tile_id_t>& s = e.sharers_;
+    auto it = std::find(s.begin(), s.end(), tile);
+    if (it == s.end())
+        return;
+    bool hw_pointer = static_cast<size_t>(it - s.begin()) < maxSharers_;
+    s.erase(it);
+    // LimitLESS: the newest software sharer takes the freed hardware
+    // pointer, which is now the last of them.
+    if (type_ == DirectoryType::Limitless && hw_pointer &&
+        s.size() >= maxSharers_) {
+        auto last_hw =
+            s.begin() + static_cast<std::ptrdiff_t>(maxSharers_ - 1);
+        std::rotate(last_hw, s.end() - 1, s.end());
+    }
 }
 
 void
@@ -259,15 +116,14 @@ Directory::saveState(snapshot::SnapshotWriter& w) const
     w.u64(softwareTraps_);
     std::map<addr_t, const DirectoryEntry*> sorted;
     for (const auto& [addr, e] : entries_)
-        sorted.emplace(addr, e.get());
+        sorted.emplace(addr, &e);
     w.u64(static_cast<std::uint64_t>(sorted.size()));
     for (const auto& [addr, e] : sorted) {
         w.u64(addr);
         w.u8(static_cast<std::uint8_t>(e->state()));
         w.i64(e->owner());
-        std::vector<tile_id_t> sh = e->sharers();
-        w.u64(static_cast<std::uint64_t>(sh.size()));
-        for (tile_id_t t : sh)
+        w.u64(static_cast<std::uint64_t>(e->numSharers()));
+        for (tile_id_t t : e->sharers())
             w.i64(t);
     }
 }
@@ -281,23 +137,18 @@ Directory::loadState(snapshot::SnapshotReader& r)
             strfmt("snapshot: directory scheme mismatch (snapshot {}, "
                    "configured {})",
                    static_cast<int>(type), static_cast<int>(type_)));
-    stat_t pointer_evictions = r.u64();
-    stat_t software_traps = r.u64();
+    pointerEvictions_ = r.u64();
+    softwareTraps_ = r.u64();
     entries_.clear();
     std::uint64_t count = r.u64();
     for (std::uint64_t i = 0; i < count; ++i) {
-        addr_t addr = r.u64();
-        DirectoryEntry& e = entry(addr);
+        DirectoryEntry& e = entry(r.u64());
         e.setState(static_cast<DirectoryState>(r.u8()));
         e.setOwner(static_cast<tile_id_t>(r.i64()));
-        std::uint64_t sharers = r.u64();
-        for (std::uint64_t s = 0; s < sharers; ++s)
-            e.addSharer(static_cast<tile_id_t>(r.i64()));
+        e.sharers_.resize(r.u64());
+        for (tile_id_t& t : e.sharers_)
+            t = static_cast<tile_id_t>(r.i64());
     }
-    // Re-adding sharers bumps the overflow counters; the snapshot's
-    // values are authoritative.
-    pointerEvictions_ = pointer_evictions;
-    softwareTraps_ = software_traps;
 }
 
 } // namespace graphite

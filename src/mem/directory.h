@@ -1,25 +1,32 @@
 /**
  * @file
- * Directory state for the MSI cache-coherence protocol (paper §3.2, §4.4).
+ * Directory state for the MSI and MESI coherence protocols (paper §3.2,
+ * §4.4).
  *
  * "Cache coherence is maintained using a directory-based MSI protocol in
  * which the directory is uniformly distributed across all the tiles."
- * Three sharer-tracking schemes are provided, matching the coherence
- * study of §4.4:
+ * Every entry keeps its sharers in one vector. The three sharer-tracking
+ * schemes of the §4.4 coherence study differ only in how
+ * Directory::addSharer() and removeSharer() order it:
  *
- *  - full-map:            one presence bit per tile [Agarwal et al.];
+ *  - full-map:            one presence bit per tile [Agarwal et al.]:
+ *                         any number of sharers, in ascending tile order;
  *  - Dir_iNB (limited):   i sharer pointers, no broadcast — adding a
- *                         sharer beyond i forces the eviction of an
- *                         existing sharer;
- *  - LimitLESS(i):        i hardware pointers; overflowing sharers are
- *                         kept in a software list at a configurable
- *                         software-trap penalty [Chaiken et al.].
+ *                         sharer beyond i evicts the oldest, so sharers
+ *                         are kept oldest first;
+ *  - LimitLESS(i):        i hardware pointers, then a software list of
+ *                         overflowing sharers, each added at a
+ *                         configurable software-trap penalty [Chaiken et
+ *                         al.]; the newest software sharer moves into a
+ *                         freed hardware pointer.
+ *
+ * Invalidations go out in sharer order, so the order is part of the
+ * timing model.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -45,7 +52,7 @@ enum class DirectoryState : std::uint8_t
     Modified      ///< exactly one writable copy (the owner)
 };
 
-/** Outcome of DirectoryEntry::addSharer(). */
+/** Outcome of Directory::addSharer(). */
 struct AddSharerResult
 {
     /** Set when the scheme had to evict an existing sharer to make room
@@ -55,15 +62,10 @@ struct AddSharerResult
     cycle_t extraLatency = 0;
 };
 
-/**
- * Per-line directory entry. Sharer-set representation varies by scheme;
- * state/owner handling is common.
- */
+/** Per-line directory entry: state, owner and sharers in scheme order. */
 class DirectoryEntry
 {
   public:
-    virtual ~DirectoryEntry() = default;
-
     DirectoryState state() const { return state_; }
     void setState(DirectoryState s) { state_ = s; }
 
@@ -71,22 +73,21 @@ class DirectoryEntry
     tile_id_t owner() const { return owner_; }
     void setOwner(tile_id_t t) { owner_ = t; }
 
-    /** Record @p tile as a sharer (see AddSharerResult). */
-    virtual AddSharerResult addSharer(tile_id_t tile) = 0;
+    /** Sharers in the order of the directory's scheme (file comment). */
+    const std::vector<tile_id_t>& sharers() const { return sharers_; }
+    size_t numSharers() const { return sharers_.size(); }
+    bool isSharer(tile_id_t tile) const;
+    void clearSharers() { sharers_.clear(); }
 
-    /** Remove @p tile from the sharer set (no-op when absent). */
-    virtual void removeSharer(tile_id_t tile) = 0;
-
-    /** Drop all sharers. */
-    virtual void clearSharers() = 0;
-
-    virtual bool isSharer(tile_id_t tile) const = 0;
-    virtual std::vector<tile_id_t> sharers() const = 0;
-    virtual size_t numSharers() const = 0;
+    /** Back to Uncached, with no owner and no sharers. */
+    void reset();
 
   private:
+    friend class Directory; // keeps sharers_ in scheme order
+
     DirectoryState state_ = DirectoryState::Uncached;
     tile_id_t owner_ = INVALID_TILE_ID;
+    std::vector<tile_id_t> sharers_;
 };
 
 /** Scheme selector, parsed from config. */
@@ -110,10 +111,9 @@ class Directory
     /**
      * @param type                  sharer-tracking scheme
      * @param max_sharers           pointer count i for Dir_iNB/LimitLESS
-     * @param total_tiles           number of tiles (full-map width)
      * @param software_trap_penalty LimitLESS overflow cost, cycles
      */
-    Directory(DirectoryType type, int max_sharers, tile_id_t total_tiles,
+    Directory(DirectoryType type, int max_sharers,
               cycle_t software_trap_penalty);
 
     /** Get or create the entry for @p line_addr. */
@@ -121,6 +121,12 @@ class Directory
 
     /** @return the entry, or nullptr if never touched. */
     DirectoryEntry* peek(addr_t line_addr);
+
+    /** Record @p tile as a sharer of @p e (see AddSharerResult). */
+    AddSharerResult addSharer(DirectoryEntry& e, tile_id_t tile);
+
+    /** Remove @p tile from @p e's sharers (no-op when absent). */
+    void removeSharer(DirectoryEntry& e, tile_id_t tile);
 
     /** Number of allocated entries. */
     size_t size() const { return entries_.size(); }
@@ -134,12 +140,8 @@ class Directory
 
     /**
      * @name Checkpoint serialization
-     * Entries are saved sorted by line address; restore rebuilds each
-     * sharer set by re-adding sharers in sharers() order, which
-     * reproduces every scheme's internal representation exactly
-     * (full-map bits, Dir_iNB FIFO pointer order, LimitLESS hw-then-sw
-     * split), then overwrites the two stat counters to undo the re-add
-     * side effects.
+     * Entries are saved sorted by line address, each with its sharers in
+     * scheme order, and restored exactly as saved.
      * @{
      */
     void saveState(snapshot::SnapshotWriter& w) const;
@@ -148,16 +150,10 @@ class Directory
     /** @} */
 
   private:
-    friend class LimitedDirectoryEntry;
-    friend class LimitlessDirectoryEntry;
-
-    std::unique_ptr<DirectoryEntry> makeEntry();
-
     DirectoryType type_;
-    int maxSharers_;
-    tile_id_t totalTiles_;
+    size_t maxSharers_;
     cycle_t trapPenalty_;
-    std::unordered_map<addr_t, std::unique_ptr<DirectoryEntry>> entries_;
+    std::unordered_map<addr_t, DirectoryEntry> entries_;
     stat_t pointerEvictions_ = 0;
     stat_t softwareTraps_ = 0;
 };

@@ -42,40 +42,35 @@ sortUnique(std::vector<tile_id_t>& ids)
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 }
 
-/**
- * Translate one message's latency decomposition into span stage marks.
- * The three components are laid out serialization -> queueing -> hop
- * starting at @p begin; their durations sum to the message latency, so
- * the span's exact-accounting invariant is preserved.
- */
-void
-markNet(obs::SpanBuilder* sb, const NetBreakdown& bd, cycle_t begin,
-        bool reply)
-{
-    if (sb == nullptr)
-        return;
-    using obs::SpanStage;
-    sb->add(reply ? SpanStage::ReplySer : SpanStage::ReqSer, begin,
-            bd.serialization);
-    begin += bd.serialization;
-    sb->add(reply ? SpanStage::ReplyQueue : SpanStage::ReqQueue, begin,
-            bd.queue);
-    begin += bd.queue;
-    sb->add(reply ? SpanStage::ReplyHop : SpanStage::ReqHop, begin,
-            bd.hop);
-}
+// The protocol tables, indexed [DirectoryState][CoherenceRequest]. Each
+// rule reads: invalidate sharers, recall owner, fetch from memory, grant.
+// The empty rules cannot occur: only a Shared copy is upgraded, and its
+// home cannot be Uncached or Modified.
+constexpr CoherenceProtocol MSI = {{
+    // Uncached: Read, Write, Upgrade
+    {{{false, false, true, CacheState::Shared},
+      {false, false, true, CacheState::Modified},
+      {}}},
+    // Shared
+    {{{false, false, true, CacheState::Shared},
+      {true, false, true, CacheState::Modified},
+      {true, false, false, CacheState::Modified}}},
+    // Modified
+    {{{false, true, false, CacheState::Shared},
+      {false, true, false, CacheState::Modified},
+      {}}},
+}};
 
-/** DRAM breakdown as span stage marks: queueing then device+service. */
-void
-markDram(obs::SpanBuilder* sb, const DramController::Breakdown& bd,
-         cycle_t begin)
-{
-    if (sb == nullptr)
-        return;
-    using obs::SpanStage;
-    sb->add(SpanStage::DramQueue, begin, bd.queue);
-    sb->add(SpanStage::DramService, begin + bd.queue, bd.service);
-}
+// MESI differs in one cell: a read that finds the line uncached makes
+// the reader its sole, clean owner, which then writes without a
+// transaction.
+constexpr CoherenceProtocol MESI = [] {
+    CoherenceProtocol p = MSI;
+    p[static_cast<int>(DirectoryState::Uncached)]
+     [static_cast<int>(CoherenceRequest::Read)]
+         .grant = CacheState::Exclusive;
+    return p;
+}();
 
 } // namespace
 
@@ -105,7 +100,7 @@ MemorySystem::MemorySystem(const ClusterTopology& topo,
         cfg.getString("caching_protocol/type", "dir_msi");
     if (protocol != "dir_msi" && protocol != "dir_mesi")
         fatal("unknown caching protocol '{}'", protocol);
-    mesi_ = protocol == "dir_mesi";
+    protocol_ = protocol == "dir_mesi" ? &MESI : &MSI;
 
     DirectoryType dtype = parseDirectoryType(
         cfg.getString("caching_protocol/directory_type", "full_map"));
@@ -140,8 +135,8 @@ MemorySystem::MemorySystem(const ClusterTopology& topo,
             fatal("the L2 cache cannot be disabled (it anchors "
                   "coherence)");
         Shard& sh = shards_[t];
-        sh.directory = std::make_unique<Directory>(
-            dtype, max_sharers, topo.totalTiles(), trap_penalty);
+        sh.directory =
+            std::make_unique<Directory>(dtype, max_sharers, trap_penalty);
         sh.dram = std::make_unique<DramController>(
             dram_latency, bytes_per_cycle,
             dram_queue ? &fabric.progress() : nullptr,
@@ -164,31 +159,95 @@ MemorySystem::homeTile(addr_t addr) const
 }
 
 cycle_t
-MemorySystem::msg(tile_id_t src, tile_id_t dst, size_t payload_bytes,
-                  cycle_t send_time, NetBreakdown* bd,
-                  obs::accuracy::ViolationPoint point)
+MemorySystem::leg(obs::accuracy::ViolationPoint point, tile_id_t src,
+                  tile_id_t dst, size_t payload_bytes, cycle_t send_time,
+                  obs::SpanBuilder* sb)
 {
+    using obs::SpanStage;
+    using obs::accuracy::ViolationPoint;
     // Fast-forward skips the whole modelEx call: the network model's
     // routed totals and the fabric's locality counters move together
     // inside it, so skipping both keeps the conservation invariants.
-    if (fastForward()) {
-        if (bd != nullptr)
-            *bd = NetBreakdown{};
+    if (fastForward())
         return 0;
-    }
     NetBreakdown b =
         fabric_.modelEx(PacketType::Memory, src, dst,
                         payload_bytes + NetPacket::HEADER_BYTES,
                         send_time);
-    if (bd != nullptr)
-        *bd = b;
     // Every coherence leg funnels through here, so this one hook gives
     // the accuracy observatory transaction-completion coverage: the
     // modeled arrival time is compared against the destination tile's
     // local clock (pure observation, never feeds back into timing).
     if (obs_.accuracy)
         obs_.accuracy->onDelivery(point, src, dst, send_time + b.total);
+    if (sb == nullptr || point == ViolationPoint::MemInvalidation)
+        return b.total;
+    if (point == ViolationPoint::MemRecall) {
+        // Both legs of a recall coalesce into one mark (add() merges
+        // adjacent same-stage slices).
+        sb->add(SpanStage::Recall, send_time, b.total);
+        return b.total;
+    }
+    // Serialization, queueing, then hops: the three sum to the latency,
+    // so the span's exact-accounting invariant holds.
+    bool reply = point == ViolationPoint::MemReply;
+    sb->add(reply ? SpanStage::ReplySer : SpanStage::ReqSer, send_time,
+            b.serialization);
+    send_time += b.serialization;
+    sb->add(reply ? SpanStage::ReplyQueue : SpanStage::ReqQueue,
+            send_time, b.queue);
+    send_time += b.queue;
+    sb->add(reply ? SpanStage::ReplyHop : SpanStage::ReqHop, send_time,
+            b.hop);
     return b.total;
+}
+
+cycle_t
+MemorySystem::dramAccess(tile_id_t home, cycle_t at, obs::SpanBuilder* sb,
+                         cycle_t mark_at)
+{
+    if (fastForward())
+        return 0;
+    DramController::Breakdown bd =
+        shards_[home].dram->accessEx(at, lineSize_ + CTRL_BYTES);
+    if (sb != nullptr) {
+        sb->add(obs::SpanStage::DramQueue, mark_at, bd.queue);
+        sb->add(obs::SpanStage::DramService, mark_at + bd.queue,
+                bd.service);
+    }
+    return bd.total;
+}
+
+cycle_t
+MemorySystem::invalidateSharers(tile_id_t requester, addr_t line_addr,
+                                const std::vector<tile_id_t>& sharers,
+                                bool droppable, cycle_t at,
+                                obs::SpanBuilder* sb)
+{
+    using obs::accuracy::ViolationPoint;
+    tile_id_t home = homeTile(line_addr);
+    cycle_t max_rt = 0;
+    for (tile_id_t s : sharers) {
+        if (s == requester)
+            continue;
+        if (droppable && obs_.faults &&
+            obs_.faults->shouldFire(check::FaultMode::DropInvalidation,
+                                    line_addr))
+            continue; // injected fault: sharer keeps stale copy
+        addSerialized(tiles_[requester].stats.invalidationsSent);
+        cycle_t rt = leg(ViolationPoint::MemInvalidation, home, s,
+                         CTRL_BYTES, at, nullptr);
+        invalidateTile(s, line_addr, /*coherence=*/true, nullptr);
+        rt += leg(ViolationPoint::MemInvalidation, s, home, CTRL_BYTES,
+                  at + rt, nullptr);
+        max_rt = std::max(max_rt, rt);
+    }
+    // One mark for the whole overlapped batch: charging the per-sharer
+    // messages individually would double-count the round trips the max
+    // already hides.
+    if (sb != nullptr)
+        sb->add(obs::SpanStage::Invalidation, at, max_rt);
+    return max_rt;
 }
 
 // ------------------------------------------------------------------ locking
@@ -310,13 +369,19 @@ MemorySystem::recordMiss(tile_id_t tile, TileMemory& tm, MissClass mc,
                          cycle_t time)
 {
     switch (mc) {
-      case MissClass::Cold: ++tm.stats.l2ColdMisses; break;
-      case MissClass::Capacity: ++tm.stats.l2CapacityMisses; break;
-      case MissClass::TrueSharing: ++tm.stats.l2TrueSharingMisses; break;
-      case MissClass::FalseSharing:
-        ++tm.stats.l2FalseSharingMisses;
+      case MissClass::Cold: addSerialized(tm.stats.l2ColdMisses); break;
+      case MissClass::Capacity:
+        addSerialized(tm.stats.l2CapacityMisses);
         break;
-      case MissClass::Upgrade: ++tm.stats.l2UpgradeMisses; break;
+      case MissClass::TrueSharing:
+        addSerialized(tm.stats.l2TrueSharingMisses);
+        break;
+      case MissClass::FalseSharing:
+        addSerialized(tm.stats.l2FalseSharingMisses);
+        break;
+      case MissClass::Upgrade:
+        addSerialized(tm.stats.l2UpgradeMisses);
+        break;
       case MissClass::None: return;
     }
     if (obs_.trace)
@@ -361,7 +426,8 @@ MemorySystem::handleL2Eviction(tile_id_t tile, const Eviction& ev,
     snapshotLoss(tile, ev.lineAddr, EvictReason::Replacement);
 
     tile_id_t home = homeTile(ev.lineAddr);
-    DirectoryEntry& entry = shards_[home].directory->entry(ev.lineAddr);
+    Directory& dir = *shards_[home].directory;
+    DirectoryEntry& entry = dir.entry(ev.lineAddr);
     // Victim handling runs inside the miss that displaced the line, so
     // its span nests under the miss span (same trace ID) — the
     // off-critical-path cost stays out of the parent's accounting.
@@ -371,62 +437,44 @@ MemorySystem::handleL2Eviction(tile_id_t tile, const Eviction& ev,
                      ev.dirty ? obs::SpanKind::Writeback
                               : obs::SpanKind::Evict,
                      tile, home, now);
+    obs::SpanBuilder* sb = span ? &*span : nullptr;
     if (ev.dirty) {
-        // Dirty writeback: data message to home, memory update. Off the
-        // requester's critical path, so the latency is modeled (traffic
-        // and queue occupancy) but not accumulated into the access.
-        ++tm.stats.writebacks;
-        addSerialized(tm.writebacks);
+        addSerialized(tm.stats.writebacks);
         obs::telemetry::FlightRecorder::record(
             obs::telemetry::FrEvent::Writeback, tile, now, ev.lineAddr,
             static_cast<std::uint64_t>(home));
-        NetBreakdown nbd;
-        cycle_t m = msg(tile, home, lineSize_ + CTRL_BYTES, now,
-                        span ? &nbd : nullptr,
-                        obs::accuracy::ViolationPoint::MemWriteback);
-        DramController::Breakdown dbd{};
-        if (!fastForward())
-            dbd = shards_[home].dram->accessEx(now,
-                                               lineSize_ + CTRL_BYTES);
-        if (span) {
-            markNet(&*span, nbd, now, /*reply=*/false);
-            markDram(&*span, dbd, now + m);
-            span->finish(now + m + dbd.total);
-        }
+    }
+    // A dirty writeback carries the data to home; a clean eviction
+    // notice keeps the directory precise. Both are off the requester's
+    // critical path, so the latency is modeled (traffic and queue
+    // occupancy) but not accumulated into the access.
+    cycle_t end =
+        now + leg(obs::accuracy::ViolationPoint::MemWriteback, tile, home,
+                  (ev.dirty ? lineSize_ : 0) + CTRL_BYTES, now, sb);
+    if (ev.dirty) {
+        // The data enters the DRAM queue at the send time; the span
+        // draws the DRAM stages after the message lands.
+        end += dramAccess(home, now, sb, end);
         if (!(obs_.faults &&
               obs_.faults->shouldFire(check::FaultMode::LostWriteback,
                                       ev.lineAddr)))
             backing_.write(ev.lineAddr, ev.data.data(), ev.data.size());
         GRAPHITE_ASSERT(entry.state() == DirectoryState::Modified &&
                         entry.owner() == tile);
-        entry.setState(DirectoryState::Uncached);
-        entry.setOwner(INVALID_TILE_ID);
-        entry.clearSharers();
+        entry.reset();
+    } else if (entry.state() == DirectoryState::Modified &&
+               entry.owner() == tile) {
+        // Exclusive (clean-owned) line: ownership simply lapses;
+        // memory is already current.
+        entry.reset();
     } else {
-        // Clean eviction notification keeps the directory precise.
-        NetBreakdown nbd;
-        cycle_t m = msg(tile, home, CTRL_BYTES, now,
-                        span ? &nbd : nullptr,
-                        obs::accuracy::ViolationPoint::MemWriteback);
-        if (span) {
-            markNet(&*span, nbd, now, /*reply=*/false);
-            span->finish(now + m);
-        }
-        if (entry.state() == DirectoryState::Modified &&
-            entry.owner() == tile) {
-            // Exclusive (clean-owned) line: ownership simply lapses;
-            // memory is already current.
+        dir.removeSharer(entry, tile);
+        if (entry.state() == DirectoryState::Shared &&
+            entry.numSharers() == 0)
             entry.setState(DirectoryState::Uncached);
-            entry.setOwner(INVALID_TILE_ID);
-            entry.clearSharers();
-        } else {
-            entry.removeSharer(tile);
-            if (entry.state() == DirectoryState::Shared &&
-                entry.numSharers() == 0) {
-                entry.setState(DirectoryState::Uncached);
-            }
-        }
     }
+    if (span)
+        span->finish(end);
 }
 
 void
@@ -440,13 +488,14 @@ MemorySystem::fillL1(Cache* l1, const CacheLine& l2line)
     l1->insert(l2line.lineAddr, CacheState::Shared, l2line.data);
 }
 
-// ---------------------------------------- the MSI/MESI coherence transaction
+// ----------------------------------------------- the coherence transaction
 
 cycle_t
 MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
                               bool for_write, addr_t addr, size_t size,
                               cycle_t now, MissClass& miss_class)
 {
+    using obs::accuracy::ViolationPoint;
     TileMemory& tm = tiles_[tile];
     tile_id_t home = homeTile(line_addr);
     Directory& dir = *shards_[home].directory;
@@ -456,19 +505,8 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
                    existing->state == CacheState::Shared;
     GRAPHITE_ASSERT(upgrade || existing == nullptr);
 
-    // Fuzz-harness fault injection: a sabotaged DRAM fill returns one
-    // flipped bit, emulating a stale/corrupt memory response.
-    auto fill_from_memory = [&](std::vector<std::uint8_t>& d) {
-        d.resize(lineSize_);
-        backing_.read(line_addr, d.data(), lineSize_);
-        if (obs_.faults &&
-            obs_.faults->shouldFire(check::FaultMode::StaleDramFill,
-                                    line_addr))
-            d[0] ^= 0x01;
-    };
-
-    // Functional-only warmup: the coherence transaction below still
-    // moves data and permissions, but DRAM timing and miss
+    // Functional-only warmup: the transaction below still moves data
+    // and permissions, but message and DRAM timing and miss
     // classification are paused.
     const bool ff = fastForward();
     miss_class = ff        ? MissClass::None
@@ -483,131 +521,49 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
     // the marks sum exactly to the returned latency.
     obs::SpanBuilder* sb = obs_.spans ? obs::SpanBuilder::active() : nullptr;
 
-    cycle_t lat = 0;
-    // Request to the home directory.
-    {
-        NetBreakdown nbd;
-        lat += msg(tile, home, CTRL_BYTES, now, sb ? &nbd : nullptr);
-        if (sb)
-            markNet(sb, nbd, now, /*reply=*/false);
-    }
+    cycle_t lat =
+        leg(ViolationPoint::MemRequest, tile, home, CTRL_BYTES, now, sb);
     if (sb)
         sb->add(obs::SpanStage::Directory, now + lat, dirLatency_);
     lat += dirLatency_;
 
     DirectoryEntry& entry = dir.entry(line_addr);
+    CoherenceRequest request = upgrade     ? CoherenceRequest::Upgrade
+                               : for_write ? CoherenceRequest::Write
+                                           : CoherenceRequest::Read;
+    const CoherenceRule& rule =
+        (*protocol_)[static_cast<int>(entry.state())]
+                    [static_cast<int>(request)];
+    GRAPHITE_ASSERT(rule.grant != CacheState::Invalid);
     std::vector<std::uint8_t> data;
-    bool grant_exclusive = false; // MESI: sole clean copy
 
-    switch (entry.state()) {
-      case DirectoryState::Uncached: {
-        GRAPHITE_ASSERT(!upgrade);
-        // Memory fetch at the home controller.
-        if (!ff) {
-            auto dbd = shards_[home].dram->accessEx(
-                now + lat, lineSize_ + CTRL_BYTES);
-            markDram(sb, dbd, now + lat);
-            lat += dbd.total;
-        }
-        fill_from_memory(data);
-        if (mesi_ && !for_write)
-            grant_exclusive = true;
-        break;
-      }
-
-      case DirectoryState::Shared: {
-        if (for_write) {
-            // Invalidate every other sharer; round trips overlap, so the
-            // charged latency is the max over sharers.
-            cycle_t max_rt = 0;
-            for (tile_id_t s : entry.sharers()) {
-                if (s == tile)
-                    continue;
-                if (obs_.faults &&
-                    obs_.faults->shouldFire(
-                        check::FaultMode::DropInvalidation, line_addr))
-                    continue; // injected fault: sharer keeps stale copy
-                ++tm.stats.invalidationsSent;
-                cycle_t rt =
-                    msg(home, s, CTRL_BYTES, now + lat, nullptr,
-                        obs::accuracy::ViolationPoint::MemInvalidation);
-                invalidateTile(s, line_addr, /*coherence=*/true,
-                               nullptr);
-                rt +=
-                    msg(s, home, CTRL_BYTES, now + lat + rt, nullptr,
-                        obs::accuracy::ViolationPoint::MemInvalidation);
-                max_rt = std::max(max_rt, rt);
-            }
-            // One mark for the whole overlapped batch: charging the
-            // per-sharer messages individually would double-count the
-            // round trips the max already hides.
-            if (sb)
-                sb->add(obs::SpanStage::Invalidation, now + lat, max_rt);
-            lat += max_rt;
-            entry.clearSharers();
-            if (!upgrade) {
-                // Sharers hold clean copies; memory is current.
-                if (!ff) {
-                    auto dbd = shards_[home].dram->accessEx(
-                        now + lat, lineSize_ + CTRL_BYTES);
-                    markDram(sb, dbd, now + lat);
-                    lat += dbd.total;
-                }
-                fill_from_memory(data);
-            }
-        } else {
-            if (!ff) {
-                auto dbd = shards_[home].dram->accessEx(
-                    now + lat, lineSize_ + CTRL_BYTES);
-                markDram(sb, dbd, now + lat);
-                lat += dbd.total;
-            }
-            fill_from_memory(data);
-        }
-        break;
-      }
-
-      case DirectoryState::Modified: {
-        GRAPHITE_ASSERT(!upgrade);
+    if (rule.invalidateSharers) {
+        lat += invalidateSharers(tile, line_addr, entry.sharers(),
+                                 /*droppable=*/true, now + lat, sb);
+        entry.clearSharers();
+    }
+    if (rule.recallOwner) {
+        // Home -> owner, then owner -> home with the data. A writer
+        // takes the owner's copy; a reader leaves the owner a sharer.
         tile_id_t owner = entry.owner();
-        GRAPHITE_ASSERT(owner != INVALID_TILE_ID);
-        GRAPHITE_ASSERT(owner != tile);
-        ++tm.stats.recalls;
-
-        // Recall: home -> owner, owner -> home (with data). Both legs
-        // coalesce into one Recall mark (add() merges the adjacent
-        // same-stage slices).
-        {
-            cycle_t m =
-                msg(home, owner, CTRL_BYTES, now + lat, nullptr,
-                    obs::accuracy::ViolationPoint::MemRecall);
-            if (sb)
-                sb->add(obs::SpanStage::Recall, now + lat, m);
-            lat += m;
-        }
-        TileMemory& otm = tiles_[owner];
-        CacheLine* owner_line = otm.l2->find(line_addr);
+        GRAPHITE_ASSERT(owner != INVALID_TILE_ID && owner != tile);
+        addSerialized(tm.stats.recalls);
+        lat += leg(ViolationPoint::MemRecall, home, owner, CTRL_BYTES,
+                   now + lat, sb);
+        Cache& owner_l2 = *tiles_[owner].l2;
+        const CacheLine* owner_line = owner_l2.find(line_addr);
         GRAPHITE_ASSERT(owner_line != nullptr);
         bool owner_dirty = owner_line->state == CacheState::Modified;
         if (for_write) {
-            std::vector<std::uint8_t> owner_data;
-            invalidateTile(owner, line_addr, /*coherence=*/true,
-                           &owner_data);
-            GRAPHITE_ASSERT(owner_data.size() == lineSize_);
-            data = std::move(owner_data);
+            invalidateTile(owner, line_addr, /*coherence=*/true, &data);
         } else {
-            auto owner_data = otm.l2->downgrade(line_addr);
+            auto owner_data = owner_l2.downgrade(line_addr);
             GRAPHITE_ASSERT(owner_data.has_value());
             data = std::move(*owner_data);
         }
-        {
-            cycle_t m =
-                msg(owner, home, lineSize_ + CTRL_BYTES, now + lat,
-                    nullptr, obs::accuracy::ViolationPoint::MemRecall);
-            if (sb)
-                sb->add(obs::SpanStage::Recall, now + lat, m);
-            lat += m;
-        }
+        GRAPHITE_ASSERT(data.size() == lineSize_);
+        lat += leg(ViolationPoint::MemRecall, owner, home,
+                   lineSize_ + CTRL_BYTES, now + lat, sb);
         if (!for_write && owner_dirty) {
             // M -> S: shared copies must agree with memory, so the home
             // controller writes the recalled data back before replying.
@@ -615,90 +571,54 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
             // queueing feedback loop: demand on a saturated controller
             // throttles the threads generating it).
             backing_.write(line_addr, data.data(), data.size());
-            if (!ff) {
-                auto dbd = shards_[home].dram->accessEx(
-                    now + lat, lineSize_ + CTRL_BYTES);
-                markDram(sb, dbd, now + lat);
-                lat += dbd.total;
-            }
+            lat += dramAccess(home, now + lat, sb, now + lat);
         }
         // M -> M: dirty ownership migrates cache-to-cache; memory stays
         // stale (the functional copy lives in the new owner's L2).
         // E -> S/x: the owner's copy was clean, memory is current.
-
-        entry.clearSharers();
-        if (for_write) {
-            entry.setOwner(INVALID_TILE_ID); // set below
-        } else {
-            entry.setState(DirectoryState::Shared);
-            entry.setOwner(INVALID_TILE_ID);
-            AddSharerResult r = entry.addSharer(owner);
-            GRAPHITE_ASSERT(!r.evicted.has_value());
-            if (sb)
-                sb->add(obs::SpanStage::Directory, now + lat,
-                        r.extraLatency);
-            lat += r.extraLatency;
-        }
-        break;
-      }
+        entry.reset();
+        if (!for_write)
+            dir.addSharer(entry, owner); // the first sharer never traps
+    }
+    if (rule.fetchMemory) {
+        lat += dramAccess(home, now + lat, sb, now + lat);
+        data.resize(lineSize_);
+        backing_.read(line_addr, data.data(), lineSize_);
+        // Fuzz-harness fault injection: a sabotaged DRAM fill returns
+        // one flipped bit, emulating a stale/corrupt memory response.
+        if (obs_.faults &&
+            obs_.faults->shouldFire(check::FaultMode::StaleDramFill,
+                                    line_addr))
+            data[0] ^= 0x01;
     }
 
-    // Update the directory for the requester.
-    if (for_write || grant_exclusive) {
-        // The directory tracks E and M identically: one owner, whose
-        // cache holds the authoritative copy (clean for E).
-        entry.setState(DirectoryState::Modified);
-        entry.setOwner(tile);
-        entry.clearSharers();
-    } else {
+    if (rule.grant == CacheState::Shared) {
         entry.setState(DirectoryState::Shared);
-        AddSharerResult r = entry.addSharer(tile);
+        AddSharerResult r = dir.addSharer(entry, tile);
         if (sb)
             sb->add(obs::SpanStage::Directory, now + lat,
                     r.extraLatency);
         lat += r.extraLatency;
-        if (r.evicted.has_value()) {
-            // Dir_iNB pointer eviction: invalidate the displaced sharer.
-            tile_id_t victim = *r.evicted;
-            GRAPHITE_ASSERT(victim != tile);
-            ++tm.stats.invalidationsSent;
-            cycle_t rt =
-                msg(home, victim, CTRL_BYTES, now + lat, nullptr,
-                    obs::accuracy::ViolationPoint::MemInvalidation);
-            invalidateTile(victim, line_addr, /*coherence=*/true,
-                           nullptr);
-            rt +=
-                msg(victim, home, CTRL_BYTES, now + lat + rt, nullptr,
-                    obs::accuracy::ViolationPoint::MemInvalidation);
-            if (sb)
-                sb->add(obs::SpanStage::Invalidation, now + lat, rt);
-            lat += rt;
-        }
+        // Dir_iNB pointer eviction: invalidate the displaced sharer.
+        if (r.evicted.has_value())
+            lat += invalidateSharers(tile, line_addr, {*r.evicted},
+                                     /*droppable=*/false, now + lat, sb);
+    } else {
+        // The directory tracks E and M identically: one owner, whose
+        // cache holds the authoritative copy (clean for E).
+        entry.reset();
+        entry.setState(DirectoryState::Modified);
+        entry.setOwner(tile);
     }
 
-    // Reply to the requester and install.
+    // Reply to the requester (an ack for an upgrade) and install.
+    lat += leg(ViolationPoint::MemReply, home, tile,
+               (upgrade ? 0 : lineSize_) + CTRL_BYTES, now + lat, sb);
     if (upgrade) {
-        NetBreakdown nbd;
-        cycle_t m = msg(home, tile, CTRL_BYTES, now + lat,
-                        sb ? &nbd : nullptr,
-                        obs::accuracy::ViolationPoint::MemReply);
-        if (sb)
-            markNet(sb, nbd, now + lat, /*reply=*/true);
-        lat += m;
-        existing->state = CacheState::Modified;
+        existing->state = rule.grant;
     } else {
-        NetBreakdown nbd;
-        cycle_t m = msg(home, tile, lineSize_ + CTRL_BYTES, now + lat,
-                        sb ? &nbd : nullptr,
-                        obs::accuracy::ViolationPoint::MemReply);
-        if (sb)
-            markNet(sb, nbd, now + lat, /*reply=*/true);
-        lat += m;
         GRAPHITE_ASSERT(data.size() == lineSize_);
-        CacheState install = for_write ? CacheState::Modified
-                             : grant_exclusive ? CacheState::Exclusive
-                                               : CacheState::Shared;
-        auto ev = tm.l2->insert(line_addr, install, std::move(data));
+        auto ev = tm.l2->insert(line_addr, rule.grant, std::move(data));
         if (!ff) {
             // Classification tracking pauses during fast-forward (the
             // documented warmup caveat: post-ROI cold/coherence split
@@ -719,9 +639,8 @@ void
 MemorySystem::finishAccess(TileMemory& tm, const LineRequest& rq,
                            const AccessResult& res)
 {
-    ++tm.stats.totalAccesses;
-    tm.stats.totalLatency += res.latency;
-    addSerialized(tm.accesses);
+    addSerialized(tm.stats.totalAccesses);
+    addSerialized(tm.stats.totalLatency, res.latency);
     // Atomics stay out of the application access-latency distribution.
     if (rq.rmw == nullptr)
         tm.accessLatency.recordSerialized(res.latency);
@@ -887,8 +806,7 @@ MemorySystem::accessLine(LineRequest& rq, cycle_t start_time)
                 continue; // victim changed shard: replan
         }
 
-        // Commit: run the request through the full transaction with the
-        // serial engine's exact stats/latency sequence.
+        // Commit: run the request through the coherence transaction.
         const bool atomic = rq.rmw != nullptr;
         std::optional<obs::SpanBuilder> span;
         if (obs_.spans)
@@ -902,7 +820,6 @@ MemorySystem::accessLine(LineRequest& rq, cycle_t start_time)
         if (span)
             span->add(obs::SpanStage::LocalCheck, start_time,
                       res.latency);
-        addSerialized(tm.l2Misses);
         MissClass mc;
         res.latency += fetchLineLocked(rq.tile, line_addr, rq.isWrite,
                                        rq.addr, rq.size,
@@ -1048,9 +965,7 @@ MemorySystem::demoteLineLocked(DirectoryEntry& entry, addr_t line_addr)
         for (tile_id_t s : holder_ids)
             invalidateTile(s, line_addr, /*coherence=*/false, nullptr);
     }
-    entry.setState(DirectoryState::Uncached);
-    entry.setOwner(INVALID_TILE_ID);
-    entry.clearSharers();
+    entry.reset();
 }
 
 void
@@ -1156,18 +1071,11 @@ MemorySystem::registerStats(StatsRegistry& reg) const
         latency.push_back(&tm.accessLatency);
     reg.registerHistogram("mem.access_latency", std::move(latency));
 
-    auto sum_tiles = [&](const char* name,
-                         atomic_stat_t TileMemory::*field) {
-        reg.registerGauge(name, [this, field] {
-            stat_t total = 0;
-            for (const TileMemory& tm : tiles_)
-                total += (tm.*field).load(std::memory_order_relaxed);
-            return total;
-        });
-    };
-    sum_tiles("mem.accesses_total", &TileMemory::accesses);
-    sum_tiles("mem.l2_misses_total", &TileMemory::l2Misses);
-    sum_tiles("mem.writebacks_total", &TileMemory::writebacks);
+    const char* total_names[] = {"mem.accesses_total",
+                                 "mem.l2_misses_total",
+                                 "mem.writebacks_total"};
+    for (size_t i = 0; i < std::size(total_names); ++i)
+        reg.registerGauge(total_names[i], [this, i] { return totals()[i]; });
 
     auto sum_locks = [&](const std::string& name, const auto* owners,
                          atomic_stat_t CountedMutex::*field) {
@@ -1186,6 +1094,18 @@ MemorySystem::registerStats(StatsRegistry& reg) const
         sum_locks(strfmt("mem.tile_lock.{}", kind), &tiles_, field);
         sum_locks(strfmt("mem.shard_lock.{}", kind), &shards_, field);
     }
+}
+
+std::array<stat_t, 3>
+MemorySystem::totals() const
+{
+    std::array<stat_t, 3> sum{};
+    for (const TileMemory& tm : tiles_) {
+        sum[0] += tm.stats.totalAccesses.load(std::memory_order_relaxed);
+        sum[1] += tm.l2->misses();
+        sum[2] += tm.stats.writebacks.load(std::memory_order_relaxed);
+    }
+    return sum;
 }
 
 std::string
@@ -1360,23 +1280,17 @@ MemorySystem::saveState(snapshot::SnapshotWriter& w)
         }
     }
 
-    // The format keeps one latency histogram and one total of each
-    // kind: write the tiles' parts merged and summed.
+    // The format keeps one latency histogram: write the tiles' parts
+    // merged.
     HistogramStat latency;
-    stat_t accesses = 0, l2_misses = 0, writebacks = 0;
-    for (const TileMemory& tm : tiles_) {
+    for (const TileMemory& tm : tiles_)
         latency.merge(tm.accessLatency);
-        accesses += tm.accesses.load(std::memory_order_relaxed);
-        l2_misses += tm.l2Misses.load(std::memory_order_relaxed);
-        writebacks += tm.writebacks.load(std::memory_order_relaxed);
-    }
     latency.saveState(w);
     backing_.saveState(w);
     manager_->saveState(w);
 
-    w.u64(accesses);
-    w.u64(l2_misses);
-    w.u64(writebacks);
+    for (stat_t total : totals())
+        w.u64(total);
 }
 
 void
@@ -1453,22 +1367,20 @@ MemorySystem::loadState(snapshot::SnapshotReader& r)
         }
     }
 
-    // The merged histogram and the totals land on tile 0 and the other
-    // parts restart empty, so every sum reads what was saved.
-    for (TileMemory& tm : tiles_) {
+    // The merged histogram lands on tile 0 and the other parts restart
+    // empty, so the merged read is what was saved.
+    for (TileMemory& tm : tiles_)
         tm.accessLatency.reset();
-        tm.accesses.store(0, std::memory_order_relaxed);
-        tm.l2Misses.store(0, std::memory_order_relaxed);
-        tm.writebacks.store(0, std::memory_order_relaxed);
-    }
-    TileMemory& first = tiles_.front();
-    first.accessLatency.loadState(r);
+    tiles_.front().accessLatency.loadState(r);
     backing_.loadState(r);
     manager_->loadState(r);
 
-    first.accesses.store(r.u64(), std::memory_order_relaxed);
-    first.l2Misses.store(r.u64(), std::memory_order_relaxed);
-    first.writebacks.store(r.u64(), std::memory_order_relaxed);
+    // The trailing totals repeat the restored per-tile counters.
+    for (stat_t restored : totals())
+        if (r.u64() != restored)
+            throw snapshot::SnapshotError(
+                "snapshot: memory totals disagree with the per-tile "
+                "counters");
 }
 
 } // namespace graphite

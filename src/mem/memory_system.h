@@ -1,9 +1,11 @@
 /**
  * @file
  * The memory system: functional + timing model of the target cache
- * hierarchy and directory-based coherence (paper §3.2): MSI
- * (`caching_protocol/type = dir_msi`) or MESI (`dir_mesi`, which grants
- * a sole reader the Exclusive state).
+ * hierarchy and directory-based coherence (paper §3.2). A protocol is a
+ * table of rules, one per (directory state, request) pair, run by one
+ * transaction engine: MSI (`caching_protocol/type = dir_msi`) or MESI
+ * (`dir_mesi`), whose table differs in one cell — a sole reader is
+ * granted the Exclusive state.
  *
  * Functional role: maintains the single target address space. Every
  * application memory reference is redirected here; data actually lives in
@@ -14,7 +16,9 @@
  * Timing role: the latency of an access is assembled from L1/L2 access
  * costs, directory access cost, network-model latencies of every
  * coherence message (requests, invalidations, recalls, data replies), and
- * DRAM controller latency including lax-compatible queueing delay.
+ * DRAM controller latency including lax-compatible queueing delay. Every
+ * message leg goes through one function, which also fires the accuracy
+ * hook and writes the leg's span marks.
  *
  * Concurrency: two-level locking mirrors the paper's per-home-tile MME
  * servers. A per-tile lock guards each TileMemory (L1/L2 arrays, local
@@ -34,6 +38,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -61,6 +66,11 @@ namespace graphite
 {
 
 class Config;
+
+namespace obs
+{
+class SpanBuilder;
+} // namespace obs
 
 namespace snapshot
 {
@@ -96,20 +106,49 @@ struct AccessResult
     MissClass missClass = MissClass::None;
 };
 
-/** Per-tile memory statistics beyond the raw cache counters. */
+/**
+ * Per-tile memory statistics beyond the raw cache counters. Written
+ * under the tile's lock (addSerialized) and readable at any time.
+ */
 struct TileMemoryStats
 {
-    stat_t totalAccesses = 0;
-    stat_t totalLatency = 0;
-    stat_t l2ColdMisses = 0;
-    stat_t l2CapacityMisses = 0;
-    stat_t l2TrueSharingMisses = 0;
-    stat_t l2FalseSharingMisses = 0;
-    stat_t l2UpgradeMisses = 0;
-    stat_t invalidationsSent = 0;
-    stat_t recalls = 0;
-    stat_t writebacks = 0;
+    atomic_stat_t totalAccesses{0};
+    atomic_stat_t totalLatency{0};
+    atomic_stat_t l2ColdMisses{0};
+    atomic_stat_t l2CapacityMisses{0};
+    atomic_stat_t l2TrueSharingMisses{0};
+    atomic_stat_t l2FalseSharingMisses{0};
+    atomic_stat_t l2UpgradeMisses{0};
+    atomic_stat_t invalidationsSent{0};
+    atomic_stat_t recalls{0};
+    atomic_stat_t writebacks{0};
 };
+
+/** What a requester asks of a line's home directory. */
+enum class CoherenceRequest : std::uint8_t
+{
+    Read = 0,
+    Write,
+    Upgrade ///< write to a line the requester holds Shared
+};
+
+/**
+ * What the home does for one (directory state, request) pair, in this
+ * order: invalidate the other sharers, recall the owner's copy (it stays
+ * a sharer on a read), fetch the line from memory, then grant the
+ * requester a cache state. A grant of Invalid marks a pair that cannot
+ * occur.
+ */
+struct CoherenceRule
+{
+    bool invalidateSharers = false;
+    bool recallOwner = false;
+    bool fetchMemory = false;
+    CacheState grant = CacheState::Invalid;
+};
+
+/** A protocol: one rule per [DirectoryState][CoherenceRequest]. */
+using CoherenceProtocol = std::array<std::array<CoherenceRule, 3>, 3>;
 
 /**
  * Simulation-wide memory system. One instance owns the per-tile cache
@@ -187,9 +226,8 @@ class MemorySystem
      * that sum the tiles or shards when read.
      *
      *  - mem.accesses_total, mem.l2_misses_total, mem.writebacks_total
-     *    equal the per-tile sums of TileMemoryStats::totalAccesses,
-     *    the L2 miss counts and TileMemoryStats::writebacks at any
-     *    quiescent point;
+     *    sum TileMemoryStats::totalAccesses, the L2s' Cache::misses()
+     *    and TileMemoryStats::writebacks;
      *  - mem.tile_lock.{acquisitions,contended,wait_ns} measure the
      *    level-1 tile locks, which every access takes, and
      *    mem.shard_lock.* the per-home shard locks (fast-path hits never
@@ -302,15 +340,10 @@ class MemorySystem
         std::unique_ptr<Cache> l2;
         TileMemoryStats stats;
         /**
-         * This tile's parts of the mem.* aggregates, written under the
-         * lock but readable without it, unlike TileMemoryStats. The
-         * latency part counts application accesses only; atomics stay
-         * out of it.
+         * This tile's part of the mem.access_latency histogram:
+         * application accesses only; atomics stay out of it.
          */
         HistogramStat accessLatency;
-        atomic_stat_t accesses{0};
-        atomic_stat_t l2Misses{0};
-        atomic_stat_t writebacks{0};
         /** Lines ever present in this tile's L2 (cold-miss tracking). */
         std::unordered_set<addr_t> everCached;
         /** How lines were lost, for coherence-miss classification. */
@@ -351,16 +384,37 @@ class MemorySystem
                                            int line = __builtin_LINE());
 
     /**
-     * Model one coherence message; returns its network latency. When
-     * @p bd is non-null the latency decomposition is reported through
-     * it (span-stage attribution; same totals either way). @p point
-     * names the protocol leg for the accuracy observatory's causality
-     * check at the modeled completion time.
+     * Model one coherence message leg and return its network latency.
+     * @p point names the leg: the accuracy observatory checks its
+     * modeled arrival, and it picks the marks written to @p sb (when
+     * non-null). Requests and writebacks mark the request stages,
+     * replies the reply stages, and recall legs one Recall stage.
+     * Invalidation legs mark nothing: invalidateSharers() charges their
+     * overlapped round trips as one Invalidation stage.
      */
-    cycle_t msg(tile_id_t src, tile_id_t dst, size_t payload_bytes,
-                cycle_t send_time, NetBreakdown* bd = nullptr,
-                obs::accuracy::ViolationPoint point =
-                    obs::accuracy::ViolationPoint::MemRequest);
+    cycle_t leg(obs::accuracy::ViolationPoint point, tile_id_t src,
+                tile_id_t dst, size_t payload_bytes, cycle_t send_time,
+                obs::SpanBuilder* sb);
+
+    /**
+     * One line access at @p home's memory controller, entering its
+     * queue at @p at; the DramQueue and DramService marks on @p sb start
+     * at @p mark_at. Returns its latency; zero in fast-forward.
+     */
+    cycle_t dramAccess(tile_id_t home, cycle_t at, obs::SpanBuilder* sb,
+                       cycle_t mark_at);
+
+    /**
+     * Invalidate the copies of @p line_addr held by @p sharers, other
+     * than @p requester's, counting them in @p requester's stats. The
+     * round trips overlap, so the result is the longest, marked on @p sb
+     * as one Invalidation stage at @p at. When @p droppable, the
+     * drop_invalidation fault may skip a sharer.
+     */
+    cycle_t invalidateSharers(tile_id_t requester, addr_t line_addr,
+                              const std::vector<tile_id_t>& sharers,
+                              bool droppable, cycle_t at,
+                              obs::SpanBuilder* sb);
 
     /**
      * One line-contained request on the transaction path. Plain accesses
@@ -435,14 +489,21 @@ class MemorySystem
      */
     void commitLine(TileMemory& tm, LineRequest& rq, CacheLine& l2line);
 
+    /**
+     * Sums over the tiles of the accesses, the L2 misses and the
+     * writebacks: the mem.*_total gauges and the snapshot's totals.
+     */
+    std::array<stat_t, 3> totals() const;
+
     /** Commit stats for one finished line request. Tile lock held. */
     void finishAccess(TileMemory& tm, const LineRequest& rq,
                       const AccessResult& res);
 
     /**
-     * Acquire the line into @p tile's L2 with read or write permission,
-     * running the full directory transaction. On return the L2 holds the
-     * line in Shared (read) or Modified (write) state.
+     * Acquire the line into @p tile's L2 with read or write permission:
+     * the transaction engine, which runs the protocol table's rule for
+     * the line's directory state and the request. On return the L2
+     * holds the line in the granted state.
      *
      * Caller holds: the line's home shard, the victim's home shard when
      * an L2 eviction is pending, the requester tile lock, and every
@@ -488,7 +549,7 @@ class MemorySystem
     cycle_t l2Latency_;
     cycle_t dirLatency_;
     bool classify_;
-    bool mesi_ = false;
+    const CoherenceProtocol* protocol_;
     obs::Observers obs_;
     std::atomic<bool> fastForward_{false};
     std::vector<TileMemory> tiles_;

@@ -105,29 +105,42 @@ TEST(Cache, BadGeometryIsFatal)
 
 TEST(Directory, FullMapTracksAllSharers)
 {
-    Directory dir(DirectoryType::FullMap, 0, 64, 0);
+    Directory dir(DirectoryType::FullMap, 0, 0);
     DirectoryEntry& e = dir.entry(0x1000);
     for (tile_id_t t = 0; t < 64; ++t) {
-        AddSharerResult r = e.addSharer(t);
+        AddSharerResult r = dir.addSharer(e, t);
         EXPECT_FALSE(r.evicted.has_value());
         EXPECT_EQ(r.extraLatency, 0u);
     }
     EXPECT_EQ(e.numSharers(), 64u);
-    e.removeSharer(5);
+    dir.removeSharer(e, 5);
     EXPECT_FALSE(e.isSharer(5));
     EXPECT_EQ(e.numSharers(), 63u);
     e.clearSharers();
     EXPECT_EQ(e.numSharers(), 0u);
 }
 
+TEST(Directory, FullMapKeepsSharersAscending)
+{
+    // Invalidations go out in sharer order: ascending tile ids, however
+    // the sharers arrived.
+    Directory dir(DirectoryType::FullMap, 0, 0);
+    DirectoryEntry& e = dir.entry(0);
+    for (tile_id_t t : {9, 2, 30, 2, 0, 17})
+        dir.addSharer(e, t);
+    EXPECT_EQ(e.sharers(), (std::vector<tile_id_t>{0, 2, 9, 17, 30}));
+    dir.removeSharer(e, 9);
+    EXPECT_EQ(e.sharers(), (std::vector<tile_id_t>{0, 2, 17, 30}));
+}
+
 TEST(Directory, LimitedEvictsBeyondPointerCount)
 {
     // Dir_4NB: the 5th sharer displaces the oldest pointer (§4.4).
-    Directory dir(DirectoryType::LimitedNoBroadcast, 4, 32, 0);
+    Directory dir(DirectoryType::LimitedNoBroadcast, 4, 0);
     DirectoryEntry& e = dir.entry(0);
     for (tile_id_t t = 0; t < 4; ++t)
-        EXPECT_FALSE(e.addSharer(t).evicted.has_value());
-    AddSharerResult r = e.addSharer(4);
+        EXPECT_FALSE(dir.addSharer(e, t).evicted.has_value());
+    AddSharerResult r = dir.addSharer(e, 4);
     ASSERT_TRUE(r.evicted.has_value());
     EXPECT_EQ(*r.evicted, 0); // FIFO victim
     EXPECT_EQ(e.numSharers(), 4u);
@@ -136,31 +149,67 @@ TEST(Directory, LimitedEvictsBeyondPointerCount)
     EXPECT_EQ(dir.pointerEvictions(), 1u);
 }
 
+TEST(Directory, LimitedKeepsSharersOldestFirst)
+{
+    Directory dir(DirectoryType::LimitedNoBroadcast, 3, 0);
+    DirectoryEntry& e = dir.entry(0);
+    for (tile_id_t t : {7, 3, 5})
+        dir.addSharer(e, t);
+    EXPECT_EQ(*dir.addSharer(e, 1).evicted, 7);
+    EXPECT_EQ(e.sharers(), (std::vector<tile_id_t>{3, 5, 1}));
+    dir.removeSharer(e, 5);
+    dir.addSharer(e, 6);
+    EXPECT_EQ(e.sharers(), (std::vector<tile_id_t>{3, 1, 6}));
+    EXPECT_EQ(*dir.addSharer(e, 2).evicted, 3);
+    EXPECT_EQ(e.sharers(), (std::vector<tile_id_t>{1, 6, 2}));
+}
+
 TEST(Directory, LimitedReaddIsIdempotent)
 {
-    Directory dir(DirectoryType::LimitedNoBroadcast, 2, 8, 0);
+    Directory dir(DirectoryType::LimitedNoBroadcast, 2, 0);
     DirectoryEntry& e = dir.entry(0);
-    e.addSharer(1);
-    e.addSharer(1);
+    dir.addSharer(e, 1);
+    dir.addSharer(e, 1);
     EXPECT_EQ(e.numSharers(), 1u);
 }
 
 TEST(Directory, LimitlessTrapsInsteadOfEvicting)
 {
     // LimitLESS(2): overflow sharers kept in software at a trap cost.
-    Directory dir(DirectoryType::Limitless, 2, 32, 100);
+    Directory dir(DirectoryType::Limitless, 2, 100);
     DirectoryEntry& e = dir.entry(0);
-    EXPECT_EQ(e.addSharer(0).extraLatency, 0u);
-    EXPECT_EQ(e.addSharer(1).extraLatency, 0u);
-    AddSharerResult r = e.addSharer(2);
+    EXPECT_EQ(dir.addSharer(e, 0).extraLatency, 0u);
+    EXPECT_EQ(dir.addSharer(e, 1).extraLatency, 0u);
+    AddSharerResult r = dir.addSharer(e, 2);
     EXPECT_FALSE(r.evicted.has_value()); // nobody evicted
     EXPECT_EQ(r.extraLatency, 100u);     // software trap
     EXPECT_EQ(e.numSharers(), 3u);
     EXPECT_EQ(dir.softwareTraps(), 1u);
     // Removing a hardware pointer promotes a software sharer.
-    e.removeSharer(0);
-    EXPECT_EQ(e.numSharers(), 2u);
-    EXPECT_TRUE(e.isSharer(2));
+    dir.removeSharer(e, 0);
+    EXPECT_EQ(e.sharers(), (std::vector<tile_id_t>{1, 2}));
+}
+
+TEST(Directory, LimitlessPromotesNewestSoftwareSharer)
+{
+    // Hardware pointers first, then the software list in arrival order.
+    Directory dir(DirectoryType::Limitless, 2, 100);
+    DirectoryEntry& e = dir.entry(0);
+    for (tile_id_t t : {4, 8, 1, 6, 3})
+        dir.addSharer(e, t);
+    EXPECT_EQ(e.sharers(), (std::vector<tile_id_t>{4, 8, 1, 6, 3}));
+    EXPECT_EQ(dir.softwareTraps(), 3u);
+    // Freeing a hardware pointer moves the newest software sharer to
+    // the end of the hardware pointers.
+    dir.removeSharer(e, 4);
+    EXPECT_EQ(e.sharers(), (std::vector<tile_id_t>{8, 3, 1, 6}));
+    // Removing a software sharer promotes nobody.
+    dir.removeSharer(e, 1);
+    EXPECT_EQ(e.sharers(), (std::vector<tile_id_t>{8, 3, 6}));
+    dir.removeSharer(e, 3);
+    EXPECT_EQ(e.sharers(), (std::vector<tile_id_t>{8, 6}));
+    dir.removeSharer(e, 8);
+    EXPECT_EQ(e.sharers(), (std::vector<tile_id_t>{6}));
 }
 
 TEST(Directory, ParseTypeNames)
@@ -174,7 +223,7 @@ TEST(Directory, ParseTypeNames)
 
 TEST(Directory, EntriesCreatedOnDemand)
 {
-    Directory dir(DirectoryType::FullMap, 0, 4, 0);
+    Directory dir(DirectoryType::FullMap, 0, 0);
     EXPECT_EQ(dir.peek(0x40), nullptr);
     dir.entry(0x40).setState(DirectoryState::Shared);
     EXPECT_NE(dir.peek(0x40), nullptr);
