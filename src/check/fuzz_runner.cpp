@@ -586,8 +586,10 @@ sampleMatrix(std::uint64_t seed, int variants)
                                  "limitless"};
     static const int PROCS[] = {1, 3, 8};
     static const int LINES[] = {32, 64};
+    static const char* PROTOCOLS[] = {"dir_msi", "dir_mesi"};
 
     Rng rng(mix(seed, 0xC0F16));
+    Rng protocol_rng(mix(seed, 0x9F07));
     for (int i = 0; i < variants; ++i) {
         ConfigPoint pt;
         if (i == 0) {
@@ -608,8 +610,14 @@ sampleMatrix(std::uint64_t seed, int variants)
             pt.lineSize = LINES[rng.nextBounded(2)];
         }
         pt.slack = rng.nextBounded(2) == 0 ? 2000 : 100000;
-        pt.name = strfmt("p{}_{}_{}_l{}{}{}{}", pt.processes,
+        pt.protocol = PROTOCOLS[protocol_rng.nextBounded(2)];
+        if (i == 1)
+            pt.tiles = 64;
+        pt.name = strfmt("p{}_{}_{}_l{}{}{}{}{}{}", pt.processes,
                          pt.syncModel, pt.directoryType, pt.lineSize,
+                         pt.tiles != 8 ? strfmt("_t{}", pt.tiles) : "",
+                         pt.protocol != "dir_msi" ? "_" + pt.protocol
+                                                  : "",
                          pt.race ? "_race" : "",
                          pt.spans ? "_span" : "",
                          pt.accuracy ? "_acc" : "");
@@ -623,11 +631,12 @@ makeFuzzConfig(const ConfigPoint& pt, std::uint64_t seed,
                const std::string& fault_mode)
 {
     Config cfg = defaultTargetConfig();
-    cfg.setInt("general/total_tiles", 8);
+    cfg.setInt("general/total_tiles", pt.tiles);
     cfg.setInt("general/num_processes", pt.processes);
     cfg.set("sync/model", pt.syncModel);
     cfg.setInt("sync/quantum", 2000);
     cfg.setInt("sync/slack", static_cast<std::int64_t>(pt.slack));
+    cfg.set("caching_protocol/type", pt.protocol);
     cfg.set("caching_protocol/directory_type", pt.directoryType);
     cfg.setInt("caching_protocol/max_sharers", 2);
     // Deliberately tiny caches: the program working set must not fit,

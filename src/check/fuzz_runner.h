@@ -96,13 +96,15 @@ FuzzResult resumeFuzzProgram(const FuzzProgram& prog, const Config& cfg,
                              const std::vector<std::uint8_t>& ckpt,
                              const RunOptions& opt = {});
 
-/** One point of the configuration matrix (8-tile target). */
+/** One point of the configuration matrix. */
 struct ConfigPoint
 {
     std::string name = "baseline";
+    int tiles = 8;
     int processes = 1;
     std::string syncModel = "lax";
     cycle_t slack = 100000; ///< LaxP2P only
+    std::string protocol = "dir_msi";
     std::string directoryType = "full_map";
     int lineSize = 64;
     /** Arm the happens-before race detector (src/race). Fuzz programs
@@ -128,15 +130,19 @@ ConfigPoint baselinePoint();
  * Baseline plus @p variants seed-sampled points over
  * {1,3,8 processes} x {lax, lax_barrier, lax_p2p} x
  * {full_map, limited_no_broadcast, limitless} x {32,64-byte lines} x
- * {2000, 100000 cycles of p2p slack}. The first variant always runs on
- * 3 processes with the race, span and accuracy oracles armed, so every
- * seed exercises the cross-process paths and proves the oracles
- * timing-neutral.
+ * {2000, 100000 cycles of p2p slack} x {dir_msi, dir_mesi}. The first
+ * variant always runs on 3 processes with the race, span and accuracy
+ * oracles armed, so every seed exercises the cross-process paths and
+ * proves the oracles timing-neutral. The second runs on 64 tiles, where
+ * six threads' lines spread over many homes and the two sharer pointers
+ * overflow often. Every other point has 8 tiles. The protocol is drawn
+ * from a stream of its own, so every other field of a seed's points is
+ * what it was before the protocol axis existed.
  */
 std::vector<ConfigPoint> sampleMatrix(std::uint64_t seed, int variants);
 
 /**
- * Materialize a Config for @p pt: 8 tiles, deliberately small caches
+ * Materialize a Config for @p pt: deliberately small caches
  * (so capacity evictions and writebacks happen; a 2 KB L2, halved when
  * a fault is injected so dirty data lines get evicted too), shutdown
  * validation off (the runner applies the richer invariant suite

@@ -425,8 +425,9 @@ writeArtifacts(const std::string& dir, const FuzzProgram& prog,
     out << "graphite fuzz reproducer\n"
         << "seed        : " << hexU64(seed) << "\n"
         << "fault       : " << fault << "\n"
-        << "config      : " << pt.name << " (processes=" << pt.processes
-        << " sync=" << pt.syncModel << " slack=" << pt.slack
+        << "config      : " << pt.name << " (tiles=" << pt.tiles
+        << " processes=" << pt.processes << " sync=" << pt.syncModel
+        << " slack=" << pt.slack << " protocol=" << pt.protocol
         << " dir=" << pt.directoryType << " line=" << pt.lineSize
         << ")\n"
         << "verdict     : " << ev.verdict << "\n"
