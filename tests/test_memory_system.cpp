@@ -19,6 +19,7 @@
 #include "core/simulator.h"
 #include "mem/memory_system.h"
 #include "obs/span/span_sink.h"
+#include "snapshot/snapshot.h"
 #include "workloads/registry.h"
 
 namespace graphite
@@ -59,6 +60,35 @@ struct MemFixture
 };
 
 const addr_t A = 0x1000'0000; // heap base, line-aligned
+
+// --------------------------------------------------------------- snapshot
+
+TEST(MemSnapshot, SavedTotalsMustMatchTheTileCounters)
+{
+    Config over;
+    over.setInt("perf_model/l2_cache/cache_size", 256);
+    over.setInt("perf_model/l2_cache/associativity", 2);
+    MemFixture f(2, over);
+    for (int i = 0; i < 16; ++i)
+        f.write64(i % 2, A + static_cast<addr_t>(i) * 64, i);
+    snapshot::SnapshotWriter w;
+    f.mem->saveState(w);
+    std::vector<std::uint8_t> blob = w.finish();
+
+    MemFixture g(2, over);
+    snapshot::SnapshotReader intact(blob);
+    EXPECT_NO_THROW(g.mem->loadState(intact));
+
+    // Re-seal the stream (8-byte header and checksum trailer) with the
+    // last saved total, the writebacks, off by one.
+    std::vector<std::uint8_t> body(blob.begin() + 8, blob.end() - 8);
+    ++body[body.size() - 8];
+    snapshot::SnapshotWriter tampered;
+    for (std::uint8_t byte : body)
+        tampered.u8(byte);
+    snapshot::SnapshotReader r(tampered.finish());
+    EXPECT_THROW(g.mem->loadState(r), snapshot::SnapshotError);
+}
 
 // -------------------------------------------------------- MSI transitions
 

@@ -11,7 +11,8 @@
 #   3. clang-tidy over every first-party TU (SKIPs when the toolchain
 #      has no clang-tidy; see tools/run_tidy.py);
 #   4. a UBSan build (-fno-sanitize-recover=undefined) running the
-#      memory-system concurrency smoke (ubsan_smoke).
+#      memory-system concurrency smoke (ubsan_smoke) and the memory
+#      system's unit and integration suites.
 #
 # Usage: tools/check_all.sh [build-dir]     (default: build)
 set -euo pipefail
@@ -78,7 +79,8 @@ ctest --test-dir "$BUILD" -L tidy --output-on-failure
 
 step "UBSan build + smoke ($BUILD-ubsan)"
 cmake -B "$BUILD-ubsan" -S . -DGRAPHITE_SANITIZE=undefined >/dev/null
-cmake --build "$BUILD-ubsan" -j "$JOBS" --target test_mem_concurrency
+cmake --build "$BUILD-ubsan" -j "$JOBS" --target test_mem_concurrency \
+    test_memory_system test_mem_units
 ctest --test-dir "$BUILD-ubsan" -L analysis --output-on-failure
 
 step "PASS"
