@@ -136,8 +136,8 @@ ConfigPoint baselinePoint();
  * proves the oracles timing-neutral. The second runs on 64 tiles, where
  * six threads' lines spread over many homes and the two sharer pointers
  * overflow often. Every other point has 8 tiles. The protocol is drawn
- * from a stream of its own, so every other field of a seed's points is
- * what it was before the protocol axis existed.
+ * from a stream of its own, so it does not shift the other fields a
+ * seed draws.
  */
 std::vector<ConfigPoint> sampleMatrix(std::uint64_t seed, int variants);
 

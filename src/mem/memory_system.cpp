@@ -578,7 +578,7 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
         // E -> S/x: the owner's copy was clean, memory is current.
         entry.reset();
         if (!for_write)
-            dir.addSharer(entry, owner); // the first sharer never traps
+            dir.addSharer(entry, owner); // a first sharer costs nothing
     }
     if (rule.fetchMemory) {
         lat += dramAccess(home, now + lat, sb, now + lat);

@@ -655,9 +655,9 @@ measurePin(const char* protocol, const char* directory)
     return c;
 }
 
-// Recorded before the coherence engine became a rule table. A change
-// that means to move simulated timing re-records them from the failure
-// message, which prints each measured cell in this form.
+// Reference values: a change that keeps simulated timing reproduces
+// them exactly. One that moves timing on purpose re-records them from
+// the failure message, which prints each measured cell in this form.
 const PinCell PINNED[] = {
     {"dir_msi", "full_map", 743116,
      {19926, 997968, 4110152},
