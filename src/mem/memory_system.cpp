@@ -51,7 +51,7 @@ constexpr CoherenceProtocol MSI = {{
     {{{false, false, true, CacheState::Shared},
       {false, false, true, CacheState::Modified},
       {}}},
-    // Shared
+    // Shared: the copies are clean, so memory is current
     {{{false, false, true, CacheState::Shared},
       {true, false, true, CacheState::Modified},
       {true, false, false, CacheState::Modified}}},
