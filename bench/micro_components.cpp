@@ -87,7 +87,7 @@ BM_MeshRouteContention(benchmark::State& state)
     tile_id_t dst = 1;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            model.computeLatency(0, dst, 80, 1000));
+            model.computeLatency(0, dst, 80, 1000).total);
         dst = (dst % 63) + 1;
     }
 }

@@ -59,7 +59,7 @@ tick(std::uint64_t instructions)
         c.sim->endFastForward();
     c.sim->syncModel().periodicSync(*c.core);
     // Cooperative quantum boundary: hand the execution slot to the
-    // next runnable thread (and enforce the skew gate) after at most
+    // next runnable thread (and promote skew-parked ones) after at most
     // host/quantum_cycles of simulated progress.
     c.sched->quantumCheck(c.tile);
     if (SkewTracker* skew = c.sim->skewTracker())

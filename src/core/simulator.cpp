@@ -9,7 +9,6 @@
 #include "common/table.h"
 #include "obs/accuracy/accuracy.h"
 #include "obs/metrics_sampler.h"
-#include "obs/profiler.h"
 #include "obs/span/span_sink.h"
 #include "obs/telemetry/flight_recorder.h"
 #include "obs/trace_event.h"
@@ -22,18 +21,13 @@ namespace
 {
 
 /**
- * Set up the two process-wide observers: the host profiler, whose sites
- * are static per call site, and the flight recorder, whose crash
- * handler needs one async-signal-safe target for the whole process.
- * Building a Simulator resets both.
+ * Set up the one process-wide observer, the flight recorder, whose
+ * crash handler needs one async-signal-safe target for the whole
+ * process. Building a Simulator resets it.
  */
 void
 configureProcessWide(const Config& cfg)
 {
-    obs::HostProfiler::instance().reset();
-    obs::HostProfiler::instance().setEnabled(
-        cfg.getBool("obs/self_profile", false));
-
     // Black-box flight recorder: always-on by default. Reconfigure
     // drops the previous run's events so dumps never mix runs.
     obs::telemetry::FlightRecorder& recorder =
@@ -66,7 +60,6 @@ Simulator::Simulator(Config cfg)
       transport_(topo_)
 {
     configureProcessWide(cfg_);
-    GRAPHITE_PROFILE_SCOPE("sim.init");
 
     const tile_id_t tiles = topo_.totalTiles();
     fabric_ = std::make_unique<NetworkFabric>(topo_, cfg_);
@@ -152,8 +145,7 @@ Simulator::Simulator(Config cfg)
                     clocks.push_back(static_cast<double>(c));
             }
             return clocks;
-        },
-        accuracy_.get());
+        });
 }
 
 Simulator::~Simulator()
@@ -342,6 +334,10 @@ Simulator::registerStats()
                          [threads] { return threads->threadsSpawned(); });
     stats_.registerGauge("syscalls.total",
                          [threads] { return threads->totalSyscalls(); });
+    stats_.registerCounter("host.mcp.wait_ns",
+                           threads->mcpWaitNsCounter());
+    stats_.registerCounter("host.mcp.dispatch_ns",
+                           threads->mcpDispatchNsCounter());
     stats_.registerGauge("sim.cycles_max",
                          [this] { return simulatedTime(); });
     stats_.registerGauge("sim.instructions_total",
@@ -385,35 +381,9 @@ Simulator::makeStatusSource()
         }
         return out;
     };
-    src.simulatedTime = [this] { return simulatedTime(); };
     src.waitSets = [this] { return threads_->waitSets(); };
-    src.transportQueueDepth = [this] {
-        return static_cast<stat_t>(transport_.totalPending());
-    };
-    src.inflightPackets = [this] {
-        return fabric_->inflightAppPackets();
-    };
-    src.syncEvents = [this] { return sync_->syncEvents(); };
-    src.syncWaitUs = [this] { return sync_->syncWaitMicroseconds(); };
-    host::HostScheduler* sched = sched_.get();
-    src.hostPool = [sched] {
-        obs::telemetry::HostPoolStatus hp;
-        hp.enabled = true;
-        hp.mode = sched->modeName();
-        host::PoolGauges g = sched->gauges();
-        hp.slots = g.slots;
-        hp.executing = g.executing;
-        hp.runnable = g.runnable;
-        hp.blocked = g.blocked;
-        hp.skewParked = g.skewParked;
-        hp.quanta = sched->quantaCounter()->load();
-        hp.yields = sched->yieldsCounter()->load();
-        hp.skewParks = sched->skewParksCounter()->load();
-        hp.skewParkNs = sched->skewParkNsCounter()->load();
-        return hp;
-    };
     src.syncModelName = sync_->name();
-    src.accuracy = accuracy_.get();
+    src.schedulerMode = sched_->modeName();
     return src;
 }
 
@@ -456,12 +426,9 @@ Simulator::run(thread_func_t app_main, void* arg)
     beginFastForward();
 
     auto t0 = std::chrono::steady_clock::now();
-    {
-        GRAPHITE_PROFILE_SCOPE("sim.run");
-        threads_->start();
-        threads_->launchMain(app_main, arg);
-        threads_->waitForShutdown();
-    }
+    threads_->start();
+    threads_->launchMain(app_main, arg);
+    threads_->waitForShutdown();
     auto t1 = std::chrono::steady_clock::now();
 
     // Leave detailed mode armed for the next segment: a checkpoint
@@ -580,11 +547,6 @@ Simulator::statsReport() const
                    std::to_string(ms.writebacks)});
     }
     os << tiles.render();
-
-    if (obs::HostProfiler::instance().enabled()) {
-        os << "\n=== host self-profile ===\n";
-        os << obs::HostProfiler::instance().report();
-    }
     return os.str();
 }
 

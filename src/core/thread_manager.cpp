@@ -2,6 +2,7 @@
 #include "core/thread_manager.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <map>
 
@@ -10,7 +11,6 @@
 #include "snapshot/snapshot.h"
 #include "core/api.h"
 #include "core/simulator.h"
-#include "obs/profiler.h"
 #include "obs/telemetry/flight_recorder.h"
 #include "obs/trace_event.h"
 #include "race/detector.h"
@@ -241,15 +241,19 @@ void
 ThreadManager::mcpLoop()
 {
     endpoint_id_t ep = sim_.topology().mcpEndpoint();
+    auto ns_since = [](std::chrono::steady_clock::time_point t0) {
+        return static_cast<stat_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+    };
     while (!shutdownDone_) {
-        NetPacket pkt;
-        {
-            GRAPHITE_PROFILE_SCOPE("mcp.recv_wait");
-            pkt = sim_.transport().recv(ep, PacketType::System);
-        }
+        auto wait_start = std::chrono::steady_clock::now();
+        NetPacket pkt = sim_.transport().recv(ep, PacketType::System);
+        addSerialized(mcpWaitNs_, ns_since(wait_start));
         if (pkt.sender == INVALID_TILE_ID)
             return; // transport shut down
-        GRAPHITE_PROFILE_SCOPE("mcp.dispatch");
+        auto dispatch_start = std::chrono::steady_clock::now();
         // One uncontended lock per dispatched message buys the
         // telemetry plane (waitSets()) a consistent read of the futex
         // queues, join waiters, and tile table.
@@ -291,6 +295,7 @@ ThreadManager::mcpLoop()
         // no requesting tile.
         if (hdr.srcTile >= 0)
             sim_.hostScheduler()->requestDispatched(hdr.srcTile);
+        addSerialized(mcpDispatchNs_, ns_since(dispatch_start));
     }
 }
 

@@ -82,6 +82,13 @@ class ThreadManager
     stat_t threadsSpawned() const { return threadsSpawned_; }
     stat_t syscallCount(tile_id_t tile) const;
     stat_t totalSyscalls() const;
+    /** Host ns the MCP spent waiting for requests (host.mcp.wait_ns). */
+    const atomic_stat_t* mcpWaitNsCounter() const { return &mcpWaitNs_; }
+    /** Host ns the MCP spent dispatching them (host.mcp.dispatch_ns). */
+    const atomic_stat_t* mcpDispatchNsCounter() const
+    {
+        return &mcpDispatchNs_;
+    }
     /** @} */
 
     /**
@@ -165,6 +172,8 @@ class ThreadManager
 
     stat_t threadsSpawned_ = 0;
     std::vector<stat_t> syscalls_; ///< per-tile, incremented by MCP only
+    atomic_stat_t mcpWaitNs_{0};     ///< written by the MCP thread only
+    atomic_stat_t mcpDispatchNs_{0}; ///< written by the MCP thread only
 
     /** Restored state parked by loadState() until the next start(). */
     struct PendingRestore

@@ -43,8 +43,6 @@ SchedulerConfig::fromConfig(const Config& cfg)
         static_cast<cycle_t>(cfg.getInt("host/quantum_cycles", 10000));
     if (out.quantumCycles <= 0)
         fatal("host/quantum_cycles must be positive");
-    out.skewSlack =
-        static_cast<cycle_t>(cfg.getInt("host/skew_slack", 0));
     return out;
 }
 
@@ -167,10 +165,6 @@ HostScheduler::quantumCheck(tile_id_t tile)
 
     lockdep::UniqueLock lock(mutex_);
     r.quantumStart = now;
-    if (cfg_.skewSlack > 0 && now > cfg_.skewSlack) {
-        if (parkLocked(lock, tile, now - cfg_.skewSlack) > 0)
-            return; // re-granted with a fresh quantum
-    }
     promoteSkewParkedLocked();
     if (anyWaiterLocked()) {
         yields_.fetch_add(1, std::memory_order_relaxed);
@@ -249,20 +243,13 @@ HostScheduler::requestDispatched(tile_id_t tile)
     threads_[tile].cv.notify_one();
 }
 
-// -------------------------------------------------------------- skew gate
+// -------------------------------------------------------------- skew park
 
 std::uint64_t
 HostScheduler::skewPark(tile_id_t tile, cycle_t wake_clock)
 {
     lockdep::UniqueLock lock(mutex_);
     GRAPHITE_ASSERT(threads_[tile].state == ThreadState::Running);
-    return parkLocked(lock, tile, wake_clock);
-}
-
-std::uint64_t
-HostScheduler::parkLocked(lockdep::UniqueLock& lock,
-                          tile_id_t tile, cycle_t wake_clock)
-{
     if (minActiveClockLocked() >= wake_clock)
         return 0;
     auto t0 = std::chrono::steady_clock::now();

@@ -10,7 +10,7 @@
  * execution slots to run, and it yields the slot cooperatively at
  * quantum boundaries (`host/quantum_cycles` of simulated time), when
  * it blocks in the system layer (MCP round trips, message receive,
- * sync-model barriers), or when the skew gate parks it. Scheduling
+ * sync-model barriers), or when LaxP2PSync skew-parks it. Scheduling
  * cost is thus amortized over a quantum instead of paid per access.
  *
  * Modes (`host/scheduler`); every Simulator runs one of them:
@@ -34,12 +34,12 @@
  * (beginBlock) and re-queues on wake (endBlock); the slot therefore
  * always represents a thread that can make forward progress.
  *
- * Skew gate: at a quantum boundary a thread whose clock is more than
- * `host/skew_slack` cycles ahead of the minimum clock over all
- * schedulable threads parks until the laggards catch up. The minimum
- * is computed including the parked threads themselves and the thread
- * at the minimum never parks, so the gate cannot deadlock. LaxP2PSync
- * reuses the same parking primitive (skewPark) as its skew mechanism.
+ * Skew park: LaxP2PSync parks a thread that ran too far ahead
+ * (skewPark) until the minimum clock over all schedulable threads
+ * reaches its wake clock; quantum boundaries and slot releases promote
+ * it. The minimum is computed including the parked threads themselves
+ * and the thread at the minimum never parks, so parking cannot
+ * deadlock.
  */
 
 #pragma once
@@ -76,11 +76,10 @@ struct SchedulerConfig
     SchedMode mode = SchedMode::FreeRunning;
     int hostThreads = 0;        ///< pool width; 0 = hardware concurrency
     cycle_t quantumCycles = 10000;
-    cycle_t skewSlack = 0;      ///< scheduler-level gate; 0 = off
 
     /**
-     * Parse host/scheduler, host/threads, host/quantum_cycles and
-     * host/skew_slack; hostThreads is resolved (never 0 on return).
+     * Parse host/scheduler, host/threads and host/quantum_cycles;
+     * hostThreads is resolved (never 0 on return).
      * `off` is rejected with a fatal error naming the equivalent
      * free_running setting.
      */
@@ -94,7 +93,7 @@ struct PoolGauges
     int executing = 0;  ///< threads holding a slot and running
     int runnable = 0;   ///< Ready or Granted, waiting to run
     int blocked = 0;    ///< blocked in MCP/app/sync waits
-    int skewParked = 0; ///< parked by the skew gate
+    int skewParked = 0; ///< parked by skewPark
     int expected = 0;   ///< spawn granted, host thread not yet arrived
 };
 
@@ -149,8 +148,8 @@ class HostScheduler
     /**
      * Cooperative yield point, called from the instruction-tick hook.
      * Fast path: one relaxed clock load per check. On quantum expiry:
-     * apply the skew gate, then hand the slot to the next waiter (if
-     * any) and re-queue.
+     * promote skew-parked threads that may run again, then hand the
+     * slot to the next waiter (if any) and re-queue.
      */
     void quantumCheck(tile_id_t tile);
 
@@ -186,7 +185,7 @@ class HostScheduler
      * Park the calling (slot-holding) thread until the minimum clock
      * over all schedulable threads reaches @p wake_clock. Returns the
      * wall nanoseconds spent parked (0 if the condition already held).
-     * Used by the quantum-boundary skew gate and by LaxP2PSync.
+     * LaxP2PSync's skew mechanism uses it.
      */
     std::uint64_t skewPark(tile_id_t tile, cycle_t wake_clock);
 
@@ -215,7 +214,7 @@ class HostScheduler
         BlockedSys,  ///< released slot, waiting for an MCP reply
         BlockedApp,  ///< released slot, waiting for an app message
         BlockedSync, ///< released slot, waiting in the sync model
-        SkewParked,  ///< released slot, parked by the skew gate
+        SkewParked,  ///< released slot, parked by skewPark
     };
 
     struct ThreadRec
@@ -253,10 +252,6 @@ class HostScheduler
 
     /** Wait until this tile holds a slot; transitions to Running. */
     void waitGrant(lockdep::UniqueLock& lock, tile_id_t tile);
-
-    /** skewPark body with mutex_ already held. */
-    std::uint64_t parkLocked(lockdep::UniqueLock& lock,
-                             tile_id_t tile, cycle_t wake_clock);
 
     /** Release the calling thread's slot into @p next state. */
     void releaseSlotLocked(tile_id_t tile, ThreadState next);

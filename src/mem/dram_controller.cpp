@@ -23,14 +23,8 @@ DramController::DramController(cycle_t latency_cycles,
               bytes_per_cycle);
 }
 
-cycle_t
-DramController::access(cycle_t arrival_time, size_t bytes)
-{
-    return accessEx(arrival_time, bytes).total;
-}
-
 DramController::Breakdown
-DramController::accessEx(cycle_t arrival_time, size_t bytes)
+DramController::access(cycle_t arrival_time, size_t bytes)
 {
     ++accesses_;
     auto service = static_cast<cycle_t>(

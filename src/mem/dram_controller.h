@@ -62,12 +62,10 @@ class DramController
 
     /**
      * Model one access of @p bytes arriving at @p arrival_time.
-     * @return total latency in cycles (device + service + queueing).
+     * @return total latency in cycles (device + service + queueing)
+     *         and its decomposition.
      */
-    cycle_t access(cycle_t arrival_time, size_t bytes);
-
-    /** Like access() but reporting the decomposition. Same totals. */
-    Breakdown accessEx(cycle_t arrival_time, size_t bytes);
+    Breakdown access(cycle_t arrival_time, size_t bytes);
 
     /** @name Statistics @{ */
     stat_t accesses() const { return accesses_; }

@@ -165,15 +165,14 @@ MemorySystem::leg(obs::accuracy::ViolationPoint point, tile_id_t src,
 {
     using obs::SpanStage;
     using obs::accuracy::ViolationPoint;
-    // Fast-forward skips the whole modelEx call: the network model's
+    // Fast-forward skips the whole model call: the network model's
     // routed totals and the fabric's locality counters move together
     // inside it, so skipping both keeps the conservation invariants.
     if (fastForward())
         return 0;
     NetBreakdown b =
-        fabric_.modelEx(PacketType::Memory, src, dst,
-                        payload_bytes + NetPacket::HEADER_BYTES,
-                        send_time);
+        fabric_.model(PacketType::Memory, src, dst,
+                      payload_bytes + NetPacket::HEADER_BYTES, send_time);
     // Every coherence leg funnels through here, so this one hook gives
     // the accuracy observatory transaction-completion coverage: the
     // modeled arrival time is compared against the destination tile's
@@ -209,7 +208,7 @@ MemorySystem::dramAccess(tile_id_t home, cycle_t at, obs::SpanBuilder* sb,
     if (fastForward())
         return 0;
     DramController::Breakdown bd =
-        shards_[home].dram->accessEx(at, lineSize_ + CTRL_BYTES);
+        shards_[home].dram->access(at, lineSize_ + CTRL_BYTES);
     if (sb != nullptr) {
         sb->add(obs::SpanStage::DramQueue, mark_at, bd.queue);
         sb->add(obs::SpanStage::DramService, mark_at + bd.queue,

@@ -53,16 +53,9 @@ NetworkFabric::NetworkFabric(const ClusterTopology& topo,
         make("network/system_model", "magic");
 }
 
-cycle_t
+NetBreakdown
 NetworkFabric::model(PacketType type, tile_id_t src, tile_id_t dst,
                      size_t bytes, cycle_t send_time)
-{
-    return modelEx(type, src, dst, bytes, send_time).total;
-}
-
-NetBreakdown
-NetworkFabric::modelEx(PacketType type, tile_id_t src, tile_id_t dst,
-                       size_t bytes, cycle_t send_time)
 {
     if (type != PacketType::System) {
         size_t idx = static_cast<size_t>(src) * topo_.totalTiles() + dst;
@@ -77,7 +70,7 @@ NetworkFabric::modelEx(PacketType type, tile_id_t src, tile_id_t dst,
         ctr.interMsgs.fetch_add(1, std::memory_order_relaxed);
         ctr.interBytes.fetch_add(bytes, std::memory_order_relaxed);
     }
-    return modelFor(type).computeLatencyEx(src, dst, bytes, send_time);
+    return modelFor(type).computeLatency(src, dst, bytes, send_time);
 }
 
 NetworkModel&
@@ -210,7 +203,7 @@ Network::send(PacketType type, tile_id_t dst,
     pkt.receiver = dst;
     pkt.payload = std::move(payload);
     size_t bytes = pkt.modeledBytes();
-    NetBreakdown bd = fabric_.modelEx(type, tile_, dst, bytes, send_time);
+    NetBreakdown bd = fabric_.model(type, tile_, dst, bytes, send_time);
     cycle_t latency = bd.total;
     pkt.time = send_time + latency;
     if (obs_.accuracy)

@@ -57,17 +57,11 @@ class NetworkFabric
 
     /**
      * Model one message and account for it.
-     * @return modeled network latency in cycles.
+     * @return modeled network latency in cycles (`total`) and its
+     *         decomposition, the span engine's attribution input.
      */
-    cycle_t model(PacketType type, tile_id_t src, tile_id_t dst,
-                  size_t bytes, cycle_t send_time);
-
-    /**
-     * Like model() but reporting the latency decomposition (the span
-     * engine's attribution input). Identical accounting and totals.
-     */
-    NetBreakdown modelEx(PacketType type, tile_id_t src, tile_id_t dst,
-                         size_t bytes, cycle_t send_time);
+    NetBreakdown model(PacketType type, tile_id_t src, tile_id_t dst,
+                       size_t bytes, cycle_t send_time);
 
     /**
      * @name In-flight application packets

@@ -50,12 +50,12 @@ MeshShape::route(tile_id_t src, tile_id_t dst) const
 
 // ------------------------------------------------------- MagicNetworkModel
 
-cycle_t
+NetBreakdown
 MagicNetworkModel::computeLatency(tile_id_t, tile_id_t, size_t bytes,
                                   cycle_t)
 {
     account(bytes, 0, 0);
-    return 0;
+    return NetBreakdown{};
 }
 
 // ---------------------------------------------------- EMeshHopNetworkModel
@@ -77,16 +77,9 @@ EMeshHopNetworkModel::serializationCycles(size_t bytes) const
     return (bytes + linkBandwidth_ - 1) / linkBandwidth_;
 }
 
-cycle_t
-EMeshHopNetworkModel::computeLatency(tile_id_t src, tile_id_t dst,
-                                     size_t bytes, cycle_t send_time)
-{
-    return computeLatencyEx(src, dst, bytes, send_time).total;
-}
-
 NetBreakdown
-EMeshHopNetworkModel::computeLatencyEx(tile_id_t src, tile_id_t dst,
-                                       size_t bytes, cycle_t)
+EMeshHopNetworkModel::computeLatency(tile_id_t src, tile_id_t dst,
+                                     size_t bytes, cycle_t)
 {
     NetBreakdown bd;
     bd.hops = shape_.hops(src, dst);
@@ -113,19 +106,10 @@ EMeshContentionNetworkModel::EMeshContentionNetworkModel(
             progress_, outlier_window, max_backlog));
 }
 
-cycle_t
+NetBreakdown
 EMeshContentionNetworkModel::computeLatency(tile_id_t src, tile_id_t dst,
                                             size_t bytes,
                                             cycle_t send_time)
-{
-    return computeLatencyEx(src, dst, bytes, send_time).total;
-}
-
-NetBreakdown
-EMeshContentionNetworkModel::computeLatencyEx(tile_id_t src,
-                                              tile_id_t dst,
-                                              size_t bytes,
-                                              cycle_t send_time)
 {
     if (progress_ != nullptr)
         progress_->observe(send_time);

@@ -101,27 +101,11 @@ class NetworkModel
      * @param dst       receiving tile
      * @param bytes     modeled packet size (header + payload)
      * @param send_time simulated departure time
-     * @return modeled latency in cycles
+     * @return modeled latency in cycles (`total`) and its components
      */
-    virtual cycle_t computeLatency(tile_id_t src, tile_id_t dst,
-                                   size_t bytes, cycle_t send_time) = 0;
-
-    /**
-     * Like computeLatency() but reporting the component breakdown.
-     * The returned total is bit-identical to what computeLatency()
-     * would produce for the same call (the mesh models implement the
-     * math once and route both entry points through it). The default
-     * attributes everything to hop latency.
-     */
-    virtual NetBreakdown
-    computeLatencyEx(tile_id_t src, tile_id_t dst, size_t bytes,
-                     cycle_t send_time)
-    {
-        NetBreakdown bd;
-        bd.total = computeLatency(src, dst, bytes, send_time);
-        bd.hop = bd.total;
-        return bd;
-    }
+    virtual NetBreakdown computeLatency(tile_id_t src, tile_id_t dst,
+                                        size_t bytes,
+                                        cycle_t send_time) = 0;
 
     /** Human-readable model name (matches the config value). */
     virtual std::string name() const = 0;
@@ -173,8 +157,8 @@ class NetworkModel
 class MagicNetworkModel : public NetworkModel
 {
   public:
-    cycle_t computeLatency(tile_id_t src, tile_id_t dst, size_t bytes,
-                           cycle_t send_time) override;
+    NetBreakdown computeLatency(tile_id_t src, tile_id_t dst,
+                                size_t bytes, cycle_t send_time) override;
     std::string name() const override { return "magic"; }
 };
 
@@ -185,11 +169,8 @@ class EMeshHopNetworkModel : public NetworkModel
     EMeshHopNetworkModel(tile_id_t total_tiles, cycle_t hop_latency,
                          size_t link_bandwidth_bytes);
 
-    cycle_t computeLatency(tile_id_t src, tile_id_t dst, size_t bytes,
-                           cycle_t send_time) override;
-    NetBreakdown computeLatencyEx(tile_id_t src, tile_id_t dst,
-                                  size_t bytes,
-                                  cycle_t send_time) override;
+    NetBreakdown computeLatency(tile_id_t src, tile_id_t dst,
+                                size_t bytes, cycle_t send_time) override;
     std::string name() const override { return "emesh_hop"; }
 
     const MeshShape& shape() const { return shape_; }
@@ -217,11 +198,8 @@ class EMeshContentionNetworkModel : public EMeshHopNetworkModel
                                 cycle_t outlier_window = 100000,
                                 cycle_t max_backlog = 10000);
 
-    cycle_t computeLatency(tile_id_t src, tile_id_t dst, size_t bytes,
-                           cycle_t send_time) override;
-    NetBreakdown computeLatencyEx(tile_id_t src, tile_id_t dst,
-                                  size_t bytes,
-                                  cycle_t send_time) override;
+    NetBreakdown computeLatency(tile_id_t src, tile_id_t dst,
+                                size_t bytes, cycle_t send_time) override;
     std::string name() const override { return "emesh_contention"; }
 
     /** Total queueing delay accumulated over all links (for ablations). */

@@ -7,7 +7,6 @@
 
 #include "common/config.h"
 #include "common/log.h"
-#include "obs/accuracy/accuracy.h"
 #include "obs/telemetry/status.h"
 
 namespace graphite
@@ -18,14 +17,12 @@ namespace obs
 MetricsSampler::MetricsSampler(
     const StatsRegistry* registry, cycle_t interval, std::string out_path,
     std::function<cycle_t()> now,
-    std::function<std::vector<double>()> active_clocks,
-    const accuracy::AccuracyObservatory* accuracy)
+    std::function<std::vector<double>()> active_clocks)
     : registry_(registry),
       interval_(interval),
       outPath_(std::move(out_path)),
       now_(std::move(now)),
       activeClocks_(std::move(active_clocks)),
-      accuracy_(accuracy),
       start_(std::chrono::steady_clock::now()),
       nextSample_(interval)
 {
@@ -35,15 +32,16 @@ MetricsSampler::MetricsSampler(
         columns_.push_back(name);
         prevValues_.push_back(value);
     }
-    prevViolations_ = accuracy_ ? accuracy_->violations() : 0;
+    violationsColumn_ = static_cast<std::size_t>(
+        std::find(columns_.begin(), columns_.end(), "accuracy.violations") -
+        columns_.begin());
 }
 
 std::unique_ptr<MetricsSampler>
 MetricsSampler::fromConfig(
     const Config& cfg, const StatsRegistry* registry,
     std::function<cycle_t()> now,
-    std::function<std::vector<double>()> active_clocks,
-    const accuracy::AccuracyObservatory* accuracy)
+    std::function<std::vector<double>()> active_clocks)
 {
     std::string path = cfg.getString("obs/metrics_out", "");
     if (path.empty())
@@ -51,8 +49,7 @@ MetricsSampler::fromConfig(
     return std::make_unique<MetricsSampler>(
         registry,
         static_cast<cycle_t>(cfg.getInt("obs/metrics_interval", 100000)),
-        std::move(path), std::move(now), std::move(active_clocks),
-        accuracy);
+        std::move(path), std::move(now), std::move(active_clocks));
 }
 
 void
@@ -105,14 +102,6 @@ MetricsSampler::sampleLocked(cycle_t now)
         }
     }
 
-    // Per-interval causality-violation delta from the accuracy
-    // observatory (always a column; reads 0 while disarmed).
-    stat_t violations = accuracy_ ? accuracy_->violations() : 0;
-    row.causalityViolations = violations >= prevViolations_
-                                  ? violations - prevViolations_
-                                  : 0;
-    prevViolations_ = violations;
-
     auto snap = registry_->snapshot();
     row.deltas.assign(columns_.size(), 0);
     // The column set is fixed at construction; stats registered later in
@@ -128,6 +117,11 @@ MetricsSampler::sampleLocked(cycle_t now)
             prevValues_[ci] = snap[si].second;
         }
     }
+    // The causality_violations lead column repeats accuracy.violations'
+    // delta; it is always present and reads 0 while that is absent.
+    if (violationsColumn_ < columns_.size())
+        row.causalityViolations = static_cast<stat_t>(
+            std::max<std::int64_t>(row.deltas[violationsColumn_], 0));
 
     lastSampleCycle_ = now;
     rows_.push_back(std::move(row));

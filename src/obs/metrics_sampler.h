@@ -44,11 +44,6 @@ class Config;
 namespace obs
 {
 
-namespace accuracy
-{
-class AccuracyObservatory;
-}
-
 /** Periodic snapshotter of a StatsRegistry. */
 class MetricsSampler
 {
@@ -65,13 +60,10 @@ class MetricsSampler
      * @param now            returns current simulated time (max tile clock)
      * @param active_clocks  returns the clocks of currently-running tiles
      *                       (for the derived skew columns); may be empty
-     * @param accuracy       source of the causality_violations column;
-     *                       null reads 0
      */
     MetricsSampler(const StatsRegistry* registry, cycle_t interval,
                    std::string out_path, std::function<cycle_t()> now,
-                   std::function<std::vector<double>()> active_clocks,
-                   const accuracy::AccuracyObservatory* accuracy = nullptr);
+                   std::function<std::vector<double>()> active_clocks);
 
     /**
      * The sampler `obs/metrics_out` asks for, every
@@ -80,8 +72,7 @@ class MetricsSampler
     static std::unique_ptr<MetricsSampler>
     fromConfig(const Config& cfg, const StatsRegistry* registry,
                std::function<cycle_t()> now,
-               std::function<std::vector<double>()> active_clocks,
-               const accuracy::AccuracyObservatory* accuracy);
+               std::function<std::vector<double>()> active_clocks);
 
     /**
      * Take a snapshot if simulated time has crossed the next interval
@@ -118,8 +109,8 @@ class MetricsSampler
         stat_t hostRssKb = 0;   ///< host resident set at snapshot, KiB
         double skewMax = 0; ///< max (clock − mean), active tiles, cycles
         double skewMin = 0; ///< min (clock − mean), active tiles, cycles
-        /** Causality violations detected this interval (accuracy
-         *  observatory; 0 while the observatory is disarmed). */
+        /** This interval's accuracy.violations delta (0 while the
+         *  accuracy observatory is disarmed). */
         stat_t causalityViolations = 0;
         std::vector<std::int64_t> deltas; ///< parallel to columns()
     };
@@ -137,12 +128,13 @@ class MetricsSampler
     std::string outPath_;
     std::function<cycle_t()> now_;
     std::function<std::vector<double>()> activeClocks_;
-    const accuracy::AccuracyObservatory* accuracy_;
     std::chrono::steady_clock::time_point start_;
 
     std::vector<std::string> columns_;
     std::vector<stat_t> prevValues_;
-    stat_t prevViolations_ = 0;
+    /** Index of accuracy.violations in columns_; columns_.size() if
+     *  it is not registered. */
+    std::size_t violationsColumn_ = 0;
     cycle_t lastSampleCycle_ = 0;
     std::atomic<cycle_t> nextSample_;
     std::vector<Row> rows_;

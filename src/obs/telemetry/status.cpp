@@ -7,8 +7,6 @@
 #include <sstream>
 #include <unistd.h>
 
-#include "obs/accuracy/accuracy.h"
-
 namespace graphite
 {
 namespace obs
@@ -51,6 +49,41 @@ hostWallSeconds(const StatusSource& src)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - src.start)
         .count();
+}
+
+std::vector<TileStatus>
+tileStatuses(const StatusSource& src)
+{
+    return src.tiles ? src.tiles() : std::vector<TileStatus>{};
+}
+
+/** Simulated time: the furthest tile clock. */
+cycle_t
+simulatedCycles(const std::vector<TileStatus>& tiles)
+{
+    cycle_t max_clock = 0;
+    for (const TileStatus& t : tiles)
+        max_clock = std::max(max_clock, t.cycles);
+    return max_clock;
+}
+
+bool
+registered(const StatusSource& src, const std::string& name)
+{
+    return src.stats != nullptr && src.stats->has(name);
+}
+
+/** The registry's value of @p name; 0 when it is not registered. */
+stat_t
+statValue(const StatusSource& src, const std::string& name)
+{
+    return registered(src, name) ? src.stats->get(name) : 0;
+}
+
+const char*
+jsonBool(bool b)
+{
+    return b ? "true" : "false";
 }
 
 } // namespace
@@ -140,80 +173,65 @@ renderPrometheus(const StatsRegistry& reg)
 std::string
 renderStatusJson(const StatusSource& src, const WatchdogView* wd)
 {
+    const std::vector<TileStatus> tiles = tileStatuses(src);
     std::ostringstream os;
     os << "{";
-    os << "\"simulated_cycles\":"
-       << (src.simulatedTime ? src.simulatedTime() : 0) << ",";
+    os << "\"simulated_cycles\":" << simulatedCycles(tiles) << ",";
     os << "\"host_wall_seconds\":" << hostWallSeconds(src) << ",";
     os << "\"host_rss_kb\":" << hostRssKb() << ",";
     os << "\"sync_model\":\"" << jsonEscape(src.syncModelName) << "\",";
-    os << "\"sync_events\":" << (src.syncEvents ? src.syncEvents() : 0)
-       << ",";
-    os << "\"sync_wait_us\":"
-       << (src.syncWaitUs ? src.syncWaitUs() : 0) << ",";
+    os << "\"sync_events\":" << statValue(src, "sync.events") << ",";
+    os << "\"sync_wait_us\":" << statValue(src, "sync.wait_us") << ",";
     os << "\"transport_queue_depth\":"
-       << (src.transportQueueDepth ? src.transportQueueDepth() : 0)
-       << ",";
+       << statValue(src, "transport.queue_depth") << ",";
     os << "\"inflight_packets\":"
-       << (src.inflightPackets ? src.inflightPackets() : 0) << ",";
+       << statValue(src, "net.inflight_packets") << ",";
 
     // Accuracy observatory: lax-sync skew and causality-violation
-    // gauges (disarmed => armed:false with zeroed fields).
-    {
-        const accuracy::AccuracyObservatory* acc = src.accuracy;
-        os << "\"sync_skew\":{";
-        os << "\"armed\":" << (acc ? "true" : "false") << ",";
-        os << "\"causality_violations\":" << (acc ? acc->violations() : 0)
-           << ",";
-        os << "\"deliveries_checked\":" << (acc ? acc->deliveries() : 0)
-           << ",";
-        os << "\"worst_magnitude_cycles\":"
-           << (acc ? acc->worstMagnitude() : 0) << ",";
-        os << "\"pair_skew_max_cycles\":" << (acc ? acc->pairSkewMax() : 0)
-           << ",";
-        os << "\"pair_skew_mean_cycles\":"
-           << (acc ? acc->pairSkewMean() : 0.0) << ",";
-        os << "\"pair_samples\":" << (acc ? acc->pairSamples() : 0)
-           << "},";
-    }
+    // statistics, registered only while it is armed (disarmed =>
+    // armed:false with zeroed fields).
+    os << "\"sync_skew\":{";
+    os << "\"armed\":" << jsonBool(registered(src, "accuracy.violations"))
+       << ",";
+    os << "\"causality_violations\":"
+       << statValue(src, "accuracy.violations") << ",";
+    os << "\"deliveries_checked\":"
+       << statValue(src, "accuracy.deliveries") << ",";
+    os << "\"worst_magnitude_cycles\":"
+       << statValue(src, "accuracy.worst_magnitude_cycles") << ",";
+    os << "\"pair_skew_max_cycles\":"
+       << statValue(src, "sync.skew_pair_max_cycles") << ",";
+    os << "\"pair_skew_mean_cycles\":"
+       << statValue(src, "sync.skew_pair_mean_cycles") << ",";
+    os << "\"pair_samples\":" << statValue(src, "sync.skew_pair_samples")
+       << "},";
 
-    // Host execution pool health (no pool source => enabled:false).
-    HostPoolStatus hp;
-    if (src.hostPool)
-        hp = src.hostPool();
+    // Host execution pool health: each field is the host.pool.*
+    // statistic of the same name (none registered => enabled:false).
     os << "\"host_pool\":{";
-    os << "\"enabled\":" << (hp.enabled ? "true" : "false") << ",";
-    os << "\"mode\":\"" << jsonEscape(hp.mode) << "\",";
-    os << "\"slots\":" << hp.slots << ",";
-    os << "\"executing\":" << hp.executing << ",";
-    os << "\"runnable\":" << hp.runnable << ",";
-    os << "\"blocked\":" << hp.blocked << ",";
-    os << "\"skew_parked\":" << hp.skewParked << ",";
-    os << "\"quanta\":" << hp.quanta << ",";
-    os << "\"yields\":" << hp.yields << ",";
-    os << "\"skew_parks\":" << hp.skewParks << ",";
-    os << "\"skew_park_ns\":" << hp.skewParkNs << "},";
+    os << "\"enabled\":" << jsonBool(registered(src, "host.pool.slots"))
+       << ",";
+    os << "\"mode\":\"" << jsonEscape(src.schedulerMode) << "\"";
+    for (const char* field :
+         {"slots", "executing", "runnable", "blocked", "skew_parked",
+          "quanta", "yields", "skew_parks", "skew_park_ns"})
+        os << ",\"" << field
+           << "\":" << statValue(src, std::string("host.pool.") + field);
+    os << "},";
 
     // Per-tile heartbeats with derived IPC.
     os << "\"tiles\":[";
-    if (src.tiles) {
-        bool first = true;
-        for (const TileStatus& t : src.tiles()) {
-            if (!first)
-                os << ",";
-            first = false;
-            double ipc =
-                t.cycles == 0
-                    ? 0.0
-                    : static_cast<double>(t.instructions) /
-                          static_cast<double>(t.cycles);
-            os << "{\"tile\":" << t.tile << ",\"cycles\":" << t.cycles
-               << ",\"instructions\":" << t.instructions
-               << ",\"ipc\":" << ipc
-               << ",\"occupied\":" << (t.occupied ? "true" : "false")
-               << ",\"running\":" << (t.running ? "true" : "false")
-               << "}";
-        }
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+        const TileStatus& t = tiles[i];
+        if (i)
+            os << ",";
+        double ipc = t.cycles == 0 ? 0.0
+                                   : static_cast<double>(t.instructions) /
+                                         static_cast<double>(t.cycles);
+        os << "{\"tile\":" << t.tile << ",\"cycles\":" << t.cycles
+           << ",\"instructions\":" << t.instructions
+           << ",\"ipc\":" << ipc << ",\"occupied\":" << jsonBool(t.occupied)
+           << ",\"running\":" << jsonBool(t.running) << "}";
     }
     os << "],";
 
@@ -277,7 +295,7 @@ renderHealthJson(const StatusSource& src, const WatchdogView* wd)
     std::ostringstream os;
     os << "{\"status\":\"" << (healthy ? "ok" : "unhealthy")
        << "\",\"verdict\":\"" << verdict << "\",\"simulated_cycles\":"
-       << (src.simulatedTime ? src.simulatedTime() : 0)
+       << simulatedCycles(tileStatuses(src))
        << ",\"host_wall_seconds\":" << hostWallSeconds(src) << "}";
     return os.str();
 }

@@ -1,9 +1,13 @@
 /**
  * @file
- * Live-status data model shared by the telemetry plane: the callbacks
+ * Live-status data model shared by the telemetry plane: the sources
  * a Simulator wires into the HTTP server and the progress watchdog,
  * the MCP wait-set snapshot, and the renderers that turn them into
  * the /metrics (Prometheus text exposition) and /status (JSON) bodies.
+ *
+ * Every statistic either body reports comes from the Simulator's
+ * StatsRegistry, by name; the source adds only what the registry does
+ * not hold (per-tile heartbeats, wait sets, and two names).
  *
  * The obs layer sits *below* core in the link order (graphite_core
  * links graphite_obs), so these types are defined here and produced by
@@ -30,10 +34,6 @@ namespace graphite
 namespace obs
 {
 
-namespace accuracy
-{
-class AccuracyObservatory;
-}
 namespace telemetry
 {
 
@@ -66,38 +66,19 @@ struct WaitSetSnapshot
     bool shutdownRequested = false;
 };
 
-/** Host-scheduler pool health for /status (host.pool.* in /metrics). */
-struct HostPoolStatus
-{
-    bool enabled = false;
-    std::string mode;   ///< "deterministic" | "free_running"
-    int slots = 0;
-    int executing = 0;
-    int runnable = 0;
-    int blocked = 0;
-    int skewParked = 0;
-    stat_t quanta = 0;
-    stat_t yields = 0;
-    stat_t skewParks = 0;
-    stat_t skewParkNs = 0;
-};
-
 /** Simulator-owned data sources for the telemetry plane. */
 struct StatusSource
 {
+    /**
+     * Every statistic /metrics and /status report. A name that is not
+     * registered reads 0 (the accuracy and host.pool.* names mark
+     * whether those observers are armed).
+     */
     const StatsRegistry* stats = nullptr;
     std::function<std::vector<TileStatus>()> tiles;
-    std::function<cycle_t()> simulatedTime;
     std::function<WaitSetSnapshot()> waitSets;
-    std::function<stat_t()> transportQueueDepth;
-    std::function<stat_t()> inflightPackets;
-    std::function<stat_t()> syncEvents;
-    std::function<stat_t()> syncWaitUs;
-    /** Null/empty when the source has no host scheduler (unit tests). */
-    std::function<HostPoolStatus()> hostPool;
     std::string syncModelName;
-    /** The Simulator's accuracy observatory; null when disarmed. */
-    const accuracy::AccuracyObservatory* accuracy = nullptr;
+    std::string schedulerMode; ///< "deterministic" | "free_running"
     std::chrono::steady_clock::time_point start =
         std::chrono::steady_clock::now();
 };

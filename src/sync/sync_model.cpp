@@ -8,7 +8,6 @@
 #include "common/log.h"
 #include "host/scheduler.h"
 #include "obs/accuracy/accuracy.h"
-#include "obs/profiler.h"
 #include "obs/telemetry/flight_recorder.h"
 #include "obs/trace_event.h"
 #include "perf/core_model.h"
@@ -108,7 +107,6 @@ LaxBarrierSync::threadUnblocked(CoreModel& core)
 void
 LaxBarrierSync::arrive(tile_id_t tile, cycle_t now)
 {
-    GRAPHITE_PROFILE_SCOPE("sync.barrier_wait");
     auto t0 = std::chrono::steady_clock::now();
     lockdep::UniqueLock lock(mutex_);
     // No later epoch can complete before this thread arrives again (it
@@ -246,7 +244,7 @@ LaxP2PSync::periodicSync(CoreModel& core)
 
     if (my_clock <= partner_clock || my_clock - partner_clock <= slack_)
         return;
-    // We are ahead: park on the scheduler's skew gate. The slot goes to
+    // We are ahead: skew-park on the scheduler. The slot goes to
     // a laggard and we resume once the minimum schedulable clock is
     // within the slack again. Simulated time is unaffected; only host
     // scheduling changes.

@@ -15,7 +15,7 @@
  *                the laggards (§3.6.3). The paper sleeps s = c / r
  *                wall-clock seconds (c the clock difference, r the
  *                observed simulation rate); this model instead parks
- *                the tile on the host scheduler's skew gate until the
+ *                the tile on the host scheduler (skewPark) until the
  *                minimum schedulable clock is back within the slack.
  *                Only host scheduling differs; simulated time is
  *                unaffected.
@@ -66,7 +66,7 @@ class SyncModel
     /**
      * Attach the host execution scheduler. Required before any thread
      * can wait in the model: barrier waits release the execution slot,
-     * and LaxP2P parks on the scheduler's skew gate.
+     * and LaxP2P skew-parks on the scheduler.
      */
     void attachScheduler(host::HostScheduler* sched) { sched_ = sched; }
 

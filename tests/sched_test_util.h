@@ -14,13 +14,12 @@ namespace graphite::testutil
 
 /** A free-running pool of @p host_threads slots. */
 inline host::SchedulerConfig
-unitSchedConfig(int host_threads, cycle_t quantum, cycle_t slack)
+unitSchedConfig(int host_threads, cycle_t quantum)
 {
     host::SchedulerConfig sc;
     sc.mode = host::SchedMode::FreeRunning;
     sc.hostThreads = host_threads;
     sc.quantumCycles = quantum;
-    sc.skewSlack = slack;
     return sc;
 }
 

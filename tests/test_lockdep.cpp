@@ -348,10 +348,10 @@ TEST_F(LockdepWarn, CondVarWaitOnNonInnermostLockFlagged)
 TEST_F(LockdepWarn, RenderHeldSetsNamesClassAndSite)
 {
     LOCKDEP_REQUIRE_ARMED();
-    lockdep::OrderedMutex m(LockClass::profiler);
+    lockdep::OrderedMutex m(LockClass::skew_tracker);
     lockdep::Guard g(m);
     std::string text = lockdep::renderHeldSets();
-    EXPECT_NE(text.find("profiler"), std::string::npos);
+    EXPECT_NE(text.find("skew_tracker"), std::string::npos);
     EXPECT_NE(text.find("test_lockdep.cpp"), std::string::npos);
 }
 
@@ -366,7 +366,7 @@ TEST(LockdepCrash, CrashDumpIncludesHeldSets)
         FlightRecorder& fr = FlightRecorder::instance();
         fr.configure(64);
         fr.installCrashHandler(dump_path);
-        lockdep::OrderedMutex m(LockClass::profiler);
+        lockdep::OrderedMutex m(LockClass::skew_tracker);
         lockdep::Guard g(m);
         ::raise(SIGSEGV);
         std::_Exit(0); // unreachable
@@ -381,7 +381,7 @@ TEST(LockdepCrash, CrashDumpIncludesHeldSets)
     ASSERT_FALSE(dump.empty());
     EXPECT_NE(dump.find("=== lockdep held-sets ==="),
               std::string::npos);
-    EXPECT_NE(dump.find("holds profiler"), std::string::npos);
+    EXPECT_NE(dump.find("holds skew_tracker"), std::string::npos);
     EXPECT_NE(dump.find("test_lockdep.cpp"), std::string::npos);
 }
 

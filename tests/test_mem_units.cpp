@@ -236,7 +236,7 @@ TEST(Dram, LatencyIncludesServiceTime)
 {
     DramController dram(100, /*bytes_per_cycle=*/1.0, nullptr);
     // 64 bytes at 1 B/cycle: 100 + 64.
-    EXPECT_EQ(dram.access(0, 64), 164u);
+    EXPECT_EQ(dram.access(0, 64).total, 164u);
     EXPECT_EQ(dram.accesses(), 1u);
 }
 
@@ -245,8 +245,8 @@ TEST(Dram, QueueingDelaysBursts)
     GlobalProgress gp(8);
     gp.observe(1000);
     DramController dram(100, 0.5, &gp);
-    cycle_t first = dram.access(1000, 64);
-    cycle_t second = dram.access(1000, 64); // backlogged
+    cycle_t first = dram.access(1000, 64).total;
+    cycle_t second = dram.access(1000, 64).total; // backlogged
     EXPECT_GT(second, first);
     EXPECT_GT(dram.totalQueueDelay(), 0u);
 }
@@ -257,7 +257,7 @@ TEST(Dram, BandwidthSplitRaisesServiceTime)
     // per-access service time.
     DramController wide(100, 5.13, nullptr);         // 1-tile share
     DramController narrow(100, 5.13 / 256, nullptr); // 256-tile share
-    EXPECT_LT(wide.access(0, 64), narrow.access(0, 64));
+    EXPECT_LT(wide.access(0, 64).total, narrow.access(0, 64).total);
 }
 
 TEST(Dram, ZeroBandwidthIsFatal)

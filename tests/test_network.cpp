@@ -178,15 +178,15 @@ TEST(MeshShape, XYRouteLengthMatchesHops)
 TEST(NetworkModel, MagicIsFree)
 {
     MagicNetworkModel magic;
-    EXPECT_EQ(magic.computeLatency(0, 5, 100, 42), 0u);
+    EXPECT_EQ(magic.computeLatency(0, 5, 100, 42).total, 0u);
     EXPECT_EQ(magic.packetsRouted(), 1u);
 }
 
 TEST(NetworkModel, HopModelScalesWithDistance)
 {
     EMeshHopNetworkModel model(16, /*hop=*/2, /*bw=*/8);
-    cycle_t near = model.computeLatency(0, 1, 64, 0);
-    cycle_t far = model.computeLatency(0, 15, 64, 0);
+    cycle_t near = model.computeLatency(0, 1, 64, 0).total;
+    cycle_t far = model.computeLatency(0, 15, 64, 0).total;
     EXPECT_EQ(near, 2u + 8u);  // 1 hop + 64/8 serialization
     EXPECT_EQ(far, 12u + 8u);  // 6 hops
     EXPECT_GT(far, near);
@@ -197,10 +197,10 @@ TEST(NetworkModel, ContentionAddsUnderLoad)
     GlobalProgress gp(64);
     EMeshContentionNetworkModel model(16, 2, 8, &gp);
     // Same route, same time: later packets see queueing delay.
-    cycle_t first = model.computeLatency(0, 3, 64, 1000);
+    cycle_t first = model.computeLatency(0, 3, 64, 1000).total;
     cycle_t burst = first;
     for (int i = 0; i < 20; ++i)
-        burst = model.computeLatency(0, 3, 64, 1000);
+        burst = model.computeLatency(0, 3, 64, 1000).total;
     EXPECT_GT(burst, first);
     EXPECT_GT(model.totalContentionDelay(), 0u);
 }

@@ -24,7 +24,6 @@
 #include "core/api.h"
 #include "core/simulator.h"
 #include "obs/metrics_sampler.h"
-#include "obs/profiler.h"
 #include "obs/telemetry/status.h"
 #include "obs/trace_event.h"
 
@@ -620,79 +619,6 @@ TEST(MetricsSampler, ShortRunEmitsPartialRowAtFinalize)
     EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2);
 }
 
-// --------------------------------------------------------------- profiler
-
-TEST(HostProfiler, ScopesAccumulateOnlyWhenEnabled)
-{
-    obs::HostProfiler& prof = obs::HostProfiler::instance();
-    prof.reset();
-    prof.setEnabled(false);
-    {
-        GRAPHITE_PROFILE_SCOPE("test.disabled");
-    }
-    EXPECT_EQ(prof.site("test.disabled").calls.load(), 0u);
-
-    prof.setEnabled(true);
-    for (int i = 0; i < 3; ++i) {
-        GRAPHITE_PROFILE_SCOPE("test.enabled");
-    }
-    prof.setEnabled(false);
-    obs::HostProfiler::Site& site = prof.site("test.enabled");
-    EXPECT_EQ(site.calls.load(), 3u);
-    EXPECT_GE(site.maxNs.load(), 0u);
-    std::string report = prof.report();
-    EXPECT_NE(report.find("test.enabled"), std::string::npos);
-    EXPECT_EQ(report.find("test.disabled"), std::string::npos);
-    prof.reset();
-}
-
-namespace
-{
-
-std::uint64_t
-profiledFib(int n)
-{
-    GRAPHITE_PROFILE_SCOPE("test.fib");
-    if (n < 2)
-        return static_cast<std::uint64_t>(n);
-    return profiledFib(n - 1) + profiledFib(n - 2);
-}
-
-} // namespace
-
-TEST(HostProfiler, NestedAndReentrantScopesAttributeInclusively)
-{
-    obs::HostProfiler& prof = obs::HostProfiler::instance();
-    prof.reset();
-    prof.setEnabled(true);
-    {
-        GRAPHITE_PROFILE_SCOPE("test.outer");
-        {
-            GRAPHITE_PROFILE_SCOPE("test.inner");
-        }
-        {
-            GRAPHITE_PROFILE_SCOPE("test.inner");
-        }
-    }
-    // Re-entrant recursion through one site: every activation counts,
-    // and nested RAII scopes unwind innermost-first without losing any.
-    profiledFib(6); // 25 calls
-    prof.setEnabled(false);
-
-    obs::HostProfiler::Site& outer = prof.site("test.outer");
-    obs::HostProfiler::Site& inner = prof.site("test.inner");
-    obs::HostProfiler::Site& fib = prof.site("test.fib");
-    EXPECT_EQ(outer.calls.load(), 1u);
-    EXPECT_EQ(inner.calls.load(), 2u);
-    EXPECT_EQ(fib.calls.load(), 25u);
-    // Timing is inclusive: the enclosing scope's wall time covers its
-    // nested activations.
-    EXPECT_GE(outer.totalNs.load(), inner.totalNs.load());
-    EXPECT_GE(outer.maxNs.load(), inner.maxNs.load());
-    EXPECT_LE(fib.maxNs.load(), fib.totalNs.load());
-    prof.reset();
-}
-
 // ------------------------------------------------------------- end-to-end
 
 void
@@ -730,15 +656,14 @@ TEST(Observability, EndToEndArtifacts)
     cfg.set("obs/trace_out", trace_path);
     cfg.set("obs/metrics_out", metrics_path);
     cfg.setInt("obs/metrics_interval", 1000);
-    cfg.setBool("obs/self_profile", true);
     {
         Simulator sim(cfg);
         addr_t data = 0;
         sim.run(&obsMain, &data);
-        // The report embeds the self-profile when enabled.
-        std::string report = sim.statsReport();
-        EXPECT_NE(report.find("host self-profile"), std::string::npos);
-        EXPECT_NE(report.find("sim.run"), std::string::npos);
+        // The MCP's host time is in the registry: it waited for the
+        // spawn, join and exit requests and dispatched each of them.
+        EXPECT_GT(sim.stats().get("host.mcp.wait_ns"), 0u);
+        EXPECT_GT(sim.stats().get("host.mcp.dispatch_ns"), 0u);
     }
 
     ASSERT_TRUE(fileExists(trace_path));
@@ -753,6 +678,8 @@ TEST(Observability, EndToEndArtifacts)
     EXPECT_NE(csv.find("skew_max_cycles"), std::string::npos);
     EXPECT_NE(csv.find("mem.l2_misses_total"), std::string::npos);
     EXPECT_NE(csv.find("tile.0.cycles"), std::string::npos);
+    EXPECT_NE(csv.find("host.mcp.wait_ns"), std::string::npos);
+    EXPECT_NE(csv.find("host.mcp.dispatch_ns"), std::string::npos);
     // Header plus at least one data row.
     EXPECT_GE(std::count(csv.begin(), csv.end(), '\n'), 2);
 
@@ -775,7 +702,6 @@ TEST(Observability, DisabledByDefaultWritesNothing)
     EXPECT_EQ(sim.faultPlan(), nullptr);
     addr_t data = 0;
     sim.run(&obsMain, &data);
-    EXPECT_FALSE(obs::HostProfiler::enabled());
     EXPECT_FALSE(sim.stats().has("span.completed"));
     EXPECT_FALSE(sim.stats().has("accuracy.deliveries"));
     EXPECT_FALSE(sim.stats().has("race.words_checked"));
@@ -850,8 +776,10 @@ TEST(ObsIsolation, SecondSimulatorLeavesTheFirstsRecordsAlone)
     runIso(first);
     stat_t spans = first.stats().get("span.completed");
     stat_t deliveries = first.stats().get("accuracy.deliveries");
+    stat_t dispatch_ns = first.stats().get("host.mcp.dispatch_ns");
     ASSERT_GT(spans, 0u);
     ASSERT_GT(deliveries, 0u);
+    ASSERT_GT(dispatch_ns, 0u);
 
     {
         Simulator second(isoConfig(false));
@@ -859,6 +787,7 @@ TEST(ObsIsolation, SecondSimulatorLeavesTheFirstsRecordsAlone)
     }
     EXPECT_EQ(first.stats().get("span.completed"), spans);
     EXPECT_EQ(first.stats().get("accuracy.deliveries"), deliveries);
+    EXPECT_EQ(first.stats().get("host.mcp.dispatch_ns"), dispatch_ns);
 }
 
 TEST(ObsIsolation, ArmedSimulatorBuiltBeforeAPlainOneStillRecords)

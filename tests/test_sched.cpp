@@ -2,7 +2,7 @@
  * @file
  * Host execution scheduler tests (src/host/scheduler): config parsing,
  * pool smoke runs through the full Simulator, deterministic-mode
- * reproducibility across pool widths, skew-gate parking under both
+ * reproducibility across pool widths, skew parking under both
  * LaxBarrier and LaxP2P, and a free-running fuzz stress that doubles
  * as the tsan_sched CI entry under GRAPHITE_SANITIZE=thread.
  */
@@ -70,17 +70,14 @@ TEST(SchedulerConfig, ParsesModesAndDefaults)
     EXPECT_EQ(sc.mode, host::SchedMode::FreeRunning);
     EXPECT_GE(sc.hostThreads, 1); // 0 resolves to hardware concurrency
     EXPECT_EQ(sc.quantumCycles, 10000u);
-    EXPECT_EQ(sc.skewSlack, 0u);
 
     cfg.set("host/scheduler", "deterministic");
     cfg.setInt("host/threads", 3);
     cfg.setInt("host/quantum_cycles", 500);
-    cfg.setInt("host/skew_slack", 1234);
     sc = host::SchedulerConfig::fromConfig(cfg);
     EXPECT_EQ(sc.mode, host::SchedMode::Deterministic);
     EXPECT_EQ(sc.hostThreads, 3);
     EXPECT_EQ(sc.quantumCycles, 500u);
-    EXPECT_EQ(sc.skewSlack, 1234u);
 
     // `off` is rejected, and the error names the free_running setting
     // that keeps every target thread runnable.
@@ -220,7 +217,7 @@ TEST(SchedDeterminism, RepeatedRunsReproduce)
     EXPECT_EQ(a.simulatedCycles, b.simulatedCycles);
 }
 
-// ------------------------------------------------------------- skew gate
+// ------------------------------------------------------------- skew park
 //
 // These tests drive HostScheduler (and the blocking sync models with an
 // attached scheduler) directly with CoreModels on test-owned host
@@ -234,42 +231,56 @@ TEST(SchedDeterminism, RepeatedRunsReproduce)
 using testutil::registerTiles;
 using testutil::unitSchedConfig;
 
-TEST(SchedSkew, SchedulerGateParksFastTile)
+TEST(SchedSkew, QuantumBoundaryPromotesSkewParkedTile)
 {
-    constexpr cycle_t kSlack = 1000;
+    constexpr cycle_t kQuantum = 100;
+    constexpr cycle_t kAhead = 5000;
+    constexpr cycle_t kWake = 4000;
     constexpr cycle_t kTarget = 30000;
-    host::HostScheduler sched(unitSchedConfig(2, 100, kSlack), 2);
+    host::HostScheduler sched(unitSchedConfig(2, kQuantum), 2);
     Config cfg = defaultTargetConfig();
     CoreModel fast(0, cfg), slow(1, cfg);
     registerTiles(sched, fast, slow);
+    std::uint64_t parkedNs = 0;
+    cycle_t promotedAt = 0;
 
     std::thread fastThr([&] {
         sched.start(0);
+        while (fast.cycle() < kAhead) {
+            fast.addLatency(kQuantum);
+            sched.quantumCheck(0);
+        }
+        // The slow tile sits at clock 0, so this parks, as LaxP2PSync
+        // does with a tile that ran too far ahead of its partner.
+        parkedNs = sched.skewPark(0, kWake);
         while (fast.cycle() < kTarget) {
-            fast.addLatency(100);
+            fast.addLatency(kQuantum);
             sched.quantumCheck(0);
         }
         sched.finishThread(0);
     });
     std::thread slowThr([&] {
         sched.start(1);
-        // Hold at clock 0: the fast tile's first quantum boundary past
-        // the slack MUST park it, because the minimum schedulable clock
-        // is pinned to 0 while we sit here.
+        // Hold at clock 0 until the fast tile has parked.
         while (sched.skewParksCounter()->load() == 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        // Catch up; each quantum boundary (and each slot release)
-        // promotes the parked fast tile once it is back within slack.
+        // Catch up one quantum at a time. Nothing else releases a slot
+        // meanwhile, so only a quantum boundary can promote the parked
+        // tile, and the first one at or past its wake clock must.
         while (slow.cycle() < kTarget) {
-            slow.addLatency(100);
+            slow.addLatency(kQuantum);
             sched.quantumCheck(1);
+            if (promotedAt == 0 && sched.gauges().skewParked == 0)
+                promotedAt = slow.cycle();
         }
         sched.finishThread(1);
     });
     fastThr.join();
     slowThr.join();
 
-    EXPECT_GT(sched.skewParksCounter()->load(), 0u);
+    EXPECT_GT(parkedNs, 0u);
+    EXPECT_EQ(promotedAt, kWake);
+    EXPECT_EQ(sched.skewParksCounter()->load(), 1u);
     EXPECT_GT(sched.skewParkNsCounter()->load(), 0u);
     // Both tiles reached the target: parking never deadlocked, and the
     // rotation drained cleanly.
@@ -285,9 +296,9 @@ TEST(SchedSkew, LaxP2PParksOnSchedulerInsteadOfSleeping)
 {
     constexpr cycle_t kSlack = 1000;
     constexpr cycle_t kTarget = 30000;
-    // Scheduler-level gate off (slack 0) and a huge quantum: any park
-    // observed below can only have come through LaxP2P's skewPark call.
-    host::HostScheduler sched(unitSchedConfig(2, 1000000, 0), 2);
+    // A huge quantum: any park observed below can only have come
+    // through LaxP2P's skewPark call.
+    host::HostScheduler sched(unitSchedConfig(2, 1000000), 2);
     LaxP2PSync p2p(2, kSlack, /*interval=*/100, /*seed=*/7);
     p2p.attachScheduler(&sched);
     Config cfg = defaultTargetConfig();
@@ -342,7 +353,7 @@ TEST(SchedSkew, LaxBarrierWaitReleasesSlotAndRecordsWait)
     // bearing: if arrive() held its slot across the epoch wait, the
     // laggard could never run and this test would deadlock (caught by
     // the ctest timeout) instead of pass.
-    host::HostScheduler sched(unitSchedConfig(1, 1000000, 0), 2);
+    host::HostScheduler sched(unitSchedConfig(1, 1000000), 2);
     LaxBarrierSync barrier(kQuantum, 2);
     barrier.attachScheduler(&sched);
     Config cfg = defaultTargetConfig();
@@ -407,7 +418,6 @@ TEST(SchedStress, FreeRunningFuzzInvariantsHold)
         cfg.set("host/scheduler", "free_running");
         cfg.setInt("host/threads", 4);
         cfg.setInt("host/quantum_cycles", 1000);
-        cfg.setInt("host/skew_slack", 50000);
         check::FuzzResult res =
             check::runFuzzProgram(prog, cfg, quickOpts());
         EXPECT_TRUE(res.violations.empty())

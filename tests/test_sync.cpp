@@ -59,7 +59,7 @@ TEST(LaxBarrier, KeepsTwoThreadsWithinQuanta)
     // Two threads advancing at very different rates: the barrier must
     // keep their clocks within a few quanta of each other.
     constexpr cycle_t QUANTUM = 1000;
-    host::HostScheduler sched(testutil::unitSchedConfig(2, 1000000, 0),
+    host::HostScheduler sched(testutil::unitSchedConfig(2, 1000000),
                               2);
     LaxBarrierSync barrier(QUANTUM, 2);
     barrier.attachScheduler(&sched);
@@ -210,7 +210,7 @@ TEST(LaxP2P, ZeroSlackStaysLive)
 {
     // slack = 0 makes every partner check with any clock difference a
     // park candidate; the model must still make forward progress.
-    host::HostScheduler sched(testutil::unitSchedConfig(2, 1000000, 0),
+    host::HostScheduler sched(testutil::unitSchedConfig(2, 1000000),
                               2);
     LaxP2PSync p2p(2, /*slack=*/0, /*interval=*/10, 42);
     p2p.attachScheduler(&sched);

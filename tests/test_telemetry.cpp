@@ -286,19 +286,9 @@ syntheticSource(std::vector<TileStatus>* tiles, WaitSetSnapshot* ws)
 {
     StatusSource src;
     src.tiles = [tiles] { return *tiles; };
-    src.simulatedTime = [tiles] {
-        cycle_t m = 0;
-        for (const TileStatus& t : *tiles)
-            m = std::max(m, t.cycles);
-        return m;
-    };
     if (ws != nullptr)
         src.waitSets = [ws] { return *ws; };
     src.syncModelName = "lax";
-    src.syncEvents = [] { return stat_t{11}; };
-    src.syncWaitUs = [] { return stat_t{22}; };
-    src.transportQueueDepth = [] { return stat_t{1}; };
-    src.inflightPackets = [] { return stat_t{2}; };
     return src;
 }
 
@@ -314,6 +304,16 @@ TEST(Renderers, StatusJsonNamesTilesAndWaiters)
     ws.futexes.push_back({0xbeef, {1}});
     ws.joins.push_back({1, {0}});
     StatusSource src = syntheticSource(&tiles, &ws);
+    // /status reads its statistics from the registry by name: the
+    // host.pool.* names mark the pool enabled, and no accuracy.* name
+    // leaves sync_skew disarmed.
+    StatsRegistry reg;
+    stat_t sync_events = 11;
+    stat_t pool_slots = 4;
+    reg.registerCounter("sync.events", &sync_events);
+    reg.registerCounter("host.pool.slots", &pool_slots);
+    src.stats = &reg;
+    src.schedulerMode = "free_running";
 
     WatchdogView wd;
     wd.enabled = true;
@@ -323,6 +323,13 @@ TEST(Renderers, StatusJsonNamesTilesAndWaiters)
     EXPECT_NE(json.find("\"simulated_cycles\":1000"),
               std::string::npos);
     EXPECT_NE(json.find("\"sync_model\":\"lax\""), std::string::npos);
+    EXPECT_NE(json.find("\"sync_events\":11,"), std::string::npos);
+    EXPECT_NE(json.find("\"sync_wait_us\":0,"), std::string::npos);
+    EXPECT_NE(json.find("\"sync_skew\":{\"armed\":false,"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"host_pool\":{\"enabled\":true,"
+                        "\"mode\":\"free_running\",\"slots\":4,"),
+              std::string::npos);
     EXPECT_NE(json.find("\"tile\":0,\"cycles\":1000,"
                         "\"instructions\":500,\"ipc\":0.5,"
                         "\"occupied\":true,\"running\":true"),

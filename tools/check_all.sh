@@ -47,7 +47,7 @@ ctest --test-dir "$BUILD" -L telemetry --output-on-failure
 step "accuracy observatory (causality detection + report schema)"
 ctest --test-dir "$BUILD" -L accuracy --output-on-failure
 
-step "overhead and scaling benchmarks (armed-vs-off budgets, L1-hit scaling)"
+step "overhead and scaling benchmarks (armed-vs-off budgets, L1-hit scaling, fast-forward)"
 # Fast mode keeps the gate cheap; each bench owns its pass criterion
 # and bench_report.py rolls the BENCH_*.json verdicts into one table.
 # micro_telemetry_overhead stays out: its two sides simulate different
@@ -61,9 +61,13 @@ done
 # full size, about 2 s: fast mode's short loops hide the cost of a
 # counter that every thread writes on every access.
 (cd "$BUILD" && ./bench/micro_lock_contention >/dev/null)
+# The fast-forward gate (ff_speedup >= 5) also runs at full size, about
+# 3 s: fast mode's shorter warmup leaves it too little margin on a
+# loaded host.
+(cd "$BUILD" && ./bench/micro_checkpoint >/dev/null)
 python3 tools/bench_report.py --dir "$BUILD" \
     --require micro_accuracy_overhead micro_span_overhead \
-    micro_race_overhead micro_lock_contention
+    micro_race_overhead micro_lock_contention micro_checkpoint
 
 step "checkpoint/restore differential"
 # Fingerprint-identical resume: segmented-through-snapshot runs vs

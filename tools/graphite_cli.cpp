@@ -33,7 +33,6 @@
  *   --metrics-out PATH     write per-interval stats snapshots (.csv or
  *                          .jsonl)
  *   --metrics-interval N   simulated cycles per snapshot row
- *   --self-profile         time simulator phases; print a table at exit
  *   --spans-out PATH       write causal transaction spans (.jsonl);
  *                          analyze with tools/span_report.py
  *
@@ -91,7 +90,6 @@
 #include "core/simulator.h"
 #include "transport/net_packet.h"
 #include "obs/accuracy/accuracy.h"
-#include "obs/profiler.h"
 #include "race/detector.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
@@ -263,8 +261,7 @@ usage(const char* argv0)
                  " [--host-threads N]\n"
                  "          [--trace-out PATH] [--metrics-out PATH]"
                  " [--metrics-interval N]\n"
-                 "          [--spans-out PATH] [--self-profile]"
-                 " [--native]\n"
+                 "          [--spans-out PATH] [--native]\n"
                  "          [--telemetry-port N] [--telemetry-linger S]"
                  " [--telemetry-dump PATH]\n"
                  "          [--checkpoint-in PATH] [--checkpoint-out"
@@ -290,7 +287,6 @@ main(int argc, char** argv)
     bool stats = false, native = false;
     std::string trace_out, metrics_out, spans_out;
     int metrics_interval = -1;
-    bool self_profile = false;
     bool race = false;
     std::string race_out;
     int telemetry_port = -1;
@@ -350,8 +346,6 @@ main(int argc, char** argv)
             metrics_interval = std::atoi(next());
         } else if (arg == "--spans-out") {
             spans_out = next();
-        } else if (arg == "--self-profile") {
-            self_profile = true;
         } else if (arg == "--race") {
             race = true;
         } else if (arg == "--race-out") {
@@ -400,8 +394,6 @@ main(int argc, char** argv)
             cfg.setInt("obs/metrics_interval", metrics_interval);
         if (!spans_out.empty())
             cfg.set("obs/spans_out", spans_out);
-        if (self_profile)
-            cfg.setBool("obs/self_profile", true);
         if (race)
             cfg.setBool("race/enabled", true);
         if (!race_out.empty())
@@ -490,9 +482,6 @@ main(int argc, char** argv)
 
         if (stats)
             std::printf("\n%s", sim.statsReport().c_str());
-        else if (self_profile)
-            std::printf("\n=== host self-profile ===\n%s",
-                        obs::HostProfiler::instance().report().c_str());
 
         // The server (if any) keeps serving final values until the
         // Simulator dies; linger holds it open for external probers.

@@ -54,14 +54,11 @@ ALLOWLIST = {
     "src/common/lockdep.cpp",
 }
 
-# The two process-wide objects that stay singletons, and why.
+# The one process-wide object that stays a singleton, and why: the
+# crash handler needs one async-signal-safe ring to dump for the whole
+# process.
 SINGLETON_ALLOWLIST = {
-    # The crash handler needs one async-signal-safe ring to dump for
-    # the whole process.
     "src/obs/telemetry/flight_recorder.h",
-    # Profiling sites are static per call site
-    # (GRAPHITE_PROFILE_SCOPE), so their registry is process-wide.
-    "src/obs/profiler.h",
 }
 
 VALID_FLAGS = {"NONE", "ORDERED", "MULTI"}
