@@ -49,7 +49,6 @@ main()
             cfg.setInt("perf_model/l2_cache/cache_size", 1 << 20);
             cfg.setInt("perf_model/l2_cache/associativity", 4);
             cfg.setInt("perf_model/l2_cache/line_size", line);
-            cfg.setBool("mem/miss_classification", true);
 
             const workloads::WorkloadInfo& w =
                 workloads::findWorkload(app);

@@ -244,7 +244,7 @@ main()
     // Raw wrapper reference: uncontended lock/unlock cost.
     const std::uint64_t wrap_iters = fastMode() ? 200'000 : 2'000'000;
     std::mutex plain;
-    lockdep::OrderedMutex wrapped(lockdep::LockClass::skew_tracker);
+    lockdep::OrderedMutex wrapped(lockdep::LockClass::log_filter);
     double plain_ns = wrapperNsPerOp(plain, wrap_iters);
     lockdep::setMode(lockdep::Mode::Off);
     double off_ns = wrapperNsPerOp(wrapped, wrap_iters);

@@ -649,7 +649,6 @@ makeFuzzConfig(const ConfigPoint& pt, std::uint64_t seed,
          {"perf_model/l1_icache", "perf_model/l1_dcache"}) {
         cfg.setInt(std::string(l1) + "/cache_size", 1024);
         cfg.setInt(std::string(l1) + "/associativity", 2);
-        cfg.setInt(std::string(l1) + "/line_size", pt.lineSize);
     }
     cfg.setInt("perf_model/l2_cache/cache_size",
                fault_mode == "none" ? 2048 : 1024);

@@ -255,11 +255,9 @@ defaultTargetConfig()
 total_tiles            = 32
 num_processes          = 1
 clock_frequency_ghz    = 1.0
-enable_stats           = true
 
 [perf_model/core]
 type                   = in_order
-frequency_ghz          = 1.0
 load_queue_size        = 8
 store_buffer_size      = 8
 
@@ -272,25 +270,19 @@ mispredict_penalty     = 14
 enabled                = true
 cache_size             = 32768        ; 32 KB
 associativity          = 8
-line_size              = 64
-access_latency         = 1
-replacement            = lru
 
 [perf_model/l1_dcache]
 enabled                = true
 cache_size             = 32768        ; 32 KB
 associativity          = 8
-line_size              = 64
-access_latency         = 1
-replacement            = lru
+access_latency         = 1            ; both L1s
 
 [perf_model/l2_cache]
 enabled                = true
 cache_size             = 3145728      ; 3 MB
 associativity          = 24
-line_size              = 64
+line_size              = 64           ; every cache level
 access_latency         = 9
-replacement            = lru
 
 [perf_model/dram]
 latency_ns             = 100
@@ -303,9 +295,6 @@ directory_type         = full_map     ; full_map | limited_no_broadcast | limitl
 max_sharers            = 4            ; for limited/limitless directories
 limitless_software_trap_penalty = 100
 directory_access_latency = 10
-
-[mem]
-miss_classification    = true
 
 [network]
 memory_model           = emesh_contention  ; magic | emesh_hop | emesh_contention
@@ -326,7 +315,6 @@ check_interval         = 200           ; instructions between sync checks
 [transport]
 intra_process_latency_us  = 0.5
 inter_process_latency_us  = 50        ; one-way, gigabit-class LAN
-inter_process_bandwidth_mbps = 1000
 
 [system]
 syscall_cost           = 100          ; target cycles per syscall round trip

@@ -40,7 +40,7 @@ ctx()
 
 /**
  * Periodic hook: after every modeled instruction batch, give the sync
- * model a chance to limit skew and feed the skew tracker.
+ * model a chance to limit skew and the sampler a chance to record.
  */
 void
 tick(std::uint64_t instructions)
@@ -62,8 +62,6 @@ tick(std::uint64_t instructions)
     // next runnable thread (and promote skew-parked ones) after at most
     // host/quantum_cycles of simulated progress.
     c.sched->quantumCheck(c.tile);
-    if (SkewTracker* skew = c.sim->skewTracker())
-        skew->maybeSnapshot();
     if (obs::MetricsSampler* sampler = c.sim->metricsSampler())
         sampler->maybeSample();
 }

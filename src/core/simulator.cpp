@@ -387,19 +387,6 @@ Simulator::makeStatusSource()
     return src;
 }
 
-void
-Simulator::attachSkewTracker(SkewTracker* tracker)
-{
-    skew_ = tracker;
-    if (tracker != nullptr) {
-        std::vector<SkewSource> cores;
-        cores.reserve(tiles_.size());
-        for (const auto& t : tiles_)
-            cores.push_back(SkewSource{&t->core(), t->runningFlag()});
-        tracker->attachCores(std::move(cores), observers());
-    }
-}
-
 Tile&
 Simulator::tile(tile_id_t id)
 {

@@ -36,7 +36,6 @@
 #include "obs/observers.h"
 #include "obs/telemetry/server.h"
 #include "obs/telemetry/watchdog.h"
-#include "sync/skew_tracker.h"
 #include "sync/sync_model.h"
 #include "transport/transport.h"
 
@@ -103,10 +102,6 @@ class Simulator
      * overhead, and memory-manager usage. Call after run().
      */
     std::string statsReport() const;
-
-    /** Attach an optional skew tracker (Figure 7 experiments). */
-    void attachSkewTracker(SkewTracker* tracker);
-    SkewTracker* skewTracker() { return skew_; }
 
     /**
      * The simulation's statistics registry: gauges over every model's
@@ -212,7 +207,6 @@ class Simulator
     // Samples stats_ and the tiles, so it is declared after both.
     std::unique_ptr<obs::MetricsSampler> sampler_;
     bool artifactsWritten_ = false;
-    SkewTracker* skew_ = nullptr;
     cycle_t syncCheckInterval_;
     cycle_t syscallCost_;
     cycle_t spawnCost_;

@@ -47,11 +47,10 @@ class Tile
     /**
      * True while the occupying thread is runnable (not blocked in a
      * system call or application synchronization). Maintained by the
-     * API layer; read by the skew tracker.
+     * API layer; read by the metrics sampler's skew columns.
      */
     bool running() const { return running_.load(); }
     void setRunning(bool v) { running_.store(v); }
-    const std::atomic<bool>* runningFlag() const { return &running_; }
 
   private:
     tile_id_t id_;

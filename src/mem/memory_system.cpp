@@ -95,7 +95,6 @@ MemorySystem::MemorySystem(const ClusterTopology& topo,
     l2Latency_ = cfg.getInt("perf_model/l2_cache/access_latency", 9);
     dirLatency_ =
         cfg.getInt("caching_protocol/directory_access_latency", 10);
-    classify_ = cfg.getBool("mem/miss_classification", true);
     std::string protocol =
         cfg.getString("caching_protocol/type", "dir_msi");
     if (protocol != "dir_msi" && protocol != "dir_mesi")
@@ -296,7 +295,7 @@ MemorySystem::holdShardLockForTest(tile_id_t tile, std::uint64_t ns,
 void
 MemorySystem::bumpVersions(addr_t addr, size_t size)
 {
-    if (!classify_ || fastForward())
+    if (fastForward())
         return;
     addr_t line = lineAlign(addr);
     Shard& sh = shards_[homeTile(line)];
@@ -314,7 +313,7 @@ void
 MemorySystem::snapshotLoss(tile_id_t tile, addr_t line_addr,
                            EvictReason reason)
 {
-    if (!classify_ || fastForward())
+    if (fastForward())
         return;
     // Caller holds tile's lock (lostLines) and the line's home shard.
     LostLine& lost = tiles_[tile].lostLines[line_addr];
@@ -332,8 +331,6 @@ MissClass
 MemorySystem::classifyMiss(tile_id_t tile, addr_t line_addr, addr_t addr,
                            size_t size)
 {
-    if (!classify_)
-        return MissClass::None;
     TileMemory& tm = tiles_[tile];
     if (!tm.everCached.count(line_addr))
         return MissClass::Cold;

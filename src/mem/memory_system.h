@@ -89,7 +89,7 @@ enum class MemAccessType : std::uint8_t
 /** Classification of an L2 miss (paper §4.4 / Woo et al.). */
 enum class MissClass : std::uint8_t
 {
-    None = 0,     ///< not a miss / classification disabled
+    None = 0,     ///< not a miss, or a fast-forwarded one
     Cold,         ///< first reference to the line by this tile
     Capacity,     ///< line lost to replacement
     TrueSharing,  ///< line lost to coherence; the accessed word changed
@@ -548,7 +548,6 @@ class MemorySystem
     cycle_t l1Latency_;
     cycle_t l2Latency_;
     cycle_t dirLatency_;
-    bool classify_;
     const CoherenceProtocol* protocol_;
     obs::Observers obs_;
     std::atomic<bool> fastForward_{false};

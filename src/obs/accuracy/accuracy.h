@@ -16,8 +16,8 @@
  *    and their magnitudes (receiver clock − event time, in cycles)
  *    histogrammed per interaction point;
  *  - a lock-free per-tile-pair skew matrix accumulates the max/mean
- *    clock skew observed at interaction points (deliveries, LaxP2P
- *    partner checks, skew-tracker snapshots);
+ *    clock skew observed at interaction points (deliveries and LaxP2P
+ *    partner checks);
  *  - per-channel network delivery-latency histograms feed the
  *    accuracy-diff harness (tools/accuracy_report.py) with the P50/P95
  *    latencies it compares across sync models.
@@ -139,8 +139,8 @@ class AccuracyObservatory
 
     /**
      * A direct observation of two tiles' clocks at an interaction
-     * point (LaxP2P partner check, skew-tracker snapshot extremes).
-     * Feeds the (a, b) skew-matrix cell.
+     * point (a LaxP2P partner check). Feeds the (a, b) skew-matrix
+     * cell.
      */
     void onPairObserved(tile_id_t a, tile_id_t b, cycle_t clock_a,
                         cycle_t clock_b);

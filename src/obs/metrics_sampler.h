@@ -9,13 +9,14 @@
  * the previous snapshot, together with derived clock-skew columns
  * computed from the active tiles' clocks. This turns the paper's
  * time-series figures (Fig. 7 skew-over-time, per-tile cache behavior)
- * into a one-flag feature instead of a bespoke bench harness.
+ * into a one-flag feature: the skew columns are the repository's one
+ * clock-skew measurement, and bench/fig7_clock_skew reads them.
  *
  * Sampling is driven opportunistically from the application threads'
- * periodic sync checks (the same hook that feeds SkewTracker): whichever
- * thread first observes simulated time crossing the next interval
- * boundary takes the snapshot. Rows are buffered in memory and written
- * at flush(), so the hot path never touches the filesystem.
+ * periodic sync checks: whichever thread first observes simulated time
+ * crossing the next interval boundary takes the snapshot. Rows are
+ * buffered in memory and written at flush(), so the hot path never
+ * touches the filesystem.
  *
  * Each Simulator owns its sampler, built only when `obs/metrics_out` is
  * set; the sync hook checks the Simulator's pointer, so a run without
@@ -107,8 +108,10 @@ class MetricsSampler
         double wallSeconds = 0;
         double hostWallMs = 0;  ///< host wall clock since configure, ms
         stat_t hostRssKb = 0;   ///< host resident set at snapshot, KiB
-        double skewMax = 0; ///< max (clock − mean), active tiles, cycles
-        double skewMin = 0; ///< min (clock − mean), active tiles, cycles
+        /** max / min (clock − mean) over the active tiles, cycles;
+         *  both 0 when fewer than two clocks are active. */
+        double skewMax = 0;
+        double skewMin = 0;
         /** This interval's accuracy.violations delta (0 while the
          *  accuracy observatory is disarmed). */
         stat_t causalityViolations = 0;

@@ -5,9 +5,8 @@
  * that observer off. A null check is the whole disarmed hot path.
  *
  * The Simulator builds the observers first and hands this bundle to the
- * MemorySystem, each Tile's Network, the SyncModel and an attached
- * SkewTracker; the API layer and the ThreadManager reach the same
- * objects through their Simulator.
+ * MemorySystem, each Tile's Network and the SyncModel; the API layer and
+ * the ThreadManager reach the same objects through their Simulator.
  */
 
 #pragma once

@@ -87,7 +87,6 @@ SpanSink::fromConfig(const Config& cfg, tile_id_t total_tiles,
         static_cast<std::size_t>(cfg.getInt("obs/span_slowest", 64));
     opt.intervalCycles =
         static_cast<cycle_t>(cfg.getInt("obs/span_interval", 100000));
-    opt.flowEvents = cfg.getBool("obs/span_flow_events", true);
     opt.seed = static_cast<std::uint64_t>(cfg.getInt("rng/seed", 42));
     return std::make_unique<SpanSink>(total_tiles, std::move(opt), trace);
 }
@@ -180,7 +179,7 @@ SpanSink::complete(const SpanRecord& rec_in)
 
     // Flow events only for sampled spans: bounded event volume, and
     // every arrow in the trace has a matching record in spans.jsonl.
-    if (flow && opt_.flowEvents && trace_ != nullptr)
+    if (flow && trace_ != nullptr)
         emitFlow(rec);
 }
 

@@ -56,9 +56,6 @@ class SpanSink
         std::size_t reservoirCapacity = 4096;
         std::size_t slowestCapacity = 64;
         cycle_t intervalCycles = 100000;
-        /** Emit Chrome flow events for *sampled* spans (needs the
-         *  event tracer enabled too). */
-        bool flowEvents = true;
         std::uint64_t seed = 42;
         /** Mesh hops between two tiles (the network's MeshShape) and
          *  the largest value it returns; null = every distance 0. */

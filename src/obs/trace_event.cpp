@@ -89,19 +89,6 @@ TraceSink::instant(std::uint32_t lane, const char* name, cycle_t ts,
 }
 
 void
-TraceSink::counter(std::uint32_t lane, const char* name, cycle_t ts,
-                   std::int64_t value)
-{
-    TraceEvent ev;
-    ev.name = name;
-    ev.ts = ts;
-    ev.arg = value;
-    ev.lane = lane;
-    ev.phase = 'C';
-    record(ev);
-}
-
-void
 TraceSink::flow(char phase, std::uint32_t lane, const char* name,
                 cycle_t ts, std::uint64_t id)
 {
@@ -218,9 +205,7 @@ TraceSink::toJson() const
                 if (ev.phase == 'f')
                     os << ",\"bp\":\"e\"";
             }
-            if (ev.phase == 'C') {
-                os << ",\"args\":{\"value\":" << ev.arg << "}";
-            } else if (ev.argName != nullptr) {
+            if (ev.argName != nullptr) {
                 os << ",\"args\":{\"";
                 appendEscaped(os, ev.argName);
                 os << "\":" << ev.arg << "}";

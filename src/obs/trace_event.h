@@ -47,7 +47,7 @@ struct TraceEvent
     std::int64_t arg = 0;
     std::uint64_t id = 0; ///< flow-binding id, phases 's'/'t'/'f' only
     std::uint32_t lane = 0;
-    /** 'X' complete, 'i' instant, 'C' counter, or a flow phase:
+    /** 'X' complete, 'i' instant, or a flow phase:
      *  's' start, 't' step, 'f' end (Perfetto arrows). */
     char phase = 'i';
 };
@@ -78,8 +78,6 @@ class TraceSink
                   std::int64_t arg = 0);
     void instant(std::uint32_t lane, const char* name, cycle_t ts,
                  const char* arg_name = nullptr, std::int64_t arg = 0);
-    void counter(std::uint32_t lane, const char* name, cycle_t ts,
-                 std::int64_t value);
     /**
      * Record a flow event: @p phase is 's' (start), 't' (step) or
      * 'f' (end). Events with the same @p name and @p id form one

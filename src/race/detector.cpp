@@ -80,25 +80,9 @@ Detector::suppressed()
     return t_suppress > 0;
 }
 
-Granularity
-Detector::parseGranularity(const std::string& name)
-{
-    if (name == "adaptive")
-        return Granularity::Adaptive;
-    if (name == "word")
-        return Granularity::Word;
-    if (name == "line")
-        return Granularity::Line;
-    fatal("race/granularity: unknown value '{}' "
-          "(adaptive | word | line)",
-          name);
-}
-
 Detector::Detector(const Config& cfg, tile_id_t total_tiles,
                    obs::TraceSink* trace)
     : totalTiles_(total_tiles),
-      granularity_(parseGranularity(
-          cfg.getString("race/granularity", "adaptive"))),
       maxShadowLines_(static_cast<std::uint64_t>(
           cfg.getInt("race/max_shadow_lines", 1 << 20))),
       maxRecords_(
@@ -184,13 +168,7 @@ Detector::onAccess(tile_id_t tile, addr_t addr, std::uint64_t size,
 
     addr_t first = addr & ~addr_t{3};
     addr_t last = (addr + size - 1) & ~addr_t{3};
-    std::uint64_t step =
-        granularity_ == Granularity::Line ? LINE_BYTES : 4;
-    if (granularity_ == Granularity::Line) {
-        first = addr & ~addr_t{LINE_BYTES - 1};
-        last = (addr + size - 1) & ~addr_t{LINE_BYTES - 1};
-    }
-    for (addr_t a = first;; a += step) {
+    for (addr_t a = first;; a += 4) {
         checkWord(tile, vc, a, is_write, site, when);
         if (a >= last)
             break;
@@ -221,11 +199,8 @@ Detector::checkWord(tile_id_t tile, const std::vector<std::uint64_t>& vc,
 {
     checked_.fetch_add(1, std::memory_order_relaxed);
     addr_t line_addr = word_addr & ~addr_t{LINE_BYTES - 1};
-    std::uint32_t widx =
-        granularity_ == Granularity::Line
-            ? 0
-            : static_cast<std::uint32_t>((word_addr >> 2) &
-                                         (WORDS_PER_LINE - 1));
+    auto widx = static_cast<std::uint32_t>((word_addr >> 2) &
+                                           (WORDS_PER_LINE - 1));
     Shard& shard =
         shards_[mix64(line_addr >> 6) & (NUM_SHARDS - 1)];
     lockdep::Guard lock(shard.mutex);
@@ -243,14 +218,7 @@ Detector::checkWord(tile_id_t tile, const std::vector<std::uint64_t>& vc,
         }
         it = shard.lines.emplace(line_addr, ShadowLine{}).first;
         lineCount_.fetch_add(1, std::memory_order_relaxed);
-        ShadowLine& fresh = it->second;
-        if (granularity_ == Granularity::Adaptive) {
-            fresh.owner = tile;
-        } else {
-            std::uint32_t n =
-                granularity_ == Granularity::Line ? 1 : WORDS_PER_LINE;
-            fresh.cells.assign(n, WordCell{});
-        }
+        it->second.owner = tile;
     }
     ShadowLine& line = it->second;
     std::uint64_t my_clock = vc[tile];
@@ -274,8 +242,7 @@ Detector::checkWord(tile_id_t tile, const std::vector<std::uint64_t>& vc,
         expansions_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    WordCell& cell =
-        line.cells[granularity_ == Granularity::Line ? 0 : widx];
+    WordCell& cell = line.cells[widx];
     epoch_t my_epoch = makeEpoch(tile, my_clock);
 
     if (!is_write) {

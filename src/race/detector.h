@@ -35,21 +35,16 @@
  *    transfers to a queued waiter (count consumed); a value-mismatch
  *    futexWait return establishes no ordering.
  *
- * Shadow memory is a sharded hash of 64-byte lines. Granularity
- * (race/granularity):
- *  - adaptive (default): a line touched by a single thread uses a
- *    compact cell (per-word scalar clocks + owning tile) and expands
- *    losslessly to full per-word FastTrack cells on second-thread
- *    access. Exact, and bounds memory on the common mostly-private
- *    workload footprint.
- *  - word: always full per-word cells.
- *  - line: one cell per 64-byte line. Coarse — flags false sharing as
- *    if it were a race — only for memory-constrained runs.
+ * Shadow memory is a sharded hash of 64-byte lines, checked per 4-byte
+ * word. A line touched by a single thread uses a compact cell (per-word
+ * scalar clocks + owning tile) and expands losslessly to full per-word
+ * FastTrack cells on second-thread access. This is exact, and bounds
+ * memory on the common mostly-private workload footprint.
  * race/max_shadow_lines bounds the table; eviction forgets history,
  * which can only miss races, never invent them.
  *
- * Config ([race]): enabled, granularity, max_shadow_lines, max_records,
- * report_out (JSONL for tools/race_report.py).
+ * Config ([race]): enabled, max_shadow_lines, max_records, report_out
+ * (JSONL for tools/race_report.py).
  *
  * Each Simulator owns its detector, built only when `race/enabled` is
  * set; the hooks hold a non-owning pointer, so the disabled hot path is
@@ -110,14 +105,6 @@ epochClock(epoch_t e)
 {
     return e & ((1ull << 48) - 1);
 }
-
-/** Shadow granularity (race/granularity). */
-enum class Granularity : std::uint8_t
-{
-    Adaptive = 0,
-    Word,
-    Line,
-};
 
 /** Kind of detected conflict. */
 enum class RaceKind : std::uint8_t
@@ -270,8 +257,6 @@ class Detector
     }
     /** @} */
 
-    static Granularity parseGranularity(const std::string& name);
-
   private:
     static constexpr std::uint32_t LINE_BYTES = 64;
     static constexpr std::uint32_t WORDS_PER_LINE = LINE_BYTES / 4;
@@ -300,8 +285,8 @@ class Detector
     /** Shadow state for one 64-byte line. */
     struct ShadowLine
     {
-        /** Compact single-owner representation (adaptive mode): all
-         *  clocks belong to `owner`. owner < 0 = expanded. */
+        /** Compact single-owner representation: all clocks belong to
+         *  `owner`. owner < 0 = expanded. */
         tile_id_t owner = INVALID_TILE_ID;
         std::array<std::uint64_t, WORDS_PER_LINE> cw{};
         std::array<std::uint64_t, WORDS_PER_LINE> cr{};
@@ -340,7 +325,6 @@ class Detector
                      const std::vector<std::uint64_t>& from);
 
     tile_id_t totalTiles_;
-    Granularity granularity_;
     std::uint64_t maxShadowLines_;
     std::uint64_t maxRecords_;
     std::string reportOut_;

@@ -5,8 +5,8 @@
  * Unit level: exact violation accounting against synthetic tile clocks
  * (the observatory only reads attached atomics, so a test can pin every
  * clock and predict each counter to the cycle), the 8-point violation
- * taxonomy, the directional pair-skew matrix, the JSONL report schema,
- * and the SkewTracker snapshot feed.
+ * taxonomy, the directional pair-skew matrix and the JSONL report
+ * schema.
  *
  * System level: the planted late-delivery fault (check/inject_fault =
  * late_delivery stamps every packet with its send time, a timing-only
@@ -24,8 +24,6 @@
 #include "common/config.h"
 #include "core/simulator.h"
 #include "obs/accuracy/accuracy.h"
-#include "perf/core_model.h"
-#include "sync/skew_tracker.h"
 #include "workloads/registry.h"
 
 namespace graphite
@@ -204,40 +202,6 @@ TEST(AccuracyConfig, DisarmedByDefaultAndArmedByReportPath)
     ASSERT_NE(acc, nullptr);
     EXPECT_EQ(acc->reportPath(),
               "/tmp/graphite_test_accuracy_unused.jsonl");
-}
-
-// ---------------------------------------------------- SkewTracker feed
-
-TEST(SkewTrackerPairFeed, SnapshotExtremesLandInPairMatrix)
-{
-    AccuracyObservatory acc(4);
-
-    // Three free-standing cores with hand-advanced clocks; the snapshot
-    // must feed its fastest/slowest pair into the observatory matrix.
-    Config core_cfg = defaultTargetConfig();
-    CoreModel fast(1, core_cfg);
-    CoreModel mid(2, core_cfg);
-    CoreModel slow(3, core_cfg);
-    fast.executeInstructions(InstrClass::IntAlu, 9000);
-    mid.executeInstructions(InstrClass::IntAlu, 5000);
-    slow.executeInstructions(InstrClass::IntAlu, 1000);
-    ASSERT_GT(fast.cycle(), mid.cycle());
-    ASSERT_GT(mid.cycle(), slow.cycle());
-
-    SkewTracker tracker(0); // unthrottled
-    obs::Observers observers;
-    observers.accuracy = &acc;
-    tracker.attachCores(
-        {{&fast, nullptr}, {&mid, nullptr}, {&slow, nullptr}}, observers);
-    tracker.maybeSnapshot();
-    EXPECT_EQ(tracker.sampleCount(), 1u);
-
-    cycle_t envelope = fast.cycle() - slow.cycle();
-    PairSkew ps = acc.pair(1, 3); // fast tile -> slow tile
-    EXPECT_EQ(ps.samples, 1);
-    EXPECT_EQ(ps.maxSkew, envelope);
-    EXPECT_EQ(acc.pairSkewMax(), envelope);
-    EXPECT_EQ(acc.pair(2, 3).samples, 0); // only the extremes feed
 }
 
 // ---------------------------------------------------------- system level

@@ -291,7 +291,7 @@ TEST_F(LockdepWarn, CondVarWaitReleasesAndReacquiresInOrder)
         lockdep::UniqueLock l(m);
         cv.wait(l, [&] { return go.load(); });
         // Reacquired: taking a later-ranked class under it is legal.
-        lockdep::OrderedMutex inner(LockClass::skew_tracker);
+        lockdep::OrderedMutex inner(LockClass::log_filter);
         lockdep::Guard g(inner);
     });
 
@@ -328,7 +328,7 @@ TEST_F(LockdepWarn, CondVarWaitOnNonInnermostLockFlagged)
 {
     LOCKDEP_REQUIRE_ARMED();
     lockdep::OrderedMutex outer(LockClass::global_progress);
-    lockdep::OrderedMutex inner(LockClass::skew_tracker);
+    lockdep::OrderedMutex inner(LockClass::log_filter);
     lockdep::CondVar cv;
 
     lockdep::UniqueLock l(outer);
@@ -348,10 +348,10 @@ TEST_F(LockdepWarn, CondVarWaitOnNonInnermostLockFlagged)
 TEST_F(LockdepWarn, RenderHeldSetsNamesClassAndSite)
 {
     LOCKDEP_REQUIRE_ARMED();
-    lockdep::OrderedMutex m(LockClass::skew_tracker);
+    lockdep::OrderedMutex m(LockClass::log_filter);
     lockdep::Guard g(m);
     std::string text = lockdep::renderHeldSets();
-    EXPECT_NE(text.find("skew_tracker"), std::string::npos);
+    EXPECT_NE(text.find("log_filter"), std::string::npos);
     EXPECT_NE(text.find("test_lockdep.cpp"), std::string::npos);
 }
 
@@ -366,7 +366,7 @@ TEST(LockdepCrash, CrashDumpIncludesHeldSets)
         FlightRecorder& fr = FlightRecorder::instance();
         fr.configure(64);
         fr.installCrashHandler(dump_path);
-        lockdep::OrderedMutex m(LockClass::skew_tracker);
+        lockdep::OrderedMutex m(LockClass::log_filter);
         lockdep::Guard g(m);
         ::raise(SIGSEGV);
         std::_Exit(0); // unreachable
@@ -381,7 +381,7 @@ TEST(LockdepCrash, CrashDumpIncludesHeldSets)
     ASSERT_FALSE(dump.empty());
     EXPECT_NE(dump.find("=== lockdep held-sets ==="),
               std::string::npos);
-    EXPECT_NE(dump.find("holds skew_tracker"), std::string::npos);
+    EXPECT_NE(dump.find("holds log_filter"), std::string::npos);
     EXPECT_NE(dump.find("test_lockdep.cpp"), std::string::npos);
 }
 

@@ -17,6 +17,7 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/config.h"
 #include "common/log.h"
@@ -438,16 +439,14 @@ TEST(TraceSink, RecordsAndRendersValidJson)
     obs::TraceSink sink({"tile 0", "mcp"}, 16);
     sink.complete(0, "thread", 100, 50, "bytes", 64);
     sink.instant(1, "spawn \"q\"", 120, "tile", 1);
-    sink.counter(0, "skew", 150, -25);
 
-    EXPECT_EQ(sink.recorded(), 3u);
+    EXPECT_EQ(sink.recorded(), 2u);
     std::string json = sink.toJson();
     JsonChecker checker(json);
     EXPECT_TRUE(checker.valid()) << json;
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_NE(json.find("thread_name"), std::string::npos);
     EXPECT_NE(json.find("\"bytes\":64"), std::string::npos);
     // The quote inside the instant's name must be escaped.
@@ -558,17 +557,28 @@ TEST(MetricsSampler, SkewColumnsFromActiveClocks)
 {
     StatsRegistry reg;
     cycle_t clock = 0;
+    std::vector<double> active{100.0, 200.0, 300.0};
     obs::MetricsSampler sampler(&reg, 100, "", [&clock] { return clock; },
-                                [] {
-                                    return std::vector<double>{
-                                        100.0, 200.0, 300.0};
-                                });
+                                [&active] { return active; });
     clock = 100;
     sampler.maybeSample();
     ASSERT_EQ(sampler.rowCount(), 1u);
     auto r = sampler.row(0);
     EXPECT_DOUBLE_EQ(r.skewMax, 100.0);  // 300 - mean(200)
     EXPECT_DOUBLE_EQ(r.skewMin, -100.0); // 100 - mean(200)
+
+    // Fewer than two running clocks have no deviation to measure: the
+    // row reads zero skew, not a one-clock (or empty) mean.
+    for (std::vector<double> few :
+         {std::vector<double>{500.0}, std::vector<double>{}}) {
+        active = few;
+        clock += 100;
+        sampler.maybeSample();
+        auto last = sampler.row(sampler.rowCount() - 1);
+        EXPECT_EQ(last.endCycle, clock);
+        EXPECT_DOUBLE_EQ(last.skewMax, 0.0) << few.size() << " clocks";
+        EXPECT_DOUBLE_EQ(last.skewMin, 0.0) << few.size() << " clocks";
+    }
 }
 
 TEST(MetricsSampler, CsvRendering)
@@ -641,6 +651,80 @@ obsMain(void* p)
     tile_id_t t1 = api::threadSpawn(&obsWorker, data);
     obsWorker(data);
     api::threadJoin(t1);
+}
+
+void
+skewWorker(void*)
+{
+    for (int i = 0; i < 2000; ++i)
+        api::exec(InstrClass::IntAlu, 100);
+}
+
+void
+fourThreadMain(void*)
+{
+    tile_id_t workers[3];
+    for (tile_id_t& t : workers)
+        t = api::threadSpawn(&skewWorker, nullptr);
+    skewWorker(nullptr);
+    for (tile_id_t t : workers)
+        api::threadJoin(t);
+}
+
+/** Main spawns one worker and blocks in join for the whole run. */
+void
+joinAtOnceMain(void*)
+{
+    api::threadJoin(api::threadSpawn(&skewWorker, nullptr));
+}
+
+/** The sampler's rows for @p app_main on 4 tiles. */
+std::vector<obs::MetricsSampler::Row>
+sampledRows(thread_func_t app_main, const std::string& scheduler)
+{
+    Config cfg = defaultTargetConfig();
+    cfg.setInt("general/total_tiles", 4);
+    cfg.set("host/scheduler", scheduler);
+    cfg.set("obs/metrics_out", "/dev/null");
+    cfg.setInt("obs/metrics_interval", 5000);
+    Simulator sim(cfg);
+    sim.run(app_main, nullptr);
+    const obs::MetricsSampler& sampler = *sim.metricsSampler();
+    std::vector<obs::MetricsSampler::Row> rows;
+    for (std::size_t i = 0; i < sampler.rowCount(); ++i)
+        rows.push_back(sampler.row(i));
+    return rows;
+}
+
+/** Expect @p rows, at least ten of them, to show no skew at all. */
+void
+expectNoSkew(const std::vector<obs::MetricsSampler::Row>& rows)
+{
+    ASSERT_GE(rows.size(), 10u);
+    for (const obs::MetricsSampler::Row& r : rows) {
+        EXPECT_EQ(r.skewMax, 0.0) << "row " << r.index;
+        EXPECT_EQ(r.skewMin, 0.0) << "row " << r.index;
+    }
+}
+
+TEST(MetricsSampler, OnlyRunningClocksCountAsSkew)
+{
+    // One thread on 4 tiles: one running clock, so no row may show
+    // skew; the idle tiles' zero clocks must not count.
+    expectNoSkew(sampledRows(&skewWorker, "free_running"));
+    // Neither may a thread blocked in join, whose clock stopped early.
+    // The deterministic scheduler runs the worker only once main is
+    // blocked, so no row sees both running.
+    expectNoSkew(sampledRows(&joinAtOnceMain, "deterministic"));
+
+    // Control: four threads run four clocks, which the deterministic
+    // scheduler's quanta stagger on every host.
+    std::vector<obs::MetricsSampler::Row> rows =
+        sampledRows(&fourThreadMain, "deterministic");
+    EXPECT_TRUE(std::any_of(rows.begin(), rows.end(),
+                            [](const obs::MetricsSampler::Row& r) {
+                                return r.skewMax > 0 && r.skewMin < 0;
+                            }));
 }
 
 TEST(Observability, EndToEndArtifacts)

@@ -87,8 +87,6 @@ TEST(Transparency, LineSizeIsFunctionallyInvisible)
     double ref = runWith("lu_non_cont", p, [](Config&) {});
     for (int line : {16, 256}) {
         double n = runWith("lu_non_cont", p, [&](Config& cfg) {
-            cfg.setInt("perf_model/l1_icache/line_size", line);
-            cfg.setInt("perf_model/l1_dcache/line_size", line);
             cfg.setInt("perf_model/l2_cache/line_size", line);
         });
         EXPECT_EQ(ref, n) << line << "-byte lines";

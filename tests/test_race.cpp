@@ -41,11 +41,9 @@ det()
 
 /** Build a fresh detector for a unit test. */
 void
-resetDetector(int tiles = 4, const std::string& granularity = "adaptive",
-              int max_shadow_lines = 1 << 20)
+resetDetector(int tiles = 4, int max_shadow_lines = 1 << 20)
 {
     Config cfg = defaultTargetConfig();
-    cfg.set("race/granularity", granularity);
     cfg.setInt("race/max_shadow_lines", max_shadow_lines);
     g_det = std::make_unique<race::Detector>(cfg, tiles);
 }
@@ -211,7 +209,7 @@ TEST(RaceDetector, DirectEdgeOrdersSpawnStyleHandoff)
 
 TEST(RaceDetector, AdaptiveLineExpandsOnSecondThread)
 {
-    resetDetector(4, "adaptive");
+    resetDetector();
     for (addr_t a = 0x7000; a < 0x7040; a += 4)
         det().onAccess(0, a, 4, true, 1);
     EXPECT_EQ(det().shadowExpansions(), 0); // compact single-owner
@@ -225,21 +223,12 @@ TEST(RaceDetector, AdaptiveLineExpandsOnSecondThread)
     EXPECT_EQ(det().raceCount(), 1);
 }
 
-TEST(RaceDetector, WordGranularityIgnoresFalseSharing)
+TEST(RaceDetector, FalseSharingIsNotARace)
 {
-    resetDetector(4, "word");
+    resetDetector();
     det().onAccess(0, 0x8000, 4, true, 10);
     det().onAccess(1, 0x8004, 4, true, 20); // same line, disjoint words
     EXPECT_EQ(det().raceCount(), 0);
-}
-
-TEST(RaceDetector, LineGranularityIsDeliberatelyCoarse)
-{
-    resetDetector(4, "line");
-    det().onAccess(0, 0x8000, 4, true, 10);
-    det().onAccess(1, 0x8004, 4, true, 20);
-    // Documented tradeoff: line mode reports false sharing as a race.
-    EXPECT_EQ(det().raceCount(), 1);
 }
 
 TEST(RaceDetector, ClearRangeForgetsFreedMemory)
@@ -253,7 +242,7 @@ TEST(RaceDetector, ClearRangeForgetsFreedMemory)
 
 TEST(RaceDetector, ShadowTableIsBoundedByEviction)
 {
-    resetDetector(4, "adaptive", /*max_shadow_lines=*/128);
+    resetDetector(4, /*max_shadow_lines=*/128);
     for (addr_t a = 0; a < 64 * 4096; a += 64)
         det().onAccess(0, a, 4, true, 1);
     EXPECT_GT(det().shadowEvictions(), 0);

@@ -42,7 +42,6 @@ smallSink(std::size_t reservoir, std::size_t slowest)
     opt.reservoirCapacity = reservoir;
     opt.slowestCapacity = slowest;
     opt.intervalCycles = 1000;
-    opt.flowEvents = false;
     return opt;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the synchronization models (§3.6) and the skew tracker.
+ * Unit tests for the synchronization models (§3.6).
  * The models are driven directly with CoreModels on host threads, without
  * a full simulation; cases whose threads wait in the model attach a
  * HostScheduler, as every Simulator does.
@@ -14,7 +14,6 @@
 #include "common/log.h"
 #include "perf/core_model.h"
 #include "sched_test_util.h"
-#include "sync/skew_tracker.h"
 #include "sync/sync_model.h"
 
 namespace graphite
@@ -142,70 +141,6 @@ TEST(LaxP2P, NoPartnerNoPark)
     EXPECT_EQ(p2p.syncEvents(), 0u);
 }
 
-TEST(SkewTracker, SnapshotsRunnableClocks)
-{
-    Config cfg = defaultTargetConfig();
-    CoreModel a(0, cfg), b(1, cfg);
-    std::atomic<bool> a_run{true}, b_run{true};
-    SkewTracker tracker(/*min_period_us=*/0);
-    tracker.attachCores({{&a, &a_run}, {&b, &b_run}});
-
-    a.addLatency(1000);
-    b.addLatency(3000);
-    tracker.maybeSnapshot();
-    EXPECT_EQ(tracker.sampleCount(), 1u);
-    auto intervals = tracker.analyze(1);
-    ASSERT_EQ(intervals.size(), 1u);
-    EXPECT_DOUBLE_EQ(intervals[0].maxSkew, 1000.0);  // b is +1000
-    EXPECT_DOUBLE_EQ(intervals[0].minSkew, -1000.0); // a is -1000
-}
-
-TEST(SkewTracker, ExcludesBlockedTiles)
-{
-    Config cfg = defaultTargetConfig();
-    CoreModel a(0, cfg), b(1, cfg), c(2, cfg);
-    std::atomic<bool> a_run{true}, b_run{true}, c_run{false};
-    SkewTracker tracker(0);
-    tracker.attachCores({{&a, &a_run}, {&b, &b_run}, {&c, &c_run}});
-    a.addLatency(100);
-    b.addLatency(200);
-    c.addLatency(999999); // blocked outlier must not count
-    tracker.maybeSnapshot();
-    auto intervals = tracker.analyze(1);
-    ASSERT_EQ(intervals.size(), 1u);
-    EXPECT_LE(intervals[0].maxSkew, 100.0);
-}
-
-TEST(SkewTracker, AnalyzeWithNoSnapshots)
-{
-    // Empty history window: a run that never sampled (or ended before
-    // the first period) must analyze to nothing, not divide by zero.
-    SkewTracker tracker(0);
-    EXPECT_EQ(tracker.sampleCount(), 0u);
-    EXPECT_TRUE(tracker.analyze(8).empty());
-    EXPECT_TRUE(tracker.analyze(0).empty());
-    EXPECT_TRUE(tracker.analyze(-3).empty());
-    tracker.maybeSnapshot(); // no cores attached: still no sample
-    EXPECT_EQ(tracker.sampleCount(), 0u);
-}
-
-TEST(SkewTracker, SingleRunnableClockIsNotSkew)
-{
-    // With fewer than two runnable clocks there is no deviation to
-    // measure; the snapshot must be dropped rather than recorded as a
-    // zero-width (or NaN) observation.
-    Config cfg = defaultTargetConfig();
-    CoreModel a(0, cfg), b(1, cfg);
-    std::atomic<bool> a_run{true}, b_run{false};
-    SkewTracker tracker(0);
-    tracker.attachCores({{&a, &a_run}, {&b, &b_run}});
-    a.addLatency(500);
-    b.addLatency(500);
-    tracker.maybeSnapshot();
-    EXPECT_EQ(tracker.sampleCount(), 0u);
-    EXPECT_TRUE(tracker.analyze(1).empty());
-}
-
 TEST(LaxP2P, ZeroSlackStaysLive)
 {
     // slack = 0 makes every partner check with any clock difference a
@@ -234,93 +169,6 @@ TEST(LaxP2P, ZeroSlackStaysLive)
     t2.join(); // would hang here if zero slack could deadlock
     EXPECT_GE(a.cycle(), 1000u);
     EXPECT_GE(b.cycle(), 1000u);
-}
-
-TEST(SkewTracker, ThrottlesByPeriod)
-{
-    Config cfg = defaultTargetConfig();
-    CoreModel a(0, cfg), b(1, cfg);
-    std::atomic<bool> run{true};
-    SkewTracker tracker(/*min_period_us=*/1000000); // 1 s
-    tracker.attachCores({{&a, &run}, {&b, &run}});
-    a.addLatency(1);
-    b.addLatency(1);
-    tracker.maybeSnapshot();
-    tracker.maybeSnapshot(); // inside the period: dropped
-    EXPECT_LE(tracker.sampleCount(), 1u);
-}
-
-TEST(SkewTracker, SingleTileRunProducesNoSamples)
-{
-    // A single-tile target has no second clock to deviate from; the
-    // tracker must quietly record nothing rather than a stream of
-    // zero-skew observations that would flatten Figure-7 plots.
-    Config cfg = defaultTargetConfig();
-    CoreModel only(0, cfg);
-    std::atomic<bool> run{true};
-    SkewTracker tracker(0);
-    tracker.attachCores({{&only, &run}});
-    for (int i = 0; i < 5; ++i) {
-        only.addLatency(100);
-        tracker.maybeSnapshot();
-    }
-    EXPECT_EQ(tracker.sampleCount(), 0u);
-    EXPECT_TRUE(tracker.analyze(4).empty());
-}
-
-TEST(SkewTracker, TileInactiveWholeIntervalIsExcluded)
-{
-    // A tile that never advances during an interval (clock still zero:
-    // spawned but not yet scheduled) must not drag the snapshot mean
-    // toward zero. Once it starts running it rejoins the sample.
-    Config cfg = defaultTargetConfig();
-    CoreModel a(0, cfg), b(1, cfg), late(2, cfg);
-    std::atomic<bool> run{true};
-    SkewTracker tracker(0);
-    tracker.attachCores({{&a, &run}, {&b, &run}, {&late, &run}});
-
-    a.addLatency(1000);
-    b.addLatency(3000);
-    tracker.maybeSnapshot(); // late still at cycle 0: excluded
-    ASSERT_EQ(tracker.sampleCount(), 1u);
-    auto first = tracker.analyze(1);
-    ASSERT_EQ(first.size(), 1u);
-    // Mean over {1000, 3000} only; with the idle tile included the
-    // extremes would be +1667/-1333 instead.
-    EXPECT_DOUBLE_EQ(first[0].maxSkew, 1000.0);
-    EXPECT_DOUBLE_EQ(first[0].minSkew, -1000.0);
-
-    late.addLatency(2000); // tile wakes up: next snapshot sees 3 clocks
-    tracker.maybeSnapshot();
-    EXPECT_EQ(tracker.sampleCount(), 2u);
-}
-
-TEST(SkewTracker, BarrierExcludedSamplesAreDropped)
-{
-    // All tiles parked at an application barrier: no runnable clock at
-    // all. The snapshot must be dropped outright — barrier residence is
-    // phase imbalance, not simulator clock skew (§4.3).
-    Config cfg = defaultTargetConfig();
-    CoreModel a(0, cfg), b(1, cfg);
-    std::atomic<bool> a_run{false}, b_run{false};
-    SkewTracker tracker(0);
-    tracker.attachCores({{&a, &a_run}, {&b, &b_run}});
-    a.addLatency(500);
-    b.addLatency(9000);
-    tracker.maybeSnapshot(); // everyone blocked: no observation
-    EXPECT_EQ(tracker.sampleCount(), 0u);
-    EXPECT_TRUE(tracker.analyze(1).empty());
-
-    // Barrier release: both runnable again, the huge in-barrier gap now
-    // counts (it is real skew the sync model allowed to accumulate).
-    a_run = true;
-    b_run = true;
-    tracker.maybeSnapshot();
-    ASSERT_EQ(tracker.sampleCount(), 1u);
-    auto intervals = tracker.analyze(1);
-    ASSERT_EQ(intervals.size(), 1u);
-    EXPECT_DOUBLE_EQ(intervals[0].maxSkew, 4250.0);  // b: 9000 − 4750
-    EXPECT_DOUBLE_EQ(intervals[0].minSkew, -4250.0); // a:  500 − 4750
 }
 
 } // namespace

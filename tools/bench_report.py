@@ -68,7 +68,7 @@ def main():
     paths = sorted(glob.glob(os.path.join(args.dir, "BENCH_*.json")))
     if not paths:
         fail(f"no BENCH_*.json under '{args.dir}' — run the bench "
-             f"binaries first (e.g. build/bench/micro_span_overhead)")
+             f"binaries first (e.g. build/bench/micro_observer_overhead)")
 
     docs = [load(p) for p in paths]
     names = {d["benchmark"] for d in docs}

@@ -48,15 +48,13 @@ step "accuracy observatory (causality detection + report schema)"
 ctest --test-dir "$BUILD" -L accuracy --output-on-failure
 
 step "overhead and scaling benchmarks (armed-vs-off budgets, L1-hit scaling, fast-forward)"
-# Fast mode keeps the gate cheap; each bench owns its pass criterion
+# Fast mode keeps the gate cheap; each observer owns its pass criterion
 # and bench_report.py rolls the BENCH_*.json verdicts into one table.
-# micro_telemetry_overhead stays out: its two sides simulate different
-# cycle counts under the free-running scheduler, so one fast run is
-# too noisy to gate on.
-for bench in micro_accuracy_overhead micro_span_overhead \
-        micro_race_overhead; do
-    (cd "$BUILD" && GRAPHITE_BENCH_FAST=1 "./bench/$bench" >/dev/null)
-done
+# The telemetry row stays out: its two sides simulate different cycle
+# counts under the free-running scheduler, so one fast run is too noisy
+# to gate on.
+(cd "$BUILD" && GRAPHITE_BENCH_FAST=1 \
+    ./bench/micro_observer_overhead accuracy span race >/dev/null)
 # The L1-hit scaling gate (4 threads over 1 on private lines) runs at
 # full size, about 2 s: fast mode's short loops hide the cost of a
 # counter that every thread writes on every access.

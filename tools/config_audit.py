@@ -19,9 +19,11 @@ Checks:
      default config, or DESIGN.md). A literal that is a section
      prefix of documented keys (caches compose "perf_model/l2_cache"
      + "/cache_size") counts as documented.
-  2. Every key in graphite.cfg is actually read somewhere (catches
-     typos and dead knobs on the documentation side); keys covered by
-     a composed section-prefix read count as read.
+  2. Every key in graphite.cfg and defaultTargetConfig() is actually
+     read somewhere (catches typos and dead knobs on the documentation
+     side). A composed read covers only what it composes: a prefix
+     literal ("perf_model/l1_dcache") reads prefix + each suffix that
+     a get*(var + "/suffix") call appends, not every key below it.
 
 Exit status: 0 clean, 1 violations, 2 usage error.
 """
@@ -33,6 +35,11 @@ import sys
 
 GET_RE = re.compile(
     r"\b(?:getString|getInt|getDouble|getBool|has)\(\s*\"([^\"]+)\"")
+# Composed reads: get*(prefix_var + "/suffix"). The suffix completes
+# whatever prefix literal the helper was handed.
+COMPOSED_RE = re.compile(
+    r"\b(?:getString|getInt|getDouble|getBool|has)\(\s*\w+\s*\+\s*"
+    r"\"(/[a-z0-9_]+)\"")
 # Bare string literals shaped like config paths (lowercase segments
 # joined by '/'), to catch keys passed through helper lambdas before
 # reaching Config::get*.
@@ -67,8 +74,10 @@ def parse_cfg_text(text: str):
 
 
 def collect_read_sites(src: pathlib.Path):
-    """Return {key: first file:line} for every key-shaped read."""
+    """Return ({key: first file:line} for every key-shaped read, the
+    set of suffixes composed reads append)."""
     reads = {}
+    suffixes = set()
     for path in sorted(src.rglob("*")):
         if path.suffix not in (".h", ".cpp"):
             continue
@@ -80,11 +89,12 @@ def collect_read_sites(src: pathlib.Path):
                 continue
             for m in GET_RE.finditer(line):
                 reads.setdefault(m.group(1), f"{rel}:{lineno}")
+            suffixes.update(COMPOSED_RE.findall(line))
             for m in PATH_LITERAL_RE.finditer(line):
                 key = m.group(1)
                 if key not in NON_CONFIG_LITERALS:
                     reads.setdefault(key, f"{rel}:{lineno}")
-    return reads
+    return reads, suffixes
 
 
 def extract_default_config(config_cpp: pathlib.Path):
@@ -114,7 +124,7 @@ def main():
                    if design_path.is_file() else set())
     documented = file_keys | builtin_keys | design_keys
 
-    reads = collect_read_sites(src)
+    reads, suffixes = collect_read_sites(src)
     errors = []
 
     # Section-prefix literals: "a/b" also counts as a read/doc of any
@@ -129,16 +139,16 @@ def main():
                 f"nowhere (graphite.cfg, defaultTargetConfig(), "
                 f"DESIGN.md) — typo, or document the knob")
 
-    read_prefixes = [k for k in reads
-                     if prefix_covered(k, documented)]
-    for key in sorted(file_keys):
-        if key in reads:
-            continue
-        if any(key.startswith(p + "/") for p in read_prefixes):
-            continue
-        errors.append(
-            f"graphite.cfg: key '{key}' is never read by src/ — "
-            f"dead knob or typo'd name")
+    composed = {p + s for p in reads
+                if prefix_covered(p, documented) for s in suffixes}
+    for where, keys in (("graphite.cfg", file_keys),
+                        ("defaultTargetConfig()", builtin_keys)):
+        for key in sorted(keys):
+            if key in reads or key in composed:
+                continue
+            errors.append(
+                f"{where}: key '{key}' is never read by src/ — "
+                f"dead knob or typo'd name")
 
     if errors:
         for e in errors:
