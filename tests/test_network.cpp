@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "common/config.h"
 #include "common/log.h"
+#include "mem/dram_controller.h"
 #include "network/global_progress.h"
 #include "network/network.h"
 #include "network/network_model.h"
 #include "network/queue_model.h"
+#include "snapshot/snapshot.h"
 
 namespace graphite
 {
@@ -203,6 +208,164 @@ TEST(NetworkModel, ContentionAddsUnderLoad)
         burst = model.computeLatency(0, 3, 64, 1000).total;
     EXPECT_GT(burst, first);
     EXPECT_GT(model.totalContentionDelay(), 0u);
+}
+
+/**
+ * Drive a fixed stream of miss-shaped round trips (request leg, DRAM
+ * access at the home, reply leg) through a contention mesh and a DRAM
+ * controller that share one progress estimator, and print every cost
+ * and the final queue counters, one line per round trip. The outlier
+ * window and backlog are small, so some stamps are clamped and some
+ * queues saturate.
+ */
+std::string
+measureContentionPin()
+{
+    GlobalProgress gp(4);
+    EMeshContentionNetworkModel mesh(16, /*hop=*/2, /*bw=*/8, &gp,
+                                     /*outlier_window=*/300,
+                                     /*max_backlog=*/40);
+    DramController dram(100, /*bytes_per_cycle=*/4.0, &gp,
+                        /*outlier_window=*/300, /*max_backlog=*/40);
+
+    std::string out;
+    char line[256];
+    auto net = [](const NetBreakdown& b) {
+        char buf[96];
+        std::snprintf(buf, sizeof buf, "%llu %llu %llu %llu",
+                      static_cast<unsigned long long>(b.serialization),
+                      static_cast<unsigned long long>(b.queue),
+                      static_cast<unsigned long long>(b.hop),
+                      static_cast<unsigned long long>(b.total));
+        return std::string(buf);
+    };
+    // A DRAM access before any message: no progress sample exists yet.
+    DramController::Breakdown first = dram.access(5000, 64);
+    std::snprintf(line, sizeof line, "first dram %llu %llu %llu\n",
+                  static_cast<unsigned long long>(first.queue),
+                  static_cast<unsigned long long>(first.service),
+                  static_cast<unsigned long long>(first.total));
+    out += line;
+
+    std::uint64_t s = 0x2545F4914F6CDD1Dull;
+    auto next = [&s] {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        return s;
+    };
+    cycle_t clock = 1000;
+    for (int i = 0; i < 30; ++i) {
+        auto src = static_cast<tile_id_t>(next() % 16);
+        // Every third request goes to one hot home, so its links queue.
+        auto home = static_cast<tile_id_t>(i % 3 == 0 ? 5 : next() % 16);
+        size_t bytes = 8 * (1 + next() % 10);
+        clock += next() % 8;
+        cycle_t send = clock;
+        if (i % 9 == 4)
+            send += 2000; // far ahead of progress: clamped down
+        if (i % 9 == 7)
+            send -= 900; // far behind progress: clamped up
+        NetBreakdown req = mesh.computeLatency(src, home, bytes, send);
+        DramController::Breakdown d = dram.access(send + req.total, 64);
+        NetBreakdown rep = mesh.computeLatency(
+            home, src, 72, send + req.total + d.total);
+        std::snprintf(line, sizeof line, "%2d->%2d %2zuB @%llu | ", src,
+                      home, bytes, static_cast<unsigned long long>(send));
+        out += line;
+        out += net(req);
+        std::snprintf(line, sizeof line, " | %llu %llu %llu | ",
+                      static_cast<unsigned long long>(d.queue),
+                      static_cast<unsigned long long>(d.service),
+                      static_cast<unsigned long long>(d.total));
+        out += line;
+        out += net(rep) + "\n";
+    }
+
+    // The mesh exposes its link queues only through its checkpoint
+    // record, whose layout the golden snapshot pins: the four routed
+    // totals, the link count, then per link the queue clock, requests,
+    // delay, clamped arrivals and saturations.
+    snapshot::SnapshotWriter w;
+    mesh.saveState(w);
+    snapshot::SnapshotReader r(w.finish());
+    stat_t routed[4];
+    for (stat_t& v : routed)
+        v = r.u64();
+    std::uint64_t links = r.u64();
+    stat_t requests = 0, delay = 0, clamped = 0, saturations = 0;
+    for (std::uint64_t l = 0; l < links; ++l) {
+        r.u64();
+        requests += r.u64();
+        delay += r.u64();
+        clamped += r.u64();
+        saturations += r.u64();
+    }
+    std::snprintf(
+        line, sizeof line,
+        "mesh packets %llu bytes %llu latency %llu hops %llu\n"
+        "links requests %llu delay %llu clamped %llu saturations %llu\n"
+        "dram requests %llu delay %llu clamped %llu saturations %llu\n",
+        static_cast<unsigned long long>(routed[0]),
+        static_cast<unsigned long long>(routed[1]),
+        static_cast<unsigned long long>(routed[2]),
+        static_cast<unsigned long long>(routed[3]),
+        static_cast<unsigned long long>(requests),
+        static_cast<unsigned long long>(delay),
+        static_cast<unsigned long long>(clamped),
+        static_cast<unsigned long long>(saturations),
+        static_cast<unsigned long long>(dram.accesses()),
+        static_cast<unsigned long long>(dram.totalQueueDelay()),
+        static_cast<unsigned long long>(dram.clampedArrivals()),
+        static_cast<unsigned long long>(dram.saturations()));
+    out += line;
+    return out;
+}
+
+// Reference: a change that keeps the contention model's timing
+// reproduces it exactly. Each round-trip line reads
+// "src->home bytes @send | request leg | DRAM | reply leg", a leg as
+// serialization, queue, hop and total cycles and the DRAM access as
+// queue, service and total.
+const char* const CONTENTION_PIN = R"(first dram 0 116 116
+ 7-> 5 72B @1007 | 9 0 4 13 | 40 116 156 | 9 0 4 13
+ 6->14 64B @1007 | 8 0 4 12 | 40 116 156 | 9 0 4 13
+13->15 64B @1011 | 8 0 4 12 | 40 116 156 | 9 0 4 13
+ 9-> 5 64B @1017 | 8 0 2 10 | 40 116 156 | 9 0 2 11
+12->15  8B @3021 | 1 0 6 7 | 0 116 116 | 9 0 6 15
+ 5-> 6  8B @1028 | 1 0 2 3 | 40 116 156 | 9 0 2 11
+11-> 5 32B @1028 | 4 0 6 10 | 40 116 156 | 9 40 6 55
+14->15 16B @135 | 2 40 2 44 | 40 116 156 | 9 40 2 51
+ 6->13 48B @1041 | 6 80 6 92 | 0 116 116 | 9 120 6 135
+ 8-> 5  8B @1043 | 1 40 4 45 | 0 116 116 | 9 0 4 13
+15-> 2 32B @1048 | 4 0 8 12 | 40 116 156 | 9 27 8 44
+15-> 8 48B @1055 | 6 80 8 94 | 0 116 116 | 9 0 8 17
+ 5-> 5 48B @1057 | 6 0 0 6 | 40 116 156 | 9 0 0 9
+15-> 6 56B @3062 | 7 0 6 13 | 0 116 116 | 9 0 6 15
+11->15 24B @1063 | 3 40 2 45 | 40 116 156 | 9 0 2 11
+ 8-> 5 32B @1069 | 4 0 4 8 | 40 116 156 | 9 0 4 13
+ 5->14 64B @170 | 8 120 6 134 | 40 116 156 | 9 80 6 95
+ 8-> 0 80B @1070 | 10 0 4 14 | 0 116 116 | 9 40 4 53
+ 6-> 5 32B @1075 | 4 0 2 6 | 0 116 116 | 9 0 2 11
+10-> 1 72B @1081 | 9 40 6 55 | 0 116 116 | 9 0 6 15
+12->10  8B @1082 | 1 80 6 87 | 0 116 116 | 9 0 6 15
+12-> 5 64B @1087 | 8 42 6 56 | 40 116 156 | 9 0 6 15
+ 1-> 0 64B @3089 | 8 0 2 10 | 0 116 116 | 9 0 2 11
+10->14 72B @1093 | 9 0 2 11 | 40 116 156 | 9 0 2 11
+15-> 5 56B @1096 | 7 40 8 55 | 40 116 156 | 9 120 8 137
+12-> 9 40B @196 | 5 80 4 89 | 40 116 156 | 9 80 4 93
+ 7-> 6 32B @1103 | 4 0 2 6 | 0 116 116 | 9 40 2 51
+ 9-> 5 80B @1104 | 10 40 2 52 | 0 116 116 | 9 0 2 11
+ 7-> 8 16B @1107 | 2 80 8 90 | 0 116 116 | 9 28 8 45
+ 8->13 16B @1111 | 2 40 4 46 | 40 116 156 | 9 0 4 13
+mesh packets 60 bytes 3480 latency 2152 hops 130
+links requests 130 delay 1457 clamped 17 saturations 34
+dram requests 31 delay 680 clamped 9 saturations 17
+)";
+
+TEST(NetworkModel, ContentionTimingIsPinned)
+{
+    EXPECT_EQ(measureContentionPin(), CONTENTION_PIN);
 }
 
 TEST(NetworkModel, FactoryRejectsUnknownType)
