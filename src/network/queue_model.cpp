@@ -48,6 +48,8 @@ QueueModel::enqueue(cycle_t arrival_time, cycle_t processing_time)
 
     lockdep::Guard lock(mutex_);
     ++requests_;
+    if (effective_arrival != arrival_time)
+        ++clamped_;
     // Finite buffering / back-pressure: the backlog seen by any packet
     // is bounded, so a burst cannot drive latencies without bound.
     if (queueClock_ > satAdd(effective_arrival, maxBacklog_)) {
@@ -57,8 +59,6 @@ QueueModel::enqueue(cycle_t arrival_time, cycle_t processing_time)
     cycle_t delay = 0;
     if (queueClock_ > effective_arrival) {
         delay = queueClock_ - effective_arrival;
-        if (effective_arrival != arrival_time)
-            ++clamped_;
     } else {
         queueClock_ = effective_arrival;
     }

@@ -94,6 +94,8 @@ TEST(QueueModel, OutlierArrivalsClampToProgress)
     // Arrival absurdly in the past is clamped near the estimate.
     q.enqueue(5, 10);
     EXPECT_GE(q.queueClock(), 999000u);
+    // The clamped arrival found the queue idle; it still counts.
+    EXPECT_EQ(q.clampedArrivals(), 1u);
 }
 
 TEST(QueueModel, BacklogIsBounded)
@@ -359,8 +361,8 @@ const char* const CONTENTION_PIN = R"(first dram 0 116 116
  7-> 8 16B @1107 | 2 80 8 90 | 0 116 116 | 9 28 8 45
  8->13 16B @1111 | 2 40 4 46 | 40 116 156 | 9 0 4 13
 mesh packets 60 bytes 3480 latency 2152 hops 130
-links requests 130 delay 1457 clamped 17 saturations 34
-dram requests 31 delay 680 clamped 9 saturations 17
+links requests 130 delay 1457 clamped 49 saturations 34
+dram requests 31 delay 680 clamped 15 saturations 17
 )";
 
 TEST(NetworkModel, ContentionTimingIsPinned)
