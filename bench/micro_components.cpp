@@ -70,7 +70,7 @@ BENCHMARK(BM_CacheHitProbe);
 void
 BM_QueueModelEnqueue(benchmark::State& state)
 {
-    QueueModel queue(nullptr);
+    QueueModel queue;
     cycle_t t = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(queue.enqueue(t, 10));

@@ -72,7 +72,7 @@ Simulator::Simulator(Config cfg)
     };
     span_opt.maxHops = mesh.width() + mesh.height();
     span_opt.progress = [fabric = fabric_.get()] {
-        return fabric->progress().estimate();
+        return fabric->progress().current().value_or(0);
     };
     spans_ = obs::SpanSink::fromConfig(cfg_, tiles, std::move(span_opt),
                                        trace_.get());

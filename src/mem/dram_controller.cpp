@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/log.h"
+#include "network/global_progress.h"
 #include "snapshot/snapshot.h"
 
 namespace graphite
@@ -15,8 +16,8 @@ DramController::DramController(cycle_t latency_cycles,
                                cycle_t max_backlog)
     : latency_(latency_cycles),
       bytesPerCycle_(bytes_per_cycle),
-      queueEnabled_(progress != nullptr),
-      queue_(progress, outlier_window, max_backlog)
+      progress_(progress),
+      queue_(outlier_window, max_backlog)
 {
     if (bytes_per_cycle <= 0.0)
         fatal("dram controller: bandwidth must be positive (got {})",
@@ -31,7 +32,9 @@ DramController::access(cycle_t arrival_time, size_t bytes)
         std::ceil(static_cast<double>(bytes) / bytesPerCycle_));
     serviceTime_ += service;
     cycle_t queue_delay =
-        queueEnabled_ ? queue_.enqueue(arrival_time, service) : 0;
+        progress_ != nullptr
+            ? queue_.enqueue(arrival_time, service, progress_->current())
+            : 0;
     Breakdown bd;
     bd.queue = queue_delay;
     bd.service = latency_ + service;

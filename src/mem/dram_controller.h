@@ -12,7 +12,8 @@
  *
  * Latency of one access = fixed DRAM latency + service time
  * (bytes / per-controller bandwidth) + queueing delay from the
- * lax-compatible QueueModel (§3.6.1).
+ * lax-compatible QueueModel (§3.6.1), whose reference clock is the
+ * global-progress estimate published by the last modeled message.
  */
 
 #pragma once
@@ -42,8 +43,10 @@ class DramController
      * @param latency_cycles      device access latency
      * @param bytes_per_cycle     this controller's share of off-chip
      *                            bandwidth, in bytes per target cycle
-     * @param progress            global-progress estimator for the queue
-     *                            model (nullptr disables queue modeling)
+     * @param progress            global-progress estimator whose
+     *                            published value is the queue's
+     *                            reference clock (nullptr disables
+     *                            queue modeling)
      */
     DramController(cycle_t latency_cycles, double bytes_per_cycle,
                    const GlobalProgress* progress,
@@ -83,7 +86,7 @@ class DramController
   private:
     cycle_t latency_;
     double bytesPerCycle_;
-    bool queueEnabled_;
+    const GlobalProgress* progress_;
     QueueModel queue_;
     stat_t accesses_ = 0;
     stat_t serviceTime_ = 0;

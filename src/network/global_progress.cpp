@@ -15,7 +15,7 @@ GlobalProgress::GlobalProgress(size_t window_size)
     window_.resize(window_size, 0);
 }
 
-void
+cycle_t
 GlobalProgress::observe(cycle_t timestamp)
 {
     lockdep::Guard lock(mutex_);
@@ -27,22 +27,27 @@ GlobalProgress::observe(cycle_t timestamp)
     window_[next_] = timestamp;
     sum_ += timestamp;
     next_ = (next_ + 1) % window_.size();
+    return publishLocked();
 }
 
 cycle_t
-GlobalProgress::estimate() const
+GlobalProgress::publishLocked()
 {
-    lockdep::Guard lock(mutex_);
-    if (count_ == 0)
-        return 0;
-    return static_cast<cycle_t>(sum_ / count_);
+    cycle_t estimate =
+        count_ == 0 ? 0 : static_cast<cycle_t>(sum_ / count_);
+    publishedEstimate_.store(estimate, std::memory_order_relaxed);
+    // A reader that sees a non-zero count also sees an estimate at
+    // least as new as the one published with it.
+    publishedCount_.store(count_, std::memory_order_release);
+    return estimate;
 }
 
-size_t
-GlobalProgress::samples() const
+std::optional<cycle_t>
+GlobalProgress::current() const
 {
-    lockdep::Guard lock(mutex_);
-    return count_;
+    if (samples() == 0)
+        return std::nullopt;
+    return publishedEstimate_.load(std::memory_order_relaxed);
 }
 
 void
@@ -76,6 +81,7 @@ GlobalProgress::loadState(snapshot::SnapshotReader& r)
     std::uint64_t lo = r.u64();
     std::uint64_t hi = r.u64();
     sum_ = (static_cast<unsigned __int128>(hi) << 64) | lo;
+    publishLocked();
 }
 
 } // namespace graphite

@@ -38,6 +38,7 @@ NetworkFabric::NetworkFabric(const ClusterTopology& topo,
       progress_(std::max<size_t>(
           cfg.getInt("network/queue_model_window", 64),
           static_cast<size_t>(topo.totalTiles()))),
+      locality_(static_cast<size_t>(topo.totalTiles())),
       msgMatrix_(static_cast<size_t>(topo.totalTiles()) * topo.totalTiles()),
       byteMatrix_(msgMatrix_.size())
 {
@@ -62,7 +63,8 @@ NetworkFabric::model(PacketType type, tile_id_t src, tile_id_t dst,
         msgMatrix_[idx].fetch_add(1, std::memory_order_relaxed);
         byteMatrix_[idx].fetch_add(bytes, std::memory_order_relaxed);
     }
-    LocalityCounters& ctr = counters_[static_cast<int>(type)];
+    LocalityCounters& ctr =
+        locality_[static_cast<size_t>(src)].byType[static_cast<int>(type)];
     if (topo_.sameProcess(src, dst)) {
         ctr.intraMsgs.fetch_add(1, std::memory_order_relaxed);
         ctr.intraBytes.fetch_add(bytes, std::memory_order_relaxed);
@@ -90,27 +92,38 @@ NetworkFabric::modelFor(PacketType type) const
 }
 
 stat_t
+NetworkFabric::localitySum(PacketType type,
+                           atomic_stat_t LocalityCounters::*field) const
+{
+    stat_t total = 0;
+    for (const LocalityStripe& s : locality_)
+        total += (s.byType[static_cast<int>(type)].*field)
+                     .load(std::memory_order_relaxed);
+    return total;
+}
+
+stat_t
 NetworkFabric::intraProcessMessages(PacketType type) const
 {
-    return counters_[static_cast<int>(type)].intraMsgs.load();
+    return localitySum(type, &LocalityCounters::intraMsgs);
 }
 
 stat_t
 NetworkFabric::interProcessMessages(PacketType type) const
 {
-    return counters_[static_cast<int>(type)].interMsgs.load();
+    return localitySum(type, &LocalityCounters::interMsgs);
 }
 
 stat_t
 NetworkFabric::intraProcessBytes(PacketType type) const
 {
-    return counters_[static_cast<int>(type)].intraBytes.load();
+    return localitySum(type, &LocalityCounters::intraBytes);
 }
 
 stat_t
 NetworkFabric::interProcessBytes(PacketType type) const
 {
-    return counters_[static_cast<int>(type)].interBytes.load();
+    return localitySum(type, &LocalityCounters::interBytes);
 }
 
 stat_t
@@ -137,11 +150,12 @@ NetworkFabric::saveState(snapshot::SnapshotWriter& w) const
         w.str(model->name());
         model->saveState(w);
     }
-    for (const LocalityCounters& c : counters_) {
-        w.u64(c.intraMsgs.load(std::memory_order_relaxed));
-        w.u64(c.interMsgs.load(std::memory_order_relaxed));
-        w.u64(c.intraBytes.load(std::memory_order_relaxed));
-        w.u64(c.interBytes.load(std::memory_order_relaxed));
+    for (int t = 0; t < NUM_PACKET_TYPES; ++t) {
+        auto type = static_cast<PacketType>(t);
+        w.u64(intraProcessMessages(type));
+        w.u64(interProcessMessages(type));
+        w.u64(intraProcessBytes(type));
+        w.u64(interProcessBytes(type));
     }
     w.u64(static_cast<std::uint64_t>(msgMatrix_.size()));
     for (const auto& v : msgMatrix_)
@@ -163,7 +177,17 @@ NetworkFabric::loadState(snapshot::SnapshotReader& r)
                        name, model->name()));
         model->loadState(r);
     }
-    for (LocalityCounters& c : counters_) {
+    // The saved sums land in stripe 0 and the other stripes restart
+    // empty, so every sum reads what was saved.
+    for (LocalityStripe& s : locality_) {
+        for (LocalityCounters& c : s.byType) {
+            c.intraMsgs.store(0, std::memory_order_relaxed);
+            c.interMsgs.store(0, std::memory_order_relaxed);
+            c.intraBytes.store(0, std::memory_order_relaxed);
+            c.interBytes.store(0, std::memory_order_relaxed);
+        }
+    }
+    for (LocalityCounters& c : locality_.front().byType) {
         c.intraMsgs.store(r.u64(), std::memory_order_relaxed);
         c.interMsgs.store(r.u64(), std::memory_order_relaxed);
         c.intraBytes.store(r.u64(), std::memory_order_relaxed);

@@ -114,17 +114,28 @@ class NetworkFabric
   private:
     struct LocalityCounters
     {
-        std::atomic<stat_t> intraMsgs{0};
-        std::atomic<stat_t> interMsgs{0};
-        std::atomic<stat_t> intraBytes{0};
-        std::atomic<stat_t> interBytes{0};
+        atomic_stat_t intraMsgs{0};
+        atomic_stat_t interMsgs{0};
+        atomic_stat_t intraBytes{0};
+        atomic_stat_t interBytes{0};
     };
+
+    /** One source tile's locality counters, one set per packet type. */
+    struct alignas(64) LocalityStripe
+    {
+        std::array<LocalityCounters, NUM_PACKET_TYPES> byType;
+    };
+
+    /** Sum @p field of @p type's counters over the tile stripes. */
+    stat_t localitySum(PacketType type,
+                       atomic_stat_t LocalityCounters::*field) const;
 
     ClusterTopology topo_;
     GlobalProgress progress_;
     std::atomic<std::int64_t> inflightApp_{0};
     std::array<std::unique_ptr<NetworkModel>, NUM_PACKET_TYPES> models_;
-    std::array<LocalityCounters, NUM_PACKET_TYPES> counters_;
+    /** Indexed by source tile; summed when read. */
+    std::vector<LocalityStripe> locality_;
     /** N*N atomic counters, src-major. */
     std::vector<std::atomic<stat_t>> msgMatrix_;
     std::vector<std::atomic<stat_t>> byteMatrix_;

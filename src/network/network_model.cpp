@@ -28,33 +28,29 @@ MeshShape::hops(tile_id_t src, tile_id_t dst) const
     return std::abs(xOf(src) - xOf(dst)) + std::abs(yOf(src) - yOf(dst));
 }
 
-std::vector<int>
-MeshShape::route(tile_id_t src, tile_id_t dst) const
+// ------------------------------------------------------------ NetworkModel
+
+NetworkModel::NetworkModel(tile_id_t total_tiles)
+    : stripes_(static_cast<size_t>(total_tiles))
 {
-    std::vector<int> links;
-    int x = xOf(src), y = yOf(src);
-    const int dx = xOf(dst), dy = yOf(dst);
-    // X first, then Y (dimension-ordered, deadlock-free).
-    while (x != dx) {
-        int dir = (dx > x) ? 0 /*E*/ : 1 /*W*/;
-        links.push_back((y * width_ + x) * 4 + dir);
-        x += (dx > x) ? 1 : -1;
-    }
-    while (y != dy) {
-        int dir = (dy > y) ? 3 /*S*/ : 2 /*N*/;
-        links.push_back((y * width_ + x) * 4 + dir);
-        y += (dy > y) ? 1 : -1;
-    }
-    return links;
+}
+
+stat_t
+NetworkModel::sum(atomic_stat_t Stripe::*field) const
+{
+    stat_t total = 0;
+    for (const Stripe& s : stripes_)
+        total += (s.*field).load(std::memory_order_relaxed);
+    return total;
 }
 
 // ------------------------------------------------------- MagicNetworkModel
 
 NetBreakdown
-MagicNetworkModel::computeLatency(tile_id_t, tile_id_t, size_t bytes,
+MagicNetworkModel::computeLatency(tile_id_t src, tile_id_t, size_t bytes,
                                   cycle_t)
 {
-    account(bytes, 0, 0);
+    account(src, bytes, 0, 0);
     return NetBreakdown{};
 }
 
@@ -63,7 +59,8 @@ MagicNetworkModel::computeLatency(tile_id_t, tile_id_t, size_t bytes,
 EMeshHopNetworkModel::EMeshHopNetworkModel(tile_id_t total_tiles,
                                            cycle_t hop_latency,
                                            size_t link_bandwidth_bytes)
-    : shape_(total_tiles),
+    : NetworkModel(total_tiles),
+      shape_(total_tiles),
       hopLatency_(hop_latency),
       linkBandwidth_(link_bandwidth_bytes)
 {
@@ -86,7 +83,7 @@ EMeshHopNetworkModel::computeLatency(tile_id_t src, tile_id_t dst,
     bd.hop = static_cast<cycle_t>(bd.hops) * hopLatency_;
     bd.serialization = serializationCycles(bytes);
     bd.total = bd.hop + bd.serialization;
-    account(bytes, bd.total, bd.hops);
+    account(src, bytes, bd.total, bd.hops);
     return bd;
 }
 
@@ -102,8 +99,8 @@ EMeshContentionNetworkModel::EMeshContentionNetworkModel(
 {
     links_.reserve(shape_.numLinks());
     for (int i = 0; i < shape_.numLinks(); ++i)
-        links_.push_back(std::make_unique<QueueModel>(
-            progress_, outlier_window, max_backlog));
+        links_.push_back(
+            std::make_unique<QueueModel>(outlier_window, max_backlog));
 }
 
 NetBreakdown
@@ -111,23 +108,24 @@ EMeshContentionNetworkModel::computeLatency(tile_id_t src, tile_id_t dst,
                                             size_t bytes,
                                             cycle_t send_time)
 {
+    std::optional<cycle_t> now;
     if (progress_ != nullptr)
-        progress_->observe(send_time);
+        now = progress_->observe(send_time);
 
     NetBreakdown bd;
     const cycle_t service = serializationCycles(bytes);
     bd.serialization = service;
     cycle_t latency = service; // injection serialization
-    for (int link : shape_.route(src, dst)) {
+    shape_.forEachLink(src, dst, [&](int link) {
         cycle_t arrival = send_time + latency;
-        cycle_t queue_delay = links_[link]->enqueue(arrival, service);
+        cycle_t queue_delay = links_[link]->enqueue(arrival, service, now);
         latency += hopLatency_ + queue_delay;
         bd.hop += hopLatency_;
         bd.queue += queue_delay;
-    }
+    });
     bd.hops = shape_.hops(src, dst);
     bd.total = latency;
-    account(bytes, latency, bd.hops);
+    account(src, bytes, latency, bd.hops);
     return bd;
 }
 
@@ -145,19 +143,28 @@ EMeshContentionNetworkModel::totalContentionDelay() const
 void
 NetworkModel::saveState(snapshot::SnapshotWriter& w) const
 {
-    w.u64(packets_.load(std::memory_order_relaxed));
-    w.u64(bytes_.load(std::memory_order_relaxed));
-    w.u64(latency_.load(std::memory_order_relaxed));
-    w.u64(hops_.load(std::memory_order_relaxed));
+    w.u64(packetsRouted());
+    w.u64(bytesRouted());
+    w.u64(totalLatency());
+    w.u64(totalHops());
 }
 
 void
 NetworkModel::loadState(snapshot::SnapshotReader& r)
 {
-    packets_.store(r.u64(), std::memory_order_relaxed);
-    bytes_.store(r.u64(), std::memory_order_relaxed);
-    latency_.store(r.u64(), std::memory_order_relaxed);
-    hops_.store(r.u64(), std::memory_order_relaxed);
+    // The saved sums land in stripe 0 and the other stripes restart
+    // empty, so every sum reads what was saved.
+    for (Stripe& s : stripes_) {
+        s.packets.store(0, std::memory_order_relaxed);
+        s.bytes.store(0, std::memory_order_relaxed);
+        s.latency.store(0, std::memory_order_relaxed);
+        s.hops.store(0, std::memory_order_relaxed);
+    }
+    Stripe& first = stripes_.front();
+    first.packets.store(r.u64(), std::memory_order_relaxed);
+    first.bytes.store(r.u64(), std::memory_order_relaxed);
+    first.latency.store(r.u64(), std::memory_order_relaxed);
+    first.hops.store(r.u64(), std::memory_order_relaxed);
 }
 
 void
@@ -191,7 +198,7 @@ NetworkModel::create(const std::string& type, tile_id_t total_tiles,
                      const Config& cfg, GlobalProgress* progress)
 {
     if (type == "magic")
-        return std::make_unique<MagicNetworkModel>();
+        return std::make_unique<MagicNetworkModel>(total_tiles);
 
     cycle_t hop = cfg.getInt("network/hop_latency", 2);
     size_t bw = cfg.getInt("network/link_bandwidth_bytes", 8);

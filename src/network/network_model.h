@@ -57,11 +57,28 @@ class MeshShape
     int hops(tile_id_t src, tile_id_t dst) const;
 
     /**
-     * Enumerate the directed links of the XY route src -> dst.
-     * Links are identified as tile*4 + direction (0=E,1=W,2=N,3=S),
-     * naming the link *leaving* that tile.
+     * Call @p f with each directed link of the XY route src -> dst, in
+     * route order. Links are identified as tile*4 + direction
+     * (0=E,1=W,2=N,3=S), naming the link *leaving* that tile.
      */
-    std::vector<int> route(tile_id_t src, tile_id_t dst) const;
+    template <class F>
+    void
+    forEachLink(tile_id_t src, tile_id_t dst, F&& f) const
+    {
+        int x = xOf(src), y = yOf(src);
+        const int dx = xOf(dst), dy = yOf(dst);
+        // X first, then Y (dimension-ordered, deadlock-free).
+        while (x != dx) {
+            int dir = (dx > x) ? 0 /*E*/ : 1 /*W*/;
+            f((y * width_ + x) * 4 + dir);
+            x += (dx > x) ? 1 : -1;
+        }
+        while (y != dy) {
+            int dir = (dy > y) ? 3 /*S*/ : 2 /*N*/;
+            f((y * width_ + x) * 4 + dir);
+            y += (dy > y) ? 1 : -1;
+        }
+    }
 
     /** Total number of directed link identifiers. */
     int numLinks() const { return width_ * height_ * 4; }
@@ -88,11 +105,15 @@ struct NetBreakdown
 /**
  * Abstract network timing model. Thread-safe: any application thread may
  * model a packet concurrently (memory traffic is modeled from the
- * requesting thread under lax synchronization).
+ * requesting thread under lax synchronization). The routed totals are
+ * kept per source tile, so host threads modeling messages from
+ * different tiles write different cache lines.
  */
 class NetworkModel
 {
   public:
+    /** @param total_tiles number of endpoints (sizes the stripes). */
+    explicit NetworkModel(tile_id_t total_tiles);
     virtual ~NetworkModel() = default;
 
     /**
@@ -110,17 +131,18 @@ class NetworkModel
     /** Human-readable model name (matches the config value). */
     virtual std::string name() const = 0;
 
-    /** @name Aggregate statistics @{ */
-    stat_t packetsRouted() const { return packets_.load(); }
-    stat_t bytesRouted() const { return bytes_.load(); }
-    stat_t totalLatency() const { return latency_.load(); }
-    stat_t totalHops() const { return hops_.load(); }
+    /** @name Aggregate statistics (sums over the tile stripes) @{ */
+    stat_t packetsRouted() const { return sum(&Stripe::packets); }
+    stat_t bytesRouted() const { return sum(&Stripe::bytes); }
+    stat_t totalLatency() const { return sum(&Stripe::latency); }
+    stat_t totalHops() const { return sum(&Stripe::hops); }
     /** @} */
 
     /**
      * @name Checkpoint serialization
-     * The base implementation covers the aggregate counters;
-     * stateful models (emesh_contention link queues) extend it.
+     * The base implementation covers the aggregate counters (their
+     * sums; a restore puts them in stripe 0); stateful models
+     * (emesh_contention link queues) extend it.
      * @{
      */
     virtual void saveState(snapshot::SnapshotWriter& w) const;
@@ -138,25 +160,40 @@ class NetworkModel
 
   protected:
     void
-    account(size_t bytes, cycle_t latency, int hops)
+    account(tile_id_t src, size_t bytes, cycle_t latency, int hops)
     {
-        packets_.fetch_add(1, std::memory_order_relaxed);
-        bytes_.fetch_add(bytes, std::memory_order_relaxed);
-        latency_.fetch_add(latency, std::memory_order_relaxed);
-        hops_.fetch_add(hops, std::memory_order_relaxed);
+        Stripe& s = stripes_[static_cast<size_t>(src)];
+        s.packets.fetch_add(1, std::memory_order_relaxed);
+        s.bytes.fetch_add(bytes, std::memory_order_relaxed);
+        s.latency.fetch_add(latency, std::memory_order_relaxed);
+        s.hops.fetch_add(hops, std::memory_order_relaxed);
     }
 
   private:
-    std::atomic<stat_t> packets_{0};
-    std::atomic<stat_t> bytes_{0};
-    std::atomic<stat_t> latency_{0};
-    std::atomic<stat_t> hops_{0};
+    /**
+     * One source tile's routed totals. Other tiles' threads still add
+     * to it (a reply leg's source is the home), so the adds stay
+     * atomic; the stripes only keep unrelated tiles off one line.
+     */
+    struct alignas(64) Stripe
+    {
+        atomic_stat_t packets{0};
+        atomic_stat_t bytes{0};
+        atomic_stat_t latency{0};
+        atomic_stat_t hops{0};
+    };
+
+    stat_t sum(atomic_stat_t Stripe::*field) const;
+
+    std::vector<Stripe> stripes_;
 };
 
 /** Zero-latency model for simulator-internal traffic. */
 class MagicNetworkModel : public NetworkModel
 {
   public:
+    using NetworkModel::NetworkModel;
+
     NetBreakdown computeLatency(tile_id_t src, tile_id_t dst,
                                 size_t bytes, cycle_t send_time) override;
     std::string name() const override { return "magic"; }
@@ -186,7 +223,9 @@ class EMeshHopNetworkModel : public NetworkModel
 /**
  * Mesh model with analytical per-link contention. Each directed link owns
  * a QueueModel; a packet accumulates hop latency, per-link queueing delay,
- * and serialization delay along its XY route.
+ * and serialization delay along its XY route. The packet's send time is
+ * observed into global progress once, and the estimate that observation
+ * returns is the reference clock at every link of the route.
  */
 class EMeshContentionNetworkModel : public EMeshHopNetworkModel
 {
@@ -209,6 +248,7 @@ class EMeshContentionNetworkModel : public EMeshHopNetworkModel
     void loadState(snapshot::SnapshotReader& r) override;
 
   private:
+    /** Observed once per packet; its result is every link's clock. */
     GlobalProgress* progress_;
     std::vector<std::unique_ptr<QueueModel>> links_;
 };

@@ -14,12 +14,15 @@
  *
  * Wildly out-of-range arrival timestamps (a thread far ahead/behind) are
  * clamped toward the global-progress estimate so one outlier cannot poison
- * the queue clock; the aggregate delay remains correct.
+ * the queue clock; the aggregate delay remains correct. The caller
+ * supplies that estimate with each packet, so a queue reads no shared
+ * state beyond its own.
  */
 
 #pragma once
 
 #include <mutex>
+#include <optional>
 
 #include "common/fixed_types.h"
 #include "common/lockdep.h"
@@ -27,8 +30,6 @@
 
 namespace graphite
 {
-
-class GlobalProgress;
 
 namespace snapshot
 {
@@ -41,9 +42,6 @@ class QueueModel
 {
   public:
     /**
-     * @param progress       global-progress estimator used as the
-     *                       reference clock (may be nullptr: then the raw
-     *                       arrival timestamp is trusted)
      * @param outlier_window how far (cycles) an arrival timestamp may
      *                       deviate from the progress estimate before it
      *                       is clamped
@@ -56,16 +54,19 @@ class QueueModel
      *                       dependent latency — into an unbounded
      *                       saturation spiral.
      */
-    explicit QueueModel(const GlobalProgress* progress,
-                        cycle_t outlier_window = 100000,
+    explicit QueueModel(cycle_t outlier_window = 100000,
                         cycle_t max_backlog = 10000);
 
     /**
      * Model the arrival of a packet needing @p processing_time cycles of
      * service, stamped @p arrival_time by its sender.
+     * @param now the global-progress estimate used as the reference
+     *            clock; empty (no progress samples yet, or no
+     *            estimator) trusts the raw arrival timestamp.
      * @return queueing delay in cycles (excludes the service time itself).
      */
-    cycle_t enqueue(cycle_t arrival_time, cycle_t processing_time);
+    cycle_t enqueue(cycle_t arrival_time, cycle_t processing_time,
+                    std::optional<cycle_t> now = std::nullopt);
 
     /** Current queue clock (completion time of all queued work). */
     cycle_t queueClock() const;
@@ -83,7 +84,6 @@ class QueueModel
     /** @} */
 
   private:
-    const GlobalProgress* progress_;
     cycle_t outlierWindow_;
     cycle_t maxBacklog_;
     stat_t saturations_ = 0;

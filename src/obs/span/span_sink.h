@@ -61,7 +61,8 @@ class SpanSink
          *  the largest value it returns; null = every distance 0. */
         std::function<int(tile_id_t, tile_id_t)> hops;
         int maxHops = 0;
-        /** Global-progress estimate used to stamp per-span skew;
+        /** Global-progress estimate used to stamp per-span skew. It
+         *  runs under the reservoir lock, so it must take no lock;
          *  null = skew 0. */
         std::function<cycle_t()> progress;
         /** spans.jsonl destination; empty = aggregates and stats only. */

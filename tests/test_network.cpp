@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/config.h"
 #include "common/log.h"
@@ -29,10 +32,10 @@ namespace
 TEST(GlobalProgress, AveragesWindow)
 {
     GlobalProgress gp(4);
-    EXPECT_EQ(gp.estimate(), 0u);
-    gp.observe(100);
-    gp.observe(200);
-    EXPECT_EQ(gp.estimate(), 150u);
+    EXPECT_EQ(gp.current(), std::nullopt);
+    EXPECT_EQ(gp.observe(100), 100u);
+    EXPECT_EQ(gp.observe(200), 150u);
+    EXPECT_EQ(gp.current(), 150u);
     EXPECT_EQ(gp.samples(), 2u);
 }
 
@@ -42,7 +45,7 @@ TEST(GlobalProgress, OldSamplesAgeOut)
     gp.observe(10);
     gp.observe(20);
     gp.observe(30); // evicts 10
-    EXPECT_EQ(gp.estimate(), 25u);
+    EXPECT_EQ(gp.current(), 25u);
     EXPECT_EQ(gp.samples(), 2u);
 }
 
@@ -54,14 +57,56 @@ TEST(GlobalProgress, LargeWindowResistsOutliers)
     for (int i = 0; i < 99; ++i)
         gp.observe(1000);
     gp.observe(1000000); // one outlier
-    EXPECT_LT(gp.estimate(), 12000u);
+    EXPECT_LT(*gp.current(), 12000u);
+}
+
+TEST(GlobalProgress, ConcurrentObserversPublishAWindowAverage)
+{
+    // Each writer observes one constant stamp, so every window average
+    // lies within [100, 400]; readers load the published value without
+    // the lock and must never see anything else.
+    constexpr size_t WINDOW = 16;
+    constexpr int WRITES = 20000;
+    GlobalProgress gp(WINDOW);
+    std::atomic<int> writersLeft{4};
+    std::atomic<bool> bad{false};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 4; ++w) {
+        threads.emplace_back([&, w] {
+            const cycle_t stamp = 100 * static_cast<cycle_t>(w + 1);
+            for (int i = 0; i < WRITES; ++i) {
+                cycle_t est = gp.observe(stamp);
+                if (est < 100 || est > 400)
+                    bad = true;
+            }
+            writersLeft.fetch_sub(1);
+        });
+    }
+    for (int r = 0; r < 2; ++r) {
+        threads.emplace_back([&] {
+            while (writersLeft.load() > 0) {
+                std::optional<cycle_t> est = gp.current();
+                if (est && (*est < 100 || *est > 400))
+                    bad = true;
+                if (gp.samples() > WINDOW)
+                    bad = true;
+            }
+        });
+    }
+    for (std::thread& t : threads)
+        t.join();
+    EXPECT_FALSE(bad.load());
+    EXPECT_EQ(gp.samples(), WINDOW);
+    ASSERT_TRUE(gp.current().has_value());
+    EXPECT_GE(*gp.current(), 100u);
+    EXPECT_LE(*gp.current(), 400u);
 }
 
 // -------------------------------------------------------------- QueueModel
 
 TEST(QueueModel, NoDelayWhenIdle)
 {
-    QueueModel q(nullptr);
+    QueueModel q;
     EXPECT_EQ(q.enqueue(100, 10), 0u);
     EXPECT_EQ(q.queueClock(), 110u);
 }
@@ -70,7 +115,7 @@ TEST(QueueModel, BackToBackPacketsQueue)
 {
     // Paper §3.6.1: delay is the difference between the queue clock and
     // the arrival; the queue clock advances by the processing time.
-    QueueModel q(nullptr);
+    QueueModel q;
     EXPECT_EQ(q.enqueue(100, 10), 0u);
     EXPECT_EQ(q.enqueue(100, 10), 10u);
     EXPECT_EQ(q.enqueue(100, 10), 20u);
@@ -80,7 +125,7 @@ TEST(QueueModel, BackToBackPacketsQueue)
 
 TEST(QueueModel, IdleGapDrainsQueue)
 {
-    QueueModel q(nullptr);
+    QueueModel q;
     q.enqueue(0, 10);
     EXPECT_EQ(q.enqueue(1000, 10), 0u); // long gap: no backlog
 }
@@ -90,9 +135,9 @@ TEST(QueueModel, OutlierArrivalsClampToProgress)
     GlobalProgress gp(4);
     gp.observe(1000000);
     gp.observe(1000000);
-    QueueModel q(&gp, /*outlier_window=*/1000);
+    QueueModel q(/*outlier_window=*/1000);
     // Arrival absurdly in the past is clamped near the estimate.
-    q.enqueue(5, 10);
+    q.enqueue(5, 10, gp.current());
     EXPECT_GE(q.queueClock(), 999000u);
     // The clamped arrival found the queue idle; it still counts.
     EXPECT_EQ(q.clampedArrivals(), 1u);
@@ -102,7 +147,7 @@ TEST(QueueModel, BacklogIsBounded)
 {
     // Finite-buffer back-pressure: a dense burst cannot grow the delay
     // without bound (the saturation-spiral guard).
-    QueueModel q(nullptr, 100000, /*max_backlog=*/500);
+    QueueModel q(100000, /*max_backlog=*/500);
     for (int i = 0; i < 1000; ++i)
         q.enqueue(0, 100);
     EXPECT_LE(q.enqueue(0, 100), 600u);
@@ -114,8 +159,8 @@ TEST(QueueModel, EmptyHistoryWindowTrustsArrivals)
     // A progress estimator with no samples yet must not clamp: before
     // any thread reports, the raw arrival timestamp is the only truth.
     GlobalProgress gp(4);
-    QueueModel q(&gp, /*outlier_window=*/10);
-    EXPECT_EQ(q.enqueue(5000000, 10), 0u);
+    QueueModel q(/*outlier_window=*/10);
+    EXPECT_EQ(q.enqueue(5000000, 10, gp.current()), 0u);
     EXPECT_EQ(q.queueClock(), 5000010u);
     EXPECT_EQ(q.clampedArrivals(), 0u);
 }
@@ -126,7 +171,7 @@ TEST(QueueModel, CycleWraparoundSaturates)
     // the backlog bound must saturate instead of wrapping to small
     // values (which would read as a huge spurious backlog or none).
     const cycle_t NEAR_MAX = ~cycle_t{0} - 50;
-    QueueModel q(nullptr, 100000, 10000);
+    QueueModel q(100000, 10000);
     EXPECT_EQ(q.enqueue(NEAR_MAX, 200), 0u);
     EXPECT_EQ(q.queueClock(), ~cycle_t{0});
     // A later arrival sees a small, sane delay, not wrapped garbage.
@@ -139,10 +184,10 @@ TEST(QueueModel, WraparoundProgressEstimateSaturatesClampWindow)
     GlobalProgress gp(2);
     gp.observe(~cycle_t{0} - 5);
     gp.observe(~cycle_t{0} - 5);
-    QueueModel q(&gp, /*outlier_window=*/1000);
+    QueueModel q(/*outlier_window=*/1000);
     // hi = estimate + window saturates; an arrival at the very top is
     // inside the window and must pass through unclamped.
-    q.enqueue(~cycle_t{0} - 2, 1);
+    q.enqueue(~cycle_t{0} - 2, 1, gp.current());
     EXPECT_EQ(q.clampedArrivals(), 0u);
 }
 
@@ -174,8 +219,9 @@ TEST(MeshShape, XYRouteLengthMatchesHops)
     MeshShape m(16);
     for (tile_id_t s = 0; s < 16; ++s) {
         for (tile_id_t d = 0; d < 16; ++d) {
-            EXPECT_EQ(static_cast<int>(m.route(s, d).size()),
-                      m.hops(s, d));
+            int links = 0;
+            m.forEachLink(s, d, [&links](int) { ++links; });
+            EXPECT_EQ(links, m.hops(s, d));
         }
     }
 }
@@ -184,7 +230,7 @@ TEST(MeshShape, XYRouteLengthMatchesHops)
 
 TEST(NetworkModel, MagicIsFree)
 {
-    MagicNetworkModel magic;
+    MagicNetworkModel magic(16);
     EXPECT_EQ(magic.computeLatency(0, 5, 100, 42).total, 0u);
     EXPECT_EQ(magic.packetsRouted(), 1u);
 }
@@ -403,6 +449,85 @@ TEST(NetworkFabric, AccountsLocalityAndMatrix)
     EXPECT_EQ(fabric.pairMessages(0, 2), 1u);
     EXPECT_EQ(fabric.pairBytes(0, 1), 80u);
     EXPECT_EQ(fabric.pairMessages(1, 0), 0u);
+}
+
+TEST(NetworkFabric, StripedCountersSumExactly)
+{
+    // Four threads model memory messages from their own tile to every
+    // other: the per-tile stripes must sum to exact totals.
+    Config cfg = defaultTargetConfig();
+    ClusterTopology topo(8, 2);
+    NetworkFabric fabric(topo, cfg);
+    constexpr int THREADS = 4;
+    constexpr int MESSAGES = 5000;
+    constexpr size_t BYTES = 72;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < THREADS; ++t) {
+        threads.emplace_back([&fabric, t] {
+            for (int i = 0; i < MESSAGES; ++i) {
+                auto dst = static_cast<tile_id_t>(i % 8);
+                fabric.model(PacketType::Memory, t, dst, BYTES,
+                             static_cast<cycle_t>(i));
+            }
+        });
+    }
+    for (std::thread& th : threads)
+        th.join();
+
+    const stat_t total = THREADS * MESSAGES;
+    const NetworkModel& model = fabric.modelFor(PacketType::Memory);
+    EXPECT_EQ(model.packetsRouted(), total);
+    EXPECT_EQ(model.bytesRouted(), total * BYTES);
+    EXPECT_EQ(fabric.intraProcessMessages(PacketType::Memory) +
+                  fabric.interProcessMessages(PacketType::Memory),
+              total);
+    EXPECT_EQ(fabric.intraProcessBytes(PacketType::Memory) +
+                  fabric.interProcessBytes(PacketType::Memory),
+              total * BYTES);
+    stat_t pair_msgs = 0, pair_bytes = 0;
+    for (tile_id_t s = 0; s < 8; ++s) {
+        for (tile_id_t d = 0; d < 8; ++d) {
+            pair_msgs += fabric.pairMessages(s, d);
+            pair_bytes += fabric.pairBytes(s, d);
+        }
+    }
+    EXPECT_EQ(pair_msgs, total);
+    EXPECT_EQ(pair_bytes, total * BYTES);
+    EXPECT_EQ(fabric.modelFor(PacketType::App).packetsRouted(), 0u);
+}
+
+TEST(NetworkFabric, SnapshotRestoresStripeSums)
+{
+    // Save writes the sums over the stripes; a restore puts them in one
+    // stripe, so every total reads the same afterwards.
+    Config cfg = defaultTargetConfig();
+    ClusterTopology topo(4, 2);
+    NetworkFabric fabric(topo, cfg);
+    for (tile_id_t s = 0; s < 4; ++s)
+        for (tile_id_t d = 0; d < 4; ++d)
+            fabric.model(PacketType::Memory, s, d, 16 + 8 * d, 10 * s);
+    snapshot::SnapshotWriter w;
+    fabric.saveState(w);
+    std::vector<std::uint8_t> blob = w.finish();
+
+    NetworkFabric restored(topo, cfg);
+    restored.model(PacketType::Memory, 3, 1, 999, 5); // overwritten
+    snapshot::SnapshotReader r(blob);
+    restored.loadState(r);
+    const NetworkModel& a = fabric.modelFor(PacketType::Memory);
+    const NetworkModel& b = restored.modelFor(PacketType::Memory);
+    EXPECT_EQ(b.packetsRouted(), a.packetsRouted());
+    EXPECT_EQ(b.bytesRouted(), a.bytesRouted());
+    EXPECT_EQ(b.totalLatency(), a.totalLatency());
+    EXPECT_EQ(b.totalHops(), a.totalHops());
+    EXPECT_EQ(restored.intraProcessMessages(PacketType::Memory),
+              fabric.intraProcessMessages(PacketType::Memory));
+    EXPECT_EQ(restored.interProcessBytes(PacketType::Memory),
+              fabric.interProcessBytes(PacketType::Memory));
+
+    snapshot::SnapshotWriter again;
+    restored.saveState(again);
+    EXPECT_EQ(again.finish(), blob);
 }
 
 TEST(Network, SendRecvAcrossEndpoints)
