@@ -179,14 +179,7 @@ NetworkFabric::loadState(snapshot::SnapshotReader& r)
     }
     // The saved sums land in stripe 0 and the other stripes restart
     // empty, so every sum reads what was saved.
-    for (LocalityStripe& s : locality_) {
-        for (LocalityCounters& c : s.byType) {
-            c.intraMsgs.store(0, std::memory_order_relaxed);
-            c.interMsgs.store(0, std::memory_order_relaxed);
-            c.intraBytes.store(0, std::memory_order_relaxed);
-            c.interBytes.store(0, std::memory_order_relaxed);
-        }
-    }
+    locality_ = std::vector<LocalityStripe>(locality_.size());
     for (LocalityCounters& c : locality_.front().byType) {
         c.intraMsgs.store(r.u64(), std::memory_order_relaxed);
         c.interMsgs.store(r.u64(), std::memory_order_relaxed);

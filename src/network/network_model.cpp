@@ -154,12 +154,7 @@ NetworkModel::loadState(snapshot::SnapshotReader& r)
 {
     // The saved sums land in stripe 0 and the other stripes restart
     // empty, so every sum reads what was saved.
-    for (Stripe& s : stripes_) {
-        s.packets.store(0, std::memory_order_relaxed);
-        s.bytes.store(0, std::memory_order_relaxed);
-        s.latency.store(0, std::memory_order_relaxed);
-        s.hops.store(0, std::memory_order_relaxed);
-    }
+    stripes_ = std::vector<Stripe>(stripes_.size());
     Stripe& first = stripes_.front();
     first.packets.store(r.u64(), std::memory_order_relaxed);
     first.bytes.store(r.u64(), std::memory_order_relaxed);
