@@ -3,7 +3,7 @@
  * Host-thread contention microbenchmark for the memory-system engine's
  * two-level tile/shard locking on an L1-hit-dominated workload — the
  * case the paper's per-home-tile MME servers make embarrassingly
- * parallel.
+ * parallel — and on a miss path through the network and DRAM models.
  *
  * Two metrics per (lockdep, threads) point:
  *
@@ -27,6 +27,16 @@
  * on every access for all of them (a process-wide counter or
  * histogram) shows up as lost scaling: l1_hit_scaling_4t is the armed
  * serialized throughput at 4 threads over 1 thread, ideally 4.
+ *
+ * The miss rows (armed, 1 and 4 threads) make every access miss the L1
+ * and the L2: each thread cycles through one more line than the L2 has
+ * ways, all in one set and homed at a tile no other thread uses. An
+ * access then runs a request leg and a reply leg through the contention
+ * mesh and a DRAM fetch at the home. The threads share no line, tile
+ * lock or shard lock; what they still share is the network model (its
+ * global-progress estimate, the mesh links their routes cross and its
+ * counters). miss_scaling_4t is the armed serialized throughput at 4
+ * threads over 1 on this path. It is reported, not gated.
  *
  * Emits BENCH_mem_contention.json; the criterion is
  * l1_hit_scaling_4t >= 2.5 && lockdep_overhead_8t <= 1.25. Only full
@@ -62,6 +72,21 @@ namespace
 constexpr int TILES = 8;
 constexpr addr_t BASE = 0x1000'0000;
 constexpr int LINES_PER_THREAD = 64; // fits every L1
+/** Miss-path threads use tiles 0-3 and homes 4-7. */
+constexpr int MISS_MAX_THREADS = TILES / 2;
+
+/** What every measured access does. */
+enum class Path
+{
+    L1Hit, ///< re-reads one of the thread's private lines, held in L1
+    Miss,  ///< misses L1 and L2: request leg, DRAM fetch, reply leg
+};
+
+const char*
+pathName(Path p)
+{
+    return p == Path::L1Hit ? "l1_hit" : "miss";
+}
 
 /** CPU time consumed by the calling thread, in seconds. */
 double
@@ -75,6 +100,7 @@ threadCpuSeconds()
 
 struct RunResult
 {
+    Path path = Path::L1Hit;
     std::string lockdepMode; // "off" | "armed"
     int threads = 0;
     std::uint64_t totalOps = 0;
@@ -83,6 +109,8 @@ struct RunResult
     double cpuMaxSeconds = 0.0;
     stat_t shardContended = 0;
     stat_t tileContended = 0;
+    /** Measured miss-path accesses that hit the L1 or the L2. */
+    stat_t hits = 0;
 
     double wallThroughput() const { return totalOps / wallSeconds; }
     /** Throughput bound set by the slowest thread's CPU time. */
@@ -93,7 +121,7 @@ struct RunResult
 };
 
 RunResult
-runConfig(bool lockdep_armed, int threads, std::uint64_t ops)
+runConfig(Path path, bool lockdep_armed, int threads, std::uint64_t ops)
 {
     lockdep::setMode(lockdep_armed ? lockdep::Mode::Enforce
                                    : lockdep::Mode::Off);
@@ -103,20 +131,43 @@ runConfig(bool lockdep_armed, int threads, std::uint64_t ops)
     NetworkFabric fabric(topo, cfg);
     MemorySystem mem(topo, fabric, cfg);
 
-    // Warm-up: install every thread's private lines (L1 Shared copies),
-    // so the measured loop is pure L1 read hits.
+    // Access `it` of thread i (on tile i). L1 hit: one of 64 private
+    // lines. Miss: one of ways + 1 lines that share an L2 set, so LRU
+    // evicts each before its reuse, all homed at tile i + TILES/2.
+    const addr_t line = mem.lineSize();
+    const addr_t l2_sets = mem.l2(0).numSets();
+    const std::uint64_t miss_lines = mem.l2(0).associativity() + 1;
+    if (path == Path::Miss &&
+        (threads > MISS_MAX_THREADS || l2_sets % TILES != 0 ||
+         BASE / line % l2_sets != 0)) {
+        std::fprintf(stderr, "miss path: the line layout does not fit "
+                             "this cache geometry\n");
+        std::exit(2);
+    }
+    auto address = [&](int i, std::uint64_t it) -> addr_t {
+        if (path == Path::L1Hit)
+            return BASE + static_cast<addr_t>(i) * 0x10000 +
+                   (it % LINES_PER_THREAD) * line;
+        addr_t home = static_cast<addr_t>(i + MISS_MAX_THREADS);
+        return BASE + (home + (it % miss_lines) * l2_sets) * line;
+    };
+
+    // Warm-up: one pass over every thread's lines, so the L1-hit loop
+    // is pure L1 read hits and the miss loop starts from a full set.
+    const std::uint64_t warm =
+        path == Path::L1Hit ? LINES_PER_THREAD : miss_lines;
     for (int i = 0; i < threads; ++i) {
-        for (int l = 0; l < LINES_PER_THREAD; ++l) {
-            addr_t addr = BASE + static_cast<addr_t>(i) * 0x10000 +
-                          static_cast<addr_t>(l) * mem.lineSize();
+        for (std::uint64_t it = 0; it < warm; ++it) {
             std::uint64_t v = 0;
-            mem.access(i % TILES, MemAccessType::Read, addr, &v, 8, 0);
+            mem.access(i % TILES, MemAccessType::Read, address(i, it), &v,
+                       8, 0);
         }
     }
 
     std::atomic<bool> go{false};
     std::atomic<int> ready{0};
     std::vector<double> cpu(threads, 0.0);
+    std::vector<stat_t> hits(threads, 0);
     std::vector<std::thread> workers;
     workers.reserve(threads);
     for (int i = 0; i < threads; ++i) {
@@ -126,12 +177,18 @@ runConfig(bool lockdep_armed, int threads, std::uint64_t ops)
             }
             double t0 = threadCpuSeconds();
             std::uint64_t v = 0;
+            // The miss loop advances a local clock by each latency, so
+            // its stamps move like a running thread's.
+            cycle_t now = 0;
             for (std::uint64_t it = 0; it < ops; ++it) {
-                addr_t addr =
-                    BASE + static_cast<addr_t>(i) * 0x10000 +
-                    (it % LINES_PER_THREAD) * mem.lineSize();
-                mem.access(i % TILES, MemAccessType::Read, addr, &v, 8,
-                           static_cast<cycle_t>(it));
+                cycle_t stamp =
+                    path == Path::L1Hit ? static_cast<cycle_t>(it) : now;
+                AccessResult res =
+                    mem.access(i % TILES, MemAccessType::Read,
+                               address(i, it), &v, 8, stamp);
+                now += res.latency;
+                if (path == Path::Miss && (res.l1Hit || res.l2Hit))
+                    ++hits[i];
             }
             cpu[i] = threadCpuSeconds() - t0;
         });
@@ -145,6 +202,7 @@ runConfig(bool lockdep_armed, int threads, std::uint64_t ops)
     auto w1 = std::chrono::steady_clock::now();
 
     RunResult r;
+    r.path = path;
     r.lockdepMode = lockdep_armed ? "armed" : "off";
     r.threads = threads;
     r.totalOps = ops * static_cast<std::uint64_t>(threads);
@@ -153,6 +211,8 @@ runConfig(bool lockdep_armed, int threads, std::uint64_t ops)
         r.cpuSumSeconds += c;
         r.cpuMaxSeconds = std::max(r.cpuMaxSeconds, c);
     }
+    for (stat_t h : hits)
+        r.hits += h;
     StatsRegistry stats;
     mem.registerStats(stats);
     r.shardContended = stats.get("mem.shard_lock.contended");
@@ -191,23 +251,27 @@ main()
     using namespace graphite;
 
     std::uint64_t ops = fastMode() ? 100'000 : 1'000'000;
+    // A miss costs tens of L1 hits; fewer ops keep the rows short.
+    std::uint64_t miss_ops = ops / 10;
     const int thread_counts[] = {1, 2, 4, 8};
 
     std::printf("=== micro_lock_contention ===\n");
     std::printf(
         "Engine-lock scaling: tile/shard locking on an L1-hit "
-        "workload.\nHost CPUs: %u (serialized throughput is the "
+        "workload and on a miss path.\nHost CPUs: %u (serialized throughput is the "
         "host-independent lock-structure bound).\n\n",
         std::thread::hardware_concurrency());
 
     std::vector<RunResult> results;
     for (bool armed : {false, true})
         for (int t : thread_counts)
-            results.push_back(runConfig(armed, t, ops));
+            results.push_back(runConfig(Path::L1Hit, armed, t, ops));
+    for (int t : {1, MISS_MAX_THREADS})
+        results.push_back(runConfig(Path::Miss, true, t, miss_ops));
     lockdep::setMode(lockdep::Mode::Enforce);
 
     TextTable table;
-    table.header({"lockdep", "threads", "ops", "wall Mops/s",
+    table.header({"path", "lockdep", "threads", "ops", "wall Mops/s",
                   "serialized Mops/s", "shard cont", "tile cont"});
     for (const RunResult& r : results) {
         char wall[32], ser[32];
@@ -215,31 +279,50 @@ main()
                       r.wallThroughput() / 1e6);
         std::snprintf(ser, sizeof ser, "%.2f",
                       r.serializedThroughput() / 1e6);
-        table.row({r.lockdepMode, std::to_string(r.threads),
+        table.row({pathName(r.path), r.lockdepMode,
+                   std::to_string(r.threads),
                    std::to_string(r.totalOps), wall, ser,
                    std::to_string(r.shardContended),
                    std::to_string(r.tileContended)});
     }
     std::printf("%s\n", table.render().c_str());
 
-    auto find = [&](const std::string& ld, int t) -> const RunResult& {
+    auto find = [&](Path p, const std::string& ld,
+                    int t) -> const RunResult& {
         for (const RunResult& r : results)
-            if (r.lockdepMode == ld && r.threads == t)
+            if (r.path == p && r.lockdepMode == ld && r.threads == t)
                 return r;
         std::abort();
     };
+    for (const RunResult& r : results) {
+        if (r.hits != 0) {
+            std::fprintf(stderr,
+                         "miss path: %llu measured accesses hit a cache\n",
+                         static_cast<unsigned long long>(r.hits));
+            return 2;
+        }
+    }
     // Lockdep tax: off vs enforcing at 8 threads.
-    double ld_overhead = find("off", 8).serializedThroughput() /
-                         find("armed", 8).serializedThroughput();
+    double ld_overhead =
+        find(Path::L1Hit, "off", 8).serializedThroughput() /
+        find(Path::L1Hit, "armed", 8).serializedThroughput();
     std::printf("lockdep-armed overhead at 8 threads: %.3fx "
                 "(criterion: <= 1.25x)\n",
                 ld_overhead);
     // Shared-nothing hot path: armed serialized throughput, 4 over 1.
-    double scaling_4t = find("armed", 4).serializedThroughput() /
-                        find("armed", 1).serializedThroughput();
+    double scaling_4t =
+        find(Path::L1Hit, "armed", 4).serializedThroughput() /
+        find(Path::L1Hit, "armed", 1).serializedThroughput();
     std::printf("L1-hit scaling, 4 threads over 1 (armed): %.3fx "
                 "(criterion: >= 2.5x)\n",
                 scaling_4t);
+    // The miss path through the network and DRAM models, 4 over 1.
+    double miss_scaling_4t =
+        find(Path::Miss, "armed", MISS_MAX_THREADS).serializedThroughput() /
+        find(Path::Miss, "armed", 1).serializedThroughput();
+    std::printf("miss scaling, 4 threads over 1 (armed): %.3fx "
+                "(reported, not gated)\n",
+                miss_scaling_4t);
 
     // Raw wrapper reference: uncontended lock/unlock cost.
     const std::uint64_t wrap_iters = fastMode() ? 200'000 : 2'000'000;
@@ -261,7 +344,8 @@ main()
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"benchmark\": \"micro_lock_contention\",\n");
-    std::fprintf(f, "  \"workload\": \"l1_hit_private_lines\",\n");
+    std::fprintf(f, "  \"workload\": \"l1_hit_private_lines, "
+                    "miss_private_homes\",\n");
     std::fprintf(f, "  \"host_cpus\": %u,\n",
                  std::thread::hardware_concurrency());
     std::fprintf(
@@ -274,13 +358,13 @@ main()
         const RunResult& r = results[i];
         std::fprintf(
             f,
-            "    {\"lockdep\": \"%s\", "
+            "    {\"path\": \"%s\", \"lockdep\": \"%s\", "
             "\"threads\": %d, \"ops\": %llu, "
             "\"wall_s\": %.6f, \"cpu_sum_s\": %.6f, \"cpu_max_s\": "
             "%.6f, \"wall_mops\": %.3f, \"serialized_mops\": %.3f, "
             "\"shard_lock_contended\": %llu, "
             "\"tile_lock_contended\": %llu}%s\n",
-            r.lockdepMode.c_str(), r.threads,
+            pathName(r.path), r.lockdepMode.c_str(), r.threads,
             static_cast<unsigned long long>(r.totalOps), r.wallSeconds,
             r.cpuSumSeconds, r.cpuMaxSeconds,
             r.wallThroughput() / 1e6, r.serializedThroughput() / 1e6,
@@ -302,6 +386,12 @@ main()
                  "4 threads over 1 thread; 4.0 when threads share "
                  "nothing\",\n");
     std::fprintf(f, "  \"l1_hit_scaling_4t\": %.3f,\n", scaling_4t);
+    std::fprintf(f,
+                 "  \"miss_scaling_note\": \"armed serialized_mops at "
+                 "4 threads over 1 thread when every access misses the "
+                 "L2 and runs through the mesh and DRAM models; threads "
+                 "share only the network model\",\n");
+    std::fprintf(f, "  \"miss_scaling_4t\": %.3f,\n", miss_scaling_4t);
     std::fprintf(f,
                  "  \"uncontended_lock_unlock_ns\": {\"std_mutex\": "
                  "%.2f, \"ordered_mutex_off\": %.2f, "

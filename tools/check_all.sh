@@ -56,8 +56,9 @@ step "overhead and scaling benchmarks (armed-vs-off budgets, L1-hit scaling, fas
 (cd "$BUILD" && GRAPHITE_BENCH_FAST=1 \
     ./bench/micro_observer_overhead accuracy span race >/dev/null)
 # The L1-hit scaling gate (4 threads over 1 on private lines) runs at
-# full size, about 2 s: fast mode's short loops hide the cost of a
-# counter that every thread writes on every access.
+# full size, about 3 s with the reported miss-path rows: fast mode's
+# short loops hide the cost of a counter that every thread writes on
+# every access.
 (cd "$BUILD" && ./bench/micro_lock_contention >/dev/null)
 # The fast-forward gate (ff_speedup >= 5) also runs at full size, about
 # 3 s: fast mode's shorter warmup leaves it too little margin on a
