@@ -258,8 +258,8 @@ main()
     std::printf("=== micro_lock_contention ===\n");
     std::printf(
         "Engine-lock scaling: tile/shard locking on an L1-hit "
-        "workload and on a miss path.\nHost CPUs: %u (serialized throughput is the "
-        "host-independent lock-structure bound).\n\n",
+        "workload and on a miss path.\nHost CPUs: %u (serialized "
+        "throughput is the host-independent lock-structure bound).\n\n",
         std::thread::hardware_concurrency());
 
     std::vector<RunResult> results;

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
