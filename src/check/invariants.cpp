@@ -49,28 +49,27 @@ checkConservation(Simulator& sim)
                              "aggregate {}",
                              l2_misses, agg_l2));
 
-    // Every packet the fabric timed was classified as exactly one of
-    // intra-/inter-process, and its bytes likewise.
+    // The traffic matrix records every App and Memory packet the fabric
+    // timed, so its sums equal those two models' routed totals.
     const NetworkFabric& fabric = sim.fabric();
-    auto net_check = [&](PacketType type, const char* tag) {
-        stat_t routed = fabric.modelFor(type).packetsRouted();
-        stat_t split = fabric.intraProcessMessages(type) +
-                       fabric.interProcessMessages(type);
-        if (routed != split)
-            out.push_back(strfmt("network {}: routed {} packets but "
-                                 "locality counters sum to {}",
-                                 tag, routed, split));
-        stat_t bytes = fabric.modelFor(type).bytesRouted();
-        stat_t byte_split = fabric.intraProcessBytes(type) +
-                            fabric.interProcessBytes(type);
-        if (bytes != byte_split)
-            out.push_back(strfmt("network {}: routed {} bytes but "
-                                 "locality counters sum to {}",
-                                 tag, bytes, byte_split));
-    };
-    net_check(PacketType::App, "app");
-    net_check(PacketType::Memory, "memory");
-    net_check(PacketType::System, "system");
+    stat_t matrix_msgs = 0, matrix_bytes = 0;
+    for (tile_id_t src = 0; src < sim.totalTiles(); ++src)
+        for (tile_id_t dst = 0; dst < sim.totalTiles(); ++dst) {
+            matrix_msgs += fabric.pairMessages(src, dst);
+            matrix_bytes += fabric.pairBytes(src, dst);
+        }
+    const NetworkModel& app = fabric.modelFor(PacketType::App);
+    const NetworkModel& memory = fabric.modelFor(PacketType::Memory);
+    stat_t routed = app.packetsRouted() + memory.packetsRouted();
+    stat_t routed_bytes = app.bytesRouted() + memory.bytesRouted();
+    if (matrix_msgs != routed)
+        out.push_back(strfmt("network: app and memory models routed {} "
+                             "packets but the traffic matrix sums to {}",
+                             routed, matrix_msgs));
+    if (matrix_bytes != routed_bytes)
+        out.push_back(strfmt("network: app and memory models routed {} "
+                             "bytes but the traffic matrix sums to {}",
+                             routed_bytes, matrix_bytes));
 
     // The fuzz program frees every allocation it makes, so nothing may
     // be live at quiescence (bytesAllocated() is cumulative; the live

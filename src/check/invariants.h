@@ -6,7 +6,8 @@
  * Conservation checks run at quiescence (after Simulator::run returns):
  *  - coherence SWMR / inclusion / data agreement (validateCoherence)
  *  - per-tile counter sums equal the registered mem.* aggregates
- *  - network locality counters equal per-model routed packet/byte totals
+ *  - the traffic matrix's message/byte sums equal the App and Memory
+ *    models' routed packet/byte totals
  *  - target heap fully released (the fuzz program frees everything)
  *
  * The ClockWatcher samples every tile's clock from a host thread while

@@ -24,9 +24,6 @@ using thread_id_t = std::int32_t;
 /** Identifier of a simulated host process. */
 using proc_id_t = std::int32_t;
 
-/** Identifier of a simulated host machine. */
-using machine_id_t = std::int32_t;
-
 /** Simulated time in target clock cycles. */
 using cycle_t = std::uint64_t;
 

@@ -54,9 +54,7 @@ Simulator::Simulator(Config cfg)
     : cfg_(std::move(cfg)),
       topo_(static_cast<tile_id_t>(cfg_.getInt("general/total_tiles")),
             static_cast<proc_id_t>(
-                cfg_.getInt("general/num_processes", 1)),
-            static_cast<int>(
-                cfg_.getInt("host/processes_per_machine", 1))),
+                cfg_.getInt("general/num_processes", 1))),
       transport_(topo_)
 {
     configureProcessWide(cfg_);

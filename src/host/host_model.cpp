@@ -120,6 +120,10 @@ HostModel::estimate(const SimulationProfile& prof, int machines,
 {
     if (machines <= 0)
         fatal("host model: machines must be positive (got {})", machines);
+    if (costs_.procsPerMachine <= 0)
+        fatal("host model: host/processes_per_machine must be positive "
+              "(got {})",
+              costs_.procsPerMachine);
     const int cores = cores_per_machine > 0 ? cores_per_machine
                                             : costs_.coresPerMachine;
     const int P = machines * costs_.procsPerMachine;

@@ -38,7 +38,6 @@ NetworkFabric::NetworkFabric(const ClusterTopology& topo,
       progress_(std::max<size_t>(
           cfg.getInt("network/queue_model_window", 64),
           static_cast<size_t>(topo.totalTiles()))),
-      locality_(static_cast<size_t>(topo.totalTiles())),
       msgMatrix_(static_cast<size_t>(topo.totalTiles()) * topo.totalTiles()),
       byteMatrix_(msgMatrix_.size())
 {
@@ -63,15 +62,6 @@ NetworkFabric::model(PacketType type, tile_id_t src, tile_id_t dst,
         msgMatrix_[idx].fetch_add(1, std::memory_order_relaxed);
         byteMatrix_[idx].fetch_add(bytes, std::memory_order_relaxed);
     }
-    LocalityCounters& ctr =
-        locality_[static_cast<size_t>(src)].byType[static_cast<int>(type)];
-    if (topo_.sameProcess(src, dst)) {
-        ctr.intraMsgs.fetch_add(1, std::memory_order_relaxed);
-        ctr.intraBytes.fetch_add(bytes, std::memory_order_relaxed);
-    } else {
-        ctr.interMsgs.fetch_add(1, std::memory_order_relaxed);
-        ctr.interBytes.fetch_add(bytes, std::memory_order_relaxed);
-    }
     return modelFor(type).computeLatency(src, dst, bytes, send_time);
 }
 
@@ -89,41 +79,6 @@ NetworkFabric::modelFor(PacketType type) const
     int idx = static_cast<int>(type);
     GRAPHITE_ASSERT(idx >= 0 && idx < NUM_PACKET_TYPES);
     return *models_[idx];
-}
-
-stat_t
-NetworkFabric::localitySum(PacketType type,
-                           atomic_stat_t LocalityCounters::*field) const
-{
-    stat_t total = 0;
-    for (const LocalityStripe& s : locality_)
-        total += (s.byType[static_cast<int>(type)].*field)
-                     .load(std::memory_order_relaxed);
-    return total;
-}
-
-stat_t
-NetworkFabric::intraProcessMessages(PacketType type) const
-{
-    return localitySum(type, &LocalityCounters::intraMsgs);
-}
-
-stat_t
-NetworkFabric::interProcessMessages(PacketType type) const
-{
-    return localitySum(type, &LocalityCounters::interMsgs);
-}
-
-stat_t
-NetworkFabric::intraProcessBytes(PacketType type) const
-{
-    return localitySum(type, &LocalityCounters::intraBytes);
-}
-
-stat_t
-NetworkFabric::interProcessBytes(PacketType type) const
-{
-    return localitySum(type, &LocalityCounters::interBytes);
 }
 
 stat_t
@@ -150,13 +105,6 @@ NetworkFabric::saveState(snapshot::SnapshotWriter& w) const
         w.str(model->name());
         model->saveState(w);
     }
-    for (int t = 0; t < NUM_PACKET_TYPES; ++t) {
-        auto type = static_cast<PacketType>(t);
-        w.u64(intraProcessMessages(type));
-        w.u64(interProcessMessages(type));
-        w.u64(intraProcessBytes(type));
-        w.u64(interProcessBytes(type));
-    }
     w.u64(static_cast<std::uint64_t>(msgMatrix_.size()));
     for (const auto& v : msgMatrix_)
         w.u64(v.load(std::memory_order_relaxed));
@@ -176,15 +124,6 @@ NetworkFabric::loadState(snapshot::SnapshotReader& r)
                        "'{}', configured '{}')",
                        name, model->name()));
         model->loadState(r);
-    }
-    // The saved sums land in stripe 0 and the other stripes restart
-    // empty, so every sum reads what was saved.
-    locality_ = std::vector<LocalityStripe>(locality_.size());
-    for (LocalityCounters& c : locality_.front().byType) {
-        c.intraMsgs.store(r.u64(), std::memory_order_relaxed);
-        c.interMsgs.store(r.u64(), std::memory_order_relaxed);
-        c.intraBytes.store(r.u64(), std::memory_order_relaxed);
-        c.interBytes.store(r.u64(), std::memory_order_relaxed);
     }
     std::uint64_t matrix = r.u64();
     if (matrix != msgMatrix_.size())

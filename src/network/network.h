@@ -9,9 +9,10 @@
  *
  * Functionality/modeling split:
  *  - NetworkFabric owns one NetworkModel per packet type (selected by
- *    config), the global-progress estimator, and traffic accounting used
- *    by the host model. Timing for *any* message — whether or not it is
- *    physically transported — goes through NetworkFabric::model().
+ *    config), the global-progress estimator, and the tile-pair traffic
+ *    matrix read by the host model. Timing for *any* message — whether
+ *    or not it is physically transported — goes through
+ *    NetworkFabric::model().
  *  - Network is a tile's endpoint: it physically sends/receives packets
  *    over the transport, which keeps one FIFO per packet type.
  *    "Regardless of the time-stamp of a packet, the network forwards
@@ -44,7 +45,7 @@ class SnapshotReader;
 
 /**
  * Simulation-wide network state: the swappable models and the traffic
- * accounting consumed by the host cluster model.
+ * matrix consumed by the host cluster model.
  */
 class NetworkFabric
 {
@@ -87,13 +88,6 @@ class NetworkFabric
     GlobalProgress& progress() { return progress_; }
     const ClusterTopology& topology() const { return topo_; }
 
-    /** @name Locality accounting per packet type (host model input). @{ */
-    stat_t intraProcessMessages(PacketType type) const;
-    stat_t interProcessMessages(PacketType type) const;
-    stat_t intraProcessBytes(PacketType type) const;
-    stat_t interProcessBytes(PacketType type) const;
-    /** @} */
-
     /**
      * @name Tile-pair traffic matrix
      * Message/byte counts per (src, dst) tile pair across App + Memory
@@ -112,30 +106,10 @@ class NetworkFabric
     /** @} */
 
   private:
-    struct LocalityCounters
-    {
-        atomic_stat_t intraMsgs{0};
-        atomic_stat_t interMsgs{0};
-        atomic_stat_t intraBytes{0};
-        atomic_stat_t interBytes{0};
-    };
-
-    /** One source tile's locality counters, one set per packet type. */
-    struct alignas(64) LocalityStripe
-    {
-        std::array<LocalityCounters, NUM_PACKET_TYPES> byType;
-    };
-
-    /** Sum @p field of @p type's counters over the tile stripes. */
-    stat_t localitySum(PacketType type,
-                       atomic_stat_t LocalityCounters::*field) const;
-
     ClusterTopology topo_;
     GlobalProgress progress_;
     std::atomic<std::int64_t> inflightApp_{0};
     std::array<std::unique_ptr<NetworkModel>, NUM_PACKET_TYPES> models_;
-    /** Indexed by source tile; summed when read. */
-    std::vector<LocalityStripe> locality_;
     /** N*N atomic counters, src-major. */
     std::vector<std::atomic<stat_t>> msgMatrix_;
     std::vector<std::atomic<stat_t>> byteMatrix_;

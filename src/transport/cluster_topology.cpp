@@ -6,11 +6,8 @@ namespace graphite
 {
 
 ClusterTopology::ClusterTopology(tile_id_t total_tiles,
-                                 proc_id_t num_processes,
-                                 int procs_per_machine)
-    : totalTiles_(total_tiles),
-      numProcesses_(num_processes),
-      procsPerMachine_(procs_per_machine)
+                                 proc_id_t num_processes)
+    : totalTiles_(total_tiles), numProcesses_(num_processes)
 {
     if (total_tiles <= 0)
         fatal("cluster topology: total_tiles must be positive (got {})",
@@ -21,10 +18,6 @@ ClusterTopology::ClusterTopology(tile_id_t total_tiles,
     if (num_processes > total_tiles)
         fatal("cluster topology: more processes ({}) than tiles ({})",
               num_processes, total_tiles);
-    if (procs_per_machine <= 0)
-        fatal("cluster topology: procs_per_machine must be positive");
-    numMachines_ =
-        (numProcesses_ + procsPerMachine_ - 1) / procsPerMachine_;
 }
 
 proc_id_t
@@ -32,40 +25,6 @@ ClusterTopology::processForTile(tile_id_t tile) const
 {
     GRAPHITE_ASSERT(tile >= 0 && tile < totalTiles_);
     return tile % numProcesses_;
-}
-
-machine_id_t
-ClusterTopology::machineForProcess(proc_id_t proc) const
-{
-    GRAPHITE_ASSERT(proc >= 0 && proc < numProcesses_);
-    return proc / procsPerMachine_;
-}
-
-tile_id_t
-ClusterTopology::tilesInProcess(proc_id_t proc) const
-{
-    GRAPHITE_ASSERT(proc >= 0 && proc < numProcesses_);
-    return (totalTiles_ - proc + numProcesses_ - 1) / numProcesses_;
-}
-
-tile_id_t
-ClusterTopology::tileOfProcess(proc_id_t proc, tile_id_t k) const
-{
-    GRAPHITE_ASSERT(k >= 0 && k < tilesInProcess(proc));
-    return proc + k * numProcesses_;
-}
-
-bool
-ClusterTopology::sameProcess(tile_id_t a, tile_id_t b) const
-{
-    return processForTile(a) == processForTile(b);
-}
-
-bool
-ClusterTopology::sameMachine(tile_id_t a, tile_id_t b) const
-{
-    return machineForProcess(processForTile(a)) ==
-           machineForProcess(processForTile(b));
 }
 
 endpoint_id_t
@@ -92,17 +51,6 @@ endpoint_id_t
 ClusterTopology::numEndpoints() const
 {
     return totalTiles_ + numProcesses_ + 1;
-}
-
-proc_id_t
-ClusterTopology::processForEndpoint(endpoint_id_t ep) const
-{
-    GRAPHITE_ASSERT(ep >= 0 && ep < numEndpoints());
-    if (ep < totalTiles_)
-        return processForTile(ep);
-    if (ep < totalTiles_ + numProcesses_)
-        return ep - totalTiles_;
-    return 0; // The MCP lives in process 0.
 }
 
 } // namespace graphite

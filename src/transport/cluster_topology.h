@@ -2,19 +2,19 @@
  * @file
  * Simulated host-cluster topology.
  *
- * Graphite stripes target tiles across host processes which run on host
- * machines (paper §3.5: "The mapping between tiles and processes is
- * currently implemented by simply striping the tiles across the
- * processes"). This class is the single source of truth for:
+ * Graphite stripes target tiles across host processes (paper §3.5: "The
+ * mapping between tiles and processes is currently implemented by simply
+ * striping the tiles across the processes"). This class is the single
+ * source of truth for:
  *
  *  - tile -> host process (striping),
- *  - process -> host machine (block assignment),
  *  - transport endpoint numbering (tiles, one LCP per process, one MCP).
  *
  * In the original system each process was a real OS process on a real
- * machine; here processes are simulated within one address space but all
- * traffic still crosses the physical transport, which charges different
- * costs for intra- vs inter-process delivery (see DESIGN.md, substitution 2).
+ * machine; here processes are simulated within one address space. The
+ * analytic host model (src/host) derives message locality for any
+ * process and machine layout from the fabric's tile-pair traffic matrix
+ * (see DESIGN.md, substitution 2).
  */
 
 #pragma once
@@ -36,32 +36,14 @@ class ClusterTopology
     /**
      * @param total_tiles        number of target tiles
      * @param num_processes      number of simulated host processes
-     * @param procs_per_machine  how many processes share one machine
      */
-    ClusterTopology(tile_id_t total_tiles, proc_id_t num_processes,
-                    int procs_per_machine = 1);
+    ClusterTopology(tile_id_t total_tiles, proc_id_t num_processes);
 
     tile_id_t totalTiles() const { return totalTiles_; }
     proc_id_t numProcesses() const { return numProcesses_; }
-    machine_id_t numMachines() const { return numMachines_; }
 
     /** Host process that owns tile @p tile (striped assignment). */
     proc_id_t processForTile(tile_id_t tile) const;
-
-    /** Machine hosting process @p proc. */
-    machine_id_t machineForProcess(proc_id_t proc) const;
-
-    /** Number of tiles owned by process @p proc. */
-    tile_id_t tilesInProcess(proc_id_t proc) const;
-
-    /** The k-th tile (0-based) owned by process @p proc. */
-    tile_id_t tileOfProcess(proc_id_t proc, tile_id_t k) const;
-
-    /** True when the two tiles live in the same host process. */
-    bool sameProcess(tile_id_t a, tile_id_t b) const;
-
-    /** True when the two tiles live on the same host machine. */
-    bool sameMachine(tile_id_t a, tile_id_t b) const;
 
     /** @name Endpoint numbering
      * Tiles occupy endpoints [0, totalTiles); each process's LCP follows;
@@ -74,14 +56,9 @@ class ClusterTopology
     endpoint_id_t numEndpoints() const;
     /** @} */
 
-    /** Process owning an arbitrary endpoint (tile, LCP, or MCP). */
-    proc_id_t processForEndpoint(endpoint_id_t ep) const;
-
   private:
     tile_id_t totalTiles_;
     proc_id_t numProcesses_;
-    int procsPerMachine_;
-    machine_id_t numMachines_;
 };
 
 } // namespace graphite

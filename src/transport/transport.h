@@ -12,8 +12,9 @@
  * (endpoint, PacketType). A receiver pops the FIFO of the type it waits
  * for; packets of other types wait in their own FIFOs. Delivery is
  * immediate; the *modeled* latency is stamped on the packet by the
- * network models, and the cluster's intra/inter-process split is
- * accounted by NetworkFabric (see DESIGN.md, substitution 2).
+ * network models. The host model derives the cluster's intra/inter-
+ * process split from NetworkFabric's tile-pair traffic matrix (see
+ * DESIGN.md, substitution 2).
  */
 
 #pragma once

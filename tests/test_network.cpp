@@ -445,8 +445,6 @@ TEST(NetworkFabric, AccountsLocalityAndMatrix)
     NetworkFabric fabric(topo, cfg);
     fabric.model(PacketType::Memory, 0, 2, 80, 10); // same proc
     fabric.model(PacketType::Memory, 0, 1, 80, 10); // cross proc
-    EXPECT_EQ(fabric.intraProcessMessages(PacketType::Memory), 1u);
-    EXPECT_EQ(fabric.interProcessMessages(PacketType::Memory), 1u);
     EXPECT_EQ(fabric.pairMessages(0, 2), 1u);
     EXPECT_EQ(fabric.pairBytes(0, 1), 80u);
     EXPECT_EQ(fabric.pairMessages(1, 0), 0u);
@@ -479,12 +477,6 @@ TEST(NetworkFabric, StripedCountersSumExactly)
     const NetworkModel& model = fabric.modelFor(PacketType::Memory);
     EXPECT_EQ(model.packetsRouted(), total);
     EXPECT_EQ(model.bytesRouted(), total * BYTES);
-    EXPECT_EQ(fabric.intraProcessMessages(PacketType::Memory) +
-                  fabric.interProcessMessages(PacketType::Memory),
-              total);
-    EXPECT_EQ(fabric.intraProcessBytes(PacketType::Memory) +
-                  fabric.interProcessBytes(PacketType::Memory),
-              total * BYTES);
     stat_t pair_msgs = 0, pair_bytes = 0;
     for (tile_id_t s = 0; s < 8; ++s) {
         for (tile_id_t d = 0; d < 8; ++d) {
@@ -521,10 +513,6 @@ TEST(NetworkFabric, SnapshotRestoresStripeSums)
     EXPECT_EQ(b.bytesRouted(), a.bytesRouted());
     EXPECT_EQ(b.totalLatency(), a.totalLatency());
     EXPECT_EQ(b.totalHops(), a.totalHops());
-    EXPECT_EQ(restored.intraProcessMessages(PacketType::Memory),
-              fabric.intraProcessMessages(PacketType::Memory));
-    EXPECT_EQ(restored.interProcessBytes(PacketType::Memory),
-              fabric.interProcessBytes(PacketType::Memory));
 
     snapshot::SnapshotWriter again;
     restored.saveState(again);

@@ -100,7 +100,13 @@ TEST(Smoke, MultiProcessDistribution)
     EXPECT_EQ(sim.memory().validateCoherence(), "");
     // Tiles striped over 4 processes: coherence traffic must have
     // crossed simulated process boundaries.
-    EXPECT_GT(sim.fabric().interProcessMessages(PacketType::Memory), 0u);
+    const ClusterTopology& topo = sim.topology();
+    stat_t cross = 0;
+    for (tile_id_t a = 0; a < 8; ++a)
+        for (tile_id_t b = 0; b < 8; ++b)
+            if (topo.processForTile(a) != topo.processForTile(b))
+                cross += sim.fabric().pairMessages(a, b);
+    EXPECT_GT(cross, 0u);
 }
 
 void

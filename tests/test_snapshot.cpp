@@ -486,7 +486,7 @@ TEST(SnapshotReentry, TwoRunsOnOneSimulatorContinueTheClock)
  *  of these requires regenerating the golden (DISABLED_RegenerateGolden)
  *  and updating GOLDEN_FINGERPRINT below. */
 constexpr std::uint64_t GOLDEN_SEED = 97;
-constexpr std::uint32_t GOLDEN_VERSION = 1;
+constexpr std::uint32_t GOLDEN_VERSION = 2;
 
 FuzzProgram
 goldenProgram()
@@ -510,9 +510,9 @@ constexpr std::uint64_t GOLDEN_FINGERPRINT = 16226333569779473238ull;
 TEST(GoldenSnapshot, CommittedFixtureRestoresAndMatches)
 {
     if (snapshot::FORMAT_VERSION != GOLDEN_VERSION) {
-        // The format moved on: the committed version-1 fixture must be
-        // rejected up front, then regenerated (and this constant
-        // updated) via DISABLED_RegenerateGolden.
+        // The format moved on: the committed fixture must be rejected
+        // up front, then regenerated (and this constant updated) via
+        // DISABLED_RegenerateGolden.
         EXPECT_THROW(snapshot::SnapshotReader r(snapshot::readFile(
                          GRAPHITE_GOLDEN_SNAPSHOT)),
                      snapshot::SnapshotError);

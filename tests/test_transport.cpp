@@ -24,33 +24,6 @@ TEST(ClusterTopology, StripesTilesAcrossProcesses)
     EXPECT_EQ(topo.processForTile(1), 1);
     EXPECT_EQ(topo.processForTile(4), 0);
     EXPECT_EQ(topo.processForTile(7), 3);
-    EXPECT_TRUE(topo.sameProcess(0, 4));
-    EXPECT_FALSE(topo.sameProcess(0, 1));
-}
-
-TEST(ClusterTopology, TileOwnershipRoundTrips)
-{
-    ClusterTopology topo(10, 3);
-    int counted = 0;
-    for (proc_id_t p = 0; p < topo.numProcesses(); ++p) {
-        for (tile_id_t k = 0; k < topo.tilesInProcess(p); ++k) {
-            tile_id_t t = topo.tileOfProcess(p, k);
-            EXPECT_EQ(topo.processForTile(t), p);
-            ++counted;
-        }
-    }
-    EXPECT_EQ(counted, 10);
-}
-
-TEST(ClusterTopology, MachinesGroupProcesses)
-{
-    ClusterTopology topo(16, 4, /*procs_per_machine=*/2);
-    EXPECT_EQ(topo.numMachines(), 2);
-    EXPECT_EQ(topo.machineForProcess(0), 0);
-    EXPECT_EQ(topo.machineForProcess(1), 0);
-    EXPECT_EQ(topo.machineForProcess(2), 1);
-    EXPECT_TRUE(topo.sameMachine(0, 1));  // procs 0 and 1, machine 0
-    EXPECT_FALSE(topo.sameMachine(0, 2)); // procs 0 and 2
 }
 
 TEST(ClusterTopology, EndpointNumbering)
@@ -61,8 +34,6 @@ TEST(ClusterTopology, EndpointNumbering)
     EXPECT_EQ(topo.lcpEndpoint(1), 5);
     EXPECT_EQ(topo.mcpEndpoint(), 6);
     EXPECT_EQ(topo.numEndpoints(), 7);
-    EXPECT_EQ(topo.processForEndpoint(topo.lcpEndpoint(1)), 1);
-    EXPECT_EQ(topo.processForEndpoint(topo.mcpEndpoint()), 0);
 }
 
 TEST(ClusterTopology, InvalidShapesAreFatal)
