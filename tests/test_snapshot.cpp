@@ -22,6 +22,9 @@
  *  - GoldenSnapshot:     committed on-disk fixture guarding the format
  *                        (any layout change must bump FORMAT_VERSION
  *                        and regenerate via DISABLED_RegenerateGolden).
+ *  - SnapshotFormat:     the FNV-1a of deterministic checkpoints across
+ *                        config cells, so a serialization refactor that
+ *                        moves one byte of any component fails here.
  */
 
 #include <gtest/gtest.h>
@@ -407,6 +410,94 @@ TEST(SnapshotSmoke, ResumeMatchesAcrossConfigCells)
     expectResumeEquivalence(prog, seed, barrier_cell, "free_running", 2);
     expectResumeEquivalence(prog, seed, barrier_cell, "deterministic", 2);
     expectResumeEquivalence(prog, seed, p2p_cell, "deterministic", 4);
+}
+
+// ------------------------------------------------------- pinned bytes
+
+/** A config cell whose checkpoint bytes SnapshotFormat pins. */
+struct PinnedCell
+{
+    ConfigPoint point;
+    /** Keys set on top of the fuzz config. */
+    std::vector<std::pair<std::string, std::string>> sets;
+};
+
+std::vector<PinnedCell>
+pinnedCells()
+{
+    std::vector<PinnedCell> cells(6);
+    cells[0].point = check::baselinePoint();
+    cells[0].point.name = "baseline";
+
+    cells[1].point.name = "p3_lax_barrier";
+    cells[1].point.processes = 3;
+    cells[1].point.syncModel = "lax_barrier";
+
+    cells[2].point.name = "lax_p2p_limited_l32";
+    cells[2].point.syncModel = "lax_p2p";
+    cells[2].point.slack = 2000;
+    cells[2].point.directoryType = "limited_no_broadcast";
+    cells[2].point.lineSize = 32;
+
+    cells[3].point.name = "mesi_limitless";
+    cells[3].point.protocol = "dir_mesi";
+    cells[3].point.directoryType = "limitless";
+
+    cells[4].point.name = "t64";
+    cells[4].point.tiles = 64;
+
+    cells[5].point.name = "no_l1_hop_no_dram_queue";
+    cells[5].sets = {{"perf_model/l1_icache/enabled", "false"},
+                     {"perf_model/l1_dcache/enabled", "false"},
+                     {"network/memory_model", "emesh_hop"},
+                     {"perf_model/dram/queue_model_enabled", "false"}};
+    return cells;
+}
+
+TEST(SnapshotFormat, CheckpointBytesArePinned)
+{
+    // FNV-1a of each cell's checkpoint under the deterministic
+    // scheduler on one host thread. A change that moves a byte must
+    // bump FORMAT_VERSION and re-record these from the failures.
+    struct Pin
+    {
+        int cell;
+        std::uint64_t seed;
+        std::uint64_t fnv;
+    };
+    const Pin pins[] = {
+        {0, 41, 15708648603452965123ull},
+        {0, 97, 8063900976359631685ull},
+        {1, 41, 14861461259334771621ull},
+        {1, 97, 12379803197177482948ull},
+        {2, 41, 7063483804466355392ull},
+        {2, 97, 3413822378844947885ull},
+        {3, 41, 1650197907953485759ull},
+        {3, 97, 7976829965780931323ull},
+        {4, 41, 7860767201531492181ull},
+        {4, 97, 10271376337987343671ull},
+        {5, 41, 15721762285432402657ull},
+        {5, 97, 9252764901564855403ull},
+    };
+    const std::vector<PinnedCell> cells = pinnedCells();
+    for (const Pin& pin : pins) {
+        const PinnedCell& cell = cells[static_cast<size_t>(pin.cell)];
+        SCOPED_TRACE(cell.point.name + " seed " +
+                     std::to_string(pin.seed));
+        Config cfg = snapshotCellConfig(cell.point, pin.seed,
+                                        "deterministic", 1);
+        for (const auto& [key, value] : cell.sets)
+            cfg.set(key, value);
+        FuzzProgram prog = pickProgram(pin.seed);
+        std::vector<std::uint8_t> ckpt = check::checkpointFuzzProgram(
+            prog, cfg, midSplit(prog), quickOpts());
+        EXPECT_EQ(check::checkpointFuzzProgram(prog, cfg, midSplit(prog),
+                                               quickOpts()),
+                  ckpt)
+            << "the checkpoint does not repeat";
+        EXPECT_EQ(snapshot::fnv1a(ckpt.data(), ckpt.size()), pin.fnv)
+            << ckpt.size() << " bytes";
+    }
 }
 
 // ------------------------------------------------------------- re-entry
