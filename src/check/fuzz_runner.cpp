@@ -77,42 +77,24 @@ struct HostShared
     /** @} */
 };
 
-/** Persist the workload bookkeeping across a checkpoint boundary. */
-std::vector<std::uint8_t>
-packAppBlob(const HostShared& sh)
-{
-    snapshot::SnapshotWriter w;
-    w.u64(sh.privBase);
-    w.u64(sh.lockBase);
-    w.u64(sh.ctrBase);
-    w.u64(sh.casBase);
-    w.u64(sh.mutexBase);
-    w.u64(sh.barrier);
-    w.u64(sh.folds.size());
-    for (std::uint64_t f : sh.folds)
-        w.u64(f);
-    return w.finish();
-}
-
+/** The workload bookkeeping that crosses a checkpoint boundary. */
 void
-unpackAppBlob(const std::vector<std::uint8_t>& blob, HostShared& sh)
+serializeAppBlob(snapshot::Archive& ar, HostShared& sh)
 {
-    snapshot::SnapshotReader r(blob);
-    sh.privBase = r.u64();
-    sh.lockBase = r.u64();
-    sh.ctrBase = r.u64();
-    sh.casBase = r.u64();
-    sh.mutexBase = r.u64();
-    sh.barrier = r.u64();
-    std::uint64_t n_folds = r.u64();
+    for (addr_t* base : {&sh.privBase, &sh.lockBase, &sh.ctrBase,
+                         &sh.casBase, &sh.mutexBase, &sh.barrier})
+        ar.u64(*base);
+    std::uint64_t n_folds = sh.folds.size();
+    ar.u64(n_folds);
     if (n_folds > 1024)
         throw snapshot::SnapshotError(
             strfmt("snapshot: implausible fold count {}", n_folds));
     sh.folds.resize(n_folds);
     for (std::uint64_t& f : sh.folds)
-        f = r.u64();
-    r.expectEnd();
-    sh.layoutReady = true;
+        ar.u64(f);
+    // The restored target memory already holds the initialized layout.
+    if (ar.loading())
+        sh.layoutReady = true;
 }
 
 struct ThreadArg
@@ -507,7 +489,10 @@ checkpointFuzzProgram(const FuzzProgram& prog, const Config& cfg,
     if (violations != nullptr)
         for (std::string& v : scratch.violations)
             violations->push_back(std::move(v));
-    return snapshot::saveCheckpoint(sim, packAppBlob(sh));
+    snapshot::SnapshotWriter app;
+    snapshot::Archive ar(app);
+    serializeAppBlob(ar, sh);
+    return snapshot::saveCheckpoint(sim, app.finish());
 }
 
 FuzzResult
@@ -526,7 +511,10 @@ resumeFuzzProgram(const FuzzProgram& prog, const Config& cfg,
     if (snapshot::saveCheckpoint(sim, blob) != ckpt)
         res.violations.push_back(
             "snapshot: save->restore->save is not byte-identical");
-    unpackAppBlob(blob, sh);
+    snapshot::SnapshotReader app(blob);
+    snapshot::Archive ar(app);
+    serializeAppBlob(ar, sh);
+    app.expectEnd();
     finishResult(
         sim, sh, opt,
         runSegment(sim, sh, split_round, prog.rounds.size(), opt, res),

@@ -51,7 +51,7 @@ HistogramStat::merge(const HistogramStat& other)
         addSerialized(buckets_[i], other.bucket(i));
     addSerialized(count_, other.count());
     addSerialized(sum_, other.sum());
-    // Raw min_ (all-ones when empty), as saveState() writes it.
+    // Raw min_ (all-ones when empty), as serialize() writes it.
     stat_t other_min = other.min_.load(std::memory_order_relaxed);
     if (other_min < min_.load(std::memory_order_relaxed))
         min_.store(other_min, std::memory_order_relaxed);
@@ -121,27 +121,16 @@ HistogramStat::reset()
 }
 
 void
-HistogramStat::saveState(snapshot::SnapshotWriter& w) const
-{
-    for (const auto& b : buckets_)
-        w.u64(b.load(std::memory_order_relaxed));
-    w.u64(count_.load(std::memory_order_relaxed));
-    w.u64(sum_.load(std::memory_order_relaxed));
-    // Raw min_ (all-ones when empty), not the cooked min() accessor, so
-    // a restored histogram keeps accepting smaller samples correctly.
-    w.u64(min_.load(std::memory_order_relaxed));
-    w.u64(max_.load(std::memory_order_relaxed));
-}
-
-void
-HistogramStat::loadState(snapshot::SnapshotReader& r)
+HistogramStat::serialize(snapshot::Archive& ar)
 {
     for (auto& b : buckets_)
-        b.store(r.u64(), std::memory_order_relaxed);
-    count_.store(r.u64(), std::memory_order_relaxed);
-    sum_.store(r.u64(), std::memory_order_relaxed);
-    min_.store(r.u64(), std::memory_order_relaxed);
-    max_.store(r.u64(), std::memory_order_relaxed);
+        ar.u64(b);
+    ar.u64(count_);
+    ar.u64(sum_);
+    // Raw min_ (all-ones when empty), not the cooked min() accessor, so
+    // a restored histogram keeps accepting smaller samples correctly.
+    ar.u64(min_);
+    ar.u64(max_);
 }
 
 // ------------------------------------------------------------ StatsRegistry

@@ -40,8 +40,7 @@ namespace graphite
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** One statistic: a 64-bit counter with atomic-free single-writer usage. */
@@ -134,10 +133,8 @@ class HistogramStat
     /** Zero everything. Not safe concurrently with record(). */
     void reset();
 
-    /** @name Checkpoint serialization (not concurrent with record) @{ */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    /** Checkpoint serialization (not concurrent with record). */
+    void serialize(snapshot::Archive& ar);
 
   private:
     std::array<atomic_stat_t, NUM_BUCKETS> buckets_{};

@@ -4,10 +4,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <map>
 
 #include "common/log.h"
-#include "common/strfmt.h"
 #include "snapshot/snapshot.h"
 #include "core/api.h"
 #include "core/simulator.h"
@@ -593,58 +591,37 @@ ThreadManager::totalSyscalls() const
 }
 
 void
-ThreadManager::saveState(snapshot::SnapshotWriter& w) const
+ThreadManager::serialize(snapshot::Archive& ar)
 {
     lockdep::Guard lock(mcpStateMutex_);
-    if (!futexQueues_.empty() || !joinWaiters_.empty())
-        throw snapshot::SnapshotError(
-            "snapshot: cannot checkpoint with blocked threads "
-            "(futex/join wait queues are not empty)");
-    // A restore staged by loadState() is the authoritative state until
-    // the next start() applies it — re-saving right after a restore
-    // must reproduce the restored snapshot byte for byte.
-    const PendingRestore* staged = pendingRestore_.get();
-    w.u64(staged != nullptr ? staged->threadsSpawned : threadsSpawned_);
-    w.i64(staged != nullptr ? staged->nextFd : nextFd_);
-    const std::vector<stat_t>& sys =
-        staged != nullptr ? staged->syscalls : syscalls_;
-    w.u64(static_cast<std::uint64_t>(sys.size()));
-    for (stat_t s : sys)
-        w.u64(s);
-    const std::unordered_map<tile_id_t, cycle_t>& exit_src =
-        staged != nullptr ? staged->exitClock : exitClock_;
-    std::map<tile_id_t, cycle_t> exits(exit_src.begin(),
-                                       exit_src.end());
-    w.u64(static_cast<std::uint64_t>(exits.size()));
-    for (const auto& [tile, clock] : exits) {
-        w.i64(tile);
-        w.u64(clock);
+    const tile_id_t tiles = sim_.topology().totalTiles();
+    PendingRestore image;
+    if (ar.loading()) {
+        image.syscalls.resize(static_cast<size_t>(tiles));
+    } else {
+        if (!futexQueues_.empty() || !joinWaiters_.empty())
+            throw snapshot::SnapshotError(
+                "snapshot: cannot checkpoint with blocked threads "
+                "(futex/join wait queues are not empty)");
+        // A staged restore is the authoritative state until the next
+        // start() applies it: re-saving right after a restore must
+        // reproduce the restored snapshot byte for byte.
+        image = pendingRestore_ != nullptr
+                    ? *pendingRestore_
+                    : PendingRestore{exitClock_, threadsSpawned_,
+                                     syscalls_, nextFd_};
     }
-}
-
-void
-ThreadManager::loadState(snapshot::SnapshotReader& r)
-{
-    auto pending = std::make_unique<PendingRestore>();
-    pending->threadsSpawned = r.u64();
-    pending->nextFd = static_cast<std::int32_t>(r.i64());
-    std::uint64_t tiles = r.u64();
-    if (tiles !=
-        static_cast<std::uint64_t>(sim_.topology().totalTiles()))
-        throw snapshot::SnapshotError(
-            strfmt("snapshot: syscall table tile count mismatch "
-                   "(snapshot {}, configured {})",
-                   tiles, sim_.topology().totalTiles()));
-    pending->syscalls.resize(tiles);
-    for (stat_t& s : pending->syscalls)
-        s = r.u64();
-    std::uint64_t exits = r.u64();
-    for (std::uint64_t i = 0; i < exits; ++i) {
-        auto tile = static_cast<tile_id_t>(r.i64());
-        cycle_t clock = r.u64();
-        pending->exitClock[tile] = clock;
-    }
-    pendingRestore_ = std::move(pending);
+    ar.u64(image.threadsSpawned);
+    ar.i64(image.nextFd);
+    ar.expect(tiles, "syscall table tile count");
+    for (stat_t& s : image.syscalls)
+        ar.u64(s);
+    ar.sorted(image.exitClock, [&](tile_id_t& tile, cycle_t& clock) {
+        ar.i64(tile);
+        ar.u64(clock);
+    });
+    if (ar.loading())
+        pendingRestore_ = std::make_unique<PendingRestore>(std::move(image));
 }
 
 obs::telemetry::WaitSetSnapshot

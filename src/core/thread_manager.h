@@ -42,8 +42,7 @@ class Simulator;
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** Application thread entry point (pthread-style). */
@@ -102,14 +101,13 @@ class ThreadManager
     /**
      * @name Checkpoint serialization (between runs, MCP stopped)
      * Checkpoints are taken at quiescence, so the futex and join wait
-     * queues must be empty (throws SnapshotError otherwise). Restore
-     * is staged: loadState() parks the state and the next start()
+     * queues must be empty (a save throws SnapshotError otherwise).
+     * Restore is staged: it parks the state and the next start()
      * applies it after its own re-initialization, so the restored
      * syscall counters and exit clocks are not clobbered.
      * @{
      */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    void loadState(snapshot::SnapshotReader& r);
+    void serialize(snapshot::Archive& ar);
     /** @} */
 
   private:
@@ -175,7 +173,7 @@ class ThreadManager
     atomic_stat_t mcpWaitNs_{0};     ///< written by the MCP thread only
     atomic_stat_t mcpDispatchNs_{0}; ///< written by the MCP thread only
 
-    /** Restored state parked by loadState() until the next start(). */
+    /** Restored state parked by serialize() until the next start(). */
     struct PendingRestore
     {
         std::unordered_map<tile_id_t, cycle_t> exitClock;

@@ -188,59 +188,19 @@ MemoryManager::liveBlockCount() const
                                mmapRegions_.size());
 }
 
-namespace
-{
-
 void
-saveAddrMap(snapshot::SnapshotWriter& w,
-            const std::map<addr_t, std::uint64_t>& m)
-{
-    w.u64(static_cast<std::uint64_t>(m.size()));
-    for (const auto& [addr, size] : m) {
-        w.u64(addr);
-        w.u64(size);
-    }
-}
-
-void
-loadAddrMap(snapshot::SnapshotReader& r,
-            std::map<addr_t, std::uint64_t>& m)
-{
-    m.clear();
-    std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        addr_t addr = r.u64();
-        std::uint64_t size = r.u64();
-        m.emplace(addr, size);
-    }
-}
-
-} // namespace
-
-void
-MemoryManager::saveState(snapshot::SnapshotWriter& w) const
+MemoryManager::serialize(snapshot::Archive& ar)
 {
     lockdep::Guard lock(mutex_);
-    w.u64(heapBrk_);
-    w.u64(mmapNext_);
-    w.u64(bytesAllocated_);
-    w.u64(allocCount_);
-    saveAddrMap(w, freeList_);
-    saveAddrMap(w, liveBlocks_);
-    saveAddrMap(w, mmapRegions_);
-}
-
-void
-MemoryManager::loadState(snapshot::SnapshotReader& r)
-{
-    lockdep::Guard lock(mutex_);
-    heapBrk_ = r.u64();
-    mmapNext_ = r.u64();
-    bytesAllocated_ = r.u64();
-    allocCount_ = r.u64();
-    loadAddrMap(r, freeList_);
-    loadAddrMap(r, liveBlocks_);
-    loadAddrMap(r, mmapRegions_);
+    ar.u64(heapBrk_);
+    ar.u64(mmapNext_);
+    ar.u64(bytesAllocated_);
+    ar.u64(allocCount_);
+    for (auto* blocks : {&freeList_, &liveBlocks_, &mmapRegions_})
+        ar.sorted(*blocks, [&](addr_t& addr, std::uint64_t& size) {
+            ar.u64(addr);
+            ar.u64(size);
+        });
 }
 
 } // namespace graphite

@@ -30,8 +30,7 @@ namespace graphite
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** Fixed segment boundaries of the target address space. */
@@ -112,10 +111,8 @@ class MemoryManager
     stat_t liveBlockCount() const;
     /** @} */
 
-    /** @name Checkpoint serialization @{ */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    /** Checkpoint serialization. */
+    void serialize(snapshot::Archive& ar);
 
   private:
     tile_id_t totalTiles_;

@@ -211,47 +211,25 @@ Cache::validLines() const
 }
 
 void
-Cache::saveState(snapshot::SnapshotWriter& w) const
+Cache::serialize(snapshot::Archive& ar)
 {
-    w.u64(static_cast<std::uint64_t>(lines_.size()));
-    w.u64(lruCounter_);
-    w.u64(accesses_.load(std::memory_order_relaxed));
-    w.u64(misses_.load(std::memory_order_relaxed));
-    w.u64(evictions_.load(std::memory_order_relaxed));
-    w.u64(invalidations_.load(std::memory_order_relaxed));
-    for (const CacheLine& line : lines_) {
-        w.u64(line.lineAddr);
-        w.u8(static_cast<std::uint8_t>(line.state));
-        w.u64(line.lruStamp);
-        w.bytes(line.data.data(), line.data.size());
-    }
-}
-
-void
-Cache::loadState(snapshot::SnapshotReader& r)
-{
-    std::uint64_t count = r.u64();
-    if (count != lines_.size())
-        throw snapshot::SnapshotError(
-            strfmt("snapshot: cache '{}' geometry mismatch ({} lines "
-                   "in snapshot, {} configured)",
-                   name_, count, lines_.size()));
-    lruCounter_ = r.u64();
-    accesses_.store(r.u64(), std::memory_order_relaxed);
-    misses_.store(r.u64(), std::memory_order_relaxed);
-    evictions_.store(r.u64(), std::memory_order_relaxed);
-    invalidations_.store(r.u64(), std::memory_order_relaxed);
+    ar.expect(lines_.size(), strfmt("cache '{}' geometry", name_));
+    ar.u64(lruCounter_);
+    ar.u64(accesses_);
+    ar.u64(misses_);
+    ar.u64(evictions_);
+    ar.u64(invalidations_);
     for (CacheLine& line : lines_) {
-        line.lineAddr = r.u64();
-        line.state = static_cast<CacheState>(r.u8());
-        line.lruStamp = r.u64();
-        std::vector<std::uint8_t> data = r.bytes();
-        if (!data.empty() && data.size() != lineSize_)
+        ar.u64(line.lineAddr);
+        ar.u8(line.state);
+        ar.u64(line.lruStamp);
+        ar.bytes(line.data);
+        if (ar.loading() && !line.data.empty() &&
+            line.data.size() != lineSize_)
             throw snapshot::SnapshotError(
                 strfmt("snapshot: cache '{}' line data is {} bytes "
                        "(line size {})",
-                       name_, data.size(), lineSize_));
-        line.data = std::move(data);
+                       name_, line.data.size(), lineSize_));
     }
 }
 

@@ -35,8 +35,7 @@ namespace graphite
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** Coherence line states (MSI, plus Exclusive when MESI is enabled). */
@@ -191,11 +190,11 @@ class Cache
     /** Enumerate valid lines (for invariant checks in tests). */
     std::vector<const CacheLine*> validLines() const;
 
-    /** @name Checkpoint serialization (caller holds the tile lock) @{ */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    /** @throws snapshot::SnapshotError on geometry mismatch. */
-    void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    /**
+     * Checkpoint serialization (caller holds the tile lock).
+     * @throws snapshot::SnapshotError on geometry mismatch.
+     */
+    void serialize(snapshot::Archive& ar);
 
   private:
     std::uint64_t setIndex(addr_t line_addr) const;

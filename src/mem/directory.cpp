@@ -1,10 +1,8 @@
 #include "mem/directory.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/log.h"
-#include "common/strfmt.h"
 #include "snapshot/snapshot.h"
 
 namespace graphite
@@ -109,46 +107,17 @@ Directory::removeSharer(DirectoryEntry& e, tile_id_t tile)
 }
 
 void
-Directory::saveState(snapshot::SnapshotWriter& w) const
+Directory::serialize(snapshot::Archive& ar)
 {
-    w.u8(static_cast<std::uint8_t>(type_));
-    w.u64(pointerEvictions_);
-    w.u64(softwareTraps_);
-    std::map<addr_t, const DirectoryEntry*> sorted;
-    for (const auto& [addr, e] : entries_)
-        sorted.emplace(addr, &e);
-    w.u64(static_cast<std::uint64_t>(sorted.size()));
-    for (const auto& [addr, e] : sorted) {
-        w.u64(addr);
-        w.u8(static_cast<std::uint8_t>(e->state()));
-        w.i64(e->owner());
-        w.u64(static_cast<std::uint64_t>(e->numSharers()));
-        for (tile_id_t t : e->sharers())
-            w.i64(t);
-    }
-}
-
-void
-Directory::loadState(snapshot::SnapshotReader& r)
-{
-    auto type = static_cast<DirectoryType>(r.u8());
-    if (type != type_)
-        throw snapshot::SnapshotError(
-            strfmt("snapshot: directory scheme mismatch (snapshot {}, "
-                   "configured {})",
-                   static_cast<int>(type), static_cast<int>(type_)));
-    pointerEvictions_ = r.u64();
-    softwareTraps_ = r.u64();
-    entries_.clear();
-    std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        DirectoryEntry& e = entry(r.u64());
-        e.setState(static_cast<DirectoryState>(r.u8()));
-        e.setOwner(static_cast<tile_id_t>(r.i64()));
-        e.sharers_.resize(r.u64());
-        for (tile_id_t& t : e.sharers_)
-            t = static_cast<tile_id_t>(r.i64());
-    }
+    ar.expect<std::uint8_t>(type_, "directory scheme");
+    ar.u64(pointerEvictions_);
+    ar.u64(softwareTraps_);
+    ar.sorted(entries_, [&](addr_t& addr, DirectoryEntry& e) {
+        ar.u64(addr);
+        ar.u8(e.state_);
+        ar.i64(e.owner_);
+        ar.seq<std::int64_t>(e.sharers_);
+    });
 }
 
 } // namespace graphite

@@ -40,8 +40,7 @@ namespace graphite
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** Global state of a memory line at its home directory. */
@@ -139,15 +138,12 @@ class Directory
     /** @} */
 
     /**
-     * @name Checkpoint serialization
-     * Entries are saved sorted by line address, each with its sharers in
-     * scheme order, and restored exactly as saved.
-     * @{
+     * Checkpoint serialization. Entries are saved sorted by line
+     * address, each with its sharers in scheme order, and restored
+     * exactly as saved.
+     * @throws snapshot::SnapshotError on scheme mismatch.
      */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    /** @throws snapshot::SnapshotError on scheme mismatch. */
-    void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    void serialize(snapshot::Archive& ar);
 
   private:
     DirectoryType type_;

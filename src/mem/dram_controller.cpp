@@ -43,19 +43,11 @@ DramController::access(cycle_t arrival_time, size_t bytes)
 }
 
 void
-DramController::saveState(snapshot::SnapshotWriter& w) const
+DramController::serialize(snapshot::Archive& ar)
 {
-    w.u64(accesses_);
-    w.u64(serviceTime_);
-    queue_.saveState(w);
-}
-
-void
-DramController::loadState(snapshot::SnapshotReader& r)
-{
-    accesses_ = r.u64();
-    serviceTime_ = r.u64();
-    queue_.loadState(r);
+    ar.u64(accesses_);
+    ar.u64(serviceTime_);
+    queue_.serialize(ar);
 }
 
 } // namespace graphite

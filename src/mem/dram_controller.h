@@ -31,8 +31,7 @@ class GlobalProgress;
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** Timing model of a single tile's memory controller. */
@@ -78,10 +77,8 @@ class DramController
     stat_t saturations() const { return queue_.saturations(); }
     /** @} */
 
-    /** @name Checkpoint serialization @{ */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    /** Checkpoint serialization. */
+    void serialize(snapshot::Archive& ar);
 
   private:
     cycle_t latency_;

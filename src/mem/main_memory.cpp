@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 #include "snapshot/snapshot.h"
 
@@ -87,35 +86,24 @@ MainMemory::pagesAllocated() const
 }
 
 void
-MainMemory::saveState(snapshot::SnapshotWriter& w) const
+MainMemory::serialize(snapshot::Archive& ar)
 {
-    // Sorted order: re-serializing restored memory is byte-identical.
-    std::map<addr_t, const Page*> sorted;
-    for (const Bucket& b : buckets_) {
-        lockdep::Guard lock(b.mutex);
-        for (const auto& [addr, page] : b.pages)
-            sorted.emplace(addr, page.get());
-    }
-    w.u64(static_cast<std::uint64_t>(sorted.size()));
-    for (const auto& [addr, page] : sorted) {
-        w.u64(addr);
-        w.bytes(page->bytes, PAGE_SIZE);
-    }
-}
-
-void
-MainMemory::loadState(snapshot::SnapshotReader& r)
-{
+    // One view of every bucket's pages (none on restore, which starts
+    // from an empty memory).
+    std::unordered_map<addr_t, Page*> pages;
     for (Bucket& b : buckets_) {
         lockdep::Guard lock(b.mutex);
-        b.pages.clear();
+        if (ar.loading())
+            b.pages.clear();
+        for (const auto& [addr, page] : b.pages)
+            pages.emplace(addr, page.get());
     }
-    std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        addr_t addr = r.u64();
-        Page& page = ensurePage(addr);
-        r.bytesInto(page.bytes, PAGE_SIZE);
-    }
+    ar.sorted(pages, [&](addr_t& addr, Page*& page) {
+        ar.u64(addr);
+        if (ar.loading())
+            page = &ensurePage(addr);
+        ar.bytes(page->bytes, PAGE_SIZE);
+    });
 }
 
 } // namespace graphite

@@ -33,8 +33,7 @@ namespace graphite
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** Sparse byte-addressable target memory. */
@@ -60,10 +59,8 @@ class MainMemory
     /** Number of materialized pages (for tests / footprint stats). */
     size_t pagesAllocated() const;
 
-    /** @name Checkpoint serialization (pages in sorted order) @{ */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    /** Checkpoint serialization (pages in sorted order). */
+    void serialize(snapshot::Archive& ar);
 
   private:
     struct Page

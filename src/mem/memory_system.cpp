@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <map>
 #include <thread>
 
 #include "check/fault.h"
@@ -1214,169 +1213,66 @@ MemorySystem::validateCoherence()
 // ----------------------------------------------------------- serialization
 
 void
-MemorySystem::saveState(snapshot::SnapshotWriter& w)
+MemorySystem::serialize(snapshot::Archive& ar)
 {
-    w.u64(static_cast<std::uint64_t>(tiles_.size()));
+    ar.expect(tiles_.size(), "tile count");
     for (TileMemory& tm : tiles_) {
         lockdep::Guard lock(tm.mutex);
-        w.b(tm.l1i != nullptr);
-        if (tm.l1i)
-            tm.l1i->saveState(w);
-        w.b(tm.l1d != nullptr);
-        if (tm.l1d)
-            tm.l1d->saveState(w);
-        tm.l2->saveState(w);
+        auto l1 = [&](std::unique_ptr<Cache>& cache, const char* what) {
+            ar.expect<std::uint8_t>(cache != nullptr, what);
+            if (cache)
+                cache->serialize(ar);
+        };
+        l1(tm.l1i, "L1I cache presence");
+        l1(tm.l1d, "L1D cache presence");
+        tm.l2->serialize(ar);
 
-        const TileMemoryStats& s = tm.stats;
-        w.u64(s.totalAccesses);
-        w.u64(s.totalLatency);
-        w.u64(s.l2ColdMisses);
-        w.u64(s.l2CapacityMisses);
-        w.u64(s.l2TrueSharingMisses);
-        w.u64(s.l2FalseSharingMisses);
-        w.u64(s.l2UpgradeMisses);
-        w.u64(s.invalidationsSent);
-        w.u64(s.recalls);
-        w.u64(s.writebacks);
+        TileMemoryStats& s = tm.stats;
+        for (atomic_stat_t* v :
+             {&s.totalAccesses, &s.totalLatency, &s.l2ColdMisses,
+              &s.l2CapacityMisses, &s.l2TrueSharingMisses,
+              &s.l2FalseSharingMisses, &s.l2UpgradeMisses,
+              &s.invalidationsSent, &s.recalls, &s.writebacks})
+            ar.u64(*v);
 
-        std::vector<addr_t> ever(tm.everCached.begin(),
-                                 tm.everCached.end());
-        std::sort(ever.begin(), ever.end());
-        w.u64(static_cast<std::uint64_t>(ever.size()));
-        for (addr_t a : ever)
-            w.u64(a);
-
-        std::map<addr_t, const LostLine*> lost;
-        for (const auto& [a, ll] : tm.lostLines)
-            lost.emplace(a, &ll);
-        w.u64(static_cast<std::uint64_t>(lost.size()));
-        for (const auto& [a, ll] : lost) {
-            w.u64(a);
-            w.u8(static_cast<std::uint8_t>(ll->reason));
-            w.u64(static_cast<std::uint64_t>(ll->versions.size()));
-            for (std::uint32_t v : ll->versions)
-                w.u32(v);
-        }
+        ar.sorted(tm.everCached, [&](addr_t& a) { ar.u64(a); });
+        ar.sorted(tm.lostLines, [&](addr_t& a, LostLine& ll) {
+            ar.u64(a);
+            ar.u8(ll.reason);
+            ar.seq<std::uint32_t>(ll.versions);
+        });
     }
 
     for (Shard& sh : shards_) {
         lockdep::Guard lock(sh.mutex);
-        sh.directory->saveState(w);
-        sh.dram->saveState(w);
+        sh.directory->serialize(ar);
+        sh.dram->serialize(ar);
         lockdep::Guard vl(sh.versionMutex);
-        std::map<addr_t, const std::vector<std::uint32_t>*> vers;
-        for (const auto& [a, vv] : sh.wordVersions)
-            vers.emplace(a, &vv);
-        w.u64(static_cast<std::uint64_t>(vers.size()));
-        for (const auto& [a, vv] : vers) {
-            w.u64(a);
-            w.u64(static_cast<std::uint64_t>(vv->size()));
-            for (std::uint32_t v : *vv)
-                w.u32(v);
-        }
+        ar.sorted(sh.wordVersions,
+                  [&](addr_t& a, std::vector<std::uint32_t>& versions) {
+                      ar.u64(a);
+                      ar.seq<std::uint32_t>(versions);
+                  });
     }
 
-    // The format keeps one latency histogram: write the tiles' parts
-    // merged.
+    // The format keeps one latency histogram, the tiles' parts merged. A
+    // restore puts it on tile 0 and the other parts restart empty, so
+    // the merged read is what was saved.
     HistogramStat latency;
     for (const TileMemory& tm : tiles_)
         latency.merge(tm.accessLatency);
-    latency.saveState(w);
-    backing_.saveState(w);
-    manager_->saveState(w);
+    latency.serialize(ar);
+    if (ar.loading()) {
+        for (TileMemory& tm : tiles_)
+            tm.accessLatency.reset();
+        tiles_.front().accessLatency.merge(latency);
+    }
+    backing_.serialize(ar);
+    manager_->serialize(ar);
 
+    // The trailing totals repeat the per-tile counters above.
     for (stat_t total : totals())
-        w.u64(total);
-}
-
-void
-MemorySystem::loadState(snapshot::SnapshotReader& r)
-{
-    std::uint64_t tiles = r.u64();
-    if (tiles != tiles_.size())
-        throw snapshot::SnapshotError(
-            strfmt("snapshot: tile count mismatch (snapshot {}, "
-                   "configured {})",
-                   tiles, tiles_.size()));
-    for (TileMemory& tm : tiles_) {
-        lockdep::Guard lock(tm.mutex);
-        auto load_l1 = [&](std::unique_ptr<Cache>& l1,
-                           const char* which) {
-            bool present = r.b();
-            if (present != (l1 != nullptr))
-                throw snapshot::SnapshotError(
-                    strfmt("snapshot: {} cache presence mismatch "
-                           "(snapshot {}, configured {})",
-                           which, present ? "enabled" : "disabled",
-                           l1 ? "enabled" : "disabled"));
-            if (l1)
-                l1->loadState(r);
-        };
-        load_l1(tm.l1i, "L1I");
-        load_l1(tm.l1d, "L1D");
-        tm.l2->loadState(r);
-
-        TileMemoryStats& s = tm.stats;
-        s.totalAccesses = r.u64();
-        s.totalLatency = r.u64();
-        s.l2ColdMisses = r.u64();
-        s.l2CapacityMisses = r.u64();
-        s.l2TrueSharingMisses = r.u64();
-        s.l2FalseSharingMisses = r.u64();
-        s.l2UpgradeMisses = r.u64();
-        s.invalidationsSent = r.u64();
-        s.recalls = r.u64();
-        s.writebacks = r.u64();
-
-        tm.everCached.clear();
-        std::uint64_t ever = r.u64();
-        for (std::uint64_t i = 0; i < ever; ++i)
-            tm.everCached.insert(r.u64());
-
-        tm.lostLines.clear();
-        std::uint64_t lost = r.u64();
-        for (std::uint64_t i = 0; i < lost; ++i) {
-            addr_t a = r.u64();
-            LostLine& ll = tm.lostLines[a];
-            ll.reason = static_cast<EvictReason>(r.u8());
-            std::uint64_t n = r.u64();
-            ll.versions.resize(n);
-            for (std::uint32_t& v : ll.versions)
-                v = r.u32();
-        }
-    }
-
-    for (Shard& sh : shards_) {
-        lockdep::Guard lock(sh.mutex);
-        sh.directory->loadState(r);
-        sh.dram->loadState(r);
-        lockdep::Guard vl(sh.versionMutex);
-        sh.wordVersions.clear();
-        std::uint64_t entries = r.u64();
-        for (std::uint64_t i = 0; i < entries; ++i) {
-            addr_t a = r.u64();
-            std::uint64_t n = r.u64();
-            auto& vv = sh.wordVersions[a];
-            vv.resize(n);
-            for (std::uint32_t& v : vv)
-                v = r.u32();
-        }
-    }
-
-    // The merged histogram lands on tile 0 and the other parts restart
-    // empty, so the merged read is what was saved.
-    for (TileMemory& tm : tiles_)
-        tm.accessLatency.reset();
-    tiles_.front().accessLatency.loadState(r);
-    backing_.loadState(r);
-    manager_->loadState(r);
-
-    // The trailing totals repeat the restored per-tile counters.
-    for (stat_t restored : totals())
-        if (r.u64() != restored)
-            throw snapshot::SnapshotError(
-                "snapshot: memory totals disagree with the per-tile "
-                "counters");
+        ar.expect(total, "memory total");
 }
 
 } // namespace graphite

@@ -74,8 +74,7 @@ class SpanBuilder;
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** Kind of memory reference. */
@@ -278,8 +277,7 @@ class MemorySystem
      * zero.
      * @{
      */
-    void saveState(snapshot::SnapshotWriter& w);
-    void loadState(snapshot::SnapshotReader& r);
+    void serialize(snapshot::Archive& ar);
     /** @} */
 
     /**

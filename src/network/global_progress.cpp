@@ -2,7 +2,6 @@
 #include "network/global_progress.h"
 
 #include "common/log.h"
-#include "common/strfmt.h"
 #include "snapshot/snapshot.h"
 
 namespace graphite
@@ -51,37 +50,23 @@ GlobalProgress::current() const
 }
 
 void
-GlobalProgress::saveState(snapshot::SnapshotWriter& w) const
+GlobalProgress::serialize(snapshot::Archive& ar)
 {
     lockdep::Guard lock(mutex_);
-    w.u64(static_cast<std::uint64_t>(window_.size()));
-    for (cycle_t c : window_)
-        w.u64(c);
-    w.u64(static_cast<std::uint64_t>(next_));
-    w.u64(static_cast<std::uint64_t>(count_));
-    // 128-bit running sum, low word first.
-    w.u64(static_cast<std::uint64_t>(sum_));
-    w.u64(static_cast<std::uint64_t>(sum_ >> 64));
-}
-
-void
-GlobalProgress::loadState(snapshot::SnapshotReader& r)
-{
-    lockdep::Guard lock(mutex_);
-    std::uint64_t size = r.u64();
-    if (size != window_.size())
-        throw snapshot::SnapshotError(
-            strfmt("snapshot: global-progress window mismatch "
-                   "(snapshot {}, configured {})",
-                   size, window_.size()));
+    ar.expect(window_.size(), "global-progress window");
     for (cycle_t& c : window_)
-        c = r.u64();
-    next_ = static_cast<size_t>(r.u64());
-    count_ = static_cast<size_t>(r.u64());
-    std::uint64_t lo = r.u64();
-    std::uint64_t hi = r.u64();
-    sum_ = (static_cast<unsigned __int128>(hi) << 64) | lo;
-    publishLocked();
+        ar.u64(c);
+    ar.u64(next_);
+    ar.u64(count_);
+    // 128-bit running sum, low word first.
+    auto lo = static_cast<std::uint64_t>(sum_);
+    auto hi = static_cast<std::uint64_t>(sum_ >> 64);
+    ar.u64(lo);
+    ar.u64(hi);
+    if (ar.loading()) {
+        sum_ = (static_cast<unsigned __int128>(hi) << 64) | lo;
+        publishLocked();
+    }
 }
 
 } // namespace graphite

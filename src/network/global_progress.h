@@ -32,8 +32,7 @@ namespace graphite
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /**
@@ -65,10 +64,8 @@ class GlobalProgress
         return publishedCount_.load(std::memory_order_acquire);
     }
 
-    /** @name Checkpoint serialization @{ */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    /** Checkpoint serialization; a restore publishes the estimate. */
+    void serialize(snapshot::Archive& ar);
 
   private:
     /** Store the window's average for lock-free readers; mutex_ held. */

@@ -3,7 +3,6 @@
 #include "check/fault.h"
 #include "common/config.h"
 #include "common/log.h"
-#include "common/strfmt.h"
 #include "obs/accuracy/accuracy.h"
 #include "obs/span/span.h"
 #include "snapshot/snapshot.h"
@@ -98,43 +97,18 @@ NetworkFabric::pairBytes(tile_id_t src, tile_id_t dst) const
 }
 
 void
-NetworkFabric::saveState(snapshot::SnapshotWriter& w) const
+NetworkFabric::serialize(snapshot::Archive& ar)
 {
-    progress_.saveState(w);
+    progress_.serialize(ar);
     for (const auto& model : models_) {
-        w.str(model->name());
-        model->saveState(w);
+        ar.expect(model->name(), "network model");
+        model->serialize(ar);
     }
-    w.u64(static_cast<std::uint64_t>(msgMatrix_.size()));
-    for (const auto& v : msgMatrix_)
-        w.u64(v.load(std::memory_order_relaxed));
-    for (const auto& v : byteMatrix_)
-        w.u64(v.load(std::memory_order_relaxed));
-}
-
-void
-NetworkFabric::loadState(snapshot::SnapshotReader& r)
-{
-    progress_.loadState(r);
-    for (const auto& model : models_) {
-        std::string name = r.str();
-        if (name != model->name())
-            throw snapshot::SnapshotError(
-                strfmt("snapshot: network model mismatch (snapshot "
-                       "'{}', configured '{}')",
-                       name, model->name()));
-        model->loadState(r);
-    }
-    std::uint64_t matrix = r.u64();
-    if (matrix != msgMatrix_.size())
-        throw snapshot::SnapshotError(
-            strfmt("snapshot: traffic-matrix size mismatch "
-                   "(snapshot {}, configured {})",
-                   matrix, msgMatrix_.size()));
+    ar.expect(msgMatrix_.size(), "traffic-matrix size");
     for (auto& v : msgMatrix_)
-        v.store(r.u64(), std::memory_order_relaxed);
+        ar.u64(v);
     for (auto& v : byteMatrix_)
-        v.store(r.u64(), std::memory_order_relaxed);
+        ar.u64(v);
 }
 
 // ------------------------------------------------------------------ Network

@@ -39,8 +39,7 @@ class Config;
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /**
@@ -100,10 +99,8 @@ class NetworkFabric
     stat_t pairBytes(tile_id_t src, tile_id_t dst) const;
     /** @} */
 
-    /** @name Checkpoint serialization (at quiescence only) @{ */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    /** Checkpoint serialization (at quiescence only). */
+    void serialize(snapshot::Archive& ar);
 
   private:
     ClusterTopology topo_;

@@ -4,7 +4,6 @@
 
 #include "common/config.h"
 #include "common/log.h"
-#include "common/strfmt.h"
 #include "network/global_progress.h"
 #include "snapshot/snapshot.h"
 
@@ -141,49 +140,31 @@ EMeshContentionNetworkModel::totalContentionDelay() const
 // ----------------------------------------------------------- serialization
 
 void
-NetworkModel::saveState(snapshot::SnapshotWriter& w) const
+NetworkModel::serialize(snapshot::Archive& ar)
 {
-    w.u64(packetsRouted());
-    w.u64(bytesRouted());
-    w.u64(totalLatency());
-    w.u64(totalHops());
+    stat_t sums[] = {packetsRouted(), bytesRouted(), totalLatency(),
+                     totalHops()};
+    for (stat_t& sum : sums)
+        ar.u64(sum);
+    if (ar.loading()) {
+        // The saved sums land in stripe 0 and the other stripes restart
+        // empty, so every sum reads what was saved.
+        stripes_ = std::vector<Stripe>(stripes_.size());
+        Stripe& first = stripes_.front();
+        first.packets.store(sums[0], std::memory_order_relaxed);
+        first.bytes.store(sums[1], std::memory_order_relaxed);
+        first.latency.store(sums[2], std::memory_order_relaxed);
+        first.hops.store(sums[3], std::memory_order_relaxed);
+    }
 }
 
 void
-NetworkModel::loadState(snapshot::SnapshotReader& r)
+EMeshContentionNetworkModel::serialize(snapshot::Archive& ar)
 {
-    // The saved sums land in stripe 0 and the other stripes restart
-    // empty, so every sum reads what was saved.
-    stripes_ = std::vector<Stripe>(stripes_.size());
-    Stripe& first = stripes_.front();
-    first.packets.store(r.u64(), std::memory_order_relaxed);
-    first.bytes.store(r.u64(), std::memory_order_relaxed);
-    first.latency.store(r.u64(), std::memory_order_relaxed);
-    first.hops.store(r.u64(), std::memory_order_relaxed);
-}
-
-void
-EMeshContentionNetworkModel::saveState(
-    snapshot::SnapshotWriter& w) const
-{
-    NetworkModel::saveState(w);
-    w.u64(static_cast<std::uint64_t>(links_.size()));
-    for (const auto& link : links_)
-        link->saveState(w);
-}
-
-void
-EMeshContentionNetworkModel::loadState(snapshot::SnapshotReader& r)
-{
-    NetworkModel::loadState(r);
-    std::uint64_t count = r.u64();
-    if (count != links_.size())
-        throw snapshot::SnapshotError(
-            strfmt("snapshot: mesh link count mismatch (snapshot {}, "
-                   "configured {})",
-                   count, links_.size()));
+    NetworkModel::serialize(ar);
+    ar.expect(links_.size(), "mesh link count");
     for (auto& link : links_)
-        link->loadState(r);
+        link->serialize(ar);
 }
 
 // ------------------------------------------------------------------ factory

@@ -36,8 +36,7 @@ class GlobalProgress;
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** 2D mesh geometry shared by the mesh models. */
@@ -139,15 +138,11 @@ class NetworkModel
     /** @} */
 
     /**
-     * @name Checkpoint serialization
-     * The base implementation covers the aggregate counters (their
-     * sums; a restore puts them in stripe 0); stateful models
-     * (emesh_contention link queues) extend it.
-     * @{
+     * Checkpoint serialization. The base implementation covers the
+     * aggregate counters (their sums; a restore puts them in stripe 0);
+     * stateful models (emesh_contention link queues) extend it.
      */
-    virtual void saveState(snapshot::SnapshotWriter& w) const;
-    virtual void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    virtual void serialize(snapshot::Archive& ar);
 
     /**
      * Factory. @p type is one of "magic", "emesh_hop",
@@ -244,8 +239,7 @@ class EMeshContentionNetworkModel : public EMeshHopNetworkModel
     /** Total queueing delay accumulated over all links (for ablations). */
     stat_t totalContentionDelay() const;
 
-    void saveState(snapshot::SnapshotWriter& w) const override;
-    void loadState(snapshot::SnapshotReader& r) override;
+    void serialize(snapshot::Archive& ar) override;
 
   private:
     /** Observed once per packet; its result is every link's clock. */

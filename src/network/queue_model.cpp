@@ -98,25 +98,14 @@ QueueModel::saturations() const
 }
 
 void
-QueueModel::saveState(snapshot::SnapshotWriter& w) const
+QueueModel::serialize(snapshot::Archive& ar)
 {
     lockdep::Guard lock(mutex_);
-    w.u64(queueClock_);
-    w.u64(requests_);
-    w.u64(totalDelay_);
-    w.u64(clamped_);
-    w.u64(saturations_);
-}
-
-void
-QueueModel::loadState(snapshot::SnapshotReader& r)
-{
-    lockdep::Guard lock(mutex_);
-    queueClock_ = r.u64();
-    requests_ = r.u64();
-    totalDelay_ = r.u64();
-    clamped_ = r.u64();
-    saturations_ = r.u64();
+    ar.u64(queueClock_);
+    ar.u64(requests_);
+    ar.u64(totalDelay_);
+    ar.u64(clamped_);
+    ar.u64(saturations_);
 }
 
 } // namespace graphite

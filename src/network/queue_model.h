@@ -33,8 +33,7 @@ namespace graphite
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** One shared queue (a mesh link, a DRAM controller port, ...). */
@@ -78,10 +77,8 @@ class QueueModel
     stat_t saturations() const;
     /** @} */
 
-    /** @name Checkpoint serialization @{ */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    /** Checkpoint serialization. */
+    void serialize(snapshot::Archive& ar);
 
   private:
     cycle_t outlierWindow_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "common/strfmt.h"
 #include "snapshot/snapshot.h"
 
 namespace graphite
@@ -60,80 +59,21 @@ TwoBitBranchPredictor::predictAndTrain(addr_t site, bool taken)
 }
 
 void
-BranchPredictor::saveState(snapshot::SnapshotWriter& w) const
+BranchPredictor::serialize(snapshot::Archive& ar)
 {
-    w.u64(predictions_);
-    w.u64(mispredictions_);
-    saveTable(w);
-}
-
-void
-BranchPredictor::loadState(snapshot::SnapshotReader& r)
-{
-    predictions_ = r.u64();
-    mispredictions_ = r.u64();
-    loadTable(r);
-}
-
-void
-BranchPredictor::saveTable(snapshot::SnapshotWriter& w) const
-{
-    w.bytes("", 0); // stateless predictor: empty table blob
-}
-
-void
-BranchPredictor::loadTable(snapshot::SnapshotReader& r)
-{
-    (void)r.bytes();
-}
-
-void
-BranchPredictor::saveByteTable(snapshot::SnapshotWriter& w,
-                               const std::vector<std::uint8_t>& table)
-{
-    w.bytes(table.data(), table.size());
-}
-
-/**
- * The table blob is length-prefixed, so a checkpoint forked into a
- * sweep with a different predictor size (or type) restores what fits
- * rather than misaligning the stream.
- */
-void
-BranchPredictor::loadByteTable(snapshot::SnapshotReader& r,
-                               std::vector<std::uint8_t>& table)
-{
-    std::vector<std::uint8_t> saved = r.bytes();
-    if (saved.size() == table.size()) {
-        table = std::move(saved);
-        return;
-    }
-    std::copy_n(saved.begin(), std::min(saved.size(), table.size()),
-                table.begin());
-}
-
-void
-OneBitBranchPredictor::saveTable(snapshot::SnapshotWriter& w) const
-{
-    saveByteTable(w, table_);
-}
-
-void
-OneBitBranchPredictor::loadTable(snapshot::SnapshotReader& r)
-{
-    loadByteTable(r, table_);
-}
-
-void
-TwoBitBranchPredictor::saveTable(snapshot::SnapshotWriter& w) const
-{
-    saveByteTable(w, table_);
-}
-
-void
-TwoBitBranchPredictor::loadTable(snapshot::SnapshotReader& r)
-{
-    loadByteTable(r, table_);
+    ar.u64(predictions_);
+    ar.u64(mispredictions_);
+    std::vector<std::uint8_t>* live = table();
+    std::vector<std::uint8_t> saved;
+    if (!ar.loading() && live != nullptr)
+        saved = *live;
+    ar.bytes(saved);
+    // The table blob is length-prefixed, so a checkpoint forked into a
+    // sweep with a different predictor size (or type) restores what
+    // fits rather than misaligning the stream.
+    if (ar.loading() && live != nullptr)
+        std::copy_n(saved.begin(), std::min(saved.size(), live->size()),
+                    live->begin());
 }
 
 std::unique_ptr<BranchPredictor>

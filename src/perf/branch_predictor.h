@@ -22,8 +22,7 @@ namespace graphite
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** Abstract branch direction predictor. */
@@ -53,23 +52,14 @@ class BranchPredictor
     create(const std::string& type, size_t table_size);
 
     /**
-     * @name Checkpoint serialization
-     * Base covers the counters; table predictors add their tables via
-     * the saveTable/loadTable hooks.
-     * @{
+     * Checkpoint serialization: the counters, then the table() as a
+     * length-prefixed blob (empty for a stateless predictor).
      */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    void serialize(snapshot::Archive& ar);
 
   protected:
-    virtual void saveTable(snapshot::SnapshotWriter& w) const;
-    virtual void loadTable(snapshot::SnapshotReader& r);
-
-    static void saveByteTable(snapshot::SnapshotWriter& w,
-                              const std::vector<std::uint8_t>& table);
-    static void loadByteTable(snapshot::SnapshotReader& r,
-                              std::vector<std::uint8_t>& table);
+    /** The predictor's state table; nullptr when it keeps none. */
+    virtual std::vector<std::uint8_t>* table() { return nullptr; }
 
     void
     record(bool correct)
@@ -106,8 +96,7 @@ class OneBitBranchPredictor : public BranchPredictor
     bool predictAndTrain(addr_t site, bool taken) override;
 
   protected:
-    void saveTable(snapshot::SnapshotWriter& w) const override;
-    void loadTable(snapshot::SnapshotReader& r) override;
+    std::vector<std::uint8_t>* table() override { return &table_; }
 
   private:
     std::vector<std::uint8_t> table_;
@@ -121,8 +110,7 @@ class TwoBitBranchPredictor : public BranchPredictor
     bool predictAndTrain(addr_t site, bool taken) override;
 
   protected:
-    void saveTable(snapshot::SnapshotWriter& w) const override;
-    void loadTable(snapshot::SnapshotReader& r) override;
+    std::vector<std::uint8_t>* table() override { return &table_; }
 
   private:
     std::vector<std::uint8_t> table_; ///< states 0..3; >=2 predicts taken

@@ -12,36 +12,33 @@ namespace graphite
 namespace
 {
 
-void
-saveSlotRing(snapshot::SnapshotWriter& w,
-             const std::vector<cycle_t>& slots, size_t next)
-{
-    w.u64(static_cast<std::uint64_t>(slots.size()));
-    for (cycle_t c : slots)
-        w.u64(c);
-    w.u64(static_cast<std::uint64_t>(next));
-}
-
 /**
- * Restore a slot ring, tolerating a different configured size: a
- * checkpoint taken under one load-queue/store-buffer depth may be
- * forked into sweeps with different timing knobs, so copy what fits
- * (oldest-first from the cursor) instead of rejecting the snapshot.
+ * A slot ring: its size, its completion times and its cursor. A restore
+ * tolerates a different configured size: a checkpoint taken under one
+ * load-queue/store-buffer depth may be forked into sweeps with
+ * different timing knobs, so it copies what fits (oldest-first from the
+ * cursor) instead of rejecting the snapshot.
  */
 void
-loadSlotRing(snapshot::SnapshotReader& r, std::vector<cycle_t>& slots,
-             size_t& next)
+slotRing(snapshot::Archive& ar, std::vector<cycle_t>& slots, size_t& next)
 {
-    std::uint64_t saved_size = r.u64();
+    std::vector<cycle_t> saved;
+    if (!ar.loading())
+        saved = slots;
+    std::uint64_t saved_size = saved.size();
+    ar.u64(saved_size);
     // Sanity bound so a corrupted-but-checksummed count surfaces as a
     // clean SnapshotError instead of a giant allocation.
     if (saved_size > (1u << 20))
         throw snapshot::SnapshotError(
             strfmt("snapshot: implausible slot ring size {}", saved_size));
-    std::vector<cycle_t> saved(saved_size);
+    saved.resize(saved_size);
     for (cycle_t& c : saved)
-        c = r.u64();
-    std::uint64_t saved_next = r.u64();
+        ar.u64(c);
+    std::uint64_t saved_next = next;
+    ar.u64(saved_next);
+    if (!ar.loading())
+        return;
 
     if (saved_size == slots.size()) {
         slots = std::move(saved);
@@ -252,33 +249,18 @@ CoreModel::instructionsOfClass(InstrClass c) const
 }
 
 void
-CoreModel::saveState(snapshot::SnapshotWriter& w) const
+CoreModel::serialize(snapshot::Archive& ar)
 {
-    w.u64(clock_.load(std::memory_order_relaxed));
-    bp_->saveState(w);
-    saveSlotRing(w, loadSlots_, nextLoadSlot_);
-    saveSlotRing(w, storeSlots_, nextStoreSlot_);
-    w.u64(instructions_.load(std::memory_order_relaxed));
-    for (stat_t s : perClass_)
-        w.u64(s);
-    w.u64(loadStalls_);
-    w.u64(storeStalls_);
-    w.u64(syncWaitCycles_);
-}
-
-void
-CoreModel::loadState(snapshot::SnapshotReader& r)
-{
-    clock_.store(r.u64(), std::memory_order_relaxed);
-    bp_->loadState(r);
-    loadSlotRing(r, loadSlots_, nextLoadSlot_);
-    loadSlotRing(r, storeSlots_, nextStoreSlot_);
-    instructions_.store(r.u64(), std::memory_order_relaxed);
+    ar.u64(clock_);
+    bp_->serialize(ar);
+    slotRing(ar, loadSlots_, nextLoadSlot_);
+    slotRing(ar, storeSlots_, nextStoreSlot_);
+    ar.u64(instructions_);
     for (stat_t& s : perClass_)
-        s = r.u64();
-    loadStalls_ = r.u64();
-    storeStalls_ = r.u64();
-    syncWaitCycles_ = r.u64();
+        ar.u64(s);
+    ar.u64(loadStalls_);
+    ar.u64(storeStalls_);
+    ar.u64(syncWaitCycles_);
 }
 
 } // namespace graphite

@@ -35,8 +35,7 @@ class Config;
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** Per-class instruction costs in cycles, configurable. */
@@ -130,10 +129,8 @@ class alignas(64) CoreModel
 
     tile_id_t tileId() const { return tile_; }
 
-    /** @name Checkpoint serialization (owner thread quiescent) @{ */
-    void saveState(snapshot::SnapshotWriter& w) const;
-    void loadState(snapshot::SnapshotReader& r);
-    /** @} */
+    /** Checkpoint serialization (owner thread quiescent). */
+    void serialize(snapshot::Archive& ar);
 
   private:
     void advance(cycle_t cycles);

@@ -1,6 +1,5 @@
 #include "snapshot/checkpoint.h"
 
-#include "common/strfmt.h"
 #include "core/simulator.h"
 #include "snapshot/snapshot.h"
 
@@ -19,56 +18,43 @@ constexpr std::uint32_t TAG_THREADS = sectionTag("THRD");
 constexpr std::uint32_t TAG_APP = sectionTag("APP ");
 
 /**
- * Target-architecture signature. Only knobs that change the *shape* of
- * serialized state belong here; per-component loadState() methods
- * verify their own internals (cache geometry, directory type, mesh
- * link counts) with more specific errors. Host-side knobs
- * (host/threads, scheduler mode, telemetry) are deliberately absent:
- * a checkpoint may be resumed under any host configuration.
+ * The whole checkpoint, in both directions. The CFG section is the
+ * target-architecture signature: only knobs that change the *shape* of
+ * serialized state belong there; each component's serialize() checks
+ * its own internals (cache geometry, directory scheme, mesh link
+ * counts) with more specific errors. Host-side knobs (host/threads,
+ * scheduler mode, telemetry) are deliberately absent: a checkpoint may
+ * be resumed under any host configuration.
  */
 void
-writeSignature(SnapshotWriter& w, Simulator& sim)
+serializeCheckpoint(Archive& ar, Simulator& sim,
+                    std::vector<std::uint8_t>& app_blob)
 {
     const Config& cfg = sim.config();
-    w.u32(static_cast<std::uint32_t>(sim.totalTiles()));
-    w.u32(static_cast<std::uint32_t>(
-        cfg.getInt("perf_model/l2_cache/line_size", 64)));
-    w.str(cfg.getString("caching_protocol/type", "dir_msi"));
-    w.str(sim.syncModel().name());
-}
+    const tile_id_t tiles = sim.totalTiles();
+    ar.section(TAG_CONFIG, "config signature");
+    ar.expect<std::uint32_t>(tiles, "tile count");
+    ar.expect<std::uint32_t>(
+        cfg.getInt("perf_model/l2_cache/line_size", 64), "cache line size");
+    ar.expect(cfg.getString("caching_protocol/type", "dir_msi"),
+              "coherence protocol");
+    ar.expect(sim.syncModel().name(), "sync model");
 
-void
-checkSignature(SnapshotReader& r, Simulator& sim)
-{
-    const Config& cfg = sim.config();
-    const auto tiles = r.u32();
-    if (tiles != static_cast<std::uint32_t>(sim.totalTiles()))
-        throw SnapshotError(
-            strfmt("snapshot: tile count mismatch (checkpoint has {}, "
-                   "target config has {})",
-                   tiles, sim.totalTiles()));
-    const auto line = r.u32();
-    const auto want_line = static_cast<std::uint32_t>(
-        cfg.getInt("perf_model/l2_cache/line_size", 64));
-    if (line != want_line)
-        throw SnapshotError(
-            strfmt("snapshot: cache line size mismatch (checkpoint has "
-                   "{}, target config has {})",
-                   line, want_line));
-    const std::string proto = r.str();
-    const std::string want_proto =
-        cfg.getString("caching_protocol/type", "dir_msi");
-    if (proto != want_proto)
-        throw SnapshotError(
-            strfmt("snapshot: coherence protocol mismatch (checkpoint "
-                   "has '{}', target config has '{}')",
-                   proto, want_proto));
-    const std::string sync = r.str();
-    if (sync != sim.syncModel().name())
-        throw SnapshotError(
-            strfmt("snapshot: sync model mismatch (checkpoint has "
-                   "'{}', target config has '{}')",
-                   sync, sim.syncModel().name()));
+    ar.section(TAG_CORES, "core models");
+    ar.expect<std::uint32_t>(tiles, "core section tile count");
+    for (tile_id_t t = 0; t < tiles; ++t)
+        sim.tile(t).core().serialize(ar);
+
+    ar.section(TAG_MEMORY, "memory system");
+    sim.memory().serialize(ar);
+    ar.section(TAG_NETWORK, "network fabric");
+    sim.fabric().serialize(ar);
+    ar.section(TAG_SYNC, "sync model");
+    sim.syncModel().serialize(ar);
+    ar.section(TAG_THREADS, "thread manager");
+    sim.threadManager().serialize(ar);
+    ar.section(TAG_APP, "application blob");
+    ar.bytes(app_blob);
 }
 
 } // namespace
@@ -77,31 +63,9 @@ std::vector<std::uint8_t>
 saveCheckpoint(Simulator& sim, const std::vector<std::uint8_t>& app_blob)
 {
     SnapshotWriter w;
-
-    w.beginSection(TAG_CONFIG);
-    writeSignature(w, sim);
-
-    w.beginSection(TAG_CORES);
-    const tile_id_t tiles = sim.totalTiles();
-    w.u32(static_cast<std::uint32_t>(tiles));
-    for (tile_id_t t = 0; t < tiles; ++t)
-        sim.tile(t).core().saveState(w);
-
-    w.beginSection(TAG_MEMORY);
-    sim.memory().saveState(w);
-
-    w.beginSection(TAG_NETWORK);
-    sim.fabric().saveState(w);
-
-    w.beginSection(TAG_SYNC);
-    sim.syncModel().saveState(w);
-
-    w.beginSection(TAG_THREADS);
-    sim.threadManager().saveState(w);
-
-    w.beginSection(TAG_APP);
-    w.bytes(app_blob.data(), app_blob.size());
-
+    Archive ar(w);
+    std::vector<std::uint8_t> blob = app_blob;
+    serializeCheckpoint(ar, sim, blob);
     return w.finish();
 }
 
@@ -109,35 +73,9 @@ std::vector<std::uint8_t>
 restoreCheckpoint(Simulator& sim, const std::vector<std::uint8_t>& data)
 {
     SnapshotReader r(data);
-
-    r.expectSection(TAG_CONFIG, "config signature");
-    checkSignature(r, sim);
-
-    r.expectSection(TAG_CORES, "core models");
-    const auto tiles = r.u32();
-    if (tiles != static_cast<std::uint32_t>(sim.totalTiles()))
-        throw SnapshotError(
-            strfmt("snapshot: core section tile count mismatch "
-                   "(checkpoint has {}, target config has {})",
-                   tiles, sim.totalTiles()));
-    for (tile_id_t t = 0; t < sim.totalTiles(); ++t)
-        sim.tile(t).core().loadState(r);
-
-    r.expectSection(TAG_MEMORY, "memory system");
-    sim.memory().loadState(r);
-
-    r.expectSection(TAG_NETWORK, "network fabric");
-    sim.fabric().loadState(r);
-
-    r.expectSection(TAG_SYNC, "sync model");
-    sim.syncModel().loadState(r);
-
-    r.expectSection(TAG_THREADS, "thread manager");
-    sim.threadManager().loadState(r);
-
-    r.expectSection(TAG_APP, "application blob");
-    std::vector<std::uint8_t> app_blob = r.bytes();
-
+    Archive ar(r);
+    std::vector<std::uint8_t> app_blob;
+    serializeCheckpoint(ar, sim, app_blob);
     r.expectEnd();
     return app_blob;
 }

@@ -209,6 +209,62 @@ SnapshotReader::expectEnd() const
                    payloadEnd_ - pos_));
 }
 
+// --------------------------------------------------------------- archive
+
+void
+Archive::bytes(void* data, std::size_t len)
+{
+    if (reader_ != nullptr)
+        reader_->bytesInto(data, len);
+    else
+        writer_->bytes(data, len);
+}
+
+void
+Archive::bytes(std::vector<std::uint8_t>& v)
+{
+    if (reader_ != nullptr)
+        v = reader_->bytes();
+    else
+        writer_->bytes(v.data(), v.size());
+}
+
+void
+Archive::str(std::string& s)
+{
+    if (reader_ != nullptr)
+        s = reader_->str();
+    else
+        writer_->str(s);
+}
+
+void
+Archive::section(std::uint32_t tag, const char* name)
+{
+    if (reader_ != nullptr)
+        reader_->expectSection(tag, name);
+    else
+        writer_->beginSection(tag);
+}
+
+void
+Archive::expect(const std::string& configured, std::string_view what)
+{
+    std::string got = configured;
+    str(got);
+    if (got != configured)
+        mismatch(what, "'" + got + "'", "'" + configured + "'");
+}
+
+void
+Archive::mismatch(std::string_view what, const std::string& snapshot,
+                  const std::string& configured)
+{
+    throw SnapshotError(
+        strfmt("snapshot: {} mismatch (snapshot {}, configured {})", what,
+               snapshot, configured));
+}
+
 // ------------------------------------------------------------------ file
 
 void

@@ -24,14 +24,22 @@
  * mismatch, tag mismatch, trailing garbage) throws SnapshotError with
  * a message naming what was expected — restore never crashes on bad
  * input.
+ *
+ * Components do not call the writer and reader directly: each defines
+ * its format once, in a serialize(Archive&) that the Archive runs in
+ * either direction.
  */
 
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace graphite
@@ -162,6 +170,181 @@ class SnapshotReader
     std::size_t pos_ = 0;
     std::size_t payloadEnd_ = 0; ///< offset of the checksum trailer
     std::uint32_t version_ = 0;
+};
+
+/**
+ * One serialization body for both directions. An Archive wraps a
+ * SnapshotWriter (save) or a SnapshotReader (restore) and moves each
+ * field in that direction, so the same calls that write a component's
+ * fields on save read them back on restore, and a format cannot drift
+ * between its writer and its reader. A step that only a restore takes
+ * sits in a short `if (ar.loading())` tail.
+ */
+class Archive
+{
+  public:
+    explicit Archive(SnapshotWriter& w) : writer_(&w) {}
+    explicit Archive(SnapshotReader& r) : reader_(&r) {}
+
+    /** True on restore, when every field is read into its reference. */
+    bool loading() const { return reader_ != nullptr; }
+
+    /**
+     * @name Fields
+     * Any integer or enum, or a relaxed atomic of one, at the named
+     * wire width.
+     * @{
+     */
+    template <class T> void u8(T& v) { field<std::uint8_t>(v); }
+    template <class T> void u32(T& v) { field<std::uint32_t>(v); }
+    template <class T> void u64(T& v) { field<std::uint64_t>(v); }
+    template <class T> void i64(T& v) { field<std::int64_t>(v); }
+    void b(bool& v) { field<std::uint8_t>(v); }
+    /** @} */
+
+    /** A length-prefixed run of exactly @p len bytes at @p data. */
+    void bytes(void* data, std::size_t len);
+
+    /** A length-prefixed byte run of any length. */
+    void bytes(std::vector<std::uint8_t>& v);
+
+    /** A length-prefixed string. */
+    void str(std::string& s);
+
+    /** A section tag; a restore names @p name if the stream differs. */
+    void section(std::uint32_t tag, const char* name);
+
+    /**
+     * A value the configuration fixes, at wire width W. A save writes
+     * @p configured; a restore throws SnapshotError "snapshot: <what>
+     * mismatch (snapshot X, configured Y)" when the stream differs.
+     */
+    template <class W = std::uint64_t, class T>
+    void
+    expect(const T& configured, std::string_view what)
+    {
+        const W want = static_cast<W>(configured);
+        W got = want;
+        field<W>(got);
+        if (got != want)
+            mismatch(what, std::to_string(got), std::to_string(want));
+    }
+    void expect(const std::string& configured, std::string_view what);
+
+    /**
+     * A keyed container: a u64 count, then every entry in ascending key
+     * order through @p each(key, value), or @p each(key) for a set,
+     * which moves the key too. A restore clears @p c and inserts every
+     * entry it reads.
+     */
+    template <class C, class Fn>
+    void
+    sorted(C& c, Fn each)
+    {
+        using Key = typename C::key_type;
+        constexpr bool is_map = requires { typename C::mapped_type; };
+        std::uint64_t n = c.size();
+        u64(n);
+        if (loading()) {
+            c.clear();
+            for (std::uint64_t i = 0; i < n; ++i) {
+                Key key{};
+                if constexpr (is_map) {
+                    typename C::mapped_type value{};
+                    each(key, value);
+                    c.emplace(std::move(key), std::move(value));
+                } else {
+                    each(key);
+                    c.insert(std::move(key));
+                }
+            }
+        } else if constexpr (is_map) {
+            std::vector<typename C::value_type*> entries;
+            entries.reserve(c.size());
+            for (auto& e : c)
+                entries.push_back(&e);
+            std::sort(entries.begin(), entries.end(),
+                      [](auto* a, auto* b) { return a->first < b->first; });
+            for (auto* e : entries) {
+                Key key = e->first;
+                each(key, e->second);
+            }
+        } else {
+            std::vector<Key> keys(c.begin(), c.end());
+            std::sort(keys.begin(), keys.end());
+            for (Key& key : keys)
+                each(key);
+        }
+    }
+
+    /** A vector: a u64 count, then every element at wire width W. */
+    template <class W, class T>
+    void
+    seq(std::vector<T>& v)
+    {
+        std::uint64_t n = v.size();
+        u64(n);
+        if (!loading()) {
+            for (T& x : v)
+                field<W>(x);
+            return;
+        }
+        // Element by element, so a damaged count runs out of stream
+        // before it runs out of memory.
+        v.clear();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            T x{};
+            field<W>(x);
+            v.push_back(x);
+        }
+    }
+
+  private:
+    template <class W, class T>
+    void
+    field(T& v)
+    {
+        if (reader_ != nullptr)
+            v = static_cast<T>(read<W>());
+        else
+            write(static_cast<W>(v));
+    }
+
+    template <class W, class T>
+    void
+    field(std::atomic<T>& v)
+    {
+        if (reader_ != nullptr)
+            v.store(static_cast<T>(read<W>()), std::memory_order_relaxed);
+        else
+            write(static_cast<W>(v.load(std::memory_order_relaxed)));
+    }
+
+    template <class W>
+    W
+    read()
+    {
+        if constexpr (std::is_same_v<W, std::uint8_t>)
+            return reader_->u8();
+        else if constexpr (std::is_same_v<W, std::uint32_t>)
+            return reader_->u32();
+        else if constexpr (std::is_same_v<W, std::uint64_t>)
+            return reader_->u64();
+        else
+            return reader_->i64();
+    }
+
+    void write(std::uint8_t v) { writer_->u8(v); }
+    void write(std::uint32_t v) { writer_->u32(v); }
+    void write(std::uint64_t v) { writer_->u64(v); }
+    void write(std::int64_t v) { writer_->i64(v); }
+
+    [[noreturn]] static void mismatch(std::string_view what,
+                                      const std::string& snapshot,
+                                      const std::string& configured);
+
+    SnapshotWriter* writer_ = nullptr;
+    SnapshotReader* reader_ = nullptr;
 };
 
 /** Write a sealed snapshot blob to @p path. @throws SnapshotError */

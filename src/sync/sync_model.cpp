@@ -11,7 +11,6 @@
 #include "obs/telemetry/flight_recorder.h"
 #include "obs/trace_event.h"
 #include "perf/core_model.h"
-#include "common/strfmt.h"
 #include "snapshot/snapshot.h"
 
 namespace graphite
@@ -266,56 +265,29 @@ LaxP2PSync::periodicSync(CoreModel& core)
 // ----------------------------------------------------------- serialization
 
 void
-LaxBarrierSync::saveState(snapshot::SnapshotWriter& w) const
+LaxBarrierSync::serialize(snapshot::Archive& ar)
 {
     // Quiescence: no thread is parked in arrive(), so active_,
-    // waiting_ and waitingTiles_ are all at rest; only the epoch, the
-    // per-tile quantum targets and the barrier count carry forward.
-    w.u64(barriers_.load(std::memory_order_relaxed));
-    w.u64(epoch_);
-    w.u64(static_cast<std::uint64_t>(nextTarget_.size()));
-    for (cycle_t c : nextTarget_)
-        w.u64(c);
-}
-
-void
-LaxBarrierSync::loadState(snapshot::SnapshotReader& r)
-{
-    barriers_.store(r.u64(), std::memory_order_relaxed);
-    epoch_ = r.u64();
-    std::uint64_t n = r.u64();
-    if (n != nextTarget_.size())
-        throw snapshot::SnapshotError(
-            strfmt("snapshot: barrier tile count mismatch (snapshot "
-                   "{}, configured {})",
-                   n, nextTarget_.size()));
+    // waiting_ and waitingTiles_ are all at rest; only the barrier
+    // count, the epoch and the per-tile quantum targets carry forward.
+    ar.u64(barriers_);
+    ar.u64(epoch_);
+    ar.expect(nextTarget_.size(), "barrier tile count");
     for (cycle_t& c : nextTarget_)
-        c = r.u64();
+        ar.u64(c);
 }
 
 void
-LaxP2PSync::saveState(snapshot::SnapshotWriter& w) const
+LaxP2PSync::serialize(snapshot::Archive& ar)
 {
     lockdep::Guard lock(mutex_);
-    w.u64(rng_.state());
-    w.u64(static_cast<std::uint64_t>(nextCheck_.size()));
-    for (cycle_t c : nextCheck_)
-        w.u64(c);
-}
-
-void
-LaxP2PSync::loadState(snapshot::SnapshotReader& r)
-{
-    lockdep::Guard lock(mutex_);
-    rng_.setState(r.u64());
-    std::uint64_t n = r.u64();
-    if (n != nextCheck_.size())
-        throw snapshot::SnapshotError(
-            strfmt("snapshot: p2p tile count mismatch (snapshot {}, "
-                   "configured {})",
-                   n, nextCheck_.size()));
+    std::uint64_t rng = rng_.state();
+    ar.u64(rng);
+    if (ar.loading())
+        rng_.setState(rng);
+    ar.expect(nextCheck_.size(), "p2p tile count");
     for (cycle_t& c : nextCheck_)
-        c = r.u64();
+        ar.u64(c);
 }
 
 } // namespace graphite

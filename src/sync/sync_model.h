@@ -53,8 +53,7 @@ class HostScheduler;
 
 namespace snapshot
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace snapshot
 
 /** Abstract synchronization model. All methods are thread-safe. */
@@ -112,8 +111,7 @@ class SyncModel
      * artifacts and restart at zero. Stateless models save nothing.
      * @{
      */
-    virtual void saveState(snapshot::SnapshotWriter&) const {}
-    virtual void loadState(snapshot::SnapshotReader&) {}
+    virtual void serialize(snapshot::Archive&) {}
     /** @} */
 
   protected:
@@ -153,8 +151,7 @@ class LaxBarrierSync : public SyncModel
         return waitMicros_.load();
     }
 
-    void saveState(snapshot::SnapshotWriter& w) const override;
-    void loadState(snapshot::SnapshotReader& r) override;
+    void serialize(snapshot::Archive& ar) override;
 
   private:
     void arrive(tile_id_t tile, cycle_t now);
@@ -202,8 +199,7 @@ class LaxP2PSync : public SyncModel
         return parkMicros_.load();
     }
 
-    void saveState(snapshot::SnapshotWriter& w) const override;
-    void loadState(snapshot::SnapshotReader& r) override;
+    void serialize(snapshot::Archive& ar) override;
 
   private:
     cycle_t slack_;

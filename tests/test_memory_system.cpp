@@ -72,12 +72,14 @@ TEST(MemSnapshot, SavedTotalsMustMatchTheTileCounters)
     for (int i = 0; i < 16; ++i)
         f.write64(i % 2, A + static_cast<addr_t>(i) * 64, i);
     snapshot::SnapshotWriter w;
-    f.mem->saveState(w);
+    snapshot::Archive save(w);
+    f.mem->serialize(save);
     std::vector<std::uint8_t> blob = w.finish();
 
     MemFixture g(2, over);
     snapshot::SnapshotReader intact(blob);
-    EXPECT_NO_THROW(g.mem->loadState(intact));
+    snapshot::Archive restore(intact);
+    EXPECT_NO_THROW(g.mem->serialize(restore));
 
     // Re-seal the stream (8-byte header and checksum trailer) with the
     // last saved total, the writebacks, off by one.
@@ -87,7 +89,9 @@ TEST(MemSnapshot, SavedTotalsMustMatchTheTileCounters)
     for (std::uint8_t byte : body)
         tampered.u8(byte);
     snapshot::SnapshotReader r(tampered.finish());
-    EXPECT_THROW(g.mem->loadState(r), snapshot::SnapshotError);
+    snapshot::Archive restore_tampered(r);
+    EXPECT_THROW(g.mem->serialize(restore_tampered),
+                 snapshot::SnapshotError);
 }
 
 // -------------------------------------------------------- MSI transitions

@@ -336,7 +336,8 @@ measureContentionPin()
     // totals, the link count, then per link the queue clock, requests,
     // delay, clamped arrivals and saturations.
     snapshot::SnapshotWriter w;
-    mesh.saveState(w);
+    snapshot::Archive save(w);
+    mesh.serialize(save);
     snapshot::SnapshotReader r(w.finish());
     stat_t routed[4];
     for (stat_t& v : routed)
@@ -500,13 +501,15 @@ TEST(NetworkFabric, SnapshotRestoresStripeSums)
         for (tile_id_t d = 0; d < 4; ++d)
             fabric.model(PacketType::Memory, s, d, 16 + 8 * d, 10 * s);
     snapshot::SnapshotWriter w;
-    fabric.saveState(w);
+    snapshot::Archive save(w);
+    fabric.serialize(save);
     std::vector<std::uint8_t> blob = w.finish();
 
     NetworkFabric restored(topo, cfg);
     restored.model(PacketType::Memory, 3, 1, 999, 5); // overwritten
     snapshot::SnapshotReader r(blob);
-    restored.loadState(r);
+    snapshot::Archive restore(r);
+    restored.serialize(restore);
     const NetworkModel& a = fabric.modelFor(PacketType::Memory);
     const NetworkModel& b = restored.modelFor(PacketType::Memory);
     EXPECT_EQ(b.packetsRouted(), a.packetsRouted());
@@ -515,7 +518,8 @@ TEST(NetworkFabric, SnapshotRestoresStripeSums)
     EXPECT_EQ(b.totalHops(), a.totalHops());
 
     snapshot::SnapshotWriter again;
-    restored.saveState(again);
+    snapshot::Archive resave(again);
+    restored.serialize(resave);
     EXPECT_EQ(again.finish(), blob);
 }
 

@@ -2,9 +2,10 @@
  * @file
  * Checkpoint/restore test suite (src/snapshot):
  *
- *  - SnapshotStream:     writer/reader round trips and every malformed-
- *                        input failure mode (truncation, corruption,
- *                        bad magic, version mismatch, trailing bytes).
+ *  - SnapshotStream:     writer/reader and Archive round trips and
+ *                        every malformed-input failure mode
+ *                        (truncation, corruption, bad magic, version
+ *                        mismatch, trailing bytes, config drift).
  *  - SnapshotCheckpoint: whole-simulator save→restore→save byte
  *                        identity, config-drift rejection, file I/O,
  *                        and fork-isolated no-crash restores of
@@ -32,8 +33,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "check/fuzz_program.h"
@@ -128,6 +132,158 @@ TEST(SnapshotStream, ScalarAndContainerRoundTrip)
     std::uint8_t out[sizeof raw] = {};
     r.bytesInto(out, sizeof out);
     EXPECT_EQ(std::memcmp(out, raw, sizeof raw), 0);
+    EXPECT_NO_THROW(r.expectEnd());
+}
+
+enum class Shade : std::uint8_t
+{
+    Light = 1,
+    Dark = 7
+};
+
+/** One field of every kind an Archive moves. */
+struct EveryKind
+{
+    std::uint8_t small = 0;
+    std::uint32_t mid = 0;
+    std::uint64_t big = 0;
+    std::int32_t tile = 0;
+    bool flag = false;
+    Shade shade = Shade::Light;
+    std::atomic<std::uint64_t> counter{0};
+    std::uint8_t fixed[4] = {};
+    std::vector<std::uint8_t> run;
+    std::string text;
+    std::unordered_map<std::uint64_t, std::int32_t> owners;
+    std::unordered_set<std::uint64_t> seen;
+    std::vector<std::uint32_t> versions;
+
+    void
+    serialize(snapshot::Archive& ar)
+    {
+        ar.section(snapshot::sectionTag("TST "), "test");
+        ar.expect<std::uint32_t>(8, "tile count");
+        ar.expect(std::string("dir_msi"), "coherence protocol");
+        ar.u8(small);
+        ar.u32(mid);
+        ar.u64(big);
+        ar.i64(tile);
+        ar.b(flag);
+        ar.u8(shade);
+        ar.u64(counter);
+        ar.bytes(fixed, sizeof fixed);
+        ar.bytes(run);
+        ar.str(text);
+        ar.sorted(owners, [&](std::uint64_t& addr, std::int32_t& owner) {
+            ar.u64(addr);
+            ar.i64(owner);
+        });
+        ar.sorted(seen, [&](std::uint64_t& addr) { ar.u64(addr); });
+        ar.seq<std::uint32_t>(versions);
+    }
+};
+
+TEST(SnapshotStream, ArchiveRoundTripsEveryFieldKind)
+{
+    EveryKind in;
+    in.small = 0xAB;
+    in.mid = 0xDEADBEEFu;
+    in.big = 0x0123456789ABCDEFull;
+    in.tile = -3;
+    in.flag = true;
+    in.shade = Shade::Dark;
+    in.counter.store(77);
+    const std::uint8_t fixed[] = {9, 8, 7, 6};
+    std::memcpy(in.fixed, fixed, sizeof fixed);
+    in.run = {1, 2, 3};
+    in.text = "hello";
+    in.owners = {{0x40, 2}, {0x80, -1}};
+    in.seen = {0x1000, 0x40};
+    in.versions = {5, 6, 7};
+
+    snapshot::SnapshotWriter w;
+    snapshot::Archive save(w);
+    EXPECT_FALSE(save.loading());
+    in.serialize(save);
+    std::vector<std::uint8_t> blob = w.finish();
+    // Every field keeps its wire width: header 8, tag 4, the expected
+    // u32 4 and string 8+7, u8 1, u32 4, u64 8, i64 8, bool 1, enum 1,
+    // atomic 8, byte runs 8+4 and 8+3, string 8+5, map 8+2*16, set
+    // 8+2*8, vector 8+3*4, checksum 8.
+    EXPECT_EQ(blob.size(), 8u + 4 + 4 + 15 + 1 + 4 + 8 + 8 + 1 + 1 + 8 +
+                               12 + 11 + 13 + 40 + 24 + 20 + 8);
+
+    EveryKind out;
+    out.run = {42};
+    out.owners = {{0x999, 9}};
+    out.seen = {0x999};
+    out.versions = {1};
+    snapshot::SnapshotReader r(blob);
+    snapshot::Archive restore(r);
+    EXPECT_TRUE(restore.loading());
+    out.serialize(restore);
+    EXPECT_NO_THROW(r.expectEnd());
+    EXPECT_EQ(out.small, in.small);
+    EXPECT_EQ(out.mid, in.mid);
+    EXPECT_EQ(out.big, in.big);
+    EXPECT_EQ(out.tile, in.tile);
+    EXPECT_EQ(out.flag, in.flag);
+    EXPECT_EQ(out.shade, in.shade);
+    EXPECT_EQ(out.counter.load(), in.counter.load());
+    EXPECT_EQ(std::memcmp(out.fixed, in.fixed, sizeof fixed), 0);
+    EXPECT_EQ(out.run, in.run);
+    EXPECT_EQ(out.text, in.text);
+    EXPECT_EQ(out.owners, in.owners);
+    EXPECT_EQ(out.seen, in.seen);
+    EXPECT_EQ(out.versions, in.versions);
+
+    // A restore checks what the configuration fixes, naming the field.
+    auto restoreExpecting = [&](auto&& expect) {
+        snapshot::SnapshotReader again(blob);
+        snapshot::Archive ar(again);
+        ar.section(snapshot::sectionTag("TST "), "test");
+        expect(ar);
+    };
+    try {
+        restoreExpecting([](snapshot::Archive& ar) {
+            ar.expect<std::uint32_t>(16, "tile count");
+        });
+        FAIL() << "tile count drift accepted";
+    } catch (const snapshot::SnapshotError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "snapshot: tile count mismatch (snapshot 8, "
+                  "configured 16)");
+    }
+    try {
+        restoreExpecting([](snapshot::Archive& ar) {
+            ar.expect<std::uint32_t>(8, "tile count");
+            ar.expect(std::string("dir_mesi"), "coherence protocol");
+        });
+        FAIL() << "protocol drift accepted";
+    } catch (const snapshot::SnapshotError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "snapshot: coherence protocol mismatch (snapshot "
+                  "'dir_msi', configured 'dir_mesi')");
+    }
+}
+
+TEST(SnapshotStream, ArchiveWritesSortedKeysInAscendingOrder)
+{
+    std::unordered_map<std::uint64_t, std::uint64_t> entries;
+    for (std::uint64_t key = 50; key > 0; key -= 10)
+        entries.emplace(key, key * 3);
+    snapshot::SnapshotWriter w;
+    snapshot::Archive save(w);
+    save.sorted(entries, [&](std::uint64_t& key, std::uint64_t& value) {
+        save.u64(key);
+        save.u64(value);
+    });
+    snapshot::SnapshotReader r(w.finish());
+    EXPECT_EQ(r.u64(), 5u);
+    for (std::uint64_t key = 10; key <= 50; key += 10) {
+        EXPECT_EQ(r.u64(), key);
+        EXPECT_EQ(r.u64(), key * 3);
+    }
     EXPECT_NO_THROW(r.expectEnd());
 }
 
@@ -338,7 +494,7 @@ TEST(SnapshotCheckpoint, ForkIsolatedDamagedRestoresNeverCrash)
                      ckpt.begin() + static_cast<std::ptrdiff_t>(keep)));
     }
     // Re-sealed damage: checksum passes, the typed layout/size checks
-    // inside the component loadState() methods must hold the line.
+    // inside the component serialize() methods must hold the line.
     for (std::size_t pos = 13; pos < ckpt.size() - 8;
          pos += ckpt.size() / 7) {
         std::vector<std::uint8_t> d = ckpt;
