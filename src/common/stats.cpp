@@ -139,18 +139,9 @@ void
 StatsRegistry::checkNewName(const std::string& name) const
 {
     // Caller holds mutex_.
-    if (counters_.count(name) || atomicCounters_.count(name) ||
-        gauges_.count(name) || histograms_.count(name))
+    if (counters_.count(name) || gauges_.count(name) ||
+        histograms_.count(name))
         panic("duplicate stat registration: {}", name);
-}
-
-void
-StatsRegistry::registerCounter(const std::string& name,
-                               const stat_t* counter)
-{
-    lockdep::Guard lock(mutex_);
-    checkNewName(name);
-    counters_.emplace(name, counter);
 }
 
 void
@@ -159,7 +150,7 @@ StatsRegistry::registerCounter(const std::string& name,
 {
     lockdep::Guard lock(mutex_);
     checkNewName(name);
-    atomicCounters_.emplace(name, counter);
+    counters_.emplace(name, counter);
 }
 
 void
@@ -186,9 +177,6 @@ StatsRegistry::get(const std::string& name) const
 {
     lockdep::Guard lock(mutex_);
     if (auto it = counters_.find(name); it != counters_.end())
-        return *it->second;
-    if (auto it = atomicCounters_.find(name);
-        it != atomicCounters_.end())
         return it->second->load(std::memory_order_relaxed);
     if (auto it = gauges_.find(name); it != gauges_.end())
         return it->second();
@@ -199,9 +187,8 @@ bool
 StatsRegistry::has(const std::string& name) const
 {
     lockdep::Guard lock(mutex_);
-    return counters_.count(name) != 0 ||
-           atomicCounters_.count(name) != 0 ||
-           gauges_.count(name) != 0 || histograms_.count(name) != 0;
+    return counters_.count(name) != 0 || gauges_.count(name) != 0 ||
+           histograms_.count(name) != 0;
 }
 
 HistogramStat
@@ -244,8 +231,7 @@ StatsRegistry::sumMatching(const std::string& prefix,
             }
         }
     };
-    scan(counters_, [](const stat_t* p) { return *p; });
-    scan(atomicCounters_, [](const atomic_stat_t* p) {
+    scan(counters_, [](const atomic_stat_t* p) {
         return p->load(std::memory_order_relaxed);
     });
     scan(gauges_, [](const gauge_fn& fn) { return fn(); });
@@ -260,11 +246,8 @@ StatsRegistry::names() const
 {
     lockdep::Guard lock(mutex_);
     std::vector<std::string> out;
-    out.reserve(counters_.size() + atomicCounters_.size() +
-                gauges_.size() + histograms_.size());
+    out.reserve(counters_.size() + gauges_.size() + histograms_.size());
     for (const auto& [name, ptr] : counters_)
-        out.push_back(name);
-    for (const auto& [name, ptr] : atomicCounters_)
         out.push_back(name);
     for (const auto& [name, fn] : gauges_)
         out.push_back(name);
@@ -290,11 +273,9 @@ StatsRegistry::snapshot() const
 {
     lockdep::Guard lock(mutex_);
     std::vector<std::pair<std::string, stat_t>> out;
-    out.reserve(counters_.size() + atomicCounters_.size() +
-                gauges_.size() + 2 * histograms_.size());
+    out.reserve(counters_.size() + gauges_.size() +
+                2 * histograms_.size());
     for (const auto& [name, ptr] : counters_)
-        out.emplace_back(name, *ptr);
-    for (const auto& [name, ptr] : atomicCounters_)
         out.emplace_back(name, ptr->load(std::memory_order_relaxed));
     for (const auto& [name, fn] : gauges_)
         out.emplace_back(name, fn());
@@ -314,8 +295,6 @@ StatsRegistry::dump() const
     // Merge all kinds into one sorted listing.
     std::map<std::string, std::string> lines;
     for (const auto& [name, ptr] : counters_)
-        lines[name] = std::to_string(*ptr);
-    for (const auto& [name, ptr] : atomicCounters_)
         lines[name] =
             std::to_string(ptr->load(std::memory_order_relaxed));
     for (const auto& [name, fn] : gauges_)
@@ -333,7 +312,6 @@ StatsRegistry::clear()
 {
     lockdep::Guard lock(mutex_);
     counters_.clear();
-    atomicCounters_.clear();
     gauges_.clear();
     histograms_.clear();
 }

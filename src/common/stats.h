@@ -5,9 +5,9 @@
  * Models register statistics per tile under hierarchical names
  * ("tile.3.l2_cache.misses"). Three kinds are supported:
  *
- *  - counters:   plain 64-bit values owned by the registering model; the
- *    registry only stores (name -> pointer) so increments are free of
- *    any locking on the hot path.
+ *  - counters:   atomic 64-bit values (atomic_stat_t) owned by the
+ *    registering model; the registry only stores (name -> pointer), so
+ *    increments take no lock and concurrent readers see whole values.
  *  - gauges:     callbacks evaluated at read time, for values derived
  *    from model state (atomic clocks, sums over components). Gauges make
  *    interval snapshotting possible without invading every model.
@@ -43,7 +43,7 @@ namespace snapshot
 class Archive;
 } // namespace snapshot
 
-/** One statistic: a 64-bit counter with atomic-free single-writer usage. */
+/** The value of one statistic. */
 using stat_t = std::uint64_t;
 
 /**
@@ -155,9 +155,11 @@ enum class MatchMode
  * Registry of named statistics.
  *
  * Thread-safety: registration is mutex-protected (cold path); reads used
- * for reporting take the same mutex. Counter increments touch only the
- * owner's memory. Gauge callbacks are invoked with the registry mutex
- * held and must not call back into the registry.
+ * for reporting take the same mutex. A counter is an atomic_stat_t its
+ * owner updates without the registry, so /metrics, the sampler and the
+ * report read it race-free while it runs. Gauge callbacks are invoked
+ * with the registry mutex held and must not call back into the
+ * registry.
  */
 class StatsRegistry
 {
@@ -165,13 +167,6 @@ class StatsRegistry
     /**
      * Register a counter. The pointed-to storage must outlive the
      * registry or be unregistered via clear().
-     */
-    void registerCounter(const std::string& name, const stat_t* counter);
-
-    /**
-     * Register a shared (atomic) counter: incremented concurrently by
-     * many threads, read race-free at snapshot time. Same lifetime
-     * contract as the plain-counter overload.
      */
     void registerCounter(const std::string& name,
                          const atomic_stat_t* counter);
@@ -247,8 +242,7 @@ class StatsRegistry
     merged(const std::vector<const HistogramStat*>& parts);
 
     mutable lockdep::OrderedMutex mutex_{lockdep::LockClass::stats_registry};
-    std::map<std::string, const stat_t*> counters_;
-    std::map<std::string, const atomic_stat_t*> atomicCounters_;
+    std::map<std::string, const atomic_stat_t*> counters_;
     std::map<std::string, gauge_fn> gauges_;
     std::map<std::string, std::vector<const HistogramStat*>> histograms_;
 };

@@ -165,7 +165,7 @@ TEST(Rng, ForkGivesIndependentStreams)
 TEST(Stats, RegisterAndQuery)
 {
     StatsRegistry reg;
-    stat_t a = 5, b = 7;
+    atomic_stat_t a{5}, b{7};
     reg.registerCounter("tile.0.misses", &a);
     reg.registerCounter("tile.1.misses", &b);
     EXPECT_EQ(reg.get("tile.0.misses"), 5u);

@@ -291,7 +291,7 @@ TEST(StatsRegistry, GaugesEvaluateAtReadTime)
 TEST(StatsRegistry, SnapshotFlattensAllKinds)
 {
     StatsRegistry reg;
-    stat_t counter = 3;
+    atomic_stat_t counter{3};
     HistogramStat hist;
     hist.record(10);
     hist.record(20);
@@ -384,7 +384,7 @@ TEST(StatsRegistry, HistogramPartsMergeOnEveryReadPath)
 TEST(StatsRegistry, SumMatchingSpansCountersAndGauges)
 {
     StatsRegistry reg;
-    stat_t c0 = 1, c1 = 2;
+    atomic_stat_t c0{1}, c1{2};
     reg.registerCounter("tile.0.misses", &c0);
     reg.registerCounter("tile.1.misses", &c1);
     reg.registerGauge("tile.2.misses", [] { return stat_t{4}; });
@@ -402,7 +402,7 @@ TEST(StatsRegistry, SumMatchingLenientEmptyIsZero)
 TEST(StatsRegistry, SumMatchingStrictEmptyIsFatal)
 {
     StatsRegistry reg;
-    stat_t c = 1;
+    atomic_stat_t c{1};
     reg.registerCounter("tile.0.misses", &c);
     // A match set exists: strict mode succeeds.
     EXPECT_EQ(reg.sumMatching("tile.", ".misses", MatchMode::Strict), 1u);
@@ -503,7 +503,7 @@ TEST(TraceSink, LaneOverflowIsIndependentPerLane)
 TEST(MetricsSampler, IntervalDeltaMath)
 {
     StatsRegistry reg;
-    stat_t counter = 10;
+    atomic_stat_t counter{10};
     reg.registerCounter("c", &counter);
 
     cycle_t clock = 0;
@@ -584,7 +584,7 @@ TEST(MetricsSampler, SkewColumnsFromActiveClocks)
 TEST(MetricsSampler, CsvRendering)
 {
     StatsRegistry reg;
-    stat_t counter = 0;
+    atomic_stat_t counter{0};
     reg.registerCounter("x.total", &counter);
     cycle_t clock = 0;
     obs::MetricsSampler sampler(&reg, 10, "", [&clock] { return clock; },
@@ -604,7 +604,7 @@ TEST(MetricsSampler, CsvRendering)
 TEST(MetricsSampler, ShortRunEmitsPartialRowAtFinalize)
 {
     StatsRegistry reg;
-    stat_t counter = 0;
+    atomic_stat_t counter{0};
     reg.registerCounter("c", &counter);
     cycle_t clock = 0;
     obs::MetricsSampler sampler(&reg, 100000, "",

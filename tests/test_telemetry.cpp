@@ -249,7 +249,7 @@ TEST(Renderers, PrometheusNameSanitizes)
 TEST(Renderers, PrometheusExposesStatsAndHistograms)
 {
     StatsRegistry reg;
-    stat_t counter = 42;
+    atomic_stat_t counter{42};
     reg.registerCounter("unit.counter", &counter);
     reg.registerGauge("unit.gauge", [] { return stat_t{7}; });
     HistogramStat lat;
@@ -308,8 +308,8 @@ TEST(Renderers, StatusJsonNamesTilesAndWaiters)
     // host.pool.* names mark the pool enabled, and no accuracy.* name
     // leaves sync_skew disarmed.
     StatsRegistry reg;
-    stat_t sync_events = 11;
-    stat_t pool_slots = 4;
+    atomic_stat_t sync_events{11};
+    atomic_stat_t pool_slots{4};
     reg.registerCounter("sync.events", &sync_events);
     reg.registerCounter("host.pool.slots", &pool_slots);
     src.stats = &reg;
@@ -395,7 +395,7 @@ httpGet(std::uint16_t port, const std::string& target,
 TEST(TelemetryServer, ServesMetricsStatusAndHealth)
 {
     StatsRegistry reg;
-    stat_t counter = 5;
+    atomic_stat_t counter{5};
     reg.registerCounter("unit.counter", &counter);
     std::vector<TileStatus> tiles = {{0, 10, 5, true, true},
                                      {1, 20, 8, true, true}};
