@@ -2,6 +2,7 @@
 #include "network/global_progress.h"
 
 #include "common/log.h"
+#include "common/strfmt.h"
 #include "snapshot/snapshot.h"
 
 namespace graphite
@@ -64,6 +65,12 @@ GlobalProgress::serialize(snapshot::Archive& ar)
     ar.u64(lo);
     ar.u64(hi);
     if (ar.loading()) {
+        // observe() indexes the window with the cursor.
+        if (next_ >= window_.size() || count_ > window_.size())
+            throw snapshot::SnapshotError(
+                strfmt("snapshot: global-progress cursor {} or count {} "
+                       "out of range (window {})",
+                       next_, count_, window_.size()));
         sum_ = (static_cast<unsigned __int128>(hi) << 64) | lo;
         publishLocked();
     }

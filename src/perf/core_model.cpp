@@ -41,6 +41,11 @@ slotRing(snapshot::Archive& ar, std::vector<cycle_t>& slots, size_t& next)
         return;
 
     if (saved_size == slots.size()) {
+        if (saved_next >= saved_size)
+            throw snapshot::SnapshotError(
+                strfmt("snapshot: slot ring cursor {} out of range ({} "
+                       "slots)",
+                       saved_next, saved_size));
         slots = std::move(saved);
         next = static_cast<size_t>(saved_next);
         return;

@@ -61,6 +61,30 @@ TEST(GlobalProgress, LargeWindowResistsOutliers)
     EXPECT_LT(*gp.current(), 12000u);
 }
 
+TEST(GlobalProgress, RestoreRejectsACursorOutsideTheWindow)
+{
+    // A damaged but checksummed snapshot must not hand observe() a
+    // cursor past the window.
+    auto restore = [](std::uint64_t next, std::uint64_t count) {
+        snapshot::SnapshotWriter w;
+        w.u64(4); // window size
+        for (int i = 0; i < 4; ++i)
+            w.u64(100);
+        w.u64(next);
+        w.u64(count);
+        w.u64(400); // running sum, low word
+        w.u64(0);   // running sum, high word
+        snapshot::SnapshotReader r(w.finish());
+        snapshot::Archive ar(r);
+        GlobalProgress gp(4);
+        gp.serialize(ar);
+        return gp.current();
+    };
+    EXPECT_EQ(restore(3, 4), std::optional<cycle_t>(100));
+    EXPECT_THROW(restore(4, 4), snapshot::SnapshotError);
+    EXPECT_THROW(restore(0, 5), snapshot::SnapshotError);
+}
+
 TEST(GlobalProgress, ConcurrentObserversPublishAWindowAverage)
 {
     // Each writer observes one constant stamp, so every window average

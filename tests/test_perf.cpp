@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/config.h"
 #include "common/log.h"
 #include "perf/branch_predictor.h"
 #include "perf/core_model.h"
+#include "snapshot/snapshot.h"
 
 namespace graphite
 {
@@ -80,6 +84,39 @@ TEST(BranchPredictor, UnknownTypeIsFatal)
 }
 
 // --------------------------------------------------------------- CoreModel
+
+TEST(CoreModel, RestoreRejectsASlotCursorOutsideTheRing)
+{
+    CoreModel core(0, coreConfig());
+    snapshot::SnapshotWriter w;
+    snapshot::Archive save(w);
+    core.serialize(save);
+
+    // Copy the record up to the load ring's cursor, then put the cursor
+    // one past the ring's last slot.
+    snapshot::SnapshotReader r(w.finish());
+    snapshot::SnapshotWriter damaged;
+    for (int i = 0; i < 3; ++i) // clock, predictions, mispredictions
+        damaged.u64(r.u64());
+    std::vector<std::uint8_t> table = r.bytes();
+    damaged.bytes(table.data(), table.size());
+    std::uint64_t slots = r.u64();
+    damaged.u64(slots);
+    for (std::uint64_t i = 0; i < slots; ++i)
+        damaged.u64(r.u64());
+    damaged.u64(slots);
+
+    CoreModel restored(0, coreConfig());
+    snapshot::SnapshotReader bad(damaged.finish());
+    snapshot::Archive restore(bad);
+    try {
+        restored.serialize(restore);
+        FAIL() << "slot cursor " << slots << " accepted";
+    } catch (const snapshot::SnapshotError& e) {
+        EXPECT_NE(std::string(e.what()).find("cursor"), std::string::npos)
+            << e.what();
+    }
+}
 
 TEST(CoreModel, InstructionCostsAdvanceClock)
 {
