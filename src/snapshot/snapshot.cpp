@@ -182,6 +182,18 @@ SnapshotReader::bytesInto(void* out, std::size_t expected_len)
     raw(out, expected_len, "byte run");
 }
 
+std::size_t
+SnapshotReader::checkCount(std::uint64_t count,
+                           std::size_t element_bytes) const
+{
+    if (count > (payloadEnd_ - pos_) / element_bytes)
+        throw SnapshotError(
+            strfmt("snapshot: count {} at offset {} needs more than the "
+                   "{} bytes left",
+                   count, pos_, payloadEnd_ - pos_));
+    return static_cast<std::size_t>(count);
+}
+
 std::string
 SnapshotReader::str()
 {

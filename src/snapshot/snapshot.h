@@ -148,6 +148,14 @@ class SnapshotReader
     /** Read a length-prefixed byte run into @p out (size must match). */
     void bytesInto(void* out, std::size_t expected_len);
 
+    /**
+     * @return @p count, once the rest of the stream can hold that many
+     * elements of @p element_bytes each; a damaged count throws here
+     * instead of sizing an allocation.
+     */
+    std::size_t checkCount(std::uint64_t count, std::size_t element_bytes)
+        const;
+
     std::string str();
 
     /**
@@ -284,19 +292,10 @@ class Archive
     {
         std::uint64_t n = v.size();
         u64(n);
-        if (!loading()) {
-            for (T& x : v)
-                field<W>(x);
-            return;
-        }
-        // Element by element, so a damaged count runs out of stream
-        // before it runs out of memory.
-        v.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            T x{};
+        if (loading())
+            v.resize(reader_->checkCount(n, sizeof(W)));
+        for (T& x : v)
             field<W>(x);
-            v.push_back(x);
-        }
     }
 
   private:

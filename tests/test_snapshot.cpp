@@ -267,6 +267,19 @@ TEST(SnapshotStream, ArchiveRoundTripsEveryFieldKind)
     }
 }
 
+TEST(SnapshotStream, ArchiveRejectsACountTheStreamCannotHold)
+{
+    snapshot::SnapshotWriter w;
+    w.u64(~std::uint64_t{0} / 4); // element count
+    w.u32(1);
+    snapshot::SnapshotReader r(w.finish());
+    snapshot::Archive restore(r);
+    std::vector<std::uint32_t> versions;
+    EXPECT_THROW(restore.seq<std::uint32_t>(versions),
+                 snapshot::SnapshotError);
+    EXPECT_TRUE(versions.empty());
+}
+
 TEST(SnapshotStream, ArchiveWritesSortedKeysInAscendingOrder)
 {
     std::unordered_map<std::uint64_t, std::uint64_t> entries;
