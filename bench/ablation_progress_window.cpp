@@ -29,7 +29,7 @@ constexpr int TILES = 32;
 /** One run's queue-model health. */
 struct Health
 {
-    double cycles = 0;
+    double mcycles = 0; ///< simulated run time, millions of cycles
     double clamped = 0;
     double saturations = 0;
     double queueDelay = 0; ///< average DRAM queueing delay per access
@@ -50,7 +50,7 @@ runOnce(int window)
 
     stat_t delay = 0, reqs = 0;
     Health h;
-    h.cycles = static_cast<double>(r.simulatedCycles);
+    h.mcycles = static_cast<double>(r.simulatedCycles) / 1e6;
     for (tile_id_t t = 0; t < sim.totalTiles(); ++t) {
         DramController& dram = sim.memory().dram(t);
         delay += dram.totalQueueDelay();
@@ -99,12 +99,10 @@ main()
     for (int window : {TILES, 2 * TILES, 4 * TILES, 8 * TILES,
                        32 * TILES}) {
         std::vector<Health> results;
-        for (int i = 0; i < runs; ++i) {
+        for (int i = 0; i < runs; ++i)
             results.push_back(runOnce(window));
-            results.back().cycles /= 1e6;
-        }
         table.row({std::to_string(window),
-                   spread(results, &Health::cycles, 2),
+                   spread(results, &Health::mcycles, 2),
                    spread(results, &Health::clamped, 0),
                    spread(results, &Health::saturations, 0),
                    spread(results, &Health::queueDelay, 1)});
