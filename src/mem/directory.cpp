@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/strfmt.h"
 #include "snapshot/snapshot.h"
 
 namespace graphite
@@ -107,16 +108,27 @@ Directory::removeSharer(DirectoryEntry& e, tile_id_t tile)
 }
 
 void
-Directory::serialize(snapshot::Archive& ar)
+Directory::serialize(snapshot::Archive& ar, tile_id_t tiles)
 {
     ar.expect<std::uint8_t>(type_, "directory scheme");
     ar.u64(pointerEvictions_);
     ar.u64(softwareTraps_);
+    auto is_tile = [tiles](tile_id_t t) { return t >= 0 && t < tiles; };
     ar.sorted(entries_, [&](addr_t& addr, DirectoryEntry& e) {
         ar.u64(addr);
         ar.u8(e.state_);
         ar.i64(e.owner_);
         ar.seq<std::int64_t>(e.sharers_);
+        // The protocol table is indexed by the state, and the memory
+        // system's tile array by the owner and the sharers.
+        if (ar.loading() &&
+            (e.state_ > DirectoryState::Modified ||
+             (e.owner_ != INVALID_TILE_ID && !is_tile(e.owner_)) ||
+             !std::all_of(e.sharers_.begin(), e.sharers_.end(), is_tile)))
+            throw snapshot::SnapshotError(
+                strfmt("snapshot: directory entry {} names a state, "
+                       "owner or sharer outside {} tiles",
+                       addr, tiles));
     });
 }
 

@@ -141,9 +141,11 @@ class Directory
      * Checkpoint serialization. Entries are saved sorted by line
      * address, each with its sharers in scheme order, and restored
      * exactly as saved.
-     * @throws snapshot::SnapshotError on scheme mismatch.
+     * @throws snapshot::SnapshotError on scheme mismatch, or on a
+     *         restored state, owner or sharer outside the @p tiles
+     *         tiles the memory system indexes with them.
      */
-    void serialize(snapshot::Archive& ar);
+    void serialize(snapshot::Archive& ar, tile_id_t tiles);
 
   private:
     DirectoryType type_;

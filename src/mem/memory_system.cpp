@@ -1245,7 +1245,7 @@ MemorySystem::serialize(snapshot::Archive& ar)
 
     for (Shard& sh : shards_) {
         lockdep::Guard lock(sh.mutex);
-        sh.directory->serialize(ar);
+        sh.directory->serialize(ar, static_cast<tile_id_t>(tiles_.size()));
         sh.dram->serialize(ar);
         lockdep::Guard vl(sh.versionMutex);
         ar.sorted(sh.wordVersions,

@@ -14,6 +14,7 @@
 #include "mem/dram_controller.h"
 #include "mem/main_memory.h"
 #include "network/global_progress.h"
+#include "snapshot/snapshot.h"
 
 namespace graphite
 {
@@ -228,6 +229,30 @@ TEST(Directory, EntriesCreatedOnDemand)
     dir.entry(0x40).setState(DirectoryState::Shared);
     EXPECT_NE(dir.peek(0x40), nullptr);
     EXPECT_EQ(dir.size(), 1u);
+}
+
+TEST(Directory, RestoreRejectsTilesOutsideTheTarget)
+{
+    // Saved with 8 tiles in mind; restored where the memory system has
+    // only 4, the owner or a sharer would index past its tile array.
+    auto restore = [](tile_id_t owner, tile_id_t sharer, tile_id_t tiles) {
+        Directory saved(DirectoryType::FullMap, 0, 0);
+        DirectoryEntry& e = saved.entry(0x40);
+        e.setState(DirectoryState::Shared);
+        e.setOwner(owner);
+        saved.addSharer(e, sharer);
+        snapshot::SnapshotWriter w;
+        snapshot::Archive save(w);
+        saved.serialize(save, 8);
+        snapshot::SnapshotReader r(w.finish());
+        snapshot::Archive load(r);
+        Directory restored(DirectoryType::FullMap, 0, 0);
+        restored.serialize(load, tiles);
+        return restored.peek(0x40)->sharers();
+    };
+    EXPECT_EQ(restore(INVALID_TILE_ID, 3, 4), std::vector<tile_id_t>{3});
+    EXPECT_THROW(restore(INVALID_TILE_ID, 5, 4), snapshot::SnapshotError);
+    EXPECT_THROW(restore(6, 3, 4), snapshot::SnapshotError);
 }
 
 // ---------------------------------------------------------- DramController
