@@ -23,6 +23,19 @@ tagName(std::uint32_t tag)
     return std::string(s);
 }
 
+/**
+ * The magic and version words every snapshot starts with. Built whole,
+ * so no insert into an empty buffer is inlined: GCC 12 reads that as a
+ * write into a region of size 0 (-Wstringop-overflow).
+ */
+std::vector<std::uint8_t>
+headerBytes()
+{
+    const std::uint32_t header[2] = {SNAPSHOT_MAGIC, FORMAT_VERSION};
+    const auto* p = reinterpret_cast<const std::uint8_t*>(header);
+    return std::vector<std::uint8_t>(p, p + sizeof header);
+}
+
 } // namespace
 
 std::uint64_t
@@ -38,10 +51,8 @@ fnv1a(const std::uint8_t* data, std::size_t len)
 
 // ---------------------------------------------------------------- writer
 
-SnapshotWriter::SnapshotWriter()
+SnapshotWriter::SnapshotWriter() : buf_(headerBytes())
 {
-    u32(SNAPSHOT_MAGIC);
-    u32(FORMAT_VERSION);
 }
 
 void

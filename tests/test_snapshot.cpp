@@ -544,8 +544,9 @@ expectResumeEquivalence(const FuzzProgram& prog, std::uint64_t seed,
 
     EXPECT_EQ(paired.fingerprint, plain.fingerprint);
     EXPECT_EQ(snap.fingerprint, plain.fingerprint);
-    if (sched_mode == "deterministic")
+    if (sched_mode == "deterministic") {
         EXPECT_EQ(snap.simulatedCycles, paired.simulatedCycles);
+    }
 }
 
 TEST(SnapshotSmoke, ResumeMatchesAcrossHostWidthsAndSchedulers)
