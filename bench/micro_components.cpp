@@ -70,7 +70,7 @@ BENCHMARK(BM_CacheHitProbe);
 void
 BM_QueueModelEnqueue(benchmark::State& state)
 {
-    QueueModel queue;
+    QueueModel queue(/*outlier_window=*/100000, /*max_backlog=*/10000);
     cycle_t t = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(queue.enqueue(t, 10));
@@ -83,7 +83,9 @@ void
 BM_MeshRouteContention(benchmark::State& state)
 {
     GlobalProgress progress(64);
-    EMeshContentionNetworkModel model(64, 2, 8, &progress);
+    EMeshContentionNetworkModel model(64, /*hop=*/2, /*bw=*/8, &progress,
+                                      /*outlier_window=*/100000,
+                                      /*max_backlog=*/10000);
     tile_id_t dst = 1;
     for (auto _ : state) {
         benchmark::DoNotOptimize(

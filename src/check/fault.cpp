@@ -9,11 +9,10 @@ namespace check
 {
 
 FaultPlan::FaultPlan(const Config& cfg)
-    : mode_(parseMode(cfg.getString("check/inject_fault", "none"))),
-      after_(static_cast<std::uint64_t>(
-          cfg.getInt("check/fault_after", 4))),
+    : mode_(parseMode(cfg.getString("check/inject_fault"))),
+      after_(static_cast<std::uint64_t>(cfg.getInt("check/fault_after"))),
       addrBelow_(
-          static_cast<addr_t>(cfg.getInt("check/fault_addr_below", 0)))
+          static_cast<addr_t>(cfg.getInt("check/fault_addr_below")))
 {
     if (mode_ != FaultMode::None)
         warn("fault injection armed: {} after {} opportunities",

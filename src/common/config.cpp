@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/log.h"
+#include "default_config.h"
 
 namespace graphite
 {
@@ -127,12 +128,6 @@ Config::setDouble(const std::string& key, double value)
     values_[key] = os.str();
 }
 
-bool
-Config::has(const std::string& key) const
-{
-    return values_.count(key) != 0;
-}
-
 std::optional<std::string>
 Config::lookup(const std::string& key) const
 {
@@ -151,12 +146,6 @@ Config::getString(const std::string& key) const
     return *v;
 }
 
-std::string
-Config::getString(const std::string& key, const std::string& dflt) const
-{
-    return lookup(key).value_or(dflt);
-}
-
 std::int64_t
 Config::getInt(const std::string& key) const
 {
@@ -170,12 +159,6 @@ Config::getInt(const std::string& key) const
     if (ec != std::errc() || ptr != last)
         fatal("config key '{}': '{}' is not an integer", key, *v);
     return out;
-}
-
-std::int64_t
-Config::getInt(const std::string& key, std::int64_t dflt) const
-{
-    return has(key) ? getInt(key) : dflt;
 }
 
 double
@@ -197,12 +180,6 @@ Config::getDouble(const std::string& key) const
     }
 }
 
-double
-Config::getDouble(const std::string& key, double dflt) const
-{
-    return has(key) ? getDouble(key) : dflt;
-}
-
 bool
 Config::getBool(const std::string& key) const
 {
@@ -217,12 +194,6 @@ Config::getBool(const std::string& key) const
     if (s == "false" || s == "0" || s == "no" || s == "off")
         return false;
     fatal("config key '{}': '{}' is not a boolean", key, *v);
-}
-
-bool
-Config::getBool(const std::string& key, bool dflt) const
-{
-    return has(key) ? getBool(key) : dflt;
 }
 
 std::vector<std::string>
@@ -249,104 +220,7 @@ Config
 defaultTargetConfig()
 {
     Config cfg;
-    cfg.parseText(R"cfg(
-# ---- Target architecture (paper Table 1) ----
-[general]
-total_tiles            = 32
-num_processes          = 1
-clock_frequency_ghz    = 1.0
-
-[perf_model/core]
-type                   = in_order
-load_queue_size        = 8
-store_buffer_size      = 8
-
-[perf_model/branch_predictor]
-type                   = two_bit      ; none | always_taken | one_bit | two_bit
-size                   = 1024
-mispredict_penalty     = 14
-
-[perf_model/l1_icache]
-enabled                = true
-cache_size             = 32768        ; 32 KB
-associativity          = 8
-
-[perf_model/l1_dcache]
-enabled                = true
-cache_size             = 32768        ; 32 KB
-associativity          = 8
-access_latency         = 1            ; both L1s
-
-[perf_model/l2_cache]
-enabled                = true
-cache_size             = 3145728      ; 3 MB
-associativity          = 24
-line_size              = 64           ; every cache level
-access_latency         = 9
-
-[perf_model/dram]
-latency_ns             = 100
-total_bandwidth_gbps   = 5.13         ; split evenly across per-tile controllers
-queue_model_enabled    = true
-
-[caching_protocol]
-type                   = dir_msi      ; dir_msi | dir_mesi
-directory_type         = full_map     ; full_map | limited_no_broadcast | limitless
-max_sharers            = 4            ; for limited/limitless directories
-limitless_software_trap_penalty = 100
-directory_access_latency = 10
-
-[network]
-memory_model           = emesh_contention  ; magic | emesh_hop | emesh_contention
-app_model              = emesh_contention
-system_model           = magic
-hop_latency            = 2
-link_bandwidth_bytes   = 8             ; bytes per cycle per link
-queue_model_window     = 64
-queue_outlier_window   = 100000       ; clamp span around global progress
-queue_max_backlog      = 10000        ; finite-buffer back-pressure bound
-
-[sync]
-model                  = lax           ; lax | lax_barrier | lax_p2p
-quantum                = 1000          ; barrier interval, cycles
-slack                  = 100000        ; LaxP2P slack, cycles
-check_interval         = 200           ; instructions between sync checks
-
-[transport]
-intra_process_latency_us  = 0.5
-inter_process_latency_us  = 50        ; one-way, gigabit-class LAN
-
-[system]
-syscall_cost           = 100          ; target cycles per syscall round trip
-spawn_cost             = 1000         ; target cycles charged to a new thread
-
-[host]
-cores_per_machine      = 8
-processes_per_machine  = 1
-host_clock_ghz         = 3.16
-native_ipc             = 1.0
-instruction_model_cost = 90           ; host cycles to model one instruction
-memory_event_cost      = 420          ; host cycles per memory access modeled
-miss_event_cost        = 2000         ; host cycles per coherence transaction
-message_send_cost      = 600          ; host cycles per transported message
-inter_process_byte_cost = 2           ; extra host cycles per socket byte
-syscall_host_cost      = 3000         ; host cycles per MCP syscall
-barrier_base_us        = 5
-stall_exposure         = 0.02
-init_seconds_per_process = 1.0
-
-[stack]
-stack_size_per_thread  = 2097152      ; 2 MB simulated stacks
-
-[rng]
-seed                   = 42
-
-[check]
-validate_at_shutdown   = true         ; coherence check when run() ends
-inject_fault           = none         ; none | drop_invalidation | stale_dram_fill | lost_writeback | skip_release_fence
-fault_after            = 4            ; opportunities to spare before firing
-fault_addr_below       = 0            ; 0 = no address filter
-)cfg");
+    cfg.parseText(DEFAULT_CONFIG_TEXT);
     return cfg;
 }
 

@@ -33,9 +33,10 @@ namespace graphite
 /**
  * Key/value configuration store with typed accessors.
  *
- * All getters come in two forms: with a default (returns the default when
- * the key is absent) and without (calls fatal() when the key is absent,
- * because a missing required parameter is a user error).
+ * Every getter calls fatal() when the key is absent: each key the
+ * simulator reads has its default in graphite.cfg, which is compiled in
+ * as defaultTargetConfig(), so a missing key is a typo or a config that
+ * did not start from the defaults.
  */
 class Config
 {
@@ -60,21 +61,11 @@ class Config
     void setBool(const std::string& key, bool value);
     void setDouble(const std::string& key, double value);
 
-    /** @return true when the key is present. */
-    bool has(const std::string& key) const;
-
-    /** Required getters — fatal() when missing or malformed. */
+    /** Getters — fatal() when missing or malformed. */
     std::string getString(const std::string& key) const;
     std::int64_t getInt(const std::string& key) const;
     double getDouble(const std::string& key) const;
     bool getBool(const std::string& key) const;
-
-    /** Defaulted getters. */
-    std::string getString(const std::string& key,
-                          const std::string& dflt) const;
-    std::int64_t getInt(const std::string& key, std::int64_t dflt) const;
-    double getDouble(const std::string& key, double dflt) const;
-    bool getBool(const std::string& key, bool dflt) const;
 
     /** All keys under a prefix (for enumeration in tests/tools). */
     std::vector<std::string> keysWithPrefix(const std::string& prefix) const;
@@ -89,10 +80,11 @@ class Config
 };
 
 /**
- * @return a Config pre-populated with the paper's Table 1 target
- * architecture parameters (1 GHz clock, 32 KB 8-way L1s, 3 MB 24-way L2,
- * 64 B lines, full-map directory MSI, 5.13 GB/s DRAM, mesh interconnect)
- * plus this implementation's model defaults.
+ * @return a Config holding the repository's graphite.cfg, compiled in:
+ * the paper's Table 1 target architecture parameters (1 GHz clock,
+ * 32 KB 8-way L1s, 3 MB 24-way L2, 64 B lines, full-map directory MSI,
+ * 5.13 GB/s DRAM, mesh interconnect) plus this implementation's model
+ * defaults, one entry for every key the simulator reads.
  */
 Config defaultTargetConfig();
 

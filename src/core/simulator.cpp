@@ -33,19 +33,16 @@ configureProcessWide(const Config& cfg)
     obs::telemetry::FlightRecorder& recorder =
         obs::telemetry::FlightRecorder::instance();
     recorder.setArmed(false);
-    if (cfg.getBool("telemetry/recorder", true)) {
+    if (cfg.getBool("telemetry/recorder")) {
         recorder.configure(static_cast<std::size_t>(
-            cfg.getInt("telemetry/recorder_capacity", 4096)));
+            cfg.getInt("telemetry/recorder_capacity")));
         recorder.setArmed(true);
     }
-    std::string crash_dump = cfg.getString("telemetry/crash_dump", "");
+    std::string crash_dump = cfg.getString("telemetry/crash_dump");
     if (!crash_dump.empty())
         recorder.installCrashHandler(crash_dump);
     else
         recorder.uninstallCrashHandler();
-
-    if (cfg.has("log/filter"))
-        setLogFilter(cfg.getString("log/filter"));
 }
 
 } // namespace
@@ -53,8 +50,7 @@ configureProcessWide(const Config& cfg)
 Simulator::Simulator(Config cfg)
     : cfg_(std::move(cfg)),
       topo_(static_cast<tile_id_t>(cfg_.getInt("general/total_tiles")),
-            static_cast<proc_id_t>(
-                cfg_.getInt("general/num_processes", 1))),
+            static_cast<proc_id_t>(cfg_.getInt("general/num_processes"))),
       transport_(topo_)
 {
     configureProcessWide(cfg_);
@@ -101,35 +97,15 @@ Simulator::Simulator(Config cfg)
 
     threads_ = std::make_unique<ThreadManager>(*this);
 
-    syncCheckInterval_ = cfg_.getInt("sync/check_interval", 200);
-    syscallCost_ = cfg_.getInt("system/syscall_cost", 100);
-    spawnCost_ = cfg_.getInt("system/spawn_cost", 1000);
-    ffEnabled_ = cfg_.getBool("snapshot/fast_forward", false);
-    ffDetailAt_ = cfg_.getInt("snapshot/ff_detail_at", 0);
+    syncCheckInterval_ = cfg_.getInt("sync/check_interval");
+    syscallCost_ = cfg_.getInt("system/syscall_cost");
+    spawnCost_ = cfg_.getInt("system/spawn_cost");
+    ffEnabled_ = cfg_.getBool("snapshot/fast_forward");
+    ffDetailAt_ = cfg_.getInt("snapshot/ff_detail_at");
 
-    telemetryPort_ =
-        static_cast<int>(cfg_.getInt("telemetry/http_port", -1));
-    watchdogEnabled_ = cfg_.getBool("telemetry/watchdog", true);
-    watchdogConfig_.intervalMs = static_cast<std::uint64_t>(
-        cfg_.getInt("telemetry/watchdog_interval_ms", 250));
-    watchdogConfig_.stallBeats = static_cast<int>(
-        cfg_.getInt("telemetry/watchdog_stall_beats", 8));
-    watchdogConfig_.dumpBeats = static_cast<int>(
-        cfg_.getInt("telemetry/watchdog_dump_beats", 4));
-    watchdogConfig_.dumpPath =
-        cfg_.getString("telemetry/watchdog_dump", "");
-    std::string action =
-        cfg_.getString("telemetry/watchdog_action", "flag");
-    if (action == "flag")
-        watchdogConfig_.action = obs::telemetry::WatchdogAction::Flag;
-    else if (action == "dump")
-        watchdogConfig_.action = obs::telemetry::WatchdogAction::Dump;
-    else if (action == "abort")
-        watchdogConfig_.action = obs::telemetry::WatchdogAction::Abort;
-    else
-        fatal("telemetry/watchdog_action must be flag|dump|abort, "
-              "got '{}'",
-              action);
+    telemetryPort_ = static_cast<int>(cfg_.getInt("telemetry/http_port"));
+    watchdogEnabled_ = cfg_.getBool("telemetry/watchdog");
+    watchdogConfig_ = obs::telemetry::WatchdogConfig::fromConfig(cfg_);
 
     registerStats();
     sampler_ = obs::MetricsSampler::fromConfig(
@@ -430,7 +406,7 @@ Simulator::run(thread_func_t app_main, void* arg)
     // The memory system is self-verifying: protocol state must be
     // consistent at quiescence. On by default so every system test
     // inherits the check; perf runs can disable it.
-    if (cfg_.getBool("check/validate_at_shutdown", true)) {
+    if (cfg_.getBool("check/validate_at_shutdown")) {
         std::string err = memory_->validateCoherence();
         if (!err.empty())
             fatal("coherence validation failed at shutdown: {}", err);

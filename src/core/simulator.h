@@ -210,13 +210,13 @@ class Simulator
     cycle_t syncCheckInterval_;
     cycle_t syscallCost_;
     cycle_t spawnCost_;
-    bool ffEnabled_ = false;
-    cycle_t ffDetailAt_ = 0;
+    bool ffEnabled_{};
+    cycle_t ffDetailAt_{};
 
     // Telemetry plane. Declared last so both host threads die before
     // the components their status callbacks read.
-    int telemetryPort_ = -1; ///< -1 off, 0 ephemeral, >0 fixed
-    bool watchdogEnabled_ = false;
+    int telemetryPort_{}; ///< -1 off, 0 ephemeral, >0 fixed
+    bool watchdogEnabled_{};
     obs::telemetry::WatchdogConfig watchdogConfig_;
     obs::telemetry::TelemetryServer telemetryServer_;
     obs::telemetry::ProgressWatchdog watchdog_;

@@ -79,34 +79,26 @@ HostCosts
 HostCosts::fromConfig(const Config& cfg)
 {
     HostCosts c;
-    c.hostClockGhz = cfg.getDouble("host/host_clock_ghz", c.hostClockGhz);
-    c.coresPerMachine = static_cast<int>(
-        cfg.getInt("host/cores_per_machine", c.coresPerMachine));
-    c.procsPerMachine = static_cast<int>(
-        cfg.getInt("host/processes_per_machine", c.procsPerMachine));
-    c.nativeIpc = cfg.getDouble("host/native_ipc", c.nativeIpc);
-    c.instructionCost =
-        cfg.getDouble("host/instruction_model_cost", c.instructionCost);
-    c.memEventCost =
-        cfg.getDouble("host/memory_event_cost", c.memEventCost);
-    c.missEventCost =
-        cfg.getDouble("host/miss_event_cost", c.missEventCost);
-    c.messageCost =
-        cfg.getDouble("host/message_send_cost", c.messageCost);
-    c.interProcessByteCost = cfg.getDouble(
-        "host/inter_process_byte_cost", c.interProcessByteCost);
-    c.syscallHostCost =
-        cfg.getDouble("host/syscall_host_cost", c.syscallHostCost);
-    c.intraProcessLatencyUs = cfg.getDouble(
-        "transport/intra_process_latency_us", c.intraProcessLatencyUs);
-    c.interProcessLatencyUs = cfg.getDouble(
-        "transport/inter_process_latency_us", c.interProcessLatencyUs);
-    c.initSecondsPerProcess = cfg.getDouble(
-        "host/init_seconds_per_process", c.initSecondsPerProcess);
-    c.stallExposure =
-        cfg.getDouble("host/stall_exposure", c.stallExposure);
-    c.barrierBaseUs =
-        cfg.getDouble("host/barrier_base_us", c.barrierBaseUs);
+    c.hostClockGhz = cfg.getDouble("host/host_clock_ghz");
+    c.coresPerMachine =
+        static_cast<int>(cfg.getInt("host/cores_per_machine"));
+    c.procsPerMachine =
+        static_cast<int>(cfg.getInt("host/processes_per_machine"));
+    c.nativeIpc = cfg.getDouble("host/native_ipc");
+    c.instructionCost = cfg.getDouble("host/instruction_model_cost");
+    c.memEventCost = cfg.getDouble("host/memory_event_cost");
+    c.missEventCost = cfg.getDouble("host/miss_event_cost");
+    c.messageCost = cfg.getDouble("host/message_send_cost");
+    c.interProcessByteCost = cfg.getDouble("host/inter_process_byte_cost");
+    c.syscallHostCost = cfg.getDouble("host/syscall_host_cost");
+    c.intraProcessLatencyUs =
+        cfg.getDouble("transport/intra_process_latency_us");
+    c.interProcessLatencyUs =
+        cfg.getDouble("transport/inter_process_latency_us");
+    c.initSecondsPerProcess =
+        cfg.getDouble("host/init_seconds_per_process");
+    c.stallExposure = cfg.getDouble("host/stall_exposure");
+    c.barrierBaseUs = cfg.getDouble("host/barrier_base_us");
     return c;
 }
 

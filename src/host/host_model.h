@@ -15,8 +15,8 @@
  * sequential per-process initialization the paper cites as the scaling
  * limit of Figure 5.
  *
- * Per-event costs default to values calibrated with bench/micro_components
- * and are configurable under [host].
+ * Per-event costs are configurable under [host]; their defaults in
+ * graphite.cfg were calibrated with bench/micro_components.
  */
 
 #pragma once
@@ -76,31 +76,34 @@ struct SimulationProfile
 SimulationProfile scaleProfile(const SimulationProfile& prof,
                                double compute_scale, double comm_scale);
 
-/** Host-side cost parameters ([host] config section). */
+/**
+ * Host-side cost parameters: the [host] keys and the [transport]
+ * latencies, read by fromConfig (graphite.cfg holds their defaults).
+ */
 struct HostCosts
 {
-    double hostClockGhz = 3.16;
-    int coresPerMachine = 8;
-    int procsPerMachine = 1;
-    double nativeIpc = 1.0;
+    double hostClockGhz{};
+    int coresPerMachine{};
+    int procsPerMachine{};
+    double nativeIpc{};
 
-    double instructionCost = 90;     ///< host cycles / modeled instr
-    double memEventCost = 420;       ///< host cycles / memory access
-    double missEventCost = 2000;     ///< host cycles / L2 miss transaction
-    double messageCost = 600;        ///< host cycles / transported message
-    double interProcessByteCost = 2; ///< extra host cycles / byte, sockets
-    double syscallHostCost = 3000;   ///< host cycles / MCP syscall
+    double instructionCost{};      ///< host cycles / modeled instr
+    double memEventCost{};         ///< host cycles / memory access
+    double missEventCost{};        ///< host cycles / L2 miss transaction
+    double messageCost{};          ///< host cycles / transported message
+    double interProcessByteCost{}; ///< extra host cycles / byte, sockets
+    double syscallHostCost{};      ///< host cycles / MCP syscall
 
-    double intraProcessLatencyUs = 0.5; ///< one-way, shared memory
-    double interProcessLatencyUs = 50;  ///< one-way, TCP
+    double intraProcessLatencyUs{}; ///< one-way, shared memory
+    double interProcessLatencyUs{}; ///< one-way, TCP
     /**
      * Fraction of per-thread message latency that is *not* hidden by
      * multiplexing other threads onto the stalled thread's host core
      * (lax synchronization overlaps most of it).
      */
-    double stallExposure = 0.02;
-    double initSecondsPerProcess = 1.0; ///< sequential startup (§4.2)
-    double barrierBaseUs = 5;           ///< in-process barrier release
+    double stallExposure{};
+    double initSecondsPerProcess{}; ///< sequential startup (§4.2)
+    double barrierBaseUs{};         ///< in-process barrier release
 
     static HostCosts fromConfig(const Config& cfg);
 };

@@ -18,21 +18,17 @@ SchedulerConfig
 SchedulerConfig::fromConfig(const Config& cfg)
 {
     SchedulerConfig out;
-    std::string mode = cfg.getString("host/scheduler", "free_running");
+    std::string mode = cfg.getString("host/scheduler");
     if (mode == "deterministic")
         out.mode = SchedMode::Deterministic;
     else if (mode == "free_running")
         out.mode = SchedMode::FreeRunning;
-    else if (mode == "off")
-        fatal("host/scheduler = off is not supported; to keep every "
-              "target thread runnable use host/scheduler = free_running "
-              "with host/threads >= general/total_tiles");
     else
         fatal("host/scheduler must be deterministic|free_running, got "
               "'{}'",
               mode);
 
-    out.hostThreads = static_cast<int>(cfg.getInt("host/threads", 0));
+    out.hostThreads = static_cast<int>(cfg.getInt("host/threads"));
     if (out.hostThreads < 0)
         fatal("host/threads must be >= 0, got {}", out.hostThreads);
     if (out.hostThreads == 0) {
@@ -40,7 +36,7 @@ SchedulerConfig::fromConfig(const Config& cfg)
         out.hostThreads = hw > 0 ? static_cast<int>(hw) : 1;
     }
     out.quantumCycles =
-        static_cast<cycle_t>(cfg.getInt("host/quantum_cycles", 10000));
+        static_cast<cycle_t>(cfg.getInt("host/quantum_cycles"));
     if (out.quantumCycles <= 0)
         fatal("host/quantum_cycles must be positive");
     return out;

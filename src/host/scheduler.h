@@ -73,15 +73,14 @@ enum class SchedMode : std::uint8_t
 /** Resolved scheduler configuration (see fromConfig). */
 struct SchedulerConfig
 {
-    SchedMode mode = SchedMode::FreeRunning;
-    int hostThreads = 0;        ///< pool width; 0 = hardware concurrency
-    cycle_t quantumCycles = 10000;
+    SchedMode mode{};
+    int hostThreads{}; ///< pool width (slots)
+    cycle_t quantumCycles{};
 
     /**
      * Parse host/scheduler, host/threads and host/quantum_cycles;
-     * hostThreads is resolved (never 0 on return).
-     * `off` is rejected with a fatal error naming the equivalent
-     * free_running setting.
+     * hostThreads is resolved (host/threads = 0 means hardware
+     * concurrency, so it is never 0 on return).
      */
     static SchedulerConfig fromConfig(const Config& cfg);
 };

@@ -46,11 +46,12 @@ class DramController
      *                            published value is the queue's
      *                            reference clock (nullptr disables
      *                            queue modeling)
+     * @param outlier_window      the queue's clamp span (QueueModel)
+     * @param max_backlog         the queue's backlog bound (QueueModel)
      */
     DramController(cycle_t latency_cycles, double bytes_per_cycle,
-                   const GlobalProgress* progress,
-                   cycle_t outlier_window = 100000,
-                   cycle_t max_backlog = 10000);
+                   const GlobalProgress* progress, cycle_t outlier_window,
+                   cycle_t max_backlog);
 
     /** Latency decomposition of one access; queue + service == total. */
     struct Breakdown

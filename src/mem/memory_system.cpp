@@ -27,7 +27,7 @@ std::unique_ptr<Cache>
 makeCache(const Config& cfg, const std::string& key,
           const std::string& label, std::uint64_t line_size)
 {
-    if (!cfg.getBool(key + "/enabled", true))
+    if (!cfg.getBool(key + "/enabled"))
         return nullptr;
     return std::make_unique<Cache>(
         label, cfg.getInt(key + "/cache_size"),
@@ -89,36 +89,32 @@ MemorySystem::MemorySystem(const ClusterTopology& topo,
         shards_[t].mutex.setInstance(t);
         shards_[t].versionMutex.setInstance(t);
     }
-    lineSize_ = cfg.getInt("perf_model/l2_cache/line_size", 64);
-    l1Latency_ = cfg.getInt("perf_model/l1_dcache/access_latency", 1);
-    l2Latency_ = cfg.getInt("perf_model/l2_cache/access_latency", 9);
-    dirLatency_ =
-        cfg.getInt("caching_protocol/directory_access_latency", 10);
-    std::string protocol =
-        cfg.getString("caching_protocol/type", "dir_msi");
+    lineSize_ = cfg.getInt("perf_model/l2_cache/line_size");
+    l1Latency_ = cfg.getInt("perf_model/l1_dcache/access_latency");
+    l2Latency_ = cfg.getInt("perf_model/l2_cache/access_latency");
+    dirLatency_ = cfg.getInt("caching_protocol/directory_access_latency");
+    std::string protocol = cfg.getString("caching_protocol/type");
     if (protocol != "dir_msi" && protocol != "dir_mesi")
         fatal("unknown caching protocol '{}'", protocol);
     protocol_ = protocol == "dir_mesi" ? &MESI : &MSI;
 
     DirectoryType dtype = parseDirectoryType(
-        cfg.getString("caching_protocol/directory_type", "full_map"));
+        cfg.getString("caching_protocol/directory_type"));
     int max_sharers =
-        static_cast<int>(cfg.getInt("caching_protocol/max_sharers", 4));
+        static_cast<int>(cfg.getInt("caching_protocol/max_sharers"));
     cycle_t trap_penalty = cfg.getInt(
-        "caching_protocol/limitless_software_trap_penalty", 100);
+        "caching_protocol/limitless_software_trap_penalty");
 
-    double freq = cfg.getDouble("general/clock_frequency_ghz", 1.0);
-    double dram_latency_ns =
-        cfg.getDouble("perf_model/dram/latency_ns", 100.0);
+    double freq = cfg.getDouble("general/clock_frequency_ghz");
+    double dram_latency_ns = cfg.getDouble("perf_model/dram/latency_ns");
     auto dram_latency = static_cast<cycle_t>(dram_latency_ns * freq);
     double total_bw_gbps =
-        cfg.getDouble("perf_model/dram/total_bandwidth_gbps", 5.13);
+        cfg.getDouble("perf_model/dram/total_bandwidth_gbps");
     // GB/s divided by GHz gives bytes per cycle; the total off-chip
     // bandwidth is split evenly across per-tile controllers (§4.4).
     double bytes_per_cycle =
         total_bw_gbps / freq / static_cast<double>(topo.totalTiles());
-    bool dram_queue =
-        cfg.getBool("perf_model/dram/queue_model_enabled", true);
+    bool dram_queue = cfg.getBool("perf_model/dram/queue_model_enabled");
 
     for (tile_id_t t = 0; t < topo.totalTiles(); ++t) {
         TileMemory& tm = tiles_[t];
@@ -138,13 +134,12 @@ MemorySystem::MemorySystem(const ClusterTopology& topo,
         sh.dram = std::make_unique<DramController>(
             dram_latency, bytes_per_cycle,
             dram_queue ? &fabric.progress() : nullptr,
-            cfg.getInt("network/queue_outlier_window", 100000),
-            cfg.getInt("network/queue_max_backlog", 10000));
+            cfg.getInt("network/queue_outlier_window"),
+            cfg.getInt("network/queue_max_backlog"));
     }
 
     manager_ = std::make_unique<MemoryManager>(
-        topo.totalTiles(),
-        cfg.getInt("stack/stack_size_per_thread", 2097152));
+        topo.totalTiles(), cfg.getInt("stack/stack_size_per_thread"));
 }
 
 MemorySystem::~MemorySystem() = default;

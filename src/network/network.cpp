@@ -35,21 +35,20 @@ NetworkFabric::NetworkFabric(const ClusterTopology& topo,
                              const Config& cfg)
     : topo_(topo),
       progress_(std::max<size_t>(
-          cfg.getInt("network/queue_model_window", 64),
+          cfg.getInt("network/queue_model_window"),
           static_cast<size_t>(topo.totalTiles()))),
       msgMatrix_(static_cast<size_t>(topo.totalTiles()) * topo.totalTiles()),
       byteMatrix_(msgMatrix_.size())
 {
-    auto make = [&](const char* key, const char* dflt) {
-        return NetworkModel::create(cfg.getString(key, dflt),
-                                    topo_.totalTiles(), cfg, &progress_);
+    auto make = [&](const char* key) {
+        return NetworkModel::create(cfg.getString(key), topo_.totalTiles(),
+                                    cfg, &progress_);
     };
-    models_[static_cast<int>(PacketType::App)] =
-        make("network/app_model", "emesh_contention");
+    models_[static_cast<int>(PacketType::App)] = make("network/app_model");
     models_[static_cast<int>(PacketType::Memory)] =
-        make("network/memory_model", "emesh_contention");
+        make("network/memory_model");
     models_[static_cast<int>(PacketType::System)] =
-        make("network/system_model", "magic");
+        make("network/system_model");
 }
 
 NetBreakdown

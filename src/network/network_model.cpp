@@ -176,16 +176,16 @@ NetworkModel::create(const std::string& type, tile_id_t total_tiles,
     if (type == "magic")
         return std::make_unique<MagicNetworkModel>(total_tiles);
 
-    cycle_t hop = cfg.getInt("network/hop_latency", 2);
-    size_t bw = cfg.getInt("network/link_bandwidth_bytes", 8);
+    cycle_t hop = cfg.getInt("network/hop_latency");
+    size_t bw = cfg.getInt("network/link_bandwidth_bytes");
     if (type == "emesh_hop")
         return std::make_unique<EMeshHopNetworkModel>(total_tiles, hop,
                                                       bw);
     if (type == "emesh_contention")
         return std::make_unique<EMeshContentionNetworkModel>(
             total_tiles, hop, bw, progress,
-            cfg.getInt("network/queue_outlier_window", 100000),
-            cfg.getInt("network/queue_max_backlog", 10000));
+            cfg.getInt("network/queue_outlier_window"),
+            cfg.getInt("network/queue_max_backlog"));
 
     fatal("unknown network model type '{}'", type);
 }

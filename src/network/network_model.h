@@ -229,8 +229,8 @@ class EMeshContentionNetworkModel : public EMeshHopNetworkModel
                                 cycle_t hop_latency,
                                 size_t link_bandwidth_bytes,
                                 GlobalProgress* progress,
-                                cycle_t outlier_window = 100000,
-                                cycle_t max_backlog = 10000);
+                                cycle_t outlier_window,
+                                cycle_t max_backlog);
 
     NetBreakdown computeLatency(tile_id_t src, tile_id_t dst,
                                 size_t bytes, cycle_t send_time) override;

@@ -53,8 +53,7 @@ class QueueModel
      *                       dependent latency — into an unbounded
      *                       saturation spiral.
      */
-    explicit QueueModel(cycle_t outlier_window = 100000,
-                        cycle_t max_backlog = 10000);
+    explicit QueueModel(cycle_t outlier_window, cycle_t max_backlog);
 
     /**
      * Model the arrival of a packet needing @p processing_time cycles of

@@ -45,13 +45,12 @@ AccuracyObservatory::AccuracyObservatory(tile_id_t total_tiles,
 std::unique_ptr<AccuracyObservatory>
 AccuracyObservatory::fromConfig(const Config& cfg, tile_id_t total_tiles)
 {
-    std::string out = cfg.getString("accuracy/out", "");
-    if (out.empty() && !cfg.getBool("accuracy/enabled", false))
+    std::string out = cfg.getString("accuracy/out");
+    if (out.empty() && !cfg.getBool("accuracy/enabled"))
         return nullptr;
     return std::make_unique<AccuracyObservatory>(
         total_tiles,
-        static_cast<cycle_t>(
-            cfg.getInt("accuracy/flight_min_cycles", 10000)),
+        static_cast<cycle_t>(cfg.getInt("accuracy/flight_min_cycles")),
         std::move(out));
 }
 

@@ -102,7 +102,7 @@ class AccuracyObservatory
      * report goes to @p out (empty = no report).
      */
     explicit AccuracyObservatory(tile_id_t total_tiles,
-                                 cycle_t flight_min_cycles = 10000,
+                                 cycle_t flight_min_cycles,
                                  std::string out = "");
 
     /**

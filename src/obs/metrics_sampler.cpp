@@ -43,12 +43,12 @@ MetricsSampler::fromConfig(
     std::function<cycle_t()> now,
     std::function<std::vector<double>()> active_clocks)
 {
-    std::string path = cfg.getString("obs/metrics_out", "");
+    std::string path = cfg.getString("obs/metrics_out");
     if (path.empty())
         return nullptr;
     return std::make_unique<MetricsSampler>(
         registry,
-        static_cast<cycle_t>(cfg.getInt("obs/metrics_interval", 100000)),
+        static_cast<cycle_t>(cfg.getInt("obs/metrics_interval")),
         std::move(path), std::move(now), std::move(active_clocks));
 }
 
@@ -159,43 +159,21 @@ MetricsSampler::render() const
 std::string
 MetricsSampler::renderLocked() const
 {
-    bool jsonl = outPath_.size() >= 6 &&
-                 outPath_.compare(outPath_.size() - 6, 6, ".jsonl") == 0;
     std::ostringstream os;
-    if (jsonl) {
-        for (const Row& r : rows_) {
-            os << "{\"interval\":" << r.index << ",\"start_cycle\":"
-               << r.startCycle << ",\"end_cycle\":" << r.endCycle
-               << ",\"wall_seconds\":" << r.wallSeconds
-               << ",\"host_wall_ms\":" << r.hostWallMs
-               << ",\"host_rss_kb\":" << r.hostRssKb
-               << ",\"skew_max_cycles\":" << r.skewMax
-               << ",\"skew_min_cycles\":" << r.skewMin
-               << ",\"causality_violations\":" << r.causalityViolations
-               << ",\"counters\":{";
-            for (std::size_t i = 0; i < columns_.size(); ++i) {
-                if (i != 0)
-                    os << ",";
-                os << "\"" << columns_[i] << "\":" << r.deltas[i];
-            }
-            os << "}}\n";
-        }
-    } else {
-        os << "interval,start_cycle,end_cycle,wall_seconds,"
-              "host_wall_ms,host_rss_kb,skew_max_cycles,skew_min_cycles,"
-              "causality_violations";
-        for (const std::string& c : columns_)
-            os << "," << c;
+    os << "interval,start_cycle,end_cycle,wall_seconds,host_wall_ms,"
+          "host_rss_kb,skew_max_cycles,skew_min_cycles,"
+          "causality_violations";
+    for (const std::string& c : columns_)
+        os << "," << c;
+    os << "\n";
+    for (const Row& r : rows_) {
+        os << r.index << "," << r.startCycle << "," << r.endCycle << ","
+           << r.wallSeconds << "," << r.hostWallMs << "," << r.hostRssKb
+           << "," << r.skewMax << "," << r.skewMin << ","
+           << r.causalityViolations;
+        for (std::int64_t d : r.deltas)
+            os << "," << d;
         os << "\n";
-        for (const Row& r : rows_) {
-            os << r.index << "," << r.startCycle << "," << r.endCycle
-               << "," << r.wallSeconds << "," << r.hostWallMs << ","
-               << r.hostRssKb << "," << r.skewMax << "," << r.skewMin
-               << "," << r.causalityViolations;
-            for (std::int64_t d : r.deltas)
-                os << "," << d;
-            os << "\n";
-        }
     }
     return os.str();
 }

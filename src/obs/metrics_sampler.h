@@ -1,7 +1,7 @@
 /**
  * @file
  * Interval metrics snapshots: per-interval deltas of every registered
- * statistic, written as CSV (default) or JSONL.
+ * statistic, written as CSV.
  *
  * The sampler periodically (every metrics_interval simulated cycles)
  * snapshots a StatsRegistry — counters, gauges, and histogram
@@ -56,8 +56,7 @@ class MetricsSampler
      * @param registry       source of counters/gauges; must outlive the
      *                       sampler
      * @param interval       simulated cycles between rows (> 0)
-     * @param out_path       output file; ".jsonl" suffix selects JSONL,
-     *                       anything else CSV. Empty = render-only (tests)
+     * @param out_path       output CSV file; empty = render-only (tests)
      * @param now            returns current simulated time (max tile clock)
      * @param active_clocks  returns the clocks of currently-running tiles
      *                       (for the derived skew columns); may be empty
@@ -96,7 +95,7 @@ class MetricsSampler
     /** Column names, in output order (after the fixed lead columns). */
     std::vector<std::string> columns() const;
 
-    /** Render the full output document (CSV or JSONL) as a string. */
+    /** Render the full CSV document as a string. */
     std::string render() const;
 
     /** One snapshot row (exposed for unit tests). */

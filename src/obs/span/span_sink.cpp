@@ -64,7 +64,7 @@ SpanSink::SpanSink(tile_id_t total_tiles, Options opt, TraceSink* trace)
     if (opt_.reservoirCapacity == 0)
         opt_.reservoirCapacity = 1;
     if (opt_.intervalCycles == 0)
-        opt_.intervalCycles = 100000;
+        fatal("spans: interval must be positive");
     homeCount_ = std::vector<atomic_stat_t>(total_tiles);
     homeCycles_ = std::vector<atomic_stat_t>(total_tiles);
     auto max_dist = static_cast<std::size_t>(std::max(opt_.maxHops, 0));
@@ -78,16 +78,15 @@ std::unique_ptr<SpanSink>
 SpanSink::fromConfig(const Config& cfg, tile_id_t total_tiles,
                      Options opt, TraceSink* trace)
 {
-    opt.path = cfg.getString("obs/spans_out", "");
-    if (opt.path.empty() && !cfg.getBool("obs/spans_enabled", false))
+    opt.path = cfg.getString("obs/spans_out");
+    if (opt.path.empty() && !cfg.getBool("obs/spans_enabled"))
         return nullptr;
-    opt.reservoirCapacity = static_cast<std::size_t>(
-        cfg.getInt("obs/span_reservoir", 4096));
+    opt.reservoirCapacity =
+        static_cast<std::size_t>(cfg.getInt("obs/span_reservoir"));
     opt.slowestCapacity =
-        static_cast<std::size_t>(cfg.getInt("obs/span_slowest", 64));
-    opt.intervalCycles =
-        static_cast<cycle_t>(cfg.getInt("obs/span_interval", 100000));
-    opt.seed = static_cast<std::uint64_t>(cfg.getInt("rng/seed", 42));
+        static_cast<std::size_t>(cfg.getInt("obs/span_slowest"));
+    opt.intervalCycles = static_cast<cycle_t>(cfg.getInt("obs/span_interval"));
+    opt.seed = static_cast<std::uint64_t>(cfg.getInt("rng/seed"));
     return std::make_unique<SpanSink>(total_tiles, std::move(opt), trace);
 }
 

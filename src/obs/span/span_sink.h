@@ -53,10 +53,10 @@ class SpanSink
   public:
     struct Options
     {
-        std::size_t reservoirCapacity = 4096;
-        std::size_t slowestCapacity = 64;
-        cycle_t intervalCycles = 100000;
-        std::uint64_t seed = 42;
+        std::size_t reservoirCapacity{};
+        std::size_t slowestCapacity{};
+        cycle_t intervalCycles{}; ///< bottleneck-bin width; positive
+        std::uint64_t seed{};
         /** Mesh hops between two tiles (the network's MeshShape) and
          *  the largest value it returns; null = every distance 0. */
         std::function<int(tile_id_t, tile_id_t)> hops;

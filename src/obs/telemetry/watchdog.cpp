@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "common/config.h"
 #include "common/log.h"
 #include "obs/telemetry/flight_recorder.h"
 
@@ -19,6 +20,33 @@ namespace obs
 namespace telemetry
 {
 
+WatchdogConfig
+WatchdogConfig::fromConfig(const Config& cfg)
+{
+    WatchdogConfig out;
+    out.intervalMs = static_cast<std::uint64_t>(
+        cfg.getInt("telemetry/watchdog_interval_ms"));
+    if (out.intervalMs == 0)
+        fatal("telemetry/watchdog_interval_ms must be positive");
+    out.stallBeats =
+        static_cast<int>(cfg.getInt("telemetry/watchdog_stall_beats"));
+    out.dumpBeats =
+        static_cast<int>(cfg.getInt("telemetry/watchdog_dump_beats"));
+    out.dumpPath = cfg.getString("telemetry/watchdog_dump");
+    std::string action = cfg.getString("telemetry/watchdog_action");
+    if (action == "flag")
+        out.action = WatchdogAction::Flag;
+    else if (action == "dump")
+        out.action = WatchdogAction::Dump;
+    else if (action == "abort")
+        out.action = WatchdogAction::Abort;
+    else
+        fatal("telemetry/watchdog_action must be flag|dump|abort, "
+              "got '{}'",
+              action);
+    return out;
+}
+
 void
 ProgressWatchdog::start(WatchdogConfig cfg, StatusSource source)
 {
@@ -26,8 +54,6 @@ ProgressWatchdog::start(WatchdogConfig cfg, StatusSource source)
         return;
     cfg_ = std::move(cfg);
     source_ = std::move(source);
-    if (cfg_.intervalMs == 0)
-        cfg_.intervalMs = 250;
     if (cfg_.stallBeats < 1)
         cfg_.stallBeats = 1;
     if (cfg_.dumpBeats < 0)

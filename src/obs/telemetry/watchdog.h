@@ -22,10 +22,11 @@
  * exit code 86 so harnesses (and the planted-deadlock test) can turn a
  * hang into a bounded failure.
  *
- * Beats are host wall-clock (default 250 ms), so thresholds are
- * seconds of real time — far beyond any legitimate quantum-barrier
- * wait — and zero-cost to simulation threads: the watchdog only reads
- * the same atomics/mutex-guarded snapshots the telemetry server does.
+ * Beats are host wall-clock (`telemetry/watchdog_interval_ms`), so
+ * thresholds are seconds of real time — far beyond any legitimate
+ * quantum-barrier wait — and zero-cost to simulation threads: the
+ * watchdog only reads the same atomics/mutex-guarded snapshots the
+ * telemetry server does.
  */
 
 #pragma once
@@ -44,6 +45,9 @@
 
 namespace graphite
 {
+
+class Config;
+
 namespace obs
 {
 namespace telemetry
@@ -60,13 +64,20 @@ enum class WatchdogAction
 /** Exit code used by WatchdogAction::Abort. */
 inline constexpr int WATCHDOG_ABORT_EXIT = 86;
 
+/** The telemetry/watchdog_* keys (see fromConfig). */
 struct WatchdogConfig
 {
-    std::uint64_t intervalMs = 250; ///< beat period (host wall clock)
-    int stallBeats = 8;  ///< beats without progress before a verdict
-    int dumpBeats = 4;   ///< further beats in-verdict before dumping
-    WatchdogAction action = WatchdogAction::Dump;
+    std::uint64_t intervalMs{}; ///< beat period (host wall clock)
+    int stallBeats{};  ///< beats without progress before a verdict
+    int dumpBeats{};   ///< further beats in-verdict before dumping
+    WatchdogAction action{};
     std::string dumpPath; ///< empty = stderr
+
+    /**
+     * Read the telemetry/watchdog_* keys. Fatal on an unknown action
+     * or a zero interval.
+     */
+    static WatchdogConfig fromConfig(const Config& cfg);
 };
 
 /** Host-timer progress watchdog. */

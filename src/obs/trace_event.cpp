@@ -31,11 +31,11 @@ TraceSink::TraceSink(std::vector<std::string> lane_names,
 std::unique_ptr<TraceSink>
 TraceSink::fromConfig(const Config& cfg, tile_id_t total_tiles)
 {
-    std::string path = cfg.getString("obs/trace_out", "");
+    std::string path = cfg.getString("obs/trace_out");
     if (path.empty())
         return nullptr;
     auto capacity = static_cast<std::size_t>(
-        cfg.getInt("obs/trace_buffer_capacity", 65536));
+        cfg.getInt("obs/trace_buffer_capacity"));
     std::vector<std::string> names;
     for (tile_id_t t = 0; t < total_tiles; ++t)
         names.push_back(strfmt("tile {}", t));

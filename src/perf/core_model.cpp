@@ -82,30 +82,13 @@ instrClassName(InstrClass c)
 }
 
 InstructionCosts
-InstructionCosts::defaults()
-{
-    InstructionCosts c{};
-    c.cost[static_cast<int>(InstrClass::IntAlu)] = 1;
-    c.cost[static_cast<int>(InstrClass::IntMul)] = 3;
-    c.cost[static_cast<int>(InstrClass::IntDiv)] = 18;
-    c.cost[static_cast<int>(InstrClass::FpAdd)] = 3;
-    c.cost[static_cast<int>(InstrClass::FpMul)] = 5;
-    c.cost[static_cast<int>(InstrClass::FpDiv)] = 24;
-    c.cost[static_cast<int>(InstrClass::Branch)] = 1;
-    // Load/Store issue cost; the memory latency is added separately.
-    c.cost[static_cast<int>(InstrClass::Load)] = 1;
-    c.cost[static_cast<int>(InstrClass::Store)] = 1;
-    return c;
-}
-
-InstructionCosts
 InstructionCosts::fromConfig(const Config& cfg)
 {
-    InstructionCosts c = defaults();
+    InstructionCosts c{};
     for (int i = 0; i < NUM_INSTR_CLASSES; ++i) {
         std::string key = "perf_model/core/cost/";
         key += instrClassName(static_cast<InstrClass>(i));
-        c.cost[i] = cfg.getInt(key, c.cost[i]);
+        c.cost[i] = cfg.getInt(key);
     }
     return c;
 }
@@ -114,26 +97,18 @@ CoreModel::CoreModel(tile_id_t tile, const Config& cfg)
     : tile_(tile),
       costs_(InstructionCosts::fromConfig(cfg)),
       bp_(BranchPredictor::create(
-          cfg.getString("perf_model/branch_predictor/type", "two_bit"),
-          cfg.getInt("perf_model/branch_predictor/size", 1024))),
+          cfg.getString("perf_model/branch_predictor/type"),
+          cfg.getInt("perf_model/branch_predictor/size"))),
       mispredictPenalty_(
-          cfg.getInt("perf_model/branch_predictor/mispredict_penalty",
-                     14)),
+          cfg.getInt("perf_model/branch_predictor/mispredict_penalty")),
       loadSlots_(std::max<std::int64_t>(
-                     1, cfg.getInt("perf_model/core/load_queue_size", 8)),
+                     1, cfg.getInt("perf_model/core/load_queue_size")),
                  0),
       storeSlots_(
           std::max<std::int64_t>(
-              1, cfg.getInt("perf_model/core/store_buffer_size", 8)),
+              1, cfg.getInt("perf_model/core/store_buffer_size")),
           0)
 {
-    // Only the paper's in-order core is modeled; reject a config that
-    // silently asks for something else.
-    std::string core_type =
-        cfg.getString("perf_model/core/type", "in_order");
-    if (core_type != "in_order")
-        fatal("perf_model/core/type must be 'in_order', got '{}'",
-              core_type);
 }
 
 void

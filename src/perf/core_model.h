@@ -38,15 +38,12 @@ namespace snapshot
 class Archive;
 } // namespace snapshot
 
-/** Per-class instruction costs in cycles, configurable. */
+/** Per-class instruction costs in cycles. */
 struct InstructionCosts
 {
     std::array<cycle_t, NUM_INSTR_CLASSES> cost;
 
-    /** Paper-era in-order defaults (1 GHz scalar pipe). */
-    static InstructionCosts defaults();
-
-    /** Read overrides from perf_model/core/cost/<class> config keys. */
+    /** Read the perf_model/core/cost/<class> config keys. */
     static InstructionCosts fromConfig(const Config& cfg);
 };
 

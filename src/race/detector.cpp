@@ -84,10 +84,9 @@ Detector::Detector(const Config& cfg, tile_id_t total_tiles,
                    obs::TraceSink* trace)
     : totalTiles_(total_tiles),
       maxShadowLines_(static_cast<std::uint64_t>(
-          cfg.getInt("race/max_shadow_lines", 1 << 20))),
-      maxRecords_(
-          static_cast<std::uint64_t>(cfg.getInt("race/max_records", 256))),
-      reportOut_(cfg.getString("race/report_out", "")),
+          cfg.getInt("race/max_shadow_lines"))),
+      maxRecords_(static_cast<std::uint64_t>(cfg.getInt("race/max_records"))),
+      reportOut_(cfg.getString("race/report_out")),
       trace_(trace)
 {
     for (std::size_t i = 0; i < NUM_SHARDS; ++i)
@@ -105,7 +104,7 @@ std::unique_ptr<Detector>
 Detector::fromConfig(const Config& cfg, tile_id_t total_tiles,
                      obs::TraceSink* trace)
 {
-    if (!cfg.getBool("race/enabled", false))
+    if (!cfg.getBool("race/enabled"))
         return nullptr;
     return std::make_unique<Detector>(cfg, total_tiles, trace);
 }

@@ -35,8 +35,8 @@ serializeCheckpoint(Archive& ar, Simulator& sim,
     ar.section(TAG_CONFIG, "config signature");
     ar.expect<std::uint32_t>(tiles, "tile count");
     ar.expect<std::uint32_t>(
-        cfg.getInt("perf_model/l2_cache/line_size", 64), "cache line size");
-    ar.expect(cfg.getString("caching_protocol/type", "dir_msi"),
+        cfg.getInt("perf_model/l2_cache/line_size"), "cache line size");
+    ar.expect(cfg.getString("caching_protocol/type"),
               "coherence protocol");
     ar.expect(sim.syncModel().name(), "sync model");
 

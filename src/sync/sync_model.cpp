@@ -19,17 +19,17 @@ namespace graphite
 std::unique_ptr<SyncModel>
 SyncModel::create(const Config& cfg, tile_id_t total_tiles)
 {
-    std::string type = cfg.getString("sync/model", "lax");
-    cycle_t quantum = cfg.getInt("sync/quantum", 1000);
-    cycle_t slack = cfg.getInt("sync/slack", 100000);
-    std::uint64_t seed = cfg.getInt("rng/seed", 42);
+    std::string type = cfg.getString("sync/model");
+    cycle_t quantum = cfg.getInt("sync/quantum");
+    cycle_t slack = cfg.getInt("sync/slack");
+    std::uint64_t seed = cfg.getInt("rng/seed");
     if (type == "lax")
         return std::make_unique<LaxSync>();
     if (type == "lax_barrier")
         return std::make_unique<LaxBarrierSync>(quantum, total_tiles);
     if (type == "lax_p2p")
         return std::make_unique<LaxP2PSync>(
-            total_tiles, slack, cfg.getInt("sync/p2p_interval", 1000),
+            total_tiles, slack, cfg.getInt("sync/p2p_interval"),
             seed);
     fatal("unknown sync model '{}'", type);
 }

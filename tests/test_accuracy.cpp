@@ -51,7 +51,7 @@ class AccuracyUnit : public ::testing::Test
         }
     }
 
-    AccuracyObservatory acc{TILES};
+    AccuracyObservatory acc{TILES, /*flight_min_cycles=*/10000};
     std::atomic<cycle_t> clocks_[TILES];
 };
 
@@ -123,7 +123,7 @@ TEST_F(AccuracyUnit, OutOfRangeAndUnattachedClocksObserveNothing)
 
     // A tile with no clock attached has nothing to compare against; the
     // hook must skip it rather than dereference.
-    AccuracyObservatory bare(TILES);
+    AccuracyObservatory bare(TILES, /*flight_min_cycles=*/10000);
     bare.onDelivery(ViolationPoint::NetApp, 1, 0, 1);
     EXPECT_EQ(bare.deliveries(), 0);
     EXPECT_EQ(bare.violations(), 0);

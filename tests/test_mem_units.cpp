@@ -259,7 +259,8 @@ TEST(Directory, RestoreRejectsTilesOutsideTheTarget)
 
 TEST(Dram, LatencyIncludesServiceTime)
 {
-    DramController dram(100, /*bytes_per_cycle=*/1.0, nullptr);
+    DramController dram(100, /*bytes_per_cycle=*/1.0, nullptr,
+                        /*outlier_window=*/100000, /*max_backlog=*/10000);
     // 64 bytes at 1 B/cycle: 100 + 64.
     EXPECT_EQ(dram.access(0, 64).total, 164u);
     EXPECT_EQ(dram.accesses(), 1u);
@@ -269,7 +270,8 @@ TEST(Dram, QueueingDelaysBursts)
 {
     GlobalProgress gp(8);
     gp.observe(1000);
-    DramController dram(100, 0.5, &gp);
+    DramController dram(100, /*bytes_per_cycle=*/0.5, &gp,
+                        /*outlier_window=*/100000, /*max_backlog=*/10000);
     cycle_t first = dram.access(1000, 64).total;
     cycle_t second = dram.access(1000, 64).total; // backlogged
     EXPECT_GT(second, first);
@@ -279,15 +281,16 @@ TEST(Dram, QueueingDelaysBursts)
 TEST(Dram, BandwidthSplitRaisesServiceTime)
 {
     // §4.4: splitting total bandwidth across more controllers raises
-    // per-access service time.
-    DramController wide(100, 5.13, nullptr);         // 1-tile share
-    DramController narrow(100, 5.13 / 256, nullptr); // 256-tile share
+    // per-access service time (1-tile and 256-tile shares).
+    DramController wide(100, 5.13, nullptr, 100000, 10000);
+    DramController narrow(100, 5.13 / 256, nullptr, 100000, 10000);
     EXPECT_LT(wide.access(0, 64).total, narrow.access(0, 64).total);
 }
 
 TEST(Dram, ZeroBandwidthIsFatal)
 {
-    EXPECT_THROW(DramController(100, 0.0, nullptr), FatalError);
+    EXPECT_THROW(DramController(100, 0.0, nullptr, 100000, 10000),
+                 FatalError);
 }
 
 // ------------------------------------------------------------- MainMemory

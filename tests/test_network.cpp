@@ -131,7 +131,7 @@ TEST(GlobalProgress, ConcurrentObserversPublishAWindowAverage)
 
 TEST(QueueModel, NoDelayWhenIdle)
 {
-    QueueModel q;
+    QueueModel q(/*outlier_window=*/100000, /*max_backlog=*/10000);
     EXPECT_EQ(q.enqueue(100, 10), 0u);
     EXPECT_EQ(q.queueClock(), 110u);
 }
@@ -140,7 +140,7 @@ TEST(QueueModel, BackToBackPacketsQueue)
 {
     // Paper §3.6.1: delay is the difference between the queue clock and
     // the arrival; the queue clock advances by the processing time.
-    QueueModel q;
+    QueueModel q(/*outlier_window=*/100000, /*max_backlog=*/10000);
     EXPECT_EQ(q.enqueue(100, 10), 0u);
     EXPECT_EQ(q.enqueue(100, 10), 10u);
     EXPECT_EQ(q.enqueue(100, 10), 20u);
@@ -150,7 +150,7 @@ TEST(QueueModel, BackToBackPacketsQueue)
 
 TEST(QueueModel, IdleGapDrainsQueue)
 {
-    QueueModel q;
+    QueueModel q(/*outlier_window=*/100000, /*max_backlog=*/10000);
     q.enqueue(0, 10);
     EXPECT_EQ(q.enqueue(1000, 10), 0u); // long gap: no backlog
 }
@@ -160,7 +160,7 @@ TEST(QueueModel, OutlierArrivalsClampToProgress)
     GlobalProgress gp(4);
     gp.observe(1000000);
     gp.observe(1000000);
-    QueueModel q(/*outlier_window=*/1000);
+    QueueModel q(/*outlier_window=*/1000, /*max_backlog=*/10000);
     // Arrival absurdly in the past is clamped near the estimate.
     q.enqueue(5, 10, gp.current());
     EXPECT_GE(q.queueClock(), 999000u);
@@ -172,7 +172,7 @@ TEST(QueueModel, BacklogIsBounded)
 {
     // Finite-buffer back-pressure: a dense burst cannot grow the delay
     // without bound (the saturation-spiral guard).
-    QueueModel q(100000, /*max_backlog=*/500);
+    QueueModel q(/*outlier_window=*/100000, /*max_backlog=*/500);
     for (int i = 0; i < 1000; ++i)
         q.enqueue(0, 100);
     EXPECT_LE(q.enqueue(0, 100), 600u);
@@ -184,7 +184,7 @@ TEST(QueueModel, EmptyHistoryWindowTrustsArrivals)
     // A progress estimator with no samples yet must not clamp: before
     // any thread reports, the raw arrival timestamp is the only truth.
     GlobalProgress gp(4);
-    QueueModel q(/*outlier_window=*/10);
+    QueueModel q(/*outlier_window=*/10, /*max_backlog=*/10000);
     EXPECT_EQ(q.enqueue(5000000, 10, gp.current()), 0u);
     EXPECT_EQ(q.queueClock(), 5000010u);
     EXPECT_EQ(q.clampedArrivals(), 0u);
@@ -196,7 +196,7 @@ TEST(QueueModel, CycleWraparoundSaturates)
     // the backlog bound must saturate instead of wrapping to small
     // values (which would read as a huge spurious backlog or none).
     const cycle_t NEAR_MAX = ~cycle_t{0} - 50;
-    QueueModel q(100000, 10000);
+    QueueModel q(/*outlier_window=*/100000, /*max_backlog=*/10000);
     EXPECT_EQ(q.enqueue(NEAR_MAX, 200), 0u);
     EXPECT_EQ(q.queueClock(), ~cycle_t{0});
     // A later arrival sees a small, sane delay, not wrapped garbage.
@@ -209,7 +209,7 @@ TEST(QueueModel, WraparoundProgressEstimateSaturatesClampWindow)
     GlobalProgress gp(2);
     gp.observe(~cycle_t{0} - 5);
     gp.observe(~cycle_t{0} - 5);
-    QueueModel q(/*outlier_window=*/1000);
+    QueueModel q(/*outlier_window=*/1000, /*max_backlog=*/10000);
     // hi = estimate + window saturates; an arrival at the very top is
     // inside the window and must pass through unclamped.
     q.enqueue(~cycle_t{0} - 2, 1, gp.current());
@@ -273,7 +273,9 @@ TEST(NetworkModel, HopModelScalesWithDistance)
 TEST(NetworkModel, ContentionAddsUnderLoad)
 {
     GlobalProgress gp(64);
-    EMeshContentionNetworkModel model(16, 2, 8, &gp);
+    EMeshContentionNetworkModel model(16, /*hop=*/2, /*bw=*/8, &gp,
+                                      /*outlier_window=*/100000,
+                                      /*max_backlog=*/10000);
     // Same route, same time: later packets see queueing delay.
     cycle_t first = model.computeLatency(0, 3, 64, 1000).total;
     cycle_t burst = first;
@@ -444,7 +446,7 @@ TEST(NetworkModel, ContentionTimingIsPinned)
 
 TEST(NetworkModel, FactoryRejectsUnknownType)
 {
-    Config cfg;
+    Config cfg = defaultTargetConfig();
     EXPECT_THROW(NetworkModel::create("bogus", 4, cfg, nullptr),
                  FatalError);
 }

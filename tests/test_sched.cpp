@@ -79,19 +79,6 @@ TEST(SchedulerConfig, ParsesModesAndDefaults)
     EXPECT_EQ(sc.hostThreads, 3);
     EXPECT_EQ(sc.quantumCycles, 500u);
 
-    // `off` is rejected, and the error names the free_running setting
-    // that keeps every target thread runnable.
-    cfg.set("host/scheduler", "off");
-    try {
-        host::SchedulerConfig::fromConfig(cfg);
-        ADD_FAILURE() << "host/scheduler = off was accepted";
-    } catch (const FatalError& e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "free_running with host/threads >="),
-                  std::string::npos)
-            << e.what();
-    }
-
     cfg.set("host/scheduler", "bogus");
     EXPECT_THROW(host::SchedulerConfig::fromConfig(cfg), FatalError);
     cfg.set("host/scheduler", "free_running");

@@ -42,6 +42,7 @@ smallSink(std::size_t reservoir, std::size_t slowest)
     opt.reservoirCapacity = reservoir;
     opt.slowestCapacity = slowest;
     opt.intervalCycles = 1000;
+    opt.seed = 42;
     return opt;
 }
 
@@ -146,6 +147,16 @@ TEST(SpanSink, MeshDistanceMatchesModelGeometry)
     EXPECT_EQ(sink.distance(0, 5), 2);  // (1,1)
     EXPECT_EQ(sink.distance(0, 15), 6); // opposite corner
     EXPECT_EQ(sink.distance(0, INVALID_TILE_ID), 0);
+}
+
+TEST(SpanSink, ZeroIntervalIsFatal)
+{
+    // Like a zero obs/metrics_interval, a zero bin width is an error,
+    // not a request for some other width.
+    Config cfg = defaultTargetConfig();
+    cfg.setBool("obs/spans_enabled", true);
+    cfg.setInt("obs/span_interval", 0);
+    EXPECT_THROW(SpanSink::fromConfig(cfg, 4, {}, nullptr), FatalError);
 }
 
 TEST(SpanSink, BoundedSamplingWithExactAggregates)

@@ -479,12 +479,30 @@ armSynchronous(ProgressWatchdog& wd, WatchdogConfig cfg,
     wd.stop();
 }
 
+TEST(Watchdog, ConfigReadsItsKeysAndRejectsBadValues)
+{
+    Config cfg = defaultTargetConfig();
+    EXPECT_EQ(WatchdogConfig::fromConfig(cfg).action, WatchdogAction::Flag);
+    cfg.setInt("telemetry/watchdog_interval_ms", 40);
+    cfg.set("telemetry/watchdog_action", "dump");
+    cfg.set("telemetry/watchdog_dump", "hang.txt");
+    WatchdogConfig wc = WatchdogConfig::fromConfig(cfg);
+    EXPECT_EQ(wc.intervalMs, 40u);
+    EXPECT_EQ(wc.action, WatchdogAction::Dump);
+    EXPECT_EQ(wc.dumpPath, "hang.txt");
+    cfg.setInt("telemetry/watchdog_interval_ms", 0);
+    EXPECT_THROW(WatchdogConfig::fromConfig(cfg), FatalError);
+    cfg.setInt("telemetry/watchdog_interval_ms", 40);
+    cfg.set("telemetry/watchdog_action", "bogus");
+    EXPECT_THROW(WatchdogConfig::fromConfig(cfg), FatalError);
+}
+
 TEST(Watchdog, AdvancingTilesStayOk)
 {
     ScriptedSource s;
     s.tiles = {{0, 100, 50, true, true}};
     ProgressWatchdog wd;
-    WatchdogConfig cfg;
+    WatchdogConfig cfg = WatchdogConfig::fromConfig(defaultTargetConfig());
     cfg.stallBeats = 2;
     cfg.action = WatchdogAction::Flag;
     armSynchronous(wd, cfg, s.source());
@@ -503,7 +521,7 @@ TEST(Watchdog, AllParkedNoProgressIsDeadlock)
     s.tiles = {{0, 100, 50, true, false}, {1, 90, 40, true, false}};
     s.ws.futexes.push_back({0x40, {0, 1}});
     ProgressWatchdog wd;
-    WatchdogConfig cfg;
+    WatchdogConfig cfg = WatchdogConfig::fromConfig(defaultTargetConfig());
     cfg.stallBeats = 3;
     cfg.action = WatchdogAction::Flag;
     armSynchronous(wd, cfg, s.source());
@@ -533,7 +551,7 @@ TEST(Watchdog, RunningNoProgressIsLivelock)
     ScriptedSource s;
     s.tiles = {{0, 100, 50, true, true}, {1, 90, 40, true, false}};
     ProgressWatchdog wd;
-    WatchdogConfig cfg;
+    WatchdogConfig cfg = WatchdogConfig::fromConfig(defaultTargetConfig());
     cfg.stallBeats = 2;
     cfg.action = WatchdogAction::Flag;
     armSynchronous(wd, cfg, s.source());
@@ -549,7 +567,7 @@ TEST(Watchdog, OneStaleTileAmongAdvancersIsStall)
     ScriptedSource s;
     s.tiles = {{0, 100, 50, true, true}, {1, 90, 40, true, true}};
     ProgressWatchdog wd;
-    WatchdogConfig cfg;
+    WatchdogConfig cfg = WatchdogConfig::fromConfig(defaultTargetConfig());
     cfg.stallBeats = 2;
     cfg.action = WatchdogAction::Flag;
     armSynchronous(wd, cfg, s.source());
@@ -568,7 +586,7 @@ TEST(Watchdog, UnoccupiedTilesNeverJudged)
     ScriptedSource s;
     s.tiles = {{0, 0, 0, false, false}, {1, 0, 0, false, false}};
     ProgressWatchdog wd;
-    WatchdogConfig cfg;
+    WatchdogConfig cfg = WatchdogConfig::fromConfig(defaultTargetConfig());
     cfg.stallBeats = 1;
     cfg.action = WatchdogAction::Flag;
     armSynchronous(wd, cfg, s.source());
@@ -584,7 +602,7 @@ TEST(Watchdog, DumpActionWritesDiagnosticFile)
     s.tiles = {{0, 100, 50, true, false}};
     s.ws.futexes.push_back({0x99, {0}});
     ProgressWatchdog wd;
-    WatchdogConfig cfg;
+    WatchdogConfig cfg = WatchdogConfig::fromConfig(defaultTargetConfig());
     cfg.stallBeats = 1;
     cfg.dumpBeats = 2;
     cfg.action = WatchdogAction::Dump;

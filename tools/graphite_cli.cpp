@@ -30,8 +30,7 @@
  *
  * Observability (see README "Observability"):
  *   --trace-out PATH       write a Chrome trace_event JSON of the run
- *   --metrics-out PATH     write per-interval stats snapshots (.csv or
- *                          .jsonl)
+ *   --metrics-out PATH     write per-interval stats snapshots (CSV)
  *   --metrics-interval N   simulated cycles per snapshot row
  *   --spans-out PATH       write causal transaction spans (.jsonl);
  *                          analyze with tools/span_report.py
@@ -459,7 +458,7 @@ main(int argc, char** argv)
             if (!match)
                 return 1;
         }
-        std::string sync_model = cfg.getString("sync/model", "lax");
+        std::string sync_model = cfg.getString("sync/model");
         if (!accuracy_out.empty() || !accuracy_ref.empty()) {
             auto headline = collectHeadline(sim, r);
             if (!accuracy_out.empty()) {
