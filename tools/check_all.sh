@@ -3,7 +3,7 @@
 #
 #   1. configure + build the default tree;
 #   2. static audits: tools/lock_audit.py (lock hierarchy discipline)
-#      and tools/config_audit.py (config keys vs documentation);
+#      and tools/config_audit.py (config keys vs graphite.cfg);
 #      then quick unit/system tests (ctest -L quick) and the lockdep
 #      runtime gate (ctest -L lockdep);
 #      ... then the telemetry plane (ctest -L telemetry): unit suite +
@@ -23,14 +23,28 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 step() { printf '\n=== check_all: %s ===\n' "$*"; }
 
+# Run a gated bench in $BUILD with its report held back. When the bench
+# misses a bound, print the report, whose verdict lines name the row,
+# and the failed command, so the log does not end at a step banner.
+gate() {
+    local out status=0
+    out="$(cd "$BUILD" && "$@")" || status=$?
+    if [ "$status" -ne 0 ]; then
+        printf '%s\n' "$out"
+        printf 'check_all: FAILED (exit %d): %s\n' "$status" "$*" >&2
+        return "$status"
+    fi
+}
+
 step "configure + build ($BUILD)"
 cmake -B "$BUILD" -S . >/dev/null
 cmake --build "$BUILD" -j "$JOBS"
 
 step "static audits (lock hierarchy + config keys)"
 # Hard gate: raw mutexes outside the lockdep layer, undeclared lock
-# classes, a cyclic lock_order.def, undocumented or dead config keys
-# all fail the build here before anything runs.
+# classes, a cyclic lock_order.def, a config key read with no
+# graphite.cfg entry, or an entry nothing reads all fail the build here
+# before anything runs.
 python3 tools/lock_audit.py
 python3 tools/config_audit.py
 
@@ -53,17 +67,17 @@ step "overhead and scaling benchmarks (armed-vs-off budgets, L1-hit scaling, fas
 # The telemetry row stays out: its two sides simulate different cycle
 # counts under the free-running scheduler, so one fast run is too noisy
 # to gate on.
-(cd "$BUILD" && GRAPHITE_BENCH_FAST=1 \
-    ./bench/micro_observer_overhead accuracy span race >/dev/null)
+gate env GRAPHITE_BENCH_FAST=1 \
+    ./bench/micro_observer_overhead accuracy span race
 # The L1-hit scaling gate (4 threads over 1 on private lines) runs at
 # full size, about 3 s with the reported miss-path rows: fast mode's
 # short loops hide the cost of a counter that every thread writes on
 # every access.
-(cd "$BUILD" && ./bench/micro_lock_contention >/dev/null)
+gate ./bench/micro_lock_contention
 # The fast-forward gate (ff_speedup >= 5) also runs at full size, about
 # 3 s: fast mode's shorter warmup leaves it too little margin on a
 # loaded host.
-(cd "$BUILD" && ./bench/micro_checkpoint >/dev/null)
+gate ./bench/micro_checkpoint
 python3 tools/bench_report.py --dir "$BUILD" \
     --require micro_accuracy_overhead micro_span_overhead \
     micro_race_overhead micro_lock_contention micro_checkpoint
