@@ -3,7 +3,8 @@
  * Host-thread contention microbenchmark for the memory-system engine's
  * two-level tile/shard locking on an L1-hit-dominated workload — the
  * case the paper's per-home-tile MME servers make embarrassingly
- * parallel — and on a miss path through the network and DRAM models.
+ * parallel — on a miss path through the network and DRAM models, and
+ * on L2 write hits.
  *
  * Two metrics per (lockdep, threads) point:
  *
@@ -37,6 +38,14 @@
  * global-progress estimate, the mesh links their routes cross and its
  * counters). miss_scaling_4t is the armed serialized throughput at 4
  * threads over 1 on this path. It is reported, not gated.
+ *
+ * The L2 write-hit rows (armed, 1 and 4 threads, three runs each)
+ * rewrite lines the thread's tile holds Modified, so every write
+ * completes in the L2 under its own tile lock. All the lines are homed
+ * at one tile, so any per-write state the engine keeps at the home (a
+ * lock or a table there) is shared by every thread.
+ * write_hit_scaling_4t is the armed serialized throughput at 4 threads
+ * over 1 on this path. It is reported, not gated.
  *
  * The four points the criterion reads (armed L1 hits at 1 and 4
  * threads, off and armed at 8) run three times, interleaved with the
@@ -91,14 +100,20 @@ constexpr int GATED_REPS = 3;
 /** What every measured access does. */
 enum class Path
 {
-    L1Hit, ///< re-reads one of the thread's private lines, held in L1
-    Miss,  ///< misses L1 and L2: request leg, DRAM fetch, reply leg
+    L1Hit,     ///< re-reads one of the thread's private lines, held in L1
+    Miss,      ///< misses L1 and L2: request leg, DRAM fetch, reply leg
+    L2WriteHit ///< rewrites a private line held Modified, homed at tile 0
 };
 
 const char*
 pathName(Path p)
 {
-    return p == Path::L1Hit ? "l1_hit" : "miss";
+    switch (p) {
+      case Path::L1Hit: return "l1_hit";
+      case Path::Miss: return "miss";
+      case Path::L2WriteHit: return "l2_write_hit";
+    }
+    return "?";
 }
 
 /** CPU time consumed by the calling thread, in seconds. */
@@ -123,8 +138,11 @@ struct RunResult
     double cpuMaxSeconds = 0.0;
     stat_t shardContended = 0;
     stat_t tileContended = 0;
-    /** Measured miss-path accesses that hit the L1 or the L2. */
-    stat_t hits = 0;
+    /**
+     * Measured accesses that took the wrong path: a miss-path access
+     * that hit a cache, or a write-hit access that missed the L2.
+     */
+    stat_t offPath = 0;
 
     double wallThroughput() const { return totalOps / wallSeconds; }
     /** Throughput bound set by the slowest thread's CPU time. */
@@ -149,6 +167,8 @@ runConfig(Path path, bool lockdep_armed, int threads, std::uint64_t ops,
     // Access `it` of thread i (on tile i). L1 hit: one of 64 private
     // lines. Miss: one of ways + 1 lines that share an L2 set, so LRU
     // evicts each before its reuse, all homed at tile i + TILES/2.
+    // L2 write hit: one of 64 private lines, every TILES-th line from
+    // BASE, so all of them are homed at tile 0.
     const addr_t line = mem.lineSize();
     const addr_t l2_sets = mem.l2(0).numSets();
     const std::uint64_t miss_lines = mem.l2(0).associativity() + 1;
@@ -163,26 +183,33 @@ runConfig(Path path, bool lockdep_armed, int threads, std::uint64_t ops,
         if (path == Path::L1Hit)
             return BASE + static_cast<addr_t>(i) * 0x10000 +
                    (it % LINES_PER_THREAD) * line;
+        if (path == Path::L2WriteHit)
+            return BASE + (static_cast<addr_t>(i) * LINES_PER_THREAD +
+                           it % LINES_PER_THREAD) *
+                              TILES * line;
         addr_t home = static_cast<addr_t>(i + MISS_MAX_THREADS);
         return BASE + (home + (it % miss_lines) * l2_sets) * line;
     };
 
     // Warm-up: one pass over every thread's lines, so the L1-hit loop
-    // is pure L1 read hits and the miss loop starts from a full set.
+    // is pure L1 read hits, the miss loop starts from a full set and
+    // the write-hit loop finds every line Modified.
+    const MemAccessType type = path == Path::L2WriteHit
+                                   ? MemAccessType::Write
+                                   : MemAccessType::Read;
     const std::uint64_t warm =
-        path == Path::L1Hit ? LINES_PER_THREAD : miss_lines;
+        path == Path::Miss ? miss_lines : LINES_PER_THREAD;
     for (int i = 0; i < threads; ++i) {
         for (std::uint64_t it = 0; it < warm; ++it) {
             std::uint64_t v = 0;
-            mem.access(i % TILES, MemAccessType::Read, address(i, it), &v,
-                       8, 0);
+            mem.access(i % TILES, type, address(i, it), &v, 8, 0);
         }
     }
 
     std::atomic<bool> go{false};
     std::atomic<int> ready{0};
     std::vector<double> cpu(threads, 0.0);
-    std::vector<stat_t> hits(threads, 0);
+    std::vector<stat_t> off_path(threads, 0);
     std::vector<std::thread> workers;
     workers.reserve(threads);
     for (int i = 0; i < threads; ++i) {
@@ -197,13 +224,13 @@ runConfig(Path path, bool lockdep_armed, int threads, std::uint64_t ops,
             cycle_t now = 0;
             for (std::uint64_t it = 0; it < ops; ++it) {
                 cycle_t stamp =
-                    path == Path::L1Hit ? static_cast<cycle_t>(it) : now;
-                AccessResult res =
-                    mem.access(i % TILES, MemAccessType::Read,
-                               address(i, it), &v, 8, stamp);
+                    path == Path::Miss ? now : static_cast<cycle_t>(it);
+                AccessResult res = mem.access(i % TILES, type,
+                                              address(i, it), &v, 8, stamp);
                 now += res.latency;
-                if (path == Path::Miss && (res.l1Hit || res.l2Hit))
-                    ++hits[i];
+                if ((path == Path::Miss && (res.l1Hit || res.l2Hit)) ||
+                    (path == Path::L2WriteHit && !res.l2Hit))
+                    ++off_path[i];
             }
             cpu[i] = threadCpuSeconds() - t0;
         });
@@ -227,8 +254,8 @@ runConfig(Path path, bool lockdep_armed, int threads, std::uint64_t ops,
         r.cpuSumSeconds += c;
         r.cpuMaxSeconds = std::max(r.cpuMaxSeconds, c);
     }
-    for (stat_t h : hits)
-        r.hits += h;
+    for (stat_t n : off_path)
+        r.offPath += n;
     StatsRegistry stats;
     mem.registerStats(stats);
     r.shardContended = stats.get("mem.shard_lock.contended");
@@ -274,7 +301,7 @@ main()
     std::printf("=== micro_lock_contention ===\n");
     std::printf(
         "Engine-lock scaling: tile/shard locking on an L1-hit "
-        "workload and on a miss path.\nHost CPUs: %u (serialized "
+        "workload, a miss path and L2 write hits.\nHost CPUs: %u (serialized "
         "throughput is the host-independent lock-structure bound).\n\n",
         std::thread::hardware_concurrency());
 
@@ -292,6 +319,10 @@ main()
                         runConfig(Path::L1Hit, armed, t, ops, rep));
     for (int t : {1, MISS_MAX_THREADS})
         results.push_back(runConfig(Path::Miss, true, t, miss_ops));
+    for (int rep = 0; rep < GATED_REPS; ++rep)
+        for (int t : {1, 4})
+            results.push_back(
+                runConfig(Path::L2WriteHit, true, t, ops, rep));
     lockdep::setMode(lockdep::Mode::Enforce);
     auto order = [](const RunResult& r) {
         return std::make_tuple(r.path, r.lockdepMode == "armed", r.threads);
@@ -329,10 +360,12 @@ main()
         return v[v.size() / 2];
     };
     for (const RunResult& r : results) {
-        if (r.hits != 0) {
+        if (r.offPath != 0) {
             std::fprintf(stderr,
-                         "miss path: %llu measured accesses hit a cache\n",
-                         static_cast<unsigned long long>(r.hits));
+                         "%s path: %llu measured accesses took another "
+                         "path\n",
+                         pathName(r.path),
+                         static_cast<unsigned long long>(r.offPath));
             return 2;
         }
     }
@@ -355,6 +388,12 @@ main()
     std::printf("miss scaling, 4 threads over 1 (armed): %.3fx "
                 "(reported, not gated)\n",
                 miss_scaling_4t);
+    // L2 write hits on lines homed at one tile, 4 over 1.
+    double write_hit_scaling_4t = median(Path::L2WriteHit, "armed", 4) /
+                                  median(Path::L2WriteHit, "armed", 1);
+    std::printf("L2 write-hit scaling, 4 threads over 1 (armed), median "
+                "of %d: %.3fx (reported, not gated)\n",
+                GATED_REPS, write_hit_scaling_4t);
 
     // Raw wrapper reference: uncontended lock/unlock cost.
     const std::uint64_t wrap_iters = fastMode() ? 200'000 : 2'000'000;
@@ -377,7 +416,7 @@ main()
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"benchmark\": \"micro_lock_contention\",\n");
     std::fprintf(f, "  \"workload\": \"l1_hit_private_lines, "
-                    "miss_private_homes\",\n");
+                    "miss_private_homes, l2_write_hit_one_home\",\n");
     std::fprintf(f, "  \"host_cpus\": %u,\n",
                  std::thread::hardware_concurrency());
     std::fprintf(
@@ -424,6 +463,13 @@ main()
                  "L2 and runs through the mesh and DRAM models; threads "
                  "share only the network model\",\n");
     std::fprintf(f, "  \"miss_scaling_4t\": %.3f,\n", miss_scaling_4t);
+    std::fprintf(f,
+                 "  \"write_hit_scaling_note\": \"armed serialized_mops "
+                 "at 4 threads over 1 thread, the median of 3 runs of "
+                 "each, when every access rewrites a line its tile holds "
+                 "Modified and every line is homed at one tile\",\n");
+    std::fprintf(f, "  \"write_hit_scaling_4t\": %.3f,\n",
+                 write_hit_scaling_4t);
     std::fprintf(f,
                  "  \"uncontended_lock_unlock_ns\": {\"std_mutex\": "
                  "%.2f, \"ordered_mutex_off\": %.2f, "
