@@ -46,10 +46,12 @@ MetricsSampler::fromConfig(
     std::string path = cfg.getString("obs/metrics_out");
     if (path.empty())
         return nullptr;
+    std::int64_t interval = cfg.getInt("obs/metrics_interval");
+    if (interval <= 0)
+        fatal("metrics: interval must be positive");
     return std::make_unique<MetricsSampler>(
-        registry,
-        static_cast<cycle_t>(cfg.getInt("obs/metrics_interval")),
-        std::move(path), std::move(now), std::move(active_clocks));
+        registry, static_cast<cycle_t>(interval), std::move(path),
+        std::move(now), std::move(active_clocks));
 }
 
 void

@@ -32,6 +32,7 @@
  *   --trace-out PATH       write a Chrome trace_event JSON of the run
  *   --metrics-out PATH     write per-interval stats snapshots (CSV)
  *   --metrics-interval N   simulated cycles per snapshot row
+ *                          (= obs/metrics_interval)
  *   --spans-out PATH       write causal transaction spans (.jsonl);
  *                          analyze with tools/span_report.py
  *
@@ -285,7 +286,6 @@ main(int argc, char** argv)
     int size = -1, iters = -1;
     bool stats = false, native = false;
     std::string trace_out, metrics_out, spans_out;
-    int metrics_interval = -1;
     bool race = false;
     std::string race_out;
     int telemetry_port = -1;
@@ -342,7 +342,8 @@ main(int argc, char** argv)
         } else if (arg == "--metrics-out") {
             metrics_out = next();
         } else if (arg == "--metrics-interval") {
-            metrics_interval = std::atoi(next());
+            overrides.emplace_back(std::string("obs/metrics_interval=") +
+                                   next());
         } else if (arg == "--spans-out") {
             spans_out = next();
         } else if (arg == "--race") {
@@ -389,8 +390,6 @@ main(int argc, char** argv)
             cfg.set("obs/trace_out", trace_out);
         if (!metrics_out.empty())
             cfg.set("obs/metrics_out", metrics_out);
-        if (metrics_interval > 0)
-            cfg.setInt("obs/metrics_interval", metrics_interval);
         if (!spans_out.empty())
             cfg.set("obs/spans_out", spans_out);
         if (race)
