@@ -132,7 +132,7 @@ Cache::peekVictim(addr_t line_addr) const
 
 std::optional<Eviction>
 Cache::insert(addr_t line_addr, CacheState state,
-              std::vector<std::uint8_t> data)
+              std::span<const std::uint8_t> data)
 {
     GRAPHITE_ASSERT(lineAlign(line_addr) == line_addr);
     GRAPHITE_ASSERT(data.size() == lineSize_);
@@ -154,15 +154,28 @@ Cache::insert(addr_t line_addr, CacheState state,
     std::optional<Eviction> evicted;
     if (victim->valid()) {
         addSerialized(evictions_);
-        evicted = Eviction{victim->lineAddr,
-                           victim->state == CacheState::Modified,
-                           std::move(victim->data)};
+        evicted = release(*victim);
+        if (evicted->dirty)
+            evicted->data.assign(victim->data.get(),
+                                 victim->data.get() + lineSize_);
     }
+    if (!victim->data)
+        victim->data = std::make_unique_for_overwrite<std::uint8_t[]>(
+            lineSize_);
+    std::copy(data.begin(), data.end(), victim->data.get());
     victim->lineAddr = line_addr;
     victim->state = state;
     victim->lruStamp = ++lruCounter_;
-    victim->data = std::move(data);
     return evicted;
+}
+
+Eviction
+Cache::release(CacheLine& line)
+{
+    Eviction out{line.lineAddr, line.state == CacheState::Modified,
+                 line.writtenWords, {}};
+    line.writtenWords = 0;
+    return out;
 }
 
 std::optional<Eviction>
@@ -172,22 +185,21 @@ Cache::invalidate(addr_t line_addr)
     if (line == nullptr)
         return std::nullopt;
     addSerialized(invalidations_);
-    Eviction out{line->lineAddr, line->state == CacheState::Modified,
-                 std::move(line->data)};
+    Eviction out = release(*line);
     line->state = CacheState::Invalid;
-    line->data.clear();
     return out;
 }
 
-std::optional<std::vector<std::uint8_t>>
+std::optional<Eviction>
 Cache::downgrade(addr_t line_addr)
 {
     CacheLine* line = lookup(line_addr);
     if (line == nullptr || (line->state != CacheState::Modified &&
                             line->state != CacheState::Exclusive))
         return std::nullopt;
+    Eviction out = release(*line);
     line->state = CacheState::Shared;
-    return line->data; // copy: line keeps its data in Shared state
+    return out;
 }
 
 double
@@ -223,13 +235,21 @@ Cache::serialize(snapshot::Archive& ar)
         ar.u64(line.lineAddr);
         ar.u8(line.state);
         ar.u64(line.lruStamp);
-        ar.bytes(line.data);
-        if (ar.loading() && !line.data.empty() &&
-            line.data.size() != lineSize_)
+        if (!line.valid()) {
+            line.writtenWords = 0; // an invalid line has no mask
+            continue;
+        }
+        if (!line.data)
+            line.data = std::make_unique_for_overwrite<std::uint8_t[]>(
+                lineSize_);
+        ar.bytes(line.data.get(), lineSize_);
+        ar.u64(line.writtenWords);
+        if (ar.loading() && std::countl_zero(line.writtenWords) <
+                                64 - static_cast<int>(lineSize_ / 4))
             throw snapshot::SnapshotError(
-                strfmt("snapshot: cache '{}' line data is {} bytes "
-                       "(line size {})",
-                       name_, line.data.size(), lineSize_));
+                strfmt("snapshot: cache '{}' line marks a word past its "
+                       "{} bytes",
+                       name_, lineSize_));
     }
 }
 

@@ -23,7 +23,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,22 +59,48 @@ enum class EvictReason : std::uint8_t
     Downgrade    ///< lost write permission but stayed Shared
 };
 
-/** One cache line: tag, state, and functional data. */
+/**
+ * One cache line: tag, state, write mask and functional data. An L2
+ * holds one per way, so its size is a large share of a simulation's
+ * memory; the static_assert below keeps it from growing.
+ */
 struct CacheLine
 {
     addr_t lineAddr = 0; ///< address of first byte, line-aligned
-    CacheState state = CacheState::Invalid;
     std::uint64_t lruStamp = 0;
-    std::vector<std::uint8_t> data;
+    /**
+     * One bit per 4-byte word written since this copy gained write
+     * permission (bit i covers bytes [4i, 4i+4)), for the miss
+     * classifier: the memory system folds it into the home's word
+     * versions when the copy loses that permission. Zero in a line that
+     * is neither Modified nor Exclusive.
+     */
+    std::uint64_t writtenWords = 0;
+    /**
+     * The line's bytes, Cache::lineSize() of them. Allocated on the
+     * way's first fill and kept across refills; stale when invalid.
+     */
+    std::unique_ptr<std::uint8_t[]> data;
+    CacheState state = CacheState::Invalid;
 
     bool valid() const { return state != CacheState::Invalid; }
 };
+static_assert(sizeof(CacheLine) <= 48, "CacheLine outgrew 48 bytes");
 
-/** Result of an eviction: the victim line's identity and contents. */
+/**
+ * What a copy gave up when it left the cache or lost its ownership:
+ * its identity, whether it was dirty and its unfolded write mask.
+ */
 struct Eviction
 {
     addr_t lineAddr = 0;
     bool dirty = false;
+    std::uint64_t writtenWords = 0;
+    /**
+     * The bytes of a dirty victim of insert(), the only ones a caller
+     * writes back; empty otherwise (read a line before invalidating or
+     * downgrading it when its bytes are needed).
+     */
     std::vector<std::uint8_t> data;
 };
 
@@ -137,26 +165,27 @@ class Cache
     std::optional<addr_t> peekVictim(addr_t line_addr) const;
 
     /**
-     * Insert a line (must not already be present).
+     * Insert a line (must not already be present), copying @p data into
+     * the way's buffer.
      * @param line_addr line-aligned address
      * @param state     initial MSI state
      * @param data      exactly lineSize() bytes
      * @return the replaced victim, if one was valid.
      */
     std::optional<Eviction> insert(addr_t line_addr, CacheState state,
-                                   std::vector<std::uint8_t> data);
+                                   std::span<const std::uint8_t> data);
 
     /**
      * Remove the line (coherence invalidation).
-     * @return the line's data and dirtiness if it was present.
+     * @return the line's dirtiness and write mask if it was present.
      */
     std::optional<Eviction> invalidate(addr_t line_addr);
 
     /**
-     * Downgrade Modified/Exclusive -> Shared.
-     * @return the line's data if it held ownership.
+     * Downgrade Modified/Exclusive -> Shared, clearing the write mask.
+     * @return the line's dirtiness and write mask if it held ownership.
      */
-    std::optional<std::vector<std::uint8_t>> downgrade(addr_t line_addr);
+    std::optional<Eviction> downgrade(addr_t line_addr);
 
     /** @name Geometry @{ */
     std::uint64_t lineSize() const { return lineSize_; }
@@ -197,6 +226,9 @@ class Cache
     void serialize(snapshot::Archive& ar);
 
   private:
+    /** @p line's eviction record; clears its write mask. */
+    static Eviction release(CacheLine& line);
+
     std::uint64_t setIndex(addr_t line_addr) const;
     CacheLine* lookup(addr_t line_addr);
     const CacheLine* lookup(addr_t line_addr) const;

@@ -2,6 +2,7 @@
 #include "mem/memory_system.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -87,9 +88,13 @@ MemorySystem::MemorySystem(const ClusterTopology& topo,
     for (tile_id_t t = 0; t < topo.totalTiles(); ++t) {
         tiles_[t].mutex.setInstance(t);
         shards_[t].mutex.setInstance(t);
-        shards_[t].versionMutex.setInstance(t);
     }
     lineSize_ = cfg.getInt("perf_model/l2_cache/line_size");
+    if (lineSize_ < WORD_BYTES || lineSize_ > MAX_LINE_BYTES)
+        fatal("perf_model/l2_cache/line_size {} is outside {}..{} bytes "
+              "(the miss classifier marks each line's {}-byte words in "
+              "a 64-bit mask)",
+              lineSize_, WORD_BYTES, MAX_LINE_BYTES, WORD_BYTES);
     l1Latency_ = cfg.getInt("perf_model/l1_dcache/access_latency");
     l2Latency_ = cfg.getInt("perf_model/l2_cache/access_latency");
     dirLatency_ = cfg.getInt("caching_protocol/directory_access_latency");
@@ -286,21 +291,25 @@ MemorySystem::holdShardLockForTest(tile_id_t tile, std::uint64_t ns,
 
 // --------------------------------------------------------------- accounting
 
-void
-MemorySystem::bumpVersions(addr_t addr, size_t size)
+std::uint64_t
+MemorySystem::wordMask(addr_t addr, size_t size) const
 {
-    if (fastForward())
-        return;
     addr_t line = lineAlign(addr);
-    Shard& sh = shards_[homeTile(line)];
-    lockdep::Guard vl(sh.versionMutex);
-    auto& versions = sh.wordVersions[line];
+    std::uint64_t first = (addr - line) / WORD_BYTES;
+    std::uint64_t words = (addr + size - 1 - line) / WORD_BYTES - first + 1;
+    return (words == 64 ? ~0ULL : (1ULL << words) - 1) << first;
+}
+
+void
+MemorySystem::foldWrites(addr_t line_addr, std::uint64_t words)
+{
+    if (words == 0)
+        return;
+    auto& versions = shards_[homeTile(line_addr)].wordVersions[line_addr];
     if (versions.empty())
         versions.resize(lineSize_ / WORD_BYTES, 0);
-    std::uint64_t first = (addr - line) / WORD_BYTES;
-    std::uint64_t last = (addr + size - 1 - line) / WORD_BYTES;
-    for (std::uint64_t w = first; w <= last; ++w)
-        ++versions[w];
+    for (; words != 0; words &= words - 1)
+        ++versions[std::countr_zero(words)];
 }
 
 void
@@ -309,11 +318,9 @@ MemorySystem::snapshotLoss(tile_id_t tile, addr_t line_addr,
 {
     if (fastForward())
         return;
-    // Caller holds tile's lock (lostLines) and the line's home shard.
     LostLine& lost = tiles_[tile].lostLines[line_addr];
     lost.reason = reason;
     Shard& sh = shards_[homeTile(line_addr)];
-    lockdep::Guard vl(sh.versionMutex);
     auto it = sh.wordVersions.find(line_addr);
     if (it != sh.wordVersions.end())
         lost.versions = it->second;
@@ -334,21 +341,26 @@ MemorySystem::classifyMiss(tile_id_t tile, addr_t line_addr, addr_t addr,
         return MissClass::Capacity;
 
     // Lost to coherence: true sharing iff any word this access touches
-    // was written (version bumped) since we lost the line.
+    // was written since we lost the line — by a copy that has since
+    // folded its mask, or by the current owner, whose mask is pending.
     const LostLine& lost = it->second;
     Shard& sh = shards_[homeTile(line_addr)];
-    lockdep::Guard vl(sh.versionMutex);
+    std::uint64_t pending = 0;
+    if (const DirectoryEntry* e = sh.directory->peek(line_addr);
+        e != nullptr && e->state() == DirectoryState::Modified) {
+        const CacheLine* owned = tiles_[e->owner()].l2->find(line_addr);
+        GRAPHITE_ASSERT(owned != nullptr);
+        pending = owned->writtenWords;
+    }
     auto vit = sh.wordVersions.find(line_addr);
-    if (vit == sh.wordVersions.end())
-        return MissClass::FalseSharing;
-    const auto& now_versions = vit->second;
-    std::uint64_t first = (addr - line_addr) / WORD_BYTES;
-    std::uint64_t last = (addr + size - 1 - line_addr) / WORD_BYTES;
-    for (std::uint64_t w = first;
-         w <= last && w < now_versions.size(); ++w) {
-        std::uint32_t then =
-            w < lost.versions.size() ? lost.versions[w] : 0;
-        if (now_versions[w] != then)
+    std::uint64_t words = wordMask(addr, size);
+    for (; words != 0; words &= words - 1) {
+        int w = std::countr_zero(words);
+        std::uint32_t now =
+            (vit != sh.wordVersions.end() ? vit->second[w] : 0) +
+            ((pending >> w) & 1);
+        std::uint32_t then = lost.versions.empty() ? 0 : lost.versions[w];
+        if (now != then)
             return MissClass::TrueSharing;
     }
     return MissClass::FalseSharing;
@@ -392,12 +404,14 @@ MemorySystem::invalidateTile(tile_id_t holder, addr_t line_addr,
         tm.l1d->invalidate(line_addr);
     if (tm.l1i)
         tm.l1i->invalidate(line_addr);
+    const CacheLine* line = tm.l2->find(line_addr);
+    if (line != nullptr && data_out != nullptr)
+        data_out->assign(line->data.get(), line->data.get() + lineSize_);
     auto ev = tm.l2->invalidate(line_addr);
     if (ev) {
+        foldWrites(line_addr, ev->writtenWords);
         if (coherence)
             snapshotLoss(holder, line_addr, EvictReason::Invalidation);
-        if (data_out)
-            *data_out = std::move(ev->data);
     }
 }
 
@@ -413,6 +427,7 @@ MemorySystem::handleL2Eviction(tile_id_t tile, const Eviction& ev,
     if (tm.l1i)
         tm.l1i->invalidate(ev.lineAddr);
 
+    foldWrites(ev.lineAddr, ev.writtenWords);
     snapshotLoss(tile, ev.lineAddr, EvictReason::Replacement);
 
     tile_id_t home = homeTile(ev.lineAddr);
@@ -475,7 +490,8 @@ MemorySystem::fillL1(Cache* l1, const CacheLine& l2line)
     if (l1->find(l2line.lineAddr) != nullptr)
         return;
     // L1 is write-through: copies are always clean Shared; victims drop.
-    l1->insert(l2line.lineAddr, CacheState::Shared, l2line.data);
+    l1->insert(l2line.lineAddr, CacheState::Shared,
+               {l2line.data.get(), lineSize_});
 }
 
 // ----------------------------------------------- the coherence transaction
@@ -547,9 +563,11 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
         if (for_write) {
             invalidateTile(owner, line_addr, /*coherence=*/true, &data);
         } else {
-            auto owner_data = owner_l2.downgrade(line_addr);
-            GRAPHITE_ASSERT(owner_data.has_value());
-            data = std::move(*owner_data);
+            data.assign(owner_line->data.get(),
+                        owner_line->data.get() + lineSize_);
+            auto lost = owner_l2.downgrade(line_addr);
+            GRAPHITE_ASSERT(lost.has_value());
+            foldWrites(line_addr, lost->writtenWords);
         }
         GRAPHITE_ASSERT(data.size() == lineSize_);
         lat += leg(ViolationPoint::MemRecall, owner, home,
@@ -608,7 +626,7 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
         existing->state = rule.grant;
     } else {
         GRAPHITE_ASSERT(data.size() == lineSize_);
-        auto ev = tm.l2->insert(line_addr, rule.grant, std::move(data));
+        auto ev = tm.l2->insert(line_addr, rule.grant, data);
         if (!ff) {
             // Classification tracking pauses during fast-forward (the
             // documented warmup caveat: post-ROI cold/coherence split
@@ -655,7 +673,7 @@ MemorySystem::commitLine(TileMemory& tm, LineRequest& rq,
                          CacheLine& l2line)
 {
     const addr_t offset = rq.addr - l2line.lineAddr;
-    std::uint8_t* bytes = l2line.data.data() + offset;
+    std::uint8_t* bytes = l2line.data.get() + offset;
     if (!rq.isWrite) {
         std::memcpy(rq.buf, bytes, rq.size);
         fillL1(rq.l1, l2line);
@@ -669,7 +687,10 @@ MemorySystem::commitLine(TileMemory& tm, LineRequest& rq,
         new_val = (*rq.rmw)(rq.oldValue);
         src = &new_val;
     }
-    bumpVersions(rq.addr, rq.size);
+    // Warmup writes are not classified: a fast-forwarded write never
+    // reaches a version.
+    if (!fastForward())
+        l2line.writtenWords |= wordMask(rq.addr, rq.size);
     std::memcpy(bytes, src, rq.size);
     // Write through into the L1d copy, if present. A plain write
     // allocates on an L1 miss; an atomic does not (rq.l1 is null), and
@@ -682,7 +703,7 @@ MemorySystem::commitLine(TileMemory& tm, LineRequest& rq,
     else if (!(rq.rmw != nullptr && obs_.faults &&
                obs_.faults->shouldFire(check::FaultMode::SkipReleaseFence,
                                        l2line.lineAddr)))
-        std::memcpy(l1line->data.data() + offset, src, rq.size);
+        std::memcpy(l1line->data.get() + offset, src, rq.size);
 }
 
 CacheProbe
@@ -699,7 +720,7 @@ MemorySystem::tryCompleteLocal(TileMemory& tm, LineRequest& rq,
         CacheLine* l1line = rq.l1->access(rq.addr, /*is_write=*/false);
         GRAPHITE_ASSERT(l1line != nullptr);
         std::memcpy(rq.buf,
-                    l1line->data.data() + (rq.addr - lineAlign(rq.addr)),
+                    l1line->data.get() + (rq.addr - lineAlign(rq.addr)),
                     rq.size);
         res.l1Hit = true;
         finishAccess(tm, rq, res);
@@ -979,7 +1000,7 @@ MemorySystem::readCoherent(addr_t addr, void* buf, size_t size)
             auto tile_lock = lockCounted(tiles_[owner].mutex);
             CacheLine* line = tiles_[owner].l2->find(line_addr);
             GRAPHITE_ASSERT(line != nullptr);
-            std::memcpy(out, line->data.data() + (addr - line_addr),
+            std::memcpy(out, line->data.get() + (addr - line_addr),
                         chunk);
         } else {
             backing_.read(addr, out, chunk);
@@ -1008,7 +1029,8 @@ MemorySystem::writeCoherent(addr_t addr, const void* buf, size_t size)
             entry->state() != DirectoryState::Uncached)
             demoteLineLocked(*entry, line_addr);
         backing_.write(addr, in, chunk);
-        bumpVersions(addr, chunk);
+        if (!fastForward())
+            foldWrites(line_addr, wordMask(addr, chunk));
         in += chunk;
         addr += chunk;
         size -= chunk;
@@ -1143,7 +1165,8 @@ MemorySystem::validateCoherence()
                     return strfmt("inclusion violated: tile {} {} holds "
                                   "line {} absent from L2",
                                   t, l1->name(), line->lineAddr);
-                if (l2line->data != line->data)
+                if (std::memcmp(l2line->data.get(), line->data.get(),
+                                lineSize_) != 0)
                     return strfmt("L1/L2 data mismatch on tile {} line "
                                   "{}",
                                   t, line->lineAddr);
@@ -1174,7 +1197,8 @@ MemorySystem::validateCoherence()
                 backing_.read(line_addr, mem.data(), lineSize_);
                 const CacheLine* line =
                     tiles_[h.exclusive.front()].l2->find(line_addr);
-                if (line->data != mem)
+                if (std::memcmp(line->data.get(), mem.data(),
+                                lineSize_) != 0)
                     return strfmt("exclusive line {} on tile {} "
                                   "differs from memory",
                                   line_addr, h.exclusive.front());
@@ -1195,7 +1219,8 @@ MemorySystem::validateCoherence()
             backing_.read(line_addr, mem.data(), lineSize_);
             for (tile_id_t t : h.shared) {
                 const CacheLine* line = tiles_[t].l2->find(line_addr);
-                if (line->data != mem)
+                if (std::memcmp(line->data.get(), mem.data(),
+                                lineSize_) != 0)
                     return strfmt("shared line {} on tile {} differs "
                                   "from memory",
                                   line_addr, t);
@@ -1211,6 +1236,16 @@ void
 MemorySystem::serialize(snapshot::Archive& ar)
 {
     ar.expect(tiles_.size(), "tile count");
+    // The classifier indexes version vectors by word, so a restored one
+    // must cover the line; only a lost line's may be empty.
+    auto versions = [&](std::vector<std::uint32_t>& v, bool may_be_empty) {
+        ar.seq<std::uint32_t>(v);
+        if (ar.loading() && v.size() != lineSize_ / WORD_BYTES &&
+            !(may_be_empty && v.empty()))
+            throw snapshot::SnapshotError(
+                strfmt("snapshot: {} word versions for a {}-byte line",
+                       v.size(), lineSize_));
+    };
     for (TileMemory& tm : tiles_) {
         lockdep::Guard lock(tm.mutex);
         auto l1 = [&](std::unique_ptr<Cache>& cache, const char* what) {
@@ -1234,7 +1269,7 @@ MemorySystem::serialize(snapshot::Archive& ar)
         ar.sorted(tm.lostLines, [&](addr_t& a, LostLine& ll) {
             ar.u64(a);
             ar.u8(ll.reason);
-            ar.seq<std::uint32_t>(ll.versions);
+            versions(ll.versions, /*may_be_empty=*/true);
         });
     }
 
@@ -1242,11 +1277,10 @@ MemorySystem::serialize(snapshot::Archive& ar)
         lockdep::Guard lock(sh.mutex);
         sh.directory->serialize(ar, static_cast<tile_id_t>(tiles_.size()));
         sh.dram->serialize(ar);
-        lockdep::Guard vl(sh.versionMutex);
         ar.sorted(sh.wordVersions,
-                  [&](addr_t& a, std::vector<std::uint32_t>& versions) {
+                  [&](addr_t& a, std::vector<std::uint32_t>& v) {
                       ar.u64(a);
-                      ar.seq<std::uint32_t>(versions);
+                      versions(v, /*may_be_empty=*/false);
                   });
     }
 

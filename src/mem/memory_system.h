@@ -360,17 +360,24 @@ class MemorySystem
         CountedMutex mutex{lockdep::LockClass::mem_shard};
         std::unique_ptr<Directory> directory;
         std::unique_ptr<DramController> dram;
-        /** Leaf lock for the word-version shard (classification). */
-        lockdep::OrderedMutex versionMutex{lockdep::LockClass::mem_version};
-        /** Per-line, per-word write version counters, lines homed here. */
+        /**
+         * Per-line, per-word write epochs of the lines homed here: the
+         * number of copies that wrote the word and then lost write
+         * permission (foldWrites), plus writeCoherent's writes.
+         */
         std::unordered_map<addr_t, std::vector<std::uint32_t>>
             wordVersions;
     };
 
     static constexpr size_t CTRL_BYTES = 8;
     static constexpr std::uint32_t WORD_BYTES = 4;
+    /** The longest line a CacheLine::writtenWords mask covers. */
+    static constexpr std::uint64_t MAX_LINE_BYTES = 64 * WORD_BYTES;
 
     addr_t lineAlign(addr_t a) const { return a & ~(lineSize_ - 1); }
+
+    /** The written-word mask of [addr, addr+size), within one line. */
+    std::uint64_t wordMask(addr_t addr, size_t size) const;
 
     /**
      * Acquire a tile or shard lock, recording its contention statistics
@@ -515,25 +522,42 @@ class MemorySystem
                             bool for_write, addr_t addr, size_t size,
                             cycle_t now, MissClass& miss_class);
 
-    /** Invalidate every cached copy at @p holder (L2 + L1s). */
+    /**
+     * Invalidate every cached copy at @p holder (L2 + L1s) and fold its
+     * write mask; the L2 copy's bytes go to @p data_out when non-null.
+     */
     void invalidateTile(tile_id_t holder, addr_t line_addr,
                         bool coherence, std::vector<std::uint8_t>* data_out);
 
-    /** Handle an L2 victim: writeback + directory update (off path). */
+    /**
+     * Handle an L2 victim: fold its write mask, writeback + directory
+     * update (off path).
+     */
     void handleL2Eviction(tile_id_t tile, const Eviction& ev,
                           cycle_t now);
 
-    /** Classify an L2 data miss for @p tile (before state changes). */
+    /**
+     * Classify an L2 data miss for @p tile (before state changes). The
+     * transaction's locks cover the line's versions and the current
+     * owner's unfolded mask.
+     */
     MissClass classifyMiss(tile_id_t tile, addr_t line_addr, addr_t addr,
                            size_t size);
 
     void recordMiss(tile_id_t tile, TileMemory& tm, MissClass mc,
                     cycle_t time);
 
-    /** Bump per-word versions for a write of [addr, addr+size). */
-    void bumpVersions(addr_t addr, size_t size);
+    /**
+     * Add one to the version of each word of @p line_addr set in
+     * @p words: a copy's write mask when it loses write permission.
+     * Caller holds the line's home shard.
+     */
+    void foldWrites(addr_t line_addr, std::uint64_t words);
 
-    /** Snapshot versions for a lost line. */
+    /**
+     * Snapshot versions for a lost line. Caller holds @p tile's lock and
+     * the line's home shard, and has folded the lost copy's mask.
+     */
     void snapshotLoss(tile_id_t tile, addr_t line_addr,
                       EvictReason reason);
 

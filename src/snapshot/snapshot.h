@@ -64,7 +64,7 @@ inline constexpr std::uint32_t SNAPSHOT_MAGIC = 0x4E535247u;
  * fixture test (tests/test_snapshot.cpp) fails when the layout drifts
  * without a bump.
  */
-inline constexpr std::uint32_t FORMAT_VERSION = 2;
+inline constexpr std::uint32_t FORMAT_VERSION = 3;
 
 /** Build a four-character section tag, e.g. sectionTag("MEM "). */
 constexpr std::uint32_t

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.h"
 #include "common/log.h"
 #include "mem/address_space.h"
 #include "mem/cache.h"
 #include "mem/directory.h"
 #include "mem/dram_controller.h"
 #include "mem/main_memory.h"
+#include "mem/memory_system.h"
 #include "network/global_progress.h"
 #include "snapshot/snapshot.h"
 
@@ -89,11 +91,45 @@ TEST(Cache, DowngradeKeepsSharedCopy)
 {
     Cache c("t", 1024, 2, 64);
     c.insert(0x80, CacheState::Modified, lineOf(3));
-    auto data = c.downgrade(0x80);
-    ASSERT_TRUE(data.has_value());
-    EXPECT_EQ((*data)[0], 3);
+    auto lost = c.downgrade(0x80);
+    ASSERT_TRUE(lost.has_value());
+    EXPECT_TRUE(lost->dirty);
+    EXPECT_EQ(c.find(0x80)->data[0], 3);
     EXPECT_EQ(c.find(0x80)->state, CacheState::Shared);
     EXPECT_FALSE(c.downgrade(0x80).has_value()); // already S
+}
+
+TEST(Cache, LosingOwnershipHandsOverTheWriteMask)
+{
+    Cache c("t", 128, 1, 64); // direct-mapped, 2 sets
+    auto mark = [&](addr_t a, std::uint64_t words) {
+        c.find(a)->writtenWords = words;
+    };
+    c.insert(0x000, CacheState::Modified, lineOf(1));
+    mark(0x000, 0b101);
+    auto down = c.downgrade(0x000);
+    ASSERT_TRUE(down.has_value());
+    EXPECT_EQ(down->writtenWords, 0b101u);
+    EXPECT_EQ(c.find(0x000)->writtenWords, 0u);
+
+    c.insert(0x040, CacheState::Modified, lineOf(2));
+    mark(0x040, 1ULL << 63);
+    auto inv = c.invalidate(0x040);
+    ASSERT_TRUE(inv.has_value());
+    EXPECT_EQ(inv->writtenWords, 1ULL << 63);
+
+    // A refill of the same way starts with no mask; its victim's mask
+    // rides on the eviction.
+    c.insert(0x040, CacheState::Modified, lineOf(3));
+    EXPECT_EQ(c.find(0x040)->writtenWords, 0u);
+    mark(0x040, 0b10);
+    auto ev = c.insert(0x0c0, CacheState::Shared, lineOf(4));
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->lineAddr, 0x040u);
+    EXPECT_EQ(ev->writtenWords, 0b10u);
+    EXPECT_EQ(ev->data[0], 3);
+    EXPECT_EQ(c.find(0x0c0)->writtenWords, 0u);
+    EXPECT_EQ(c.find(0x0c0)->data[63], 4);
 }
 
 TEST(Cache, BadGeometryIsFatal)
@@ -253,6 +289,33 @@ TEST(Directory, RestoreRejectsTilesOutsideTheTarget)
     EXPECT_EQ(restore(INVALID_TILE_ID, 3, 4), std::vector<tile_id_t>{3});
     EXPECT_THROW(restore(INVALID_TILE_ID, 5, 4), snapshot::SnapshotError);
     EXPECT_THROW(restore(6, 3, 4), snapshot::SnapshotError);
+}
+
+// ------------------------------------------------------------ MemorySystem
+
+TEST(MemorySystem, LineSizeOutsideTheWriteMaskIsFatal)
+{
+    Config cfg = defaultTargetConfig();
+    cfg.setInt("general/total_tiles", 2);
+    ClusterTopology topo(2, 1);
+    NetworkFabric fabric(topo, cfg);
+    auto build = [&](std::int64_t line) {
+        cfg.setInt("perf_model/l2_cache/line_size", line);
+        MemorySystem mem(topo, fabric, cfg);
+    };
+    EXPECT_NO_THROW(build(256)); // 64 words: the mask's every bit
+    EXPECT_NO_THROW(build(4));
+    for (std::int64_t line : {512, 2}) {
+        try {
+            build(line);
+            ADD_FAILURE() << line << "-byte lines were accepted";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "perf_model/l2_cache/line_size"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------- DramController

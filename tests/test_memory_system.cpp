@@ -314,6 +314,187 @@ TEST(MissClass, TrueVsFalseSharing)
     EXPECT_EQ(f.mem->stats(0).l2FalseSharingMisses, 1u);
 }
 
+// A write commit marks its words in the writer's L2 line; the marks
+// reach the home's word versions only when that copy loses write
+// permission. Until then the classifier adds the current owner's marks.
+
+/** Write one 4-byte word, word index @p w of line @p line. */
+AccessResult
+writeWord(MemFixture& f, tile_id_t tile, addr_t line, int w)
+{
+    std::uint32_t v = 0xabcd0000u + static_cast<std::uint32_t>(w);
+    return f.mem->access(tile, MemAccessType::Write,
+                         line + static_cast<addr_t>(w) * 4, &v, 4, 0);
+}
+
+/** The miss class of @p tile's read of word @p w of line @p line. */
+MissClass
+readWordClass(MemFixture& f, tile_id_t tile, addr_t line, int w)
+{
+    std::uint32_t v = 0;
+    return f.mem
+        ->access(tile, MemAccessType::Read,
+                 line + static_cast<addr_t>(w) * 4, &v, 4, 0)
+        .missClass;
+}
+
+TEST(MissClass, PendingOwnerMaskCountsBeforeAnyFold)
+{
+    for (int read : {5, 6}) {
+        MemFixture f;
+        f.read64(0, A);
+        writeWord(f, 1, A, 5); // invalidates tile 0's copy
+        const CacheLine* owned = f.mem->l2(1).find(A);
+        ASSERT_NE(owned, nullptr);
+        EXPECT_EQ(owned->state, CacheState::Modified);
+        EXPECT_EQ(owned->writtenWords, 1u << 5);
+        EXPECT_EQ(readWordClass(f, 0, A, read),
+                  read == 5 ? MissClass::TrueSharing
+                            : MissClass::FalseSharing)
+            << "word " << read;
+        // The read recalled the owner's copy: its mask is folded.
+        EXPECT_EQ(f.mem->l2(1).find(A)->writtenWords, 0u);
+        EXPECT_EQ(f.mem->validateCoherence(), "");
+    }
+}
+
+/** How the writer's copy loses write permission. */
+enum class OwnerLoss
+{
+    Replacement,  ///< evicted by two conflicting reads on its own tile
+    Downgrade,    ///< recalled to Shared by a third tile's read
+    Invalidation  ///< recalled by a third tile's write of another word
+};
+
+/**
+ * Tile 0 reads line A and loses it to tile 1's write of word
+ * @p written; tile 1 then loses write permission by @p loss (a third
+ * tile's write takes the word after the middle one). Returns
+ * the class of tile 0's read of word @p read. The L2s hold two sets of
+ * two ways of @p line_bytes lines. Under dir_mesi tile 1 first evicts
+ * the line it took by a write of the middle word and reads it back
+ * alone, so its write of @p written is a silent E->M upgrade.
+ */
+MissClass
+classAfterOwnerLoss(const std::string& protocol, OwnerLoss loss,
+                    int written, int read, std::int64_t line_bytes = 64)
+{
+    Config over;
+    over.set("caching_protocol/type", protocol);
+    over.setInt("perf_model/l2_cache/line_size", line_bytes);
+    over.setInt("perf_model/l2_cache/cache_size", 4 * line_bytes);
+    over.setInt("perf_model/l2_cache/associativity", 2);
+    MemFixture f(4, over);
+    const addr_t set_stride = 2 * static_cast<addr_t>(line_bytes);
+    auto evict_a = [&](tile_id_t t) {
+        f.read64(t, A + set_stride);
+        f.read64(t, A + 2 * set_stride);
+        EXPECT_EQ(f.mem->l2(t).find(A), nullptr);
+    };
+    const bool silent = protocol == "dir_mesi";
+    f.read64(0, A);
+    if (silent) {
+        writeWord(f, 1, A, static_cast<int>(line_bytes / 8));
+        evict_a(1);
+        f.read64(1, A);
+        EXPECT_EQ(f.mem->l2(1).find(A)->state, CacheState::Exclusive);
+    }
+    AccessResult w = writeWord(f, 1, A, written);
+    EXPECT_EQ(w.missClass, silent ? MissClass::None : MissClass::Cold);
+    EXPECT_EQ(f.mem->l2(1).find(A)->writtenWords, 1ULL << written);
+    if (loss == OwnerLoss::Replacement) {
+        evict_a(1);
+    } else if (loss == OwnerLoss::Downgrade) {
+        f.read64(2, A);
+        EXPECT_EQ(f.mem->l2(1).find(A)->state, CacheState::Shared);
+        EXPECT_EQ(f.mem->l2(1).find(A)->writtenWords, 0u);
+    } else {
+        writeWord(f, 2, A, static_cast<int>(line_bytes / 8) + 1);
+        EXPECT_EQ(f.mem->l2(1).find(A), nullptr);
+    }
+    MissClass mc = readWordClass(f, 0, A, read);
+    EXPECT_EQ(f.mem->validateCoherence(), "");
+    return mc;
+}
+
+TEST(MissClass, OwnerLossFoldsItsMask)
+{
+    for (const char* protocol : {"dir_msi", "dir_mesi"}) {
+        for (OwnerLoss loss :
+             {OwnerLoss::Replacement, OwnerLoss::Downgrade,
+              OwnerLoss::Invalidation}) {
+            SCOPED_TRACE(std::string(protocol) + " loss " +
+                         std::to_string(static_cast<int>(loss)));
+            EXPECT_EQ(classAfterOwnerLoss(protocol, loss, 5, 5),
+                      MissClass::TrueSharing);
+            EXPECT_EQ(classAfterOwnerLoss(protocol, loss, 5, 6),
+                      MissClass::FalseSharing);
+        }
+    }
+}
+
+TEST(MissClass, TopWordOfA256ByteLine)
+{
+    for (const char* protocol : {"dir_msi", "dir_mesi"}) {
+        SCOPED_TRACE(protocol);
+        EXPECT_EQ(classAfterOwnerLoss(protocol, OwnerLoss::Downgrade, 63,
+                                      63, 256),
+                  MissClass::TrueSharing);
+        EXPECT_EQ(classAfterOwnerLoss(protocol, OwnerLoss::Replacement,
+                                      63, 63, 256),
+                  MissClass::TrueSharing);
+        EXPECT_EQ(classAfterOwnerLoss(protocol, OwnerLoss::Replacement,
+                                      63, 62, 256),
+                  MissClass::FalseSharing);
+    }
+    // Pending, before any fold.
+    Config over;
+    over.setInt("perf_model/l2_cache/line_size", 256);
+    MemFixture f(4, over);
+    f.read64(0, A);
+    writeWord(f, 1, A, 63);
+    EXPECT_EQ(f.mem->l2(1).find(A)->writtenWords, 1ULL << 63);
+    EXPECT_EQ(readWordClass(f, 0, A, 63), MissClass::TrueSharing);
+}
+
+TEST(MissClass, WriteCoherentAfterTheLossCounts)
+{
+    // Word 0 changed through tile 1's copy, which the kernel write
+    // demotes; word 9 through the kernel write itself.
+    for (int read : {0, 9, 10}) {
+        MemFixture f;
+        f.read64(0, A);
+        writeWord(f, 1, A, 0); // tile 0 loses the line
+        std::uint32_t v = 7;
+        f.mem->writeCoherent(A + 9 * 4, &v, 4);
+        EXPECT_EQ(f.mem->l2(1).find(A), nullptr);
+        EXPECT_EQ(readWordClass(f, 0, A, read),
+                  read == 10 ? MissClass::FalseSharing
+                             : MissClass::TrueSharing)
+            << "word " << read;
+    }
+}
+
+TEST(MissClass, PendingMaskCrossesACheckpoint)
+{
+    MemFixture f;
+    f.read64(0, A);
+    writeWord(f, 1, A, 3);
+    snapshot::SnapshotWriter w;
+    snapshot::Archive save(w);
+    f.mem->serialize(save);
+    std::vector<std::uint8_t> blob = w.finish();
+
+    MemFixture g;
+    snapshot::SnapshotReader r(blob);
+    snapshot::Archive restore(r);
+    g.mem->serialize(restore);
+    ASSERT_NE(g.mem->l2(1).find(A), nullptr);
+    EXPECT_EQ(g.mem->l2(1).find(A)->writtenWords, 1u << 3);
+    EXPECT_EQ(readWordClass(g, 0, A, 3), MissClass::TrueSharing);
+    EXPECT_EQ(g.mem->validateCoherence(), "");
+}
+
 // ----------------------------------------------------------------- atomics
 
 TEST(Atomics, RmwIsOneTransaction)
