@@ -231,6 +231,8 @@ Cache::serialize(snapshot::Archive& ar)
     ar.u64(misses_);
     ar.u64(evictions_);
     ar.u64(invalidations_);
+    const auto line_words =
+        static_cast<int>(lineSize_ / CacheLine::WORD_BYTES);
     for (CacheLine& line : lines_) {
         ar.u64(line.lineAddr);
         ar.u8(line.state);
@@ -244,8 +246,8 @@ Cache::serialize(snapshot::Archive& ar)
                 lineSize_);
         ar.bytes(line.data.get(), lineSize_);
         ar.u64(line.writtenWords);
-        if (ar.loading() && std::countl_zero(line.writtenWords) <
-                                64 - static_cast<int>(lineSize_ / 4))
+        if (ar.loading() &&
+            std::countl_zero(line.writtenWords) < 64 - line_words)
             throw snapshot::SnapshotError(
                 strfmt("snapshot: cache '{}' line marks a word past its "
                        "{} bytes",

@@ -66,14 +66,17 @@ enum class EvictReason : std::uint8_t
  */
 struct CacheLine
 {
+    /** Bytes per writtenWords bit; a line has at most 64 such words. */
+    static constexpr std::uint64_t WORD_BYTES = 4;
+
     addr_t lineAddr = 0; ///< address of first byte, line-aligned
     std::uint64_t lruStamp = 0;
     /**
-     * One bit per 4-byte word written since this copy gained write
-     * permission (bit i covers bytes [4i, 4i+4)), for the miss
-     * classifier: the memory system folds it into the home's word
-     * versions when the copy loses that permission. Zero in a line that
-     * is neither Modified nor Exclusive.
+     * One bit per word written since this copy gained write permission
+     * (bit i covers bytes [4i, 4i+4)), for the miss classifier: the
+     * memory system folds it into the home's word versions when the
+     * copy loses that permission. Zero in a line that is neither
+     * Modified nor Exclusive.
      */
     std::uint64_t writtenWords = 0;
     /**

@@ -370,7 +370,7 @@ class MemorySystem
     };
 
     static constexpr size_t CTRL_BYTES = 8;
-    static constexpr std::uint32_t WORD_BYTES = 4;
+    static constexpr std::uint64_t WORD_BYTES = CacheLine::WORD_BYTES;
     /** The longest line a CacheLine::writtenWords mask covers. */
     static constexpr std::uint64_t MAX_LINE_BYTES = 64 * WORD_BYTES;
 
