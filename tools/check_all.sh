@@ -70,7 +70,7 @@ step "overhead and scaling benchmarks (armed-vs-off budgets, L1-hit scaling, fas
 gate env GRAPHITE_BENCH_FAST=1 \
     ./bench/micro_observer_overhead accuracy span race
 # The L1-hit scaling gate (4 threads over 1 on private lines) runs at
-# full size, about 8 s with the reported miss-path and L2 write-hit
+# full size, about 5 s with the reported miss-path and L2 write-hit
 # rows: fast mode's
 # short loops hide the cost of a counter that every thread writes on
 # every access.
