@@ -404,8 +404,9 @@ MemorySystem::invalidateTile(tile_id_t holder, addr_t line_addr,
         tm.l1d->invalidate(line_addr);
     if (tm.l1i)
         tm.l1i->invalidate(line_addr);
-    const CacheLine* line = tm.l2->find(line_addr);
-    if (line != nullptr && data_out != nullptr)
+    const CacheLine* line =
+        data_out != nullptr ? tm.l2->find(line_addr) : nullptr;
+    if (line != nullptr)
         data_out->assign(line->data.get(), line->data.get() + lineSize_);
     auto ev = tm.l2->invalidate(line_addr);
     if (ev) {

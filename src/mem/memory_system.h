@@ -27,8 +27,8 @@
  * state. Even the statistics are partitioned: an access updates only
  * the TileMemory or Shard whose lock it holds, and the mem.* aggregates
  * sum those parts when read. Per-home-tile shard locks guard the
- * directory slice, the DRAM controller, and the word-version shard
- * homed at each tile; coherence transactions acquire the shards they
+ * directory slice, the DRAM controller, and the word versions of the
+ * lines homed at each tile; coherence transactions acquire the shards they
  * need in ascending id order, then every involved tile lock (requester
  * + current holders) in ascending id order. Plain accesses and atomics
  * run through the same transaction code. See DESIGN.md
