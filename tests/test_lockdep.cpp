@@ -355,6 +355,88 @@ TEST_F(LockdepWarn, RenderHeldSetsNamesClassAndSite)
     EXPECT_NE(text.find("test_lockdep.cpp"), std::string::npos);
 }
 
+/// The held-set text of thread @p id in renderHeldSets(), "" if none.
+std::string
+renderedLineOf(std::uint64_t id)
+{
+    std::istringstream lines(lockdep::renderHeldSets());
+    const std::string prefix = "  thread " + std::to_string(id) + ":";
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind(prefix, 0) == 0)
+            return line;
+    }
+    return "";
+}
+
+TEST_F(LockdepWarn, FirstLockIsDumpedFromAnotherThread)
+{
+    LOCKDEP_REQUIRE_ARMED();
+    // A lock taken with nothing held, seen by a thread that does not
+    // hold it, while the holder waits at each step.
+    lockdep::OrderedMutex m(LockClass::log_filter);
+    std::atomic<int> step{0};
+    std::atomic<int> site{0};
+    std::atomic<std::uint64_t> holder_id{0};
+    auto await = [&](int s) {
+        while (step.load(std::memory_order_acquire) != s)
+            std::this_thread::yield();
+    };
+    std::thread holder([&] {
+        holder_id.store(static_cast<std::uint64_t>(pthread_self()));
+        {
+            lockdep::Guard g(m); site.store(__LINE__);
+            step.store(1, std::memory_order_release);
+            await(2);
+        }
+        step.store(3, std::memory_order_release);
+        await(4);
+    });
+
+    await(1);
+    const std::string held = renderedLineOf(holder_id.load());
+    EXPECT_NE(held.find("holds log_filter[0]@"), std::string::npos)
+        << held;
+    EXPECT_TRUE(held.ends_with("test_lockdep.cpp:" +
+                               std::to_string(site.load())))
+        << held;
+    step.store(2, std::memory_order_release);
+    await(3);
+    // Released, and the holder is still alive: it holds nothing.
+    EXPECT_EQ(renderedLineOf(holder_id.load()), "");
+    step.store(4, std::memory_order_release);
+    holder.join();
+}
+
+TEST_F(LockdepWarn, RecycledThreadStateStartsEmpty)
+{
+    LOCKDEP_REQUIRE_ARMED();
+    lockdep::OrderedMutex outer(LockClass::global_progress);
+    lockdep::OrderedMutex inner(LockClass::log_filter);
+    // This thread's state is free for reuse once it has exited.
+    std::thread([&] {
+        lockdep::Guard go(outer);
+        lockdep::Guard gi(inner);
+    }).join();
+
+    std::thread([&] {
+        const auto self = static_cast<std::uint64_t>(pthread_self());
+        EXPECT_EQ(renderedLineOf(self), "");
+        lockdep::Guard g(inner); const int line = __LINE__;
+        for (const lockdep::ThreadHeldSet& s : lockdep::heldSnapshot()) {
+            if (s.threadId != self)
+                continue;
+            ASSERT_EQ(s.held.size(), 1u);
+            EXPECT_EQ(s.held[0].cls, LockClass::log_filter);
+            EXPECT_EQ(s.held[0].line, line);
+        }
+        const std::string held = renderedLineOf(self);
+        EXPECT_EQ(held, "  thread " + std::to_string(self) +
+                            ": holds log_filter[0]@" + __FILE__ + ":" +
+                            std::to_string(line));
+    }).join();
+    EXPECT_EQ(lockdep::violationCount(), 0u);
+}
+
 TEST(LockdepCrash, CrashDumpIncludesHeldSets)
 {
     LOCKDEP_REQUIRE_ARMED();

@@ -717,6 +717,83 @@ TEST(Mesi, CleanEvictionLapsesOwnership)
     EXPECT_EQ(f.mem->validateCoherence(), "");
 }
 
+// --------------------------------------------------------- cache counters
+
+TEST(CacheCounters, EachAccessKindChargesItsLevels)
+{
+    // Two ways per set in the L1d (4 sets) and the L2 (8 sets), so A
+    // and C, 512 bytes apart, fill one set at both levels; D, S and I
+    // each have a set of their own.
+    Config over = mesiOverride();
+    over.setInt("perf_model/l1_dcache/cache_size", 512);
+    over.setInt("perf_model/l1_dcache/associativity", 2);
+    over.setInt("perf_model/l2_cache/cache_size", 1024);
+    over.setInt("perf_model/l2_cache/associativity", 2);
+    MemFixture f(2, over);
+    const addr_t C = A + 512, D = A + 64, S = A + 128, I = A + 192;
+    Cache& l1i = *f.mem->l1i(0);
+    Cache& l1d = *f.mem->l1d(0);
+    Cache& l2 = f.mem->l2(0);
+    using Counts = std::array<stat_t, 6>;
+    // Tile 0's {L1i, L1d, L2} x {accesses, misses}.
+    auto counts = [&] {
+        return Counts{l1i.accesses(), l1i.misses(), l1d.accesses(),
+                      l1d.misses(),   l2.accesses(),  l2.misses()};
+    };
+    auto atomicAdd = [&](addr_t a) {
+        f.mem->atomicRmw(
+            0, a, 8, [](std::uint64_t v) { return v + 1; }, 0);
+    };
+    std::uint32_t word = 0;
+
+    f.read64(0, A); // cold: Exclusive in the L2, a copy in the L1d
+    EXPECT_EQ(counts(), (Counts{0, 0, 1, 1, 1, 1}));
+    f.read64(0, A); // L1 read hit
+    EXPECT_EQ(counts(), (Counts{0, 0, 2, 1, 1, 1}));
+
+    atomicAdd(C); // an atomic bypasses the L1: C is in the L2 alone
+    EXPECT_EQ(counts(), (Counts{0, 0, 2, 1, 2, 2}));
+    f.read64(0, C); // misses the L1, hits the L2
+    EXPECT_EQ(counts(), (Counts{0, 0, 3, 2, 3, 2}));
+    f.write64(0, C, 5); // write hit with an L1d copy
+    EXPECT_EQ(counts(), (Counts{0, 0, 4, 2, 4, 2}));
+
+    atomicAdd(D);
+    EXPECT_EQ(counts(), (Counts{0, 0, 4, 2, 5, 3}));
+    f.write64(0, D, 6); // write hit without an L1d copy
+    EXPECT_EQ(counts(), (Counts{0, 0, 5, 3, 6, 3}));
+    EXPECT_NE(l1d.find(D), nullptr); // a plain write allocates
+
+    f.read64(1, S); // tile 1 Exclusive; tile 0's counters stay
+    f.read64(0, S); // both Shared
+    EXPECT_EQ(counts(), (Counts{0, 0, 6, 4, 7, 4}));
+    AccessResult up = f.write64(0, S, 7); // upgrade from Shared
+    EXPECT_EQ(up.missClass, MissClass::Upgrade);
+    EXPECT_EQ(counts(), (Counts{0, 0, 7, 4, 8, 5}));
+
+    AccessResult silent = f.write64(0, A, 8); // MESI silent E -> M
+    EXPECT_EQ(silent.missClass, MissClass::None);
+    EXPECT_EQ(l2.find(A)->state, CacheState::Modified);
+    EXPECT_EQ(counts(), (Counts{0, 0, 8, 4, 9, 5}));
+    EXPECT_EQ(f.mem->stats(0).l2UpgradeMisses, 1u);
+
+    f.mem->access(0, MemAccessType::Fetch, I, &word, 4, 0); // cold fetch
+    EXPECT_EQ(counts(), (Counts{1, 1, 8, 4, 10, 6}));
+    f.mem->access(0, MemAccessType::Fetch, I, &word, 4, 0); // L1i hit
+    EXPECT_EQ(counts(), (Counts{2, 1, 8, 4, 10, 6}));
+
+    // A's set: A was inserted first at both levels, but the silent
+    // upgrade touched it last, so the next insert evicts C.
+    const addr_t next = A + 1024;
+    EXPECT_EQ(l1d.peekVictim(next), std::optional<addr_t>(C));
+    EXPECT_EQ(l2.peekVictim(next), std::optional<addr_t>(C));
+    f.read64(0, next);
+    EXPECT_EQ(l2.find(C), nullptr);
+    EXPECT_NE(l2.find(A), nullptr);
+    EXPECT_EQ(f.read64(0, C), 5u); // C's write reached memory
+    EXPECT_EQ(f.mem->validateCoherence(), "");
+}
+
 TEST_P(MsiStress, MesiRandomOpsPreserveInvariantsAndData)
 {
     Config over = mesiOverride();

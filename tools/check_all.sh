@@ -11,8 +11,8 @@
 #   3. clang-tidy over every first-party TU (SKIPs when the toolchain
 #      has no clang-tidy; see tools/run_tidy.py);
 #   4. a UBSan build (-fno-sanitize-recover=undefined) running the
-#      memory-system concurrency smoke (ubsan_smoke) and the memory
-#      system's unit and integration suites.
+#      memory-system concurrency smoke (ubsan_smoke), the memory
+#      system's unit and integration suites and lockdep's suite.
 #
 # Usage: tools/check_all.sh [build-dir]     (default: build)
 set -euo pipefail
@@ -98,7 +98,7 @@ ctest --test-dir "$BUILD" -L tidy --output-on-failure
 step "UBSan build + smoke ($BUILD-ubsan)"
 cmake -B "$BUILD-ubsan" -S . -DGRAPHITE_SANITIZE=undefined >/dev/null
 cmake --build "$BUILD-ubsan" -j "$JOBS" --target test_mem_concurrency \
-    test_memory_system test_mem_units
+    test_memory_system test_mem_units test_lockdep
 ctest --test-dir "$BUILD-ubsan" -L analysis --output-on-failure
 
 step "PASS"
