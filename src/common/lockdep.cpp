@@ -53,24 +53,9 @@ inline namespace ld_on
 namespace
 {
 
-constexpr int MAX_HELD = 64;
-
-// One lock currently held by a thread, or a run of same-class ORDERED
-// locks taken in ascending instance order (mutex == nullptr): `count`
-// locks with instances in [instance, last]. Runs bound the held set by
-// the number of lock classes, not by how many shards or tiles one
-// thread locks at once. `depth` below is bumped with release ordering
-// after a new entry is fully written so that the racy heldSnapshot()
-// reader sees complete entries.
-struct Entry {
-    const OrderedMutex* mutex;
-    LockClass cls;
-    std::int64_t instance;
-    std::int64_t last;
-    int count;
-    const char* file;
-    int line;
-};
+using detail::Entry;
+using detail::MAX_HELD;
+using detail::ThreadState;
 
 // True when entry @p e accounts for the held mutex @p m.
 bool
@@ -90,18 +75,6 @@ instanceText(std::int64_t instance, std::int64_t last, int count)
         return strfmt("{}", instance);
     return strfmt("{}..{} x{}", instance, last, count);
 }
-
-// Cache-line aligned: the owning thread writes its held set on every
-// lock and unlock, so another thread's state must not share its lines
-// (adjacent states cost fft-w4 about 8% of host time).
-struct alignas(64) ThreadState {
-    std::atomic<int> depth{0};
-    Entry held[MAX_HELD];
-    std::atomic<bool> alive{true};
-    std::atomic<bool> waiting{false}; // blocked acquiring `pending`
-    Entry pending{};
-    std::uint64_t threadId = 0;
-};
 
 // Global registry of per-thread states for heldSnapshot(). States are
 // heap-allocated once and recycled (never freed) so a dump racing a
@@ -131,10 +104,14 @@ constexpr int MAX_THREAD_STATES = 1024;
 std::atomic<ThreadState*> g_stateTable[MAX_THREAD_STATES];
 std::atomic<int> g_stateCount{0};
 
+// Frees the thread's state for reuse when the thread exits, and detaches
+// it from the inline paths, which must not write a state that another
+// thread may have taken over.
 struct ThreadHandle {
     ThreadState* state = nullptr;
     ~ThreadHandle()
     {
+        detail::t_held = nullptr;
         if (state != nullptr) {
             state->depth.store(0, std::memory_order_relaxed);
             state->waiting.store(false, std::memory_order_relaxed);
@@ -143,9 +120,13 @@ struct ThreadHandle {
     }
 };
 
+// The calling thread's held set. The first call in a thread attaches
+// one, a dead thread's if there is one, and publishes it in t_held.
 ThreadState&
 threadState()
 {
+    if (detail::t_held != nullptr)
+        return *detail::t_held;
     thread_local ThreadHandle handle;
     if (handle.state == nullptr) {
         std::scoped_lock lock(metaMutex());
@@ -171,6 +152,7 @@ threadState()
         handle.state->threadId =
             static_cast<std::uint64_t>(pthread_self());
     }
+    detail::t_held = handle.state;
     return *handle.state;
 }
 
@@ -635,7 +617,13 @@ dumpHeldSetsToFd(int fd)
 }
 
 void
-OrderedMutex::lock(const char* file, int line)
+detail::popHeld(const OrderedMutex* m)
+{
+    pop(threadState(), m);
+}
+
+void
+OrderedMutex::lockSlow(const char* file, int line)
 {
     ThreadState& ts = threadState();
     if (mode() != Mode::Off)
@@ -649,7 +637,7 @@ OrderedMutex::lock(const char* file, int line)
 }
 
 bool
-OrderedMutex::try_lock(const char* file, int line)
+OrderedMutex::tryLockSlow(const char* file, int line)
 {
     ThreadState& ts = threadState();
     if (mode() != Mode::Off)
@@ -661,14 +649,7 @@ OrderedMutex::try_lock(const char* file, int line)
 }
 
 void
-OrderedMutex::unlock()
-{
-    pop(threadState(), this);
-    m_.unlock();
-}
-
-void
-UniqueLock::lock(const char* file, int line)
+UniqueLock::lockSlow(const char* file, int line)
 {
     ThreadState& ts = threadState();
     if (mode() != Mode::Off)
@@ -682,7 +663,7 @@ UniqueLock::lock(const char* file, int line)
 }
 
 bool
-UniqueLock::try_lock(const char* file, int line)
+UniqueLock::tryLockSlow(const char* file, int line)
 {
     ThreadState& ts = threadState();
     if (mode() != Mode::Off)
@@ -691,13 +672,6 @@ UniqueLock::try_lock(const char* file, int line)
         return false;
     push(ts, m_, m_->lockClass(), m_->instance(), file, line);
     return true;
-}
-
-void
-UniqueLock::unlock()
-{
-    pop(threadState(), m_);
-    raw_.unlock();
 }
 
 void

@@ -24,6 +24,7 @@
 #ifndef GRAPHITE_COMMON_LOCKDEP_H
 #define GRAPHITE_COMMON_LOCKDEP_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -84,6 +85,96 @@ struct ThreadHeldSet {
 inline namespace ld_on
 {
 
+class OrderedMutex;
+
+// The per-thread held set. It lives in this header so that the common
+// round trip — a lock taken with nothing held, then released as the
+// innermost entry — is recorded inline; everything else goes to
+// lockdep.cpp.
+namespace detail
+{
+
+constexpr int MAX_HELD = 64;
+
+// One lock currently held by a thread, or a run of same-class ORDERED
+// locks taken in ascending instance order (mutex == nullptr): `count`
+// locks with instances in [instance, last]. Runs bound the held set by
+// the number of lock classes, not by how many shards or tiles one
+// thread locks at once.
+struct Entry {
+    const OrderedMutex* mutex;
+    LockClass cls;
+    std::int64_t instance;
+    std::int64_t last;
+    int count;
+    const char* file;
+    int line;
+};
+
+// `depth` is bumped with release ordering after a new entry is fully
+// written, so the racy heldSnapshot() reader sees complete entries.
+// Cache-line aligned: the owning thread writes its held set on every
+// lock and unlock, so another thread's state must not share its lines
+// (adjacent states cost fft-w4 about 8% of host time).
+struct alignas(64) ThreadState {
+    std::atomic<int> depth{0};
+    Entry held[MAX_HELD];
+    std::atomic<bool> alive{true};
+    std::atomic<bool> waiting{false}; // blocked acquiring `pending`
+    Entry pending{};
+    std::uint64_t threadId = 0;
+};
+
+// The calling thread's held set: null until its first acquisition
+// attaches one out of line, and again once the thread has exited.
+// Trivially destructible, so reading it costs no guard or wrapper call.
+inline thread_local ThreadState* t_held = nullptr;
+
+// The calling thread's held set when it holds nothing, else nullptr. An
+// acquisition then has nothing to be order-checked against, so it is
+// recorded inline with pushFirst().
+inline ThreadState*
+emptyHeldSet()
+{
+    ThreadState* ts = t_held;
+    if (ts == nullptr || ts->depth.load(std::memory_order_relaxed) != 0)
+        return nullptr;
+    return ts;
+}
+
+inline void
+pushFirst(ThreadState& ts, const OrderedMutex* m, LockClass cls,
+          std::int64_t instance, const char* file, int line)
+{
+    ts.held[0] = {m, cls, instance, instance, 1, file, line};
+    ts.depth.store(1, std::memory_order_release);
+}
+
+// Drops @p m from the calling thread's held set when it is the
+// innermost entry on its own; false leaves the release to popHeld().
+inline bool
+popInnermost(const OrderedMutex* m)
+{
+    ThreadState* ts = t_held;
+    if (ts == nullptr)
+        return false;
+    int depth = ts->depth.load(std::memory_order_relaxed);
+    if (depth <= 0 || ts->held[depth - 1].mutex != m)
+        return false;
+    ts->depth.store(depth - 1, std::memory_order_release);
+    return true;
+}
+
+// Out of line: releases @p m from a run or from under a later lock, and
+// exits with code 87 when the thread does not hold it.
+void popHeld(const OrderedMutex* m);
+
+} // namespace detail
+
+// lock(), try_lock() and unlock() record a lock taken with nothing held
+// and the release of the innermost lock inline. The order check, runs,
+// the edge table and a raw lock that blocks (shown as WAITING-FOR in
+// dumps) are out of line.
 class OrderedMutex {
 public:
     explicit OrderedMutex(LockClass cls, std::int64_t instance = 0)
@@ -94,10 +185,32 @@ public:
     OrderedMutex& operator=(const OrderedMutex&) = delete;
 
     void lock(const char* file = __builtin_FILE(),
-              int line = __builtin_LINE());
+              int line = __builtin_LINE())
+    {
+        detail::ThreadState* ts = detail::emptyHeldSet();
+        if (ts != nullptr && m_.try_lock()) {
+            detail::pushFirst(*ts, this, cls_, instance_, file, line);
+            return;
+        }
+        lockSlow(file, line);
+    }
     bool try_lock(const char* file = __builtin_FILE(),
-                  int line = __builtin_LINE());
-    void unlock();
+                  int line = __builtin_LINE())
+    {
+        detail::ThreadState* ts = detail::emptyHeldSet();
+        if (ts == nullptr)
+            return tryLockSlow(file, line);
+        if (!m_.try_lock())
+            return false;
+        detail::pushFirst(*ts, this, cls_, instance_, file, line);
+        return true;
+    }
+    void unlock()
+    {
+        if (!detail::popInnermost(this))
+            detail::popHeld(this);
+        m_.unlock();
+    }
 
     LockClass lockClass() const { return cls_; }
     std::int64_t instance() const { return instance_; }
@@ -107,6 +220,9 @@ public:
     std::mutex& native() { return m_; }
 
 private:
+    void lockSlow(const char* file, int line);
+    bool tryLockSlow(const char* file, int line);
+
     std::mutex m_;
     LockClass cls_;
     std::int64_t instance_;
@@ -174,17 +290,45 @@ public:
             unlock();
     }
 
+    // The same inline cases as OrderedMutex's.
     void lock(const char* file = __builtin_FILE(),
-              int line = __builtin_LINE());
+              int line = __builtin_LINE())
+    {
+        detail::ThreadState* ts = detail::emptyHeldSet();
+        if (ts != nullptr && raw_.try_lock()) {
+            detail::pushFirst(*ts, m_, m_->lockClass(), m_->instance(),
+                              file, line);
+            return;
+        }
+        lockSlow(file, line);
+    }
     bool try_lock(const char* file = __builtin_FILE(),
-                  int line = __builtin_LINE());
-    void unlock();
+                  int line = __builtin_LINE())
+    {
+        detail::ThreadState* ts = detail::emptyHeldSet();
+        if (ts == nullptr)
+            return tryLockSlow(file, line);
+        if (!raw_.try_lock())
+            return false;
+        detail::pushFirst(*ts, m_, m_->lockClass(), m_->instance(), file,
+                          line);
+        return true;
+    }
+    void unlock()
+    {
+        if (!detail::popInnermost(m_))
+            detail::popHeld(m_);
+        raw_.unlock();
+    }
     bool owns_lock() const { return raw_.owns_lock(); }
     explicit operator bool() const { return owns_lock(); }
     OrderedMutex* mutex() const { return m_; }
     std::unique_lock<std::mutex>& raw() { return raw_; }
 
 private:
+    void lockSlow(const char* file, int line);
+    bool tryLockSlow(const char* file, int line);
+
     OrderedMutex* m_ = nullptr;
     std::unique_lock<std::mutex> raw_;
 };

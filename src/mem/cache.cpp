@@ -15,7 +15,8 @@ Cache::Cache(std::string name, std::uint64_t size_bytes,
     : name_(std::move(name)),
       capacity_(size_bytes),
       assoc_(associativity),
-      lineSize_(line_size)
+      lineSize_(line_size),
+      lineShift_(std::countr_zero(line_size))
 {
     if (line_size == 0 || !std::has_single_bit(line_size))
         fatal("cache {}: line size {} is not a power of two", name_,
@@ -33,7 +34,7 @@ Cache::Cache(std::string name, std::uint64_t size_bytes,
 std::uint64_t
 Cache::setIndex(addr_t line_addr) const
 {
-    return (line_addr / lineSize_) % numSets_;
+    return (line_addr >> lineShift_) % numSets_;
 }
 
 CacheLine*
@@ -67,10 +68,9 @@ Cache::find(addr_t addr) const
 }
 
 CacheLine*
-Cache::access(addr_t addr, bool is_write)
+Cache::recordAccess(CacheLine* line, bool is_write)
 {
     addSerialized(accesses_);
-    CacheLine* line = find(addr);
     if (line == nullptr) {
         addSerialized(misses_);
         return nullptr;
@@ -99,17 +99,6 @@ Cache::sufficient(const CacheLine* line, bool is_write)
         return false;
     return !is_write || line->state == CacheState::Modified ||
            line->state == CacheState::Exclusive;
-}
-
-CacheProbe
-Cache::probe(addr_t addr, bool is_write) const
-{
-    const CacheLine* line = find(addr);
-    if (line == nullptr)
-        return CacheProbe::Miss;
-    if (sufficient(line, is_write))
-        return CacheProbe::Hit;
-    return CacheProbe::NeedsUpgrade;
 }
 
 std::optional<addr_t>

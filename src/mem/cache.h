@@ -107,7 +107,7 @@ struct Eviction
     std::vector<std::uint8_t> data;
 };
 
-/** Outcome of a side-effect-free permission probe (see Cache::probe). */
+/** What a tile's own copy of a line can do for an access. */
 enum class CacheProbe : std::uint8_t
 {
     Miss,        ///< line absent: a full coherence transaction is needed
@@ -142,20 +142,25 @@ class Cache
      * Probe for statistics: records a hit or miss.
      * @return the line on hit, nullptr on miss.
      */
-    CacheLine* access(addr_t addr, bool is_write);
+    CacheLine* access(addr_t addr, bool is_write)
+    {
+        return recordAccess(find(addr), is_write);
+    }
 
     /**
-     * Permission probe with no side effects (no stats, no LRU touch, no
-     * MESI silent upgrade): distinguishes "hit with sufficient state"
-     * from "needs a coherence transaction". Exclusive counts as
-     * sufficient for writes (the silent-upgrade privilege).
+     * access() on a line the caller already found: counts the access,
+     * and a miss when @p line is null or a write finds it Shared; stamps
+     * a present line's LRU age; and upgrades an Exclusive line that is
+     * written to Modified (the MESI silent upgrade).
+     * @param line find()'s result for the accessed address
+     * @return @p line when it grants the access, nullptr otherwise.
      */
-    CacheProbe probe(addr_t addr, bool is_write) const;
+    CacheLine* recordAccess(CacheLine* line, bool is_write);
 
     /**
      * @return true when @p line (possibly nullptr) grants the access
      * without a coherence transaction — any valid state for reads,
-     * Modified or Exclusive for writes.
+     * Modified or Exclusive for writes (Exclusive's silent upgrade).
      */
     static bool sufficient(const CacheLine* line, bool is_write);
 
@@ -240,6 +245,7 @@ class Cache
     std::uint64_t capacity_;
     int assoc_;
     std::uint64_t lineSize_;
+    int lineShift_; ///< log2(lineSize_)
     std::uint64_t numSets_;
     std::vector<CacheLine> lines_; ///< numSets_ * assoc_, set-major
     std::uint64_t lruCounter_ = 0;

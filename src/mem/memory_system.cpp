@@ -488,8 +488,6 @@ MemorySystem::fillL1(Cache* l1, const CacheLine& l2line)
 {
     if (!l1)
         return;
-    if (l1->find(l2line.lineAddr) != nullptr)
-        return;
     // L1 is write-through: copies are always clean Shared; victims drop.
     l1->insert(l2line.lineAddr, CacheState::Shared,
                {l2line.data.get(), lineSize_});
@@ -656,26 +654,28 @@ MemorySystem::finishAccess(TileMemory& tm, const LineRequest& rq,
 }
 
 CacheLine*
-MemorySystem::lookupLocal(TileMemory& tm, const LineRequest& rq,
-                          AccessResult& res)
+MemorySystem::chargeLookups(TileMemory& tm, const LineRequest& rq,
+                            CacheLine* l1line, CacheLine* l2line,
+                            AccessResult& res)
 {
     // The L1 is write-through, so only the L2 can satisfy a write; the
     // L1 lookup still counts in its stats.
     if (rq.l1) {
         res.latency += l1Latency_;
-        rq.l1->access(rq.addr, /*is_write=*/false);
+        rq.l1->recordAccess(l1line, /*is_write=*/false);
     }
     res.latency += l2Latency_;
-    return tm.l2->access(rq.addr, rq.isWrite);
+    return tm.l2->recordAccess(l2line, rq.isWrite);
 }
 
 void
 MemorySystem::commitLine(TileMemory& tm, LineRequest& rq,
-                         CacheLine& l2line)
+                         CacheLine& l2line, CacheLine* l1line)
 {
     const addr_t offset = rq.addr - l2line.lineAddr;
     std::uint8_t* bytes = l2line.data.get() + offset;
     if (!rq.isWrite) {
+        // A read reaches the L2 only when the L1 has no copy.
         std::memcpy(rq.buf, bytes, rq.size);
         fillL1(rq.l1, l2line);
         return;
@@ -696,9 +696,8 @@ MemorySystem::commitLine(TileMemory& tm, LineRequest& rq,
     // Write through into the L1d copy, if present. A plain write
     // allocates on an L1 miss; an atomic does not (rq.l1 is null), and
     // its write-through is the release fence the fuzz fault can skip.
-    if (!tm.l1d)
-        return;
-    CacheLine* l1line = tm.l1d->find(rq.addr);
+    if (rq.rmw != nullptr && tm.l1d)
+        l1line = tm.l1d->find(rq.addr);
     if (l1line == nullptr)
         fillL1(rq.l1, l2line);
     else if (!(rq.rmw != nullptr && obs_.faults &&
@@ -715,30 +714,31 @@ MemorySystem::tryCompleteLocal(TileMemory& tm, LineRequest& rq,
 
     // L1 probe. The L1 is write-through, so a write "hit" only means the
     // copy is present (never Modified); reads complete here, writes
-    // always continue to the L2.
-    if (rq.l1 && !rq.isWrite && rq.l1->find(rq.addr) != nullptr) {
+    // always continue to the L2. Each level is looked up once; the
+    // lines found are charged and committed below.
+    CacheLine* l1line = rq.findL1();
+    if (l1line != nullptr && !rq.isWrite) {
         res.latency = l1Latency_;
-        CacheLine* l1line = rq.l1->access(rq.addr, /*is_write=*/false);
-        GRAPHITE_ASSERT(l1line != nullptr);
+        rq.l1->recordAccess(l1line, /*is_write=*/false);
         std::memcpy(rq.buf,
-                    l1line->data.get() + (rq.addr - lineAlign(rq.addr)),
+                    l1line->data.get() + (rq.addr - l1line->lineAddr),
                     rq.size);
         res.l1Hit = true;
         finishAccess(tm, rq, res);
         return CacheProbe::Hit;
     }
 
-    // L2 permission probe — side-effect-free, so a negative answer
+    // L2 permission check. A negative answer charges nothing, so it
     // leaves no stats or LRU trace behind (the caller will come back
     // through the transaction path, which records the miss exactly
     // once).
-    CacheProbe p = tm.l2->probe(rq.addr, rq.isWrite);
-    if (p != CacheProbe::Hit)
-        return p;
-    CacheLine* l2line = lookupLocal(tm, rq, res);
-    GRAPHITE_ASSERT(l2line != nullptr);
+    CacheLine* l2line = tm.l2->find(rq.addr);
+    if (!Cache::sufficient(l2line, rq.isWrite))
+        return l2line == nullptr ? CacheProbe::Miss
+                                 : CacheProbe::NeedsUpgrade;
+    chargeLookups(tm, rq, l1line, l2line, res);
     res.l2Hit = true;
-    commitLine(tm, rq, *l2line);
+    commitLine(tm, rq, *l2line, l1line);
     finishAccess(tm, rq, res);
     return CacheProbe::Hit;
 }
@@ -827,7 +827,8 @@ MemorySystem::accessLine(LineRequest& rq, cycle_t start_time)
                          : rq.isWrite ? obs::SpanKind::WriteMiss
                                       : obs::SpanKind::ReadMiss,
                          rq.tile, home, start_time);
-        CacheLine* l2line = lookupLocal(tm, rq, res);
+        CacheLine* l2line = chargeLookups(tm, rq, rq.findL1(),
+                                          tm.l2->find(rq.addr), res);
         GRAPHITE_ASSERT(l2line == nullptr);
         if (span)
             span->add(obs::SpanStage::LocalCheck, start_time,
@@ -845,7 +846,7 @@ MemorySystem::accessLine(LineRequest& rq, cycle_t start_time)
         }
         l2line = tm.l2->find(line_addr);
         GRAPHITE_ASSERT(l2line != nullptr);
-        commitLine(tm, rq, *l2line);
+        commitLine(tm, rq, *l2line, rq.findL1());
         finishAccess(tm, rq, res);
         return res;
     }

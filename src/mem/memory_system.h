@@ -445,6 +445,12 @@ class MemorySystem
         const std::function<std::uint64_t(std::uint64_t)>* rmw = nullptr;
         /** Atomics: the value before rmw. */
         std::uint64_t oldValue = 0;
+
+        /** The line's copy in l1, null when there is none or no l1. */
+        CacheLine* findL1() const
+        {
+            return l1 != nullptr ? l1->find(addr) : nullptr;
+        }
     };
 
     /**
@@ -481,18 +487,22 @@ class MemorySystem
                                 AccessResult& res);
 
     /**
-     * Charge the L1 and L2 lookups (stats and latency) and return the
-     * L2 line, null on a miss. Tile lock held.
+     * Charge the L1 and L2 lookups (stats and latency) to the lines
+     * rq.findL1() and the L2's find() returned, null where absent, and
+     * return the L2 line if it grants the access, else null. Tile lock
+     * held.
      */
-    CacheLine* lookupLocal(TileMemory& tm, const LineRequest& rq,
-                           AccessResult& res);
+    CacheLine* chargeLookups(TileMemory& tm, const LineRequest& rq,
+                             CacheLine* l1line, CacheLine* l2line,
+                             AccessResult& res);
 
     /**
      * Move the request's bytes once the L2 holds the line with
      * sufficient permission: the commit tail of hits and misses alike.
-     * Tile lock held.
+     * @p l1line is rq.findL1()'s result. Tile lock held.
      */
-    void commitLine(TileMemory& tm, LineRequest& rq, CacheLine& l2line);
+    void commitLine(TileMemory& tm, LineRequest& rq, CacheLine& l2line,
+                    CacheLine* l1line);
 
     /**
      * Sums over the tiles of the accesses, the L2 misses and the
@@ -561,7 +571,7 @@ class MemorySystem
     void snapshotLoss(tile_id_t tile, addr_t line_addr,
                       EvictReason reason);
 
-    /** Fill L1 (D or I) with a Shared copy of the L2 line. */
+    /** Fill L1 (D or I), which has no copy, with the L2 line as Shared. */
     void fillL1(Cache* l1, const CacheLine& l2line);
 
     ClusterTopology topo_;
