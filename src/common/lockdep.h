@@ -20,6 +20,17 @@
 // environment, or lockdep::setMode().  "warn" records and logs
 // violations but keeps running (hierarchy bring-up); the default
 // enforcing mode prints both acquisition sites and exits with code 87.
+//
+// Cost in an armed build: a lock taken while the thread holds nothing
+// has nothing to be checked against, so lock()/try_lock() record it
+// inline (one held-set entry and the depth, behind a thread_local
+// pointer), and unlock() drops the innermost entry inline; in any mode
+// such a round trip makes no call into lockdep.cpp.  A lock taken with
+// others held runs the out-of-line order check, run merge and
+// edge-table record; a raw lock that would block publishes its
+// WAITING-FOR entry out of line; and releasing a lock that is not the
+// innermost entry searches the held set out of line.  Runtime-off
+// skips only the order check.
 
 #ifndef GRAPHITE_COMMON_LOCKDEP_H
 #define GRAPHITE_COMMON_LOCKDEP_H
