@@ -714,8 +714,8 @@ MemorySystem::tryCompleteLocal(TileMemory& tm, LineRequest& rq,
 
     // L1 probe. The L1 is write-through, so a write "hit" only means the
     // copy is present (never Modified); reads complete here, writes
-    // always continue to the L2. Each level is looked up once; the
-    // lines found are charged and committed below.
+    // always continue to the L2 and write through to the copy found
+    // here.
     CacheLine* l1line = rq.findL1();
     if (l1line != nullptr && !rq.isWrite) {
         res.latency = l1Latency_;
