@@ -98,10 +98,8 @@ inline namespace ld_on
 
 class OrderedMutex;
 
-// The per-thread held set. It lives in this header so that the common
-// round trip — a lock taken with nothing held, then released as the
-// innermost entry — is recorded inline; everything else goes to
-// lockdep.cpp.
+// The per-thread held set, in this header so that OrderedMutex and
+// UniqueLock can record the round trip described above inline.
 namespace detail
 {
 
@@ -182,10 +180,6 @@ void popHeld(const OrderedMutex* m);
 
 } // namespace detail
 
-// lock(), try_lock() and unlock() record a lock taken with nothing held
-// and the release of the innermost lock inline. The order check, runs,
-// the edge table and a raw lock that blocks (shown as WAITING-FOR in
-// dumps) are out of line.
 class OrderedMutex {
 public:
     explicit OrderedMutex(LockClass cls, std::int64_t instance = 0)
