@@ -105,8 +105,8 @@ std::atomic<ThreadState*> g_stateTable[MAX_THREAD_STATES];
 std::atomic<int> g_stateCount{0};
 
 // Frees the thread's state for reuse when the thread exits, and detaches
-// it from the inline paths, which must not write a state that another
-// thread may have taken over.
+// it: a lock taken later in the thread's exit must not write a state
+// that another thread may have taken over.
 struct ThreadHandle {
     ThreadState* state = nullptr;
     ~ThreadHandle()
@@ -116,6 +116,7 @@ struct ThreadHandle {
             state->depth.store(0, std::memory_order_relaxed);
             state->waiting.store(false, std::memory_order_relaxed);
             state->alive.store(false, std::memory_order_release);
+            state = nullptr;
         }
     }
 };
